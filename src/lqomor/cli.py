@@ -70,19 +70,26 @@ def _json_out(doc, stream=None):
 
 
 def _parse_t1(text):
-    if isinstance(text, str) and text.strip().lower() in ("inf", "infinite"):
+    """``--t1`` value: a number, or ``inf``/``infinite`` for no end."""
+    if text.strip().lower() in ("inf", "infinite"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or 'inf', got {text!r}"
+        ) from None
 
 
 def _interval(args):
-    return TimeInterval(args.t0, _parse_t1(args.t1))
+    return TimeInterval(args.t0, args.t1)
 
 
 def _add_interval_flags(p, t1_default="inf"):
     p.add_argument("--t0", type=float, default=0.0, help="horizon start in seconds")
     p.add_argument(
-        "--t1", default=t1_default, help="horizon end in seconds, or 'inf'"
+        "--t1", type=_parse_t1, default=t1_default,
+        help="horizon end in seconds, or 'inf'",
     )
 
 
@@ -218,13 +225,16 @@ def _cmd_hsv(args):
 def _cmd_simulate(args):
     system = _load(args.system)
     rom = _load(args.rom, require_hurwitz=False) if args.rom else None
-    t1 = _parse_t1(args.t1)
-    if math.isinf(t1):
-        raise ValidationError("simulate requires a finite --t1")
+    for flag, value in (("--t0", args.t0), ("--t1", args.t1), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ValidationError(f"simulate requires a finite {flag}, got {value}")
     if args.step <= 0:
         raise ValidationError(f"--step must be positive, got {args.step}")
     u = parse_signal(args.input)
-    n_steps = int(round((t1 - args.t0) / args.step))
+    span = (args.t1 - args.t0) / args.step
+    if not math.isfinite(span):
+        raise ValidationError(f"--step {args.step} too small for the time span")
+    n_steps = int(round(span))
     if n_steps < 1:
         raise ValidationError("time span shorter than one step")
     grid = args.t0 + args.step * np.arange(n_steps + 1)
@@ -328,7 +338,7 @@ def build_parser():
     p.add_argument("--rom", default=None)
     p.add_argument("--input", required=True, help="signal expression in t")
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", required=True)
+    p.add_argument("--t1", type=_parse_t1, required=True)
     p.add_argument("--step", type=float, required=True, help="grid step in seconds")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_simulate)

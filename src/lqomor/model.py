@@ -17,6 +17,7 @@ import numpy as np
 
 from . import matfun
 from .errors import DimensionError, NonFiniteError, ValidationError
+from .signals import SignalExpr
 
 #: Sentinel for an unbounded right endpoint of a :class:`TimeInterval`.
 INFINITE = math.inf
@@ -178,21 +179,118 @@ def eval_output(system, x):
     return system.C @ x + quad
 
 
+#: Rows per block when evaluating quadratic outputs along a trajectory, so
+#: the temporary ``states @ M_i`` stays near 128 KiB.
+_OUTPUT_BLOCK_FLOATS = 1 << 14
+
+
 def _output_trajectory(system, states):
-    lin = states @ system.C.T
-    for i, mi in enumerate(system.M):
-        lin[:, i] += np.einsum("kn,nm,km->k", states, mi, states)
-    return lin
+    out = states @ system.C.T
+    rows = max(1, _OUTPUT_BLOCK_FLOATS // max(system.order, 1))
+    for lo in range(0, states.shape[0], rows):
+        blk = states[lo:lo + rows]
+        for i, mi in enumerate(system.M):
+            out[lo:lo + rows, i] += np.einsum("kn,kn->k", blk @ mi, blk)
+    return out
+
+
+def _rk4_step_matrices(a, b, h):
+    """``(Phi - I, [Gamma_0, Gamma_half, Gamma_1])`` of one RK4 step of length h.
+
+    With ``H = hA`` one classical RK4 step of ``x' = A x + B u`` is exactly
+
+        x+ = Phi x + Gamma_0 u(t) + Gamma_half u(t + h/2) + Gamma_1 u(t + h),
+        Phi        = I + H + H^2/2 + H^3/6 + H^4/24,
+        Gamma_0    = h/6 (I + H + H^2/2 + H^3/4) B,
+        Gamma_half = h/6 (4I + 2H + H^2/2) B,
+        Gamma_1    = h/6 B.
+
+    ``Phi - I = H (I + H/2 (I + H/3 (I + H/4)))`` is built by Horner's rule
+    in three N x N products, in place to keep few N x N temporaries, and
+    kept without the identity, so a step adds a small increment to ``x`` as
+    the stage form does.
+    """
+    diag = slice(None, None, a.shape[0] + 1)
+    psi = (h / 4.0) * a
+    for k in (3.0, 2.0, 1.0):
+        psi.flat[diag] += 1.0
+        psi = a @ psi
+        psi *= h / k
+    hb = h * (a @ b)
+    h2b = h * (a @ hb)
+    h3b = h * (a @ h2b)
+    gamma = (h / 6.0) * np.hstack(
+        [b + hb + h2b / 2.0 + h3b / 4.0, 4.0 * b + 2.0 * hb + h2b / 2.0, b]
+    )
+    return psi, gamma
+
+
+def _step_lengths(steps, tol):
+    """Group step lengths that agree to within ``tol``.
+
+    Returns the group label of every step and one length per group: the
+    mean of its members, so the grouped steps still sum to the grid's span.
+    """
+    values, inverse = np.unique(steps, return_inverse=True)
+    group = np.empty(values.size, dtype=np.intp)
+    anchors = []
+    for i, v in enumerate(values):
+        if not anchors or v - anchors[-1] > tol:
+            anchors.append(v)
+        group[i] = len(anchors) - 1
+    labels = group[inverse]
+    lengths = np.bincount(labels, weights=steps) / np.bincount(labels)
+    return labels, lengths
+
+
+def _sample_input(u, times, m):
+    """Input values at ``times`` as a ``(times.size, m)`` array.
+
+    A :class:`SignalExpr` is evaluated on all times in one call; any other
+    callable point by point.  A scalar value drives every input.
+    """
+    values = np.empty((times.size, m))
+    if isinstance(u, SignalExpr):
+        values[:] = u(times)[:, None]
+    else:
+        for k, tk in enumerate(times):
+            val = np.asarray(u(tk), dtype=float).reshape(-1)
+            if val.size not in (1, m):
+                raise DimensionError(
+                    f"input signal returned {val.size} values, expected {m}"
+                )
+            values[k] = val
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        tk = times[np.argmin(finite)]
+        raise NonFiniteError(f"input signal non-finite at t={tk:g}")
+    return values
 
 
 def simulate(system, u, grid, x0=None, substeps=1):
     """Integrate the forced response with the classical fixed-step RK4 scheme.
 
+    For a step of length ``h`` RK4 is the linear recurrence
+
+        x+ = Phi x + Gamma_0 u(t) + Gamma_half u(t + h/2) + Gamma_1 u(t + h)
+
+    with ``Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24`` and ``Gamma_*``
+    polynomials in ``hA`` times ``B`` (see :func:`_rk4_step_matrices`).
+    The input is sampled once on all stage times, the forcing terms of all
+    steps are one matrix product, and each step is then one matrix-vector
+    product.  Building ``(Phi, Gamma)`` costs three N x N matrix products
+    once per run of consecutive steps of one length; lengths that agree to
+    within the rounding of the grid count as one, so uniform grids need a
+    single set.
+
     Parameters
     ----------
     system : LqoSystem
     u : callable
-        Input signal ``t -> float`` (single input) or ``t -> (m,) array``.
+        Input signal ``t -> float`` (single input, or driving every input)
+        or ``t -> (m,) array``.  A :class:`~lqomor.signals.SignalExpr` is
+        sampled on all stage times in one call, any other callable point
+        by point.
     grid : array_like
         Strictly increasing output times; integration takes ``substeps``
         RK4 steps between consecutive grid points.
@@ -218,33 +316,35 @@ def simulate(system, u, grid, x0=None, substeps=1):
     if x.size != n:
         raise DimensionError(f"x0 length {x.size} != system order {n}")
 
-    a, b = system.A, system.B
+    # step j starts at starts[j] and has length steps[j]; its stages sample
+    # u at times[2j], times[2j + 1] (midpoint) and times[2j + 2]
+    steps = np.repeat(np.diff(t) / substeps, substeps)
+    starts = np.repeat(t[:-1], substeps) + np.tile(np.arange(substeps), t.size - 1) * steps
+    n_steps = steps.size
+    times = np.empty(2 * n_steps + 1)
+    times[0:-1:2] = starts
+    times[1::2] = starts + 0.5 * steps
+    times[-1] = t[-1]
+    samples = _sample_input(u, times, m)
+    stages = np.hstack([samples[0:-1:2], samples[1::2], samples[2::2]])
 
-    def forcing(tk):
-        val = np.asarray(u(tk), dtype=float).reshape(-1)
-        if val.size == 1 and m > 1:
-            val = np.full(m, val[0])
-        if val.size != m:
-            raise DimensionError(
-                f"input signal returned {val.size} values, expected {m}"
-            )
-        if not np.isfinite(val).all():
-            raise NonFiniteError(f"input signal non-finite at t={tk:g}")
-        return b @ val
-
-    states = np.empty((t.size, n))
+    states = np.empty((n_steps + 1, n))
     states[0] = x
-    for k in range(t.size - 1):
-        h = (t[k + 1] - t[k]) / substeps
-        tk = t[k]
-        for _ in range(substeps):
-            f1 = a @ x + forcing(tk)
-            f2 = a @ (x + 0.5 * h * f1) + forcing(tk + 0.5 * h)
-            f3 = a @ (x + 0.5 * h * f2) + forcing(tk + 0.5 * h)
-            f4 = a @ (x + h * f3) + forcing(tk + h)
-            x = x + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            tk += h
-        states[k + 1] = x
+    tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    labels, lengths = _step_lengths(steps, tol)
+    # one set per run of equal lengths: a non-uniform grid then holds one
+    # N x N matrix at a time, not one per distinct length
+    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        psi, gamma = _rk4_step_matrices(system.A, system.B, lengths[labels[lo]])
+        np.matmul(stages[lo:hi], gamma.T, out=states[lo + 1:hi + 1])
+        x = states[lo]
+        for nxt in states[lo + 1:hi + 1]:
+            nxt += psi @ x
+            nxt += x
+            x = nxt
+    if substeps > 1:
+        states = states[::substeps].copy()
 
     return Trajectory(times=t, states=states, outputs=_output_trajectory(system, states))
 

@@ -9,12 +9,15 @@ Grammar (binding tightest last):
     primary := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
 with functions ``sin``, ``cos`` and ``exp``.  Parsing errors carry the byte
-offset of the offending token; evaluation raises on division by zero or any
+offset of the offending token.  Evaluation runs on numpy arrays, so a whole
+time grid is sampled in one call, and raises on division by zero or any
 non-finite intermediate value.
 """
 
-import math
+import functools
 import re
+
+import numpy as np
 
 from .errors import SignalEvalError, SignalSyntaxError
 
@@ -24,7 +27,14 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_OPERATORS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
 
 
 def _tokenize(text):
@@ -133,56 +143,78 @@ class _Parser:
         )
 
 
-def _eval(node, t):
+def _eval(node, t, faults):
+    """Value of ``node`` on the time array ``t``.
+
+    Every node's value is checked: a zero divisor or a non-finite value
+    appends ``(mask, reason)`` to ``faults``, the mask marking the times
+    at which it occurs.
+    """
     head = node[0]
     if head == "num":
-        return node[1]
-    if head == "t":
-        return t
-    if head == "neg":
-        return -_eval(node[1], t)
-    if head == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], t))
-    left = _eval(node[1], t)
-    right = _eval(node[2], t)
-    if head == "+":
-        return left + right
-    if head == "-":
-        return left - right
-    if head == "*":
-        return left * right
-    if head == "/":
-        if right == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return left / right
-    if head == "^":
-        return left ** right
-    raise AssertionError(f"unknown node {head!r}")
+        value = np.float64(node[1])
+    elif head == "t":
+        value = t
+    elif head == "neg":
+        value = np.negative(_eval(node[1], t, faults))
+    elif head == "call":
+        value = _FUNCTIONS[node[1]](_eval(node[2], t, faults))
+    else:
+        left = _eval(node[1], t, faults)
+        right = _eval(node[2], t, faults)
+        if head == "/":
+            zero = right == 0.0
+            if np.any(zero):
+                faults.append((zero, "division by zero"))
+        value = _OPERATORS[head](left, right)
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        faults.append((~finite, "non-finite value"))
+    return value
+
+
+def _first_fault(times, faults):
+    """Earliest offending time and the first fault recorded there, or None."""
+    if not faults:
+        return None
+    masks = [np.broadcast_to(mask, times.shape) for mask, _ in faults]
+    at = np.flatnonzero(functools.reduce(np.logical_or, masks))
+    if not at.size:
+        return None
+    first = at[np.argmin(times.flat[at])]
+    reason = next(r for mask, (_, r) in zip(masks, faults) if mask.flat[first])
+    return float(times.flat[first]), reason
 
 
 class SignalExpr:
-    """Parsed scalar signal ``u(t)``; callable on a float time."""
+    """Parsed scalar signal ``u(t)``; callable on a float or an array of times."""
 
     def __init__(self, source, tree):
         self.source = source
         self._tree = tree
 
     def __call__(self, t):
-        try:
-            value = _eval(self._tree, float(t))
-        except ZeroDivisionError as exc:
+        """Signal values at ``t``: a float for a float, else an array of t's shape.
+
+        Raises :class:`SignalEvalError` if a divisor is zero or any
+        intermediate value is non-finite (a complex power included); its
+        ``context["t"]`` is the earliest offending time.
+        """
+        times = np.asarray(t, dtype=float)
+        faults = []
+        with np.errstate(all="ignore"):
+            value = _eval(self._tree, times, faults)
+        fault = _first_fault(times, faults)
+        if fault is not None:
+            tk, reason = fault
             raise SignalEvalError(
-                f"signal {self.source!r} undefined at t={t:g}: {exc}", t=float(t)
-            ) from exc
-        except (OverflowError, ValueError) as exc:
-            raise SignalEvalError(
-                f"signal {self.source!r} failed at t={t:g}: {exc}", t=float(t)
-            ) from exc
-        if isinstance(value, complex) or not math.isfinite(value):
-            raise SignalEvalError(
-                f"signal {self.source!r} is non-finite at t={t:g}", t=float(t)
+                f"signal {self.source!r} failed at t={tk:g}: {reason}", t=tk
             )
-        return value
+        if times.ndim == 0:
+            return float(value)
+        out = np.empty_like(times)
+        out[...] = value
+        return out
 
     def __repr__(self):
         return f"SignalExpr({self.source!r})"

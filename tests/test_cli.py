@@ -237,6 +237,37 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["code"] == "signal_eval"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--system", SCALAR],
+            ["error", "--system", SCALAR, "--rom", SCALAR],
+            ["residuals", "--system", SCALAR, "--rom", SCALAR],
+            ["hsv", "--system", SCALAR],
+            ["reduce", "--method", "tlbt", "--order", "1", "--system", SCALAR],
+            ["simulate", "--system", SCALAR, "--input", "1", "--step", "0.1"],
+        ],
+    )
+    def test_non_numeric_t1_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--t1", "abc")
+        assert code == 2
+        assert json.loads(err)["code"] == "usage"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t0", "nan", "--t1", "1", "--step", "0.1"],
+            ["--t1", "nan", "--step", "0.1"],
+            ["--t1", "1", "--step", "nan"],
+            ["--t0", "inf", "--t1", "1", "--step", "0.1"],
+            ["--t1", "1", "--step", "1e-320"],
+        ],
+    )
+    def test_simulate_nonfinite_grid_is_validation(self, capsys, flags):
+        code, _, err = run(capsys, "simulate", "--system", SCALAR, "--input", "1", *flags)
+        assert code == 3
+        assert json.loads(err)["code"] == "validation"
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "norm", "--system", "no/such/file.json", "--t1", "1")
         assert code == 3

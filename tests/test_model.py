@@ -13,9 +13,17 @@ from lqomor.model import (
     simulate,
     validate,
 )
-from lqomor.demo import demo_system
+from lqomor.demo import DEMO_INPUT, DEMO_INTERVAL, DEMO_STEP, demo_system
+from lqomor.signals import parse_signal
 
-from util import rand_lti, rand_system
+from util import rand_lti, rand_system, rk4_reference
+
+
+def _assert_matches_reference(system, u, grid, **kwargs):
+    traj = simulate(system, u, grid, **kwargs)
+    ref = rk4_reference(system, u, grid, **kwargs)
+    assert traj.states.shape == ref.shape
+    assert np.abs(traj.states - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestTimeInterval:
@@ -142,6 +150,28 @@ class TestSimulate:
             err = np.linalg.norm(traj.states[k + 1] - x)
             worst = max(worst, err / max(np.linalg.norm(x), 1e-12))
         assert worst <= 1e-6
+
+    def test_recurrence_matches_stages_on_demo_cli_grid(self):
+        # the grid the CLI builds: t0 + step * arange(n + 1)
+        n_steps = int(round((DEMO_INTERVAL.t_end - DEMO_INTERVAL.t_start) / DEMO_STEP))
+        grid = DEMO_INTERVAL.t_start + DEMO_STEP * np.arange(n_steps + 1)
+        _assert_matches_reference(demo_system(), parse_signal(DEMO_INPUT), grid)
+
+    def test_recurrence_matches_stages_on_geometric_grid_with_substeps(self):
+        sys1 = rand_system(np.random.default_rng(9), 5, 1, 2)
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 60)])
+        u = parse_signal("sin(3*t) + 0.5")
+        _assert_matches_reference(sys1, u, grid, x0=np.ones(5), substeps=3)
+
+    def test_recurrence_matches_stages_with_scalar_signal_on_two_inputs(self):
+        sys1 = rand_system(np.random.default_rng(10), 4, 2, 2)
+        grid = np.linspace(0.0, 1.5, 301)
+        _assert_matches_reference(sys1, parse_signal("exp(-t)*cos(5*t)"), grid)
+
+    def test_single_point_grid_returns_initial_state(self):
+        sys1 = rand_system(np.random.default_rng(11), 3)
+        traj = simulate(sys1, parse_signal("1"), [0.3], x0=[1.0, 2.0, 3.0])
+        assert np.array_equal(traj.states, [[1.0, 2.0, 3.0]])
 
     def test_rejects_empty_grid(self):
         sys1 = rand_system(np.random.default_rng(4), 3)

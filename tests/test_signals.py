@@ -25,9 +25,7 @@ def test_matches_direct_computation():
         direct = 0.01 * math.cos(2.0 * t)
         assert abs(u(t) - direct) <= 1e-15 * max(abs(direct), 1e-30)
 
-@pytest.mark.parametrize(
-    "text,t,expected",
-    [
+GRAMMAR_CASES = [
         ("1+2*3", 0.0, 7.0),
         ("(1+2)*3", 0.0, 9.0),
         ("2^3^2", 0.0, 512.0),          # right associative
@@ -38,10 +36,39 @@ def test_matches_direct_computation():
         ("--t", 4.0, 4.0),
         ("1e-2*t", 3.0, 0.03),
         (".5*t", 2.0, 1.0),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("text,t,expected", GRAMMAR_CASES)
 def test_grammar_cases(text, t, expected):
     assert parse_signal(text)(t) == pytest.approx(expected, rel=1e-14)
+
+@pytest.mark.parametrize("text", [case[0] for case in GRAMMAR_CASES])
+def test_array_matches_scalar_calls(text):
+    u = parse_signal(text)
+    ts = np.linspace(0.0, 4.0, 41)
+    values = u(ts)
+    assert values.shape == ts.shape
+    assert np.array_equal(values, [u(t) for t in ts])
+
+def test_constant_broadcasts_to_array_shape():
+    values = parse_signal("1")(np.linspace(0.0, 1.0, 7))
+    assert values.shape == (7,)
+    assert np.array_equal(values, np.ones(7))
+
+def test_array_division_by_zero_names_earliest_time():
+    with pytest.raises(SignalEvalError) as err:
+        parse_signal("1/(t-1)")(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+    assert err.value.context["t"] == 1.0
+
+@pytest.mark.parametrize("text", ["1/exp(t)", "exp(t)*0"])
+def test_nonfinite_intermediate_is_eval_error(text):
+    u = parse_signal(text)
+    with pytest.raises(SignalEvalError):
+        u(1e6)
+    with pytest.raises(SignalEvalError) as err:
+        u(np.array([0.0, 1.0, 1e6]))
+    assert err.value.context["t"] == 1e6
 
 def test_syntax_error_carries_offset():
     with pytest.raises(SignalSyntaxError) as err:
@@ -73,3 +100,5 @@ def test_overflow_is_eval_error():
 def test_complex_power_is_eval_error():
     with pytest.raises(SignalEvalError):
         parse_signal("(-1)^0.5")(0.0)
+    with pytest.raises(SignalEvalError):
+        parse_signal("(-1)^0.5")(np.zeros(3))

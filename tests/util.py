@@ -41,3 +41,32 @@ def lyap_residual(a, x, q, side="controllability"):
 
 def sylv_residual(a, b, x, c):
     return np.linalg.norm(a @ x + x @ b + c)
+
+
+def rk4_reference(system, u, grid, x0=None, substeps=1):
+    """Stage-by-stage classical RK4, sampling ``u`` at every stage time.
+
+    Reference for ``simulate``: returns the states on ``grid``.
+    """
+    t = np.asarray(grid, dtype=float)
+    a, b, m = system.A, system.B, system.n_inputs
+    x = np.zeros(system.order) if x0 is None else np.asarray(x0, dtype=float)
+
+    def forcing(tk):
+        val = np.asarray(u(tk), dtype=float).reshape(-1)
+        return b @ (np.full(m, val[0]) if val.size == 1 else val)
+
+    states = np.empty((t.size, system.order))
+    states[0] = x
+    for k in range(t.size - 1):
+        h = (t[k + 1] - t[k]) / substeps
+        tk = t[k]
+        for _ in range(substeps):
+            f1 = a @ x + forcing(tk)
+            f2 = a @ (x + 0.5 * h * f1) + forcing(tk + 0.5 * h)
+            f3 = a @ (x + 0.5 * h * f2) + forcing(tk + 0.5 * h)
+            f4 = a @ (x + h * f3) + forcing(tk + h)
+            x = x + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            tk += h
+        states[k + 1] = x
+    return states
