@@ -85,6 +85,13 @@ def _interval(args):
     return TimeInterval(args.t0, args.t1)
 
 
+def _interval_fields(interval):
+    return {
+        "t0": interval.t_start,
+        "t1": "inf" if interval.is_infinite else interval.t_end,
+    }
+
+
 def _add_interval_flags(p, t1_default="inf"):
     p.add_argument("--t0", type=float, default=0.0, help="horizon start in seconds")
     p.add_argument(
@@ -111,6 +118,12 @@ def _write_csv(path, comment, header, columns):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+#: Fields of the report document that ``reduce`` prints, in order.
+_REDUCE_SUMMARY = (
+    "method", "converged", "iterations", "rom_hurwitz", "residual_norms", "warnings",
+)
 
 
 def _cmd_reduce(args):
@@ -140,16 +153,8 @@ def _cmd_reduce(args):
         save_system(report.rom, args.out)
     if args.report:
         save_report(report, args.report)
-    _json_out(
-        {
-            "method": report.method,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "rom_hurwitz": report.rom.is_hurwitz,
-            "residual_norms": residual_norms_document(report.residuals),
-            "warnings": list(report.warnings),
-        }
-    )
+    doc = report_document(report)
+    _json_out({key: doc[key] for key in _REDUCE_SUMMARY})
     return EXIT_OK
 
 
@@ -164,8 +169,7 @@ def _cmd_norm(args):
         {
             "value": rep.value,
             "method": rep.method,
-            "t0": interval.t_start,
-            "t1": "inf" if interval.is_infinite else interval.t_end,
+            **_interval_fields(interval),
         }
     )
     return EXIT_OK
@@ -185,8 +189,7 @@ def _cmd_error(args):
                 "inner_product": second,
                 "norm_rom_squared": third,
             },
-            "t0": interval.t_start,
-            "t1": "inf" if interval.is_infinite else interval.t_end,
+            **_interval_fields(interval),
         }
     )
     return EXIT_OK

@@ -34,9 +34,12 @@ def _as_square(a, name):
     return a
 
 
-def hurwitz_margin(a):
-    """Largest real part over the spectrum of ``a`` (negative if Hurwitz)."""
-    return float(sla.eigvals(a).real.max())
+def _rightmost(a):
+    """Eigenvalue of ``a`` with the largest real part, and whether it meets
+    the Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
+    lam = sla.eigvals(a)
+    top = lam[int(np.argmax(lam.real))]
+    return top, bool(top.real < -HURWITZ_RTOL * sla.norm(a, "fro"))
 
 
 def is_hurwitz(a):
@@ -46,20 +49,18 @@ def is_hurwitz(a):
     with eigenvalues on (or numerically indistinguishable from) the imaginary
     axis are rejected.
     """
-    a = _as_square(a, "a")
-    return bool(hurwitz_margin(a) < -HURWITZ_RTOL * sla.norm(a, "fro"))
+    return _rightmost(_as_square(a, "a"))[1]
 
 
 def require_hurwitz(a, name="A"):
     """Raise :class:`HurwitzError` (with the offending eigenvalue) if not Hurwitz."""
     a = _as_square(a, name)
-    lam = sla.eigvals(a)
-    k = int(np.argmax(lam.real))
-    if lam[k].real >= -HURWITZ_RTOL * sla.norm(a, "fro"):
+    top, ok = _rightmost(a)
+    if not ok:
         raise HurwitzError(
-            f"{name} is not Hurwitz: eigenvalue {lam[k]:.6g} has nonnegative real part",
+            f"{name} is not Hurwitz: eigenvalue {top:.6g} has nonnegative real part",
             name=name,
-            eigenvalue=[lam[k].real, lam[k].imag],
+            eigenvalue=[top.real, top.imag],
         )
     return a
 
@@ -121,16 +122,14 @@ def expm_frechet(a, v, t=1.0):
     return sla.expm_frechet(a * t, v * t, compute_expm=False)
 
 
-def _check_lyap_solvable(a, name):
-    # Unique solvability of A X + X A^T + Q = 0 needs eig_i + eig_j != 0.
-    lam = sla.eigvals(a)
-    s = lam[:, None] + lam[None, :]
-    scale = max(np.abs(lam).max(), 1.0)
-    if np.abs(s).min() <= 1e-13 * scale:
-        raise SolverError(
-            f"Lyapunov equation with {name} is singular: eigenvalue pair sums to zero",
-            name=name,
-        )
+def _require_unique_solution(a, b, message, **context):
+    # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero;
+    # a Lyapunov equation passes its one matrix twice and pays for one eigvals.
+    la = sla.eigvals(a)
+    lb = la if b is a else sla.eigvals(b)
+    s = np.abs(la[:, None] + lb[None, :]).min()
+    if s <= 1e-13 * max(np.abs(la).max(), np.abs(lb).max(), 1.0):
+        raise SolverError(message, min_eig_sum=float(s), **context)
 
 
 def solve_lyapunov(a, q, side="controllability", require_stable=True):
@@ -172,7 +171,11 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
     if require_stable:
         require_hurwitz(a, "A")
     else:
-        _check_lyap_solvable(a, "A")
+        _require_unique_solution(
+            a, a,
+            "Lyapunov equation with A is singular: eigenvalue pair sums to zero",
+            name="A",
+        )
     coeff = a if side == "controllability" else a.T
     x = sla.solve_continuous_lyapunov(coeff, -q)
     if not np.isfinite(x).all():
@@ -190,11 +193,8 @@ def solve_sylvester(a, b, c):
     ----------
     a : (N, N) array_like
     b : (n, n) array_like
-    c : (N, n) array_like or pair of array_like
-        Right-hand side, either dense or in factored form ``(F, G)`` with
-        ``F`` of shape (N, d) and ``G`` of shape (d, n); the factored call
-        keeps the low-rank shape used by sparse-dense formulations even
-        though this backend is dense.
+    c : (N, n) array_like
+        Right-hand side.
 
     Returns
     -------
@@ -208,31 +208,15 @@ def solve_sylvester(a, b, c):
     """
     a = _as_square(a, "A")
     b = _as_square(b, "B")
-    if isinstance(c, tuple):
-        f, g = c
-        f = _as_matrix(f, "C factor F")
-        g = _as_matrix(g, "C factor G")
-        if f.shape[1] != g.shape[0]:
-            raise DimensionError(
-                f"factored C has incompatible inner dimensions {f.shape} x {g.shape}"
-            )
-        c = f @ g
-    else:
-        c = _as_matrix(c, "C")
+    c = _as_matrix(c, "C")
     if c.shape != (a.shape[0], b.shape[0]):
         raise DimensionError(
             f"C must have shape {(a.shape[0], b.shape[0])}, got {c.shape}",
             c_shape=c.shape,
         )
-    la = sla.eigvals(a)
-    lb = sla.eigvals(b)
-    s = la[:, None] + lb[None, :]
-    scale = max(np.abs(la).max(initial=0.0), np.abs(lb).max(initial=0.0), 1.0)
-    if np.abs(s).min() <= 1e-13 * scale:
-        raise SolverError(
-            "Sylvester equation is singular: spectra of A and -B overlap",
-            min_eig_sum=float(np.abs(s).min()),
-        )
+    _require_unique_solution(
+        a, b, "Sylvester equation is singular: spectra of A and -B overlap",
+    )
     x = sla.solve_sylvester(a, b, -c)
     if not np.isfinite(x).all():
         raise SolverError("Sylvester solve produced non-finite entries")

@@ -160,13 +160,6 @@ class Trajectory:
     states: np.ndarray
     outputs: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValidationError("time grid must be a nonempty 1-d array")
-        if t.size > 1 and not (np.diff(t) > 0).all():
-            raise ValidationError("time grid must be strictly increasing")
-
 
 def eval_output(system, x):
     """Output vector ``C x + [x^T M_i x]_i`` for a single state ``x``."""

@@ -6,8 +6,9 @@ depends on the reduced model,
     J = trace(-2 B^T Qt Br + Br^T Qh Br),
 
 so that ``||H - Hr||^2 = ||H||^2 + J``.  First-order stationarity of J
-yields four matrix conditions.  Three of them involve only horizon-limited
-Gramian blocks; the condition on the reduced A additionally carries a
+yields four matrix conditions, each residual half the gradient of J with
+respect to the matching reduced matrix.  Three of them involve only
+horizon-limited Gramian blocks; the condition on the reduced A carries a
 deviation term ``L`` built from infinite-horizon blocks, the differences
 between infinite and horizon-limited blocks, and a Frechet-derivative term
 of the matrix exponential at the horizon boundaries.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .gramians import cross_gramians
 from .model import TimeInterval
 
@@ -59,7 +60,6 @@ class OptimalityReport:
     L: np.ndarray
     petrov_galerkin_term: np.ndarray
     horizon: str
-    w_method: str = None
     splits: dict = None
     notes: tuple = ()
 
@@ -82,15 +82,16 @@ class Theorem2Report:
     conclusion_observability: float
 
 
+def _objective(system, rom, cg):
+    return float(np.trace(-2.0 * system.B.T @ cg.Qt @ rom.B + rom.B.T @ cg.Qh @ rom.B))
+
+
 def objective_J(system, rom, interval):
     """Reduced-model-dependent part of the squared error norm.
 
     Satisfies ``h2tau_error(system, rom)^2 = h2tau_norm(system)^2 + J``.
     """
-    cg = cross_gramians(system, rom, interval)
-    return float(
-        np.trace(-2.0 * system.B.T @ cg.Qt @ rom.B + rom.B.T @ cg.Qh @ rom.B)
-    )
+    return _objective(system, rom, cross_gramians(system, rom, interval))
 
 
 def _infinite_adjoints(system, rom, cg):
@@ -125,55 +126,63 @@ def _boundary_direction(system, rom, cg, pti, phi, zb, zbn, s, sh):
     return v
 
 
-def _frechet_term(ah, v, t, w_method):
-    if t == 0.0:
-        return np.zeros_like(ah)
-    if w_method == "frechet":
-        return matfun.expm_frechet(ah, v, t)
-    if w_method == "integral":
-        # Literal evaluation of int_0^t e^(Ar (t - s)) V e^((Ar + V) s) ds
-        # through one block exponential; agrees with the Frechet variant to
-        # first order in V only.
-        n = ah.shape[0]
-        blk = np.zeros((2 * n, 2 * n))
-        blk[:n, :n] = ah
-        blk[:n, n:] = v
-        blk[n:, n:] = ah + v
-        return matfun.expm(blk, t)[:n, n:]
-    raise ValidationError(f"unknown w_method {w_method!r}")
-
-
-def _w_total(system, rom, cg, pti, phi, zb, zbn, interval, w_method):
-    """Combined Frechet boundary term over both horizon endpoints."""
-    if interval.is_infinite:
-        raise ValidationError("boundary term requires a finite horizon")
-    a, ah = system.A, rom.A
-    t0, t1 = interval.t_start, interval.t_end
-    w = -_frechet_term(
-        ah,
-        _boundary_direction(
-            system, rom, cg, pti, phi, zb, zbn, matfun.expm(a, t0), matfun.expm(ah, t0)
-        ),
-        t0,
-        w_method,
-    )
-    w = w + _frechet_term(
-        ah,
-        _boundary_direction(
-            system, rom, cg, pti, phi, zb, zbn, matfun.expm(a, t1), matfun.expm(ah, t1)
-        ),
-        t1,
-        w_method,
-    )
+def _w_total(system, rom, cg, adjoints, interval):
+    """Frechet boundary term: its value at t1 minus its value at t0."""
+    w = np.zeros_like(rom.A)
+    for sign, t in ((-1.0, interval.t_start), (1.0, interval.t_end)):
+        if t == 0.0:
+            continue
+        v = _boundary_direction(
+            system, rom, cg, *adjoints, matfun.expm(system.A, t), matfun.expm(rom.A, t)
+        )
+        w = w + sign * matfun.expm_frechet(rom.A, v, t)
     return w
 
 
-def gradients(system, rom, interval, w_method="frechet"):
+def _stationarity(system, rom, cg, interval):
+    """The four stationarity blocks, each half the gradient of J.
+
+    Returns ``(op1, op2, op3, op4, pg, L, splits, notes)`` with
+    ``op1 = pg + L``.  On the infinite horizon ``L`` is zero.  On a finite
+    horizon with a non-Hurwitz side the infinite-horizon blocks of ``L`` do
+    not exist: ``op1``, ``L`` and ``splits`` are ``None`` and a note says so.
+    """
+    gt = cg.Yt + 2.0 * cg.Zt
+    gh = cg.Yh + 2.0 * cg.Zh
+    op2 = [
+        -cg.Pt.T @ mi @ cg.Pt + cg.Ph @ mhi @ cg.Ph
+        for mi, mhi in zip(system.M, rom.M)
+    ]
+    op3 = -gt.T @ system.B + gh @ rom.B
+    op4 = -system.C @ cg.Pt + rom.C @ cg.Ph
+    pg = -gt.T @ cg.Pt + gh @ cg.Ph
+    if interval.is_infinite:
+        return pg, op2, op3, op4, pg, np.zeros_like(pg), None, ()
+    if not (rom.is_hurwitz and system.is_hurwitz):
+        note = (
+            "reduced A is not Hurwitz: infinite-horizon blocks for the first "
+            "condition do not exist, op1 and L omitted"
+        )
+        return None, op2, op3, op4, pg, None, None, (note,)
+    adjoints = _infinite_adjoints(system, rom, cg)
+    pti, phi, zb, zbn = adjoints
+    w = _w_total(system, rom, cg, adjoints, interval)
+    p12 = pti - cg.Pt
+    pn = phi - cg.Ph
+    z12 = zb - cg.Zt
+    zn = zbn - cg.Zh
+    l_mat = -cg.Qt.T @ p12 + cg.Qh @ pn - z12.T @ cg.Pt + zn @ cg.Ph + w.T
+    splits = {"P12": p12, "Pn": pn, "Z12": z12, "Zn": zn, "W": w}
+    return pg + l_mat, op2, op3, op4, pg, l_mat, splits, ()
+
+
+def gradients(system, rom, interval):
     """Analytic gradients of the objective with respect to (Ar, Br, Cr, Mr_i).
 
     Requires a finite horizon and Hurwitz A on both sides (the gradient of J
-    with respect to the reduced A involves infinite-horizon blocks).  Every
-    block matches a central finite difference of :func:`objective_J`.
+    with respect to the reduced A involves infinite-horizon blocks).  Each
+    block is exactly twice the matching :func:`tl_residuals` block, and
+    every block matches a central finite difference of :func:`objective_J`.
 
     Returns
     -------
@@ -184,36 +193,43 @@ def gradients(system, rom, interval, w_method="frechet"):
     matfun.require_hurwitz(system.A, "A")
     matfun.require_hurwitz(rom.A, "reduced A")
     cg = cross_gramians(system, rom, interval)
-    pti, phi, zb, zbn = _infinite_adjoints(system, rom, cg)
-    w = _w_total(system, rom, cg, pti, phi, zb, zbn, interval, w_method)
-
-    grad_a = 2.0 * (-cg.Qt.T @ pti + cg.Qh @ phi - zb.T @ cg.Pt + zbn @ cg.Ph + w.T)
-    gt = cg.Yt + 2.0 * cg.Zt
-    gh = cg.Yh + 2.0 * cg.Zh
-    grad_b = 2.0 * (-gt.T @ system.B + gh @ rom.B)
-    grad_c = 2.0 * (-system.C @ cg.Pt + rom.C @ cg.Ph)
-    grad_m = [
-        2.0 * (-cg.Pt.T @ mi @ cg.Pt + cg.Ph @ mhi @ cg.Ph)
-        for mi, mhi in zip(system.M, rom.M)
-    ]
-    j = float(np.trace(-2.0 * system.B.T @ cg.Qt @ rom.B + rom.B.T @ cg.Qh @ rom.B))
-    return GradientReport(J=j, grad_A=grad_a, grad_B=grad_b, grad_C=grad_c, grad_M=grad_m)
+    op1, op2, op3, op4 = _stationarity(system, rom, cg, interval)[:4]
+    return GradientReport(
+        J=_objective(system, rom, cg),
+        grad_A=2.0 * op1,
+        grad_B=2.0 * op3,
+        grad_C=2.0 * op4,
+        grad_M=[2.0 * r for r in op2],
+    )
 
 
-def _condition_residuals(system, rom, cg):
-    gt = cg.Yt + 2.0 * cg.Zt
-    gh = cg.Yh + 2.0 * cg.Zh
-    op2 = [
-        -cg.Pt.T @ mi @ cg.Pt + cg.Ph @ mhi @ cg.Ph
-        for mi, mhi in zip(system.M, rom.M)
-    ]
-    op3 = -gt.T @ system.B + gh @ rom.B
-    op4 = -system.C @ cg.Pt + rom.C @ cg.Ph
-    pg = -gt.T @ cg.Pt + gh @ cg.Ph
-    return op2, op3, op4, pg
+def _norm2(mat):
+    return None if mat is None else float(np.linalg.norm(mat, 2))
 
 
-def tl_residuals(system, rom, interval, w_method="frechet"):
+def _report(system, rom, interval):
+    cg = cross_gramians(system, rom, interval)
+    op1, op2, op3, op4, pg, l_mat, splits, notes = _stationarity(
+        system, rom, cg, interval
+    )
+    return OptimalityReport(
+        op1_residual=op1,
+        op1_norm=_norm2(op1),
+        op2_residuals=op2,
+        op2_norms=[_norm2(r) for r in op2],
+        op3_residual=op3,
+        op3_norm=_norm2(op3),
+        op4_residual=op4,
+        op4_norm=_norm2(op4),
+        L=l_mat,
+        petrov_galerkin_term=pg,
+        horizon="infinite" if interval.is_infinite else "limited",
+        splits=splits,
+        notes=notes,
+    )
+
+
+def tl_residuals(system, rom, interval):
     """Residuals of the four horizon-limited stationarity conditions.
 
     The first condition reads ``petrov_galerkin_term + L = 0`` where L
@@ -229,43 +245,7 @@ def tl_residuals(system, rom, interval, w_method="frechet"):
     """
     if interval.is_infinite:
         raise ValidationError("horizon-limited residuals require a finite horizon")
-    cg = cross_gramians(system, rom, interval)
-    op2, op3, op4, pg = _condition_residuals(system, rom, cg)
-
-    notes = []
-    op1 = l_mat = splits = None
-    if rom.is_hurwitz and system.is_hurwitz:
-        pti, phi, zb, zbn = _infinite_adjoints(system, rom, cg)
-        w = _w_total(system, rom, cg, pti, phi, zb, zbn, interval, w_method)
-        p12 = pti - cg.Pt
-        pn = phi - cg.Ph
-        z12 = zb - cg.Zt
-        zn = zbn - cg.Zh
-        l_mat = -cg.Qt.T @ p12 + cg.Qh @ pn - z12.T @ cg.Pt + zn @ cg.Ph + w.T
-        op1 = pg + l_mat
-        splits = {"P12": p12, "Pn": pn, "Z12": z12, "Zn": zn, "W": w}
-    else:
-        notes.append(
-            "reduced A is not Hurwitz: infinite-horizon blocks for the first "
-            "condition do not exist, op1 and L omitted"
-        )
-
-    return OptimalityReport(
-        op1_residual=op1,
-        op1_norm=None if op1 is None else float(np.linalg.norm(op1, 2)),
-        op2_residuals=op2,
-        op2_norms=[float(np.linalg.norm(r, 2)) for r in op2],
-        op3_residual=op3,
-        op3_norm=float(np.linalg.norm(op3, 2)),
-        op4_residual=op4,
-        op4_norm=float(np.linalg.norm(op4, 2)),
-        L=l_mat,
-        petrov_galerkin_term=pg,
-        horizon="limited",
-        w_method=w_method,
-        splits=splits,
-        notes=tuple(notes),
-    )
+    return _report(system, rom, interval)
 
 
 def h2_residuals(system, rom):
@@ -279,22 +259,7 @@ def h2_residuals(system, rom):
     -------
     OptimalityReport
     """
-    interval = TimeInterval(0.0, np.inf)
-    cg = cross_gramians(system, rom, interval)
-    op2, op3, op4, pg = _condition_residuals(system, rom, cg)
-    return OptimalityReport(
-        op1_residual=pg,
-        op1_norm=float(np.linalg.norm(pg, 2)),
-        op2_residuals=op2,
-        op2_norms=[float(np.linalg.norm(r, 2)) for r in op2],
-        op3_residual=op3,
-        op3_norm=float(np.linalg.norm(op3, 2)),
-        op4_residual=op4,
-        op4_norm=float(np.linalg.norm(op4, 2)),
-        L=np.zeros_like(pg),
-        petrov_galerkin_term=pg,
-        horizon="infinite",
-    )
+    return _report(system, rom, TimeInterval(0.0, np.inf))
 
 
 def theorem2_check(system, rom, pair, interval):

@@ -9,9 +9,9 @@ Grammar (binding tightest last):
     primary := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
 with functions ``sin``, ``cos`` and ``exp``.  Parsing errors carry the byte
-offset of the offending token.  Evaluation runs on numpy arrays, so a whole
-time grid is sampled in one call, and raises on division by zero or any
-non-finite intermediate value.
+offset of the offending token, and nesting is bounded by :data:`MAX_DEPTH`.
+Evaluation runs on numpy arrays, so a whole time grid is sampled in one
+call, and raises on division by zero or any non-finite intermediate value.
 """
 
 import functools
@@ -26,6 +26,13 @@ _TOKEN = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+
+#: Deepest nesting a signal may have.  Each parenthesis pair, function
+#: call, unary minus and power opens one level, and a tree node sits one
+#: level above its deepest operand, so a chain ``t+t+...+t`` of n terms is
+#: n levels deep.  Parsing and evaluation recurse at most five frames per
+#: level, which keeps them well below Python's recursion limit.
+MAX_DEPTH = 100
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _OPERATORS = {
@@ -63,6 +70,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -80,6 +88,20 @@ class _Parser:
             )
         self.advance()
 
+    def check_depth(self, depth, offset):
+        if depth > MAX_DEPTH:
+            raise SignalSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels at offset {offset}",
+                offset=offset,
+                max_depth=MAX_DEPTH,
+            )
+
+    def node(self, offset, head, *children):
+        """Tree node ``(head, *children, height)``; ``_eval`` ignores the height."""
+        height = 1 + max((c[-1] for c in children if isinstance(c, tuple)), default=0)
+        self.check_depth(height, offset)
+        return (head, *children, height)
+
     def parse(self):
         node = self.expr()
         kind, value, offset = self.peek()
@@ -92,42 +114,47 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = (op, node, self.term())
+            _, op, offset = self.advance()
+            node = self.node(offset, op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = (op, node, self.factor())
+            _, op, offset = self.advance()
+            node = self.node(offset, op, node, self.factor())
         return node
 
     def factor(self):
+        # Every recursion of the parser passes through here, so bounding
+        # ``level`` bounds the parser's stack; node heights bound ``_eval``'s.
+        self.level += 1
+        self.check_depth(self.level, self.peek()[2])
         if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return ("neg", self.factor())
-        return self.power()
+            node = self.node(self.advance()[2], "neg", self.factor())
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self):
         node = self.primary()
         if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            node = ("^", node, self.factor())
+            node = self.node(self.advance()[2], "^", node, self.factor())
         return node
 
     def primary(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return ("num", float(value))
+            return self.node(offset, "num", float(value))
         if kind == "name":
             if value == "t":
-                return ("t",)
+                return self.node(offset, "t")
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return ("call", value, arg)
+                return self.node(offset, "call", value, arg)
             raise SignalSyntaxError(
                 f"unknown identifier {value!r} at offset {offset}",
                 offset=offset,

@@ -73,6 +73,26 @@ class TestReduceCommand:
         rom = load_system(out_path, require_hurwitz=False)
         assert rom.order == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--method", "tlbt", "--order", "3"], ["--method", "tlhnoia", "--init", INIT]],
+        ids=["tlbt", "tlhnoia"],
+    )
+    def test_summary_is_subset_of_report(self, capsys, tmp_path, argv):
+        rep_path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "reduce", *argv, "--t1", "0.5", "--system", BENCH,
+            "--report", str(rep_path),
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert list(summary) == [
+            "method", "converged", "iterations", "rom_hurwitz", "residual_norms",
+            "warnings",
+        ]
+        report = json.loads(rep_path.read_text())
+        assert summary == {key: report[key] for key in summary}
+
     def test_bt_requires_order(self, capsys):
         code, _, err = run(capsys, "reduce", "--method", "bt", "--system", BENCH)
         assert code == 2
@@ -267,6 +287,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", "--system", SCALAR, "--input", "1", *flags)
         assert code == 3
         assert json.loads(err)["code"] == "validation"
+
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            "(" * 400 + "t" + ")" * 400,
+            "-" * 5000 + "t",
+            "2^" * 3000 + "t",
+            "+".join(["t"] * 3000),
+        ],
+        ids=["parentheses", "unary-minus", "power-chain", "flat-sum"],
+    )
+    def test_deep_signal_is_syntax_error(self, capsys, signal):
+        code, out, err = run(
+            capsys, "simulate", "--system", SCALAR, f"--input={signal}",
+            "--t1", "1", "--step", "0.5",
+        )
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "signal_syntax"
+        assert 0 < doc["context"]["offset"] < len(signal)
 
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "norm", "--system", "no/such/file.json", "--t1", "1")

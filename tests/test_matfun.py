@@ -148,14 +148,6 @@ class TestSolveSylvester:
             scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(c)
             assert sylv_residual(a, b, x, c) <= 1e-10 * scale
 
-    def test_factored_rhs(self):
-        rng = np.random.default_rng(15)
-        a = stable_matrix(rng, 5)
-        b = stable_matrix(rng, 2)
-        f = rng.normal(size=(5, 1))
-        g = rng.normal(size=(1, 2))
-        assert np.array_equal(solve_sylvester(a, b, (f, g)), solve_sylvester(a, b, f @ g))
-
     def test_spectral_overlap_rejected(self):
         with pytest.raises(SolverError):
             solve_sylvester(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))

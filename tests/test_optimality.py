@@ -132,6 +132,22 @@ class TestGradients:
         ):
             assert np.linalg.norm(grad) <= 1e-4 * max(np.linalg.norm(base), 1.0)
 
+    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (0.3, 2.0)])
+    def test_blocks_are_twice_tl_residuals(self, t0, t1):
+        rng = np.random.default_rng(71)
+        full = rand_system(rng, 4, 1, 2)
+        rom = rand_system(rng, 2, 1, 2)
+        iv = TimeInterval(t0, t1)
+        grad = gradients(full, rom, iv)
+        rep = tl_residuals(full, rom, iv)
+        assert np.array_equal(grad.grad_A, 2.0 * rep.op1_residual)
+        assert np.array_equal(grad.grad_B, 2.0 * rep.op3_residual)
+        assert np.array_equal(grad.grad_C, 2.0 * rep.op4_residual)
+        assert len(grad.grad_M) == len(rep.op2_residuals) == 2
+        for g_m, op2 in zip(grad.grad_M, rep.op2_residuals):
+            assert np.array_equal(g_m, 2.0 * op2)
+        assert grad.J == objective_J(full, rom, iv)
+
     def test_requires_finite_horizon(self):
         rng = np.random.default_rng(66)
         with pytest.raises(ValidationError):
@@ -214,20 +230,6 @@ class TestTlResiduals:
         assert rep.op1_residual is None and rep.L is None
         assert rep.notes
         assert np.isfinite(rep.op3_norm) and np.isfinite(rep.op4_norm)
-
-    def test_w_variants_both_available_and_recorded(self):
-        rng = np.random.default_rng(71)
-        full = rand_system(rng, 4, 1, 1)
-        rom = rand_system(rng, 2, 1, 1)
-        iv = TimeInterval(0.0, 0.6)
-        rep_f = tl_residuals(full, rom, iv, w_method="frechet")
-        rep_i = tl_residuals(full, rom, iv, w_method="integral")
-        assert rep_f.w_method == "frechet" and rep_i.w_method == "integral"
-        for rep in (rep_f, rep_i):
-            assert np.array_equal(rep.op1_residual, rep.petrov_galerkin_term + rep.L)
-        # only the Frechet reading reproduces the analytic gradient
-        grad = gradients(full, rom, iv)
-        assert np.linalg.norm(rep_f.op1_residual - grad.grad_A / 2.0) <= 1e-10
 
 
 class TestH2Residuals:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqomor.errors import SignalEvalError, SignalSyntaxError
-from lqomor.signals import parse_signal
+from lqomor.signals import MAX_DEPTH, parse_signal
 
 
 def test_amplitude_at_zero():
@@ -102,3 +102,18 @@ def test_complex_power_is_eval_error():
         parse_signal("(-1)^0.5")(0.0)
     with pytest.raises(SignalEvalError):
         parse_signal("(-1)^0.5")(np.zeros(3))
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "(" * (n - 1) + "t" + ")" * (n - 1),
+        lambda n: "-" * (n - 1) + "t",
+        lambda n: "+".join(["t"] * n),
+    ],
+    ids=["parentheses", "unary-minus", "flat-sum"],
+)
+def test_depth_limit_boundary(make):
+    assert np.isfinite(parse_signal(make(MAX_DEPTH))(0.5))
+    with pytest.raises(SignalSyntaxError) as err:
+        parse_signal(make(MAX_DEPTH + 1))
+    assert err.value.context["max_depth"] == MAX_DEPTH
