@@ -33,6 +33,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
+#: Most state samples ``simulate`` may hold: (steps + 1) x (N + n_rom)
+#: floats, 1 GiB.
+SIMULATE_MAX_FLOATS = 2**27
+
 
 class _UsageError(Exception):
     pass
@@ -240,6 +244,14 @@ def _cmd_simulate(args):
     n_steps = int(round(span))
     if n_steps < 1:
         raise ValidationError("time span shorter than one step")
+    states = system.order + (rom.order if rom is not None else 0)
+    if (n_steps + 1) * states > SIMULATE_MAX_FLOATS:
+        raise ValidationError(
+            f"--step {args.step} gives {n_steps} steps; {n_steps + 1} samples of "
+            f"{states} states exceed the budget of {SIMULATE_MAX_FLOATS} floats",
+            steps=n_steps,
+            max_floats=SIMULATE_MAX_FLOATS,
+        )
     grid = args.t0 + args.step * np.arange(n_steps + 1)
     full = simulate(system, u, grid)
     header = ["t"] + [f"y_full_{i + 1}" for i in range(system.n_outputs)]

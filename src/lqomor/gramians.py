@@ -25,10 +25,11 @@ from .errors import DimensionError, SolverError
 from .model import LqoSystem, TimeInterval
 
 
-def _boundaries(a, interval):
-    """Exponentials ``e^(a t0)`` and ``e^(a t1)`` (None for an infinite end)."""
-    s0 = matfun.expm(a, interval.t_start)
-    s1 = None if interval.is_infinite else matfun.expm(a, interval.t_end)
+def _boundaries(form, interval):
+    """Exponentials ``e^(a t0)`` and ``e^(a t1)`` (None for an infinite end)
+    from the memo of the Schur form of ``a``."""
+    s0 = form.expm(interval.t_start)
+    s1 = None if interval.is_infinite else form.expm(interval.t_end)
     return s0, s1
 
 
@@ -101,7 +102,7 @@ def timelimited_gramians(system, interval):
     -------
     GramianSet
     """
-    a, b, c = system.A, system.B, system.C
+    a, b, c = system.schur, system.B, system.C
     stable_required = interval.is_infinite
     s = _boundaries(a, interval)
     p = _solve_lyap(a, _weighted(b @ b.T, s, s), "controllability", stable_required)
@@ -116,7 +117,8 @@ def cross_gramians(system, rom, interval):
     """Coupled Gramian blocks of a system/reduced-model pair on ``interval``.
 
     Solved in dependency order Pt, Ph, Yt, Yh, Zt (uses Pt), Zh (uses Ph);
-    the totals are assembled as Qt = Yt + Zt and Qh = Yh + Zh.
+    the totals are assembled as Qt = Yt + Zt and Qh = Yh + Zh.  Every solve
+    uses the cached Schur forms of the two systems' ``A`` and ``A^T``.
 
     Returns
     -------
@@ -127,8 +129,8 @@ def cross_gramians(system, rom, interval):
             "input/output dimensions differ: "
             f"({system.n_inputs}, {system.n_outputs}) vs ({rom.n_inputs}, {rom.n_outputs})"
         )
-    a, b, c = system.A, system.B, system.C
-    ah, bh, ch = rom.A, rom.B, rom.C
+    a, at, b, c = system.schur, system.schur_t, system.B, system.C
+    ah, aht, bh, ch = rom.schur, rom.schur_t, rom.B, rom.C
     stable_required = interval.is_infinite
     if stable_required:
         matfun.require_hurwitz(a, "A")
@@ -138,12 +140,12 @@ def cross_gramians(system, rom, interval):
     st = (s[0].T, None if s[1] is None else s[1].T)
     sht = (sh[0].T, None if sh[1] is None else sh[1].T)
 
-    pt = matfun.solve_sylvester(a, ah.T, _weighted(b @ bh.T, s, sh))
+    pt = matfun.solve_sylvester(a, aht, _weighted(b @ bh.T, s, sh))
     ph = _solve_lyap(ah, _weighted(bh @ bh.T, sh, sh), "controllability", stable_required)
-    yt = matfun.solve_sylvester(a.T, ah, _weighted(c.T @ ch, st, sht))
+    yt = matfun.solve_sylvester(at, ah, _weighted(c.T @ ch, st, sht))
     yh = _solve_lyap(ah, _weighted(ch.T @ ch, sht, sht), "observability", stable_required)
     kt = sum(mi @ pt @ mhi for mi, mhi in zip(system.M, rom.M))
-    zt = matfun.solve_sylvester(a.T, ah, _weighted(kt, st, sht))
+    zt = matfun.solve_sylvester(at, ah, _weighted(kt, st, sht))
     kh = sum(mhi @ ph @ mhi for mhi in rom.M)
     zh = _solve_lyap(ah, _weighted(kh, sht, sht), "observability", stable_required)
     return CrossGramianSet(

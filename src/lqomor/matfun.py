@@ -1,10 +1,16 @@
 """Dense matrix-function and matrix-equation kernels.
 
-All solvers operate on plain ``numpy`` arrays and are pure functions of
-their inputs.  The Lyapunov and Sylvester backends are the real-Schur
-(Bartels-Stewart) solvers from ``scipy.linalg``; the matrix exponential
-uses scaling and squaring with a fixed-order Pade approximant.
+The Lyapunov and Sylvester solvers are Bartels-Stewart: a real Schur form
+``A = U T U^T`` of each coefficient, LAPACK ``trsyl`` on the
+quasi-triangular factors, and a back-transform.  A coefficient is either a
+plain array, factored on the spot, or a :class:`SchurForm` that keeps its
+factorization, so a matrix used in many equations is factored once; the
+Hurwitz and solvability tests read their eigenvalues from the same form.
+The matrix exponential uses scaling and squaring with a fixed-order Pade
+approximant.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,35 +40,94 @@ def _as_square(a, name):
     return a
 
 
-def _rightmost(a):
-    """Eigenvalue of ``a`` with the largest real part, and whether it meets
-    the Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
-    lam = sla.eigvals(a)
-    top = lam[int(np.argmax(lam.real))]
-    return top, bool(top.real < -HURWITZ_RTOL * sla.norm(a, "fro"))
+class SchurForm:
+    """Real Schur form ``a = U T U^T`` of one square matrix, factored on first use.
+
+    Holds the spectral facts the solvers need about ``a``: the factors, the
+    eigenvalues read from T's 1x1 and 2x2 diagonal blocks, the rightmost
+    eigenvalue of the Hurwitz test, and a memo of ``e^(a t)``.
+    ``transposed`` is the form of ``a^T``, factored on its own and linked
+    back to this one, so one pair serves both sides of every Lyapunov and
+    Sylvester equation in ``a``.  ``a`` must be a finite square float array
+    that does not change after the form is built.
+    """
+
+    def __init__(self, a, transposed=None):
+        self.a = a
+        self._transposed = transposed
+        self._expm = {}
+
+    @property
+    def transposed(self):
+        """The form of ``a^T``."""
+        if self._transposed is None:
+            self._transposed = SchurForm(self.a.T, transposed=self)
+        return self._transposed
+
+    @functools.cached_property
+    def factors(self):
+        """``(T, U)``: quasi-upper-triangular T and orthogonal U."""
+        return sla.schur(self.a, output="real")
+
+    @functools.cached_property
+    def eigvals(self):
+        """Eigenvalues of ``a``, in the order of T's diagonal blocks."""
+        # a standardized 2x2 block [[x, b], [c, x]] holds x +- i sqrt(|b|) sqrt(|c|)
+        t = self.factors[0]
+        lam = np.diag(t).astype(complex)
+        k = np.flatnonzero(np.diag(t, -1))
+        w = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+        lam[k] += 1j * w
+        lam[k + 1] -= 1j * w
+        return lam
+
+    @functools.cached_property
+    def rightmost(self):
+        """Eigenvalue with the largest real part, and whether it meets the
+        Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
+        top = self.eigvals[int(np.argmax(self.eigvals.real))]
+        return top, bool(top.real < -HURWITZ_RTOL * sla.norm(self.a, "fro"))
+
+    def expm(self, t):
+        """``e^(a t)`` as :func:`expm` returns it, computed once per ``t``."""
+        t = float(t)
+        if t not in self._expm:
+            x = expm(self.a, t)
+            x.flags.writeable = False
+            self._expm[t] = x
+        return self._expm[t]
+
+
+def _form(a, name):
+    """``a`` itself if it is a :class:`SchurForm`, else a form of the checked array."""
+    return a if isinstance(a, SchurForm) else SchurForm(_as_square(a, name))
 
 
 def is_hurwitz(a):
     """Whether all eigenvalues of ``a`` lie strictly in the open left half plane.
 
-    The test requires ``max Re(eig(a)) < -1e-12 * ||a||_F`` so that matrices
-    with eigenvalues on (or numerically indistinguishable from) the imaginary
-    axis are rejected.
+    ``a`` is an array or a :class:`SchurForm`.  The test requires
+    ``max Re(eig(a)) < -1e-12 * ||a||_F`` so that matrices with eigenvalues
+    on (or numerically indistinguishable from) the imaginary axis are
+    rejected.
     """
-    return _rightmost(_as_square(a, "a"))[1]
+    return _form(a, "a").rightmost[1]
 
 
 def require_hurwitz(a, name="A"):
-    """Raise :class:`HurwitzError` (with the offending eigenvalue) if not Hurwitz."""
-    a = _as_square(a, name)
-    top, ok = _rightmost(a)
+    """Raise :class:`HurwitzError` (with the offending eigenvalue) if not Hurwitz.
+
+    ``a`` is an array or a :class:`SchurForm`; returns the checked matrix.
+    """
+    form = _form(a, name)
+    top, ok = form.rightmost
     if not ok:
         raise HurwitzError(
             f"{name} is not Hurwitz: eigenvalue {top:.6g} has nonnegative real part",
             name=name,
             eigenvalue=[top.real, top.imag],
         )
-    return a
+    return form.a
 
 
 def expm(a, t=1.0):
@@ -122,14 +187,33 @@ def expm_frechet(a, v, t=1.0):
     return sla.expm_frechet(a * t, v * t, compute_expm=False)
 
 
-def _require_unique_solution(a, b, message, **context):
-    # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero;
-    # a Lyapunov equation passes its one matrix twice and pays for one eigvals.
-    la = sla.eigvals(a)
-    lb = la if b is a else sla.eigvals(b)
+def _require_unique_solution(fa, fb, message, **context):
+    # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
+    la, lb = fa.eigvals, fb.eigvals
     s = np.abs(la[:, None] + lb[None, :]).min()
     if s <= 1e-13 * max(np.abs(la).max(), np.abs(lb).max(), 1.0):
         raise SolverError(message, min_eig_sum=float(s), **context)
+
+
+def _trsyl(fa, fb, q):
+    """Solve ``A X + X B = Q`` from the forms ``fa`` of A and ``fb`` of B^T.
+
+    ``fb is fa`` is the Lyapunov equation ``A X + X A^T = Q``.  Each case
+    repeats the operation order of ``scipy.linalg.solve_continuous_lyapunov``
+    and ``scipy.linalg.solve_sylvester``, so the solutions are bit-identical
+    to theirs.
+    """
+    r, u = fa.factors
+    s, v = fb.factors
+    f = u.T.dot(q.dot(u)) if fb is fa else np.dot(np.dot(u.T, q), v)
+    y, scale, info = sla.lapack.dtrsyl(r, s, f, tranb="T")
+    if info < 0:
+        raise SolverError(f"trsyl rejected argument {-info}")
+    x = np.dot(np.dot(u, scale * y), v.T)
+    if not np.isfinite(x).all():
+        kind = "Lyapunov" if fb is fa else "Sylvester"
+        raise SolverError(f"{kind} solve produced non-finite entries")
+    return x
 
 
 def solve_lyapunov(a, q, side="controllability", require_stable=True):
@@ -140,8 +224,9 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
 
     Parameters
     ----------
-    a : (n, n) array_like
-        Coefficient matrix, Hurwitz when ``require_stable`` is true.
+    a : (n, n) array_like or SchurForm
+        Coefficient matrix, Hurwitz when ``require_stable`` is true.  The
+        observability side factors ``A^T`` (``a.transposed`` of a form).
     q : (n, n) array_like
         Right-hand side.  Symmetry is not required; if ``q`` is symmetric
         the returned solution is symmetrized to counter rounding drift.
@@ -158,28 +243,27 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
         Solution with residual norm at most ``1e-10 * (||A|| ||X|| + ||Q||)``
         for well-conditioned inputs.
     """
-    a = _as_square(a, "A")
+    form = _form(a, "A")
     q = _as_square(q, "Q")
-    if a.shape != q.shape:
+    if form.a.shape != q.shape:
         raise DimensionError(
-            f"A and Q must have equal shapes, got {a.shape} and {q.shape}",
-            a_shape=a.shape,
+            f"A and Q must have equal shapes, got {form.a.shape} and {q.shape}",
+            a_shape=form.a.shape,
             q_shape=q.shape,
         )
     if side not in ("controllability", "observability"):
         raise ValueError(f"unknown side {side!r}")
+    if side == "observability":
+        form = form.transposed
     if require_stable:
-        require_hurwitz(a, "A")
+        require_hurwitz(form, "A")
     else:
         _require_unique_solution(
-            a, a,
+            form, form,
             "Lyapunov equation with A is singular: eigenvalue pair sums to zero",
             name="A",
         )
-    coeff = a if side == "controllability" else a.T
-    x = sla.solve_continuous_lyapunov(coeff, -q)
-    if not np.isfinite(x).all():
-        raise SolverError("Lyapunov solve produced non-finite entries")
+    x = _trsyl(form, form, -q)
     qnorm = sla.norm(q, "fro")
     if qnorm == 0.0 or sla.norm(q - q.T, "fro") <= 1e-12 * qnorm:
         x = (x + x.T) / 2.0
@@ -191,8 +275,9 @@ def solve_sylvester(a, b, c):
 
     Parameters
     ----------
-    a : (N, N) array_like
-    b : (n, n) array_like
+    a : (N, N) array_like or SchurForm
+    b : (n, n) array_like or SchurForm
+        The solver factors ``B^T`` (``b.transposed`` of a form).
     c : (N, n) array_like
         Right-hand side.
 
@@ -206,18 +291,15 @@ def solve_sylvester(a, b, c):
     SolverError
         If the spectra of ``a`` and ``-b`` overlap (no unique solution).
     """
-    a = _as_square(a, "A")
-    b = _as_square(b, "B")
+    fa = _form(a, "A")
+    fb = _form(b, "B").transposed
     c = _as_matrix(c, "C")
-    if c.shape != (a.shape[0], b.shape[0]):
+    if c.shape != (fa.a.shape[0], fb.a.shape[0]):
         raise DimensionError(
-            f"C must have shape {(a.shape[0], b.shape[0])}, got {c.shape}",
+            f"C must have shape {(fa.a.shape[0], fb.a.shape[0])}, got {c.shape}",
             c_shape=c.shape,
         )
     _require_unique_solution(
-        a, b, "Sylvester equation is singular: spectra of A and -B overlap",
+        fa, fb, "Sylvester equation is singular: spectra of A and -B overlap",
     )
-    x = sla.solve_sylvester(a, b, -c)
-    if not np.isfinite(x).all():
-        raise SolverError("Sylvester solve produced non-finite entries")
-    return x
+    return _trsyl(fa, fb, -c)

@@ -59,6 +59,10 @@ class LqoSystem:
     algorithms that legitimately produce or pass through unstable iterates
     construct instances with ``check_hurwitz=False`` and the stability flag
     is then reported rather than enforced.
+
+    The real Schur forms of ``A`` (``schur``) and of ``A^T`` (``schur_t``)
+    are each factored at most once, on first use, so the matrices must not
+    be modified after construction.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -107,10 +111,11 @@ class LqoSystem:
         self.B = b
         self.C = c
         self.M = m
-        self._hurwitz = None
+        #: Real Schur form of A, factored on first use and shared by every
+        #: solve, Hurwitz test and boundary exponential of this system.
+        self.schur = matfun.SchurForm(a)
         if check_hurwitz:
-            matfun.require_hurwitz(a, "A")
-            self._hurwitz = True
+            matfun.require_hurwitz(self.schur, "A")
 
     @property
     def order(self):
@@ -125,10 +130,13 @@ class LqoSystem:
         return self.C.shape[0]
 
     @property
+    def schur_t(self):
+        """Real Schur form of A^T, factored on first use (not derived from A's)."""
+        return self.schur.transposed
+
+    @property
     def is_hurwitz(self):
-        if self._hurwitz is None:
-            self._hurwitz = matfun.is_hurwitz(self.A)
-        return self._hurwitz
+        return matfun.is_hurwitz(self.schur)
 
     def poles(self):
         """Eigenvalues of A, sorted by (real, imaginary) part."""

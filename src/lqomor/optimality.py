@@ -101,13 +101,12 @@ def _infinite_adjoints(system, rom, cg):
     ``zb, zbn`` solve infinite-horizon observability-type equations whose
     right-hand sides carry the horizon-limited Pt and Ph.
     """
-    a, ah = system.A, rom.A
-    pti = matfun.solve_sylvester(a, ah.T, system.B @ rom.B.T)
-    phi = matfun.solve_lyapunov(ah, rom.B @ rom.B.T, side="controllability")
+    pti = matfun.solve_sylvester(system.schur, rom.schur_t, system.B @ rom.B.T)
+    phi = matfun.solve_lyapunov(rom.schur, rom.B @ rom.B.T, side="controllability")
     kt = sum(mi @ cg.Pt @ mhi for mi, mhi in zip(system.M, rom.M))
-    zb = matfun.solve_sylvester(a.T, ah, kt)
+    zb = matfun.solve_sylvester(system.schur_t, rom.schur, kt)
     kh = sum(mhi @ cg.Ph @ mhi for mhi in rom.M)
-    zbn = matfun.solve_lyapunov(ah, kh, side="observability")
+    zbn = matfun.solve_lyapunov(rom.schur, kh, side="observability")
     return pti, phi, zb, zbn
 
 
@@ -133,7 +132,7 @@ def _w_total(system, rom, cg, adjoints, interval):
         if t == 0.0:
             continue
         v = _boundary_direction(
-            system, rom, cg, *adjoints, matfun.expm(system.A, t), matfun.expm(rom.A, t)
+            system, rom, cg, *adjoints, system.schur.expm(t), rom.schur.expm(t)
         )
         w = w + sign * matfun.expm_frechet(rom.A, v, t)
     return w
@@ -190,8 +189,8 @@ def gradients(system, rom, interval):
     """
     if interval.is_infinite:
         raise ValidationError("gradients require a finite horizon")
-    matfun.require_hurwitz(system.A, "A")
-    matfun.require_hurwitz(rom.A, "reduced A")
+    matfun.require_hurwitz(system.schur, "A")
+    matfun.require_hurwitz(rom.schur, "reduced A")
     cg = cross_gramians(system, rom, interval)
     op1, op2, op3, op4 = _stationarity(system, rom, cg, interval)[:4]
     return GradientReport(
@@ -277,15 +276,15 @@ def theorem2_check(system, rom, pair, interval):
     if interval.is_infinite:
         raise ValidationError("the identity-Gramian diagnostic requires a finite horizon")
     v, w = pair.V, pair.W
-    a, b, c = system.A, system.B, system.C
-    ah, bh, ch = rom.A, rom.B, rom.C
+    b, c = system.B, system.C
+    bh, ch = rom.B, rom.C
     times = [interval.t_end]
     if interval.t_start > 0.0:
         times.append(interval.t_start)
     dev_in = dev_out = dev_quad = 0.0
     for t in times:
-        s = matfun.expm(a, t)
-        sh = matfun.expm(ah, t)
+        s = system.schur.expm(t)
+        sh = rom.schur.expm(t)
         dev_in = max(dev_in, float(np.linalg.norm(w.T @ s @ b - sh @ bh, 2)))
         dev_out = max(dev_out, float(np.linalg.norm(c @ s @ v - ch @ sh, 2)))
         for mi, mhi in zip(system.M, rom.M):

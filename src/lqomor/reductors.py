@@ -237,8 +237,8 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
     ReductionReport
         With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`.
     """
-    matfun.require_hurwitz(system.A, "A")
-    matfun.require_hurwitz(rom0.A, "initial reduced A")
+    matfun.require_hurwitz(system.schur, "A")
+    matfun.require_hurwitz(rom0.schur, "initial reduced A")
     if not 0 < rom0.order <= system.order:
         raise ValidationError(
             f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
@@ -251,12 +251,11 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
     converged = False
     stopped = False
     for it in range(1, max_iter + 1):
-        a, ah = system.A, rom.A
         try:
-            pt = matfun.solve_sylvester(a, ah.T, system.B @ rom.B.T)
-            yt = matfun.solve_sylvester(a.T, ah, system.C.T @ rom.C)
+            pt = matfun.solve_sylvester(system.schur, rom.schur_t, system.B @ rom.B.T)
+            yt = matfun.solve_sylvester(system.schur_t, rom.schur, system.C.T @ rom.C)
             kt = sum(mi @ pt @ mhi for mi, mhi in zip(system.M, rom.M))
-            zt = matfun.solve_sylvester(a.T, ah, kt)
+            zt = matfun.solve_sylvester(system.schur_t, rom.schur, kt)
             gt = yt + 2.0 * zt
             v = pt
             w = _solve_right(gt, pt.T @ gt, "normalization factor Pt^T Gt")
@@ -321,8 +320,8 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     """
     if interval.is_infinite:
         raise ValidationError("this reductor requires a finite horizon")
-    matfun.require_hurwitz(system.A, "A")
-    matfun.require_hurwitz(rom0.A, "initial reduced A")
+    matfun.require_hurwitz(system.schur, "A")
+    matfun.require_hurwitz(rom0.schur, "initial reduced A")
     if not 0 < rom0.order <= system.order:
         raise ValidationError(
             f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"

@@ -27,6 +27,9 @@ FORMAT_VERSION = 1
 
 _COUNT_FIELDS = ("n_states", "n_inputs", "n_outputs")
 
+#: Entry types a matrix row may hold (``bool`` is excluded by exact match).
+_NUMBER_TYPES = {int, float}
+
 
 def _load_mm(path_value, base_dir, path):
     from scipy.io import mmread
@@ -34,7 +37,12 @@ def _load_mm(path_value, base_dir, path):
     full = os.path.join(base_dir or ".", path_value)
     if not os.path.exists(full):
         raise SchemaError(f"{path}: Matrix Market file not found: {full}", field=path)
-    mat = mmread(full)
+    try:
+        mat = mmread(full)
+    except ValueError as exc:
+        raise SchemaError(
+            f"{path}: not a readable Matrix Market file: {full}: {exc}", field=path
+        ) from None
     if hasattr(mat, "todense"):
         mat = mat.todense()
     return np.atleast_2d(np.asarray(mat, dtype=float))
@@ -52,19 +60,34 @@ def _as_array(value, shape, path, base_dir):
         raise SchemaError(
             f"{path}: expected {shape[0]} rows", field=path
         )
-    arr = np.empty(shape)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise SchemaError(
                 f"{path}[{i}]: expected {shape[1]} columns", field=f"{path}[{i}]"
             )
+    # allocated only now that the rows bound the shape a file may claim
+    arr = np.empty(shape)
+    for i, row in enumerate(value):
+        if {type(x) for x in row} <= _NUMBER_TYPES:
+            try:
+                arr[i] = row
+                continue
+            except OverflowError:
+                pass
+        # slow path: find and name the first entry that is not a float
         for j, entry in enumerate(row):
+            field = f"{path}[{i}][{j}]"
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise SchemaError(
-                    f"{path}[{i}][{j}]: expected number, got {type(entry).__name__}",
-                    field=f"{path}[{i}][{j}]",
+                    f"{field}: expected number, got {type(entry).__name__}",
+                    field=field,
                 )
-            arr[i, j] = float(entry)
+            try:
+                arr[i, j] = float(entry)
+            except OverflowError:
+                raise SchemaError(
+                    f"{field}: integer too large for a float", field=field
+                ) from None
     return arr
 
 
@@ -82,11 +105,16 @@ def parse_system(text, base_dir=None, require_hurwitz=True):
         pass False to admit them.  Full-order inputs keep the default.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"invalid UTF-8: {exc}", field="") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", field="") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply", field="") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", field="")
     version = doc.get("version", FORMAT_VERSION)

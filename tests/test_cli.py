@@ -308,6 +308,23 @@ class TestExitCodes:
         assert doc["code"] == "signal_syntax"
         assert 0 < doc["context"]["offset"] < len(signal)
 
+    @pytest.mark.parametrize(
+        "flags, steps",
+        [
+            (["--t1", "1", "--step", "1e-12"], 10**12),
+            # one float over the budget: 2**27 + 1 samples of the 1 state
+            (["--t1", str(2**27), "--step", "1"], 2**27),
+        ],
+        ids=["tiny-step", "just-over"],
+    )
+    def test_simulate_step_budget(self, capsys, flags, steps):
+        code, out, err = run(capsys, "simulate", "--system", SCALAR, "--input", "1", *flags)
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert doc["context"]["steps"] == steps
+        assert f"{steps} steps" in doc["message"]
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "norm", "--system", "no/such/file.json", "--t1", "1")
         assert code == 3

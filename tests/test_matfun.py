@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lqomor.errors import DimensionError, HurwitzError, NonFiniteError, SolverError
-from lqomor.matfun import expm, expm_frechet, is_hurwitz, solve_lyapunov, solve_sylvester
+from lqomor.matfun import (
+    SchurForm,
+    expm,
+    expm_frechet,
+    is_hurwitz,
+    require_hurwitz,
+    solve_lyapunov,
+    solve_sylvester,
+)
 
 from util import lyap_residual, stable_matrix, sylv_residual
 
@@ -161,3 +170,79 @@ def test_is_hurwitz_boundary():
     assert is_hurwitz(np.array([[-1e-3]]))
     assert not is_hurwitz(np.array([[0.0]]))
     assert not is_hurwitz(np.array([[1.0]]))
+
+
+class TestSchurForm:
+    """Solves from cached forms equal scipy's solvers bit for bit."""
+
+    @staticmethod
+    def pair(seed, n, r):
+        rng = np.random.default_rng(seed)
+        a = stable_matrix(rng, n)
+        b = stable_matrix(rng, r)
+        return rng, a, b, SchurForm(a), SchurForm(b)
+
+    @pytest.mark.parametrize("n, r", [(7, 7), (12, 3), (30, 5)], ids=["square", "12x3", "30x5"])
+    def test_sylvester_equals_scipy_on_both_sides(self, n, r):
+        rng, a, b, fa, fb = self.pair(20 + n, n, r)
+        c = rng.normal(size=(n, r))
+        # A X + X B^T, A^T X + X B, A X + X B, A^T X + X B^T
+        cases = [
+            (a, b.T, fa, fb.transposed),
+            (a.T, b, fa.transposed, fb),
+            (a, b, fa, fb),
+            (a.T, b.T, fa.transposed, fb.transposed),
+        ]
+        for mat_a, mat_b, form_a, form_b in cases:
+            ref = sla.solve_sylvester(mat_a, mat_b, -c)
+            assert np.array_equal(solve_sylvester(form_a, form_b, c), ref)
+            assert np.array_equal(solve_sylvester(mat_a, mat_b, c), ref)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    @pytest.mark.parametrize("side", ["controllability", "observability"])
+    def test_lyapunov_equals_scipy_on_both_sides(self, side, symmetric):
+        rng, a, _, fa, _ = self.pair(31, 9, 2)
+        q = rng.normal(size=(9, 9))
+        if symmetric:
+            q = q @ q.T
+        ref = sla.solve_continuous_lyapunov(a if side == "controllability" else a.T, -q)
+        if symmetric:
+            ref = (ref + ref.T) / 2.0
+        assert np.array_equal(solve_lyapunov(fa, q, side=side), ref)
+        assert np.array_equal(solve_lyapunov(a, q, side=side), ref)
+
+    def test_transposed_is_its_own_factorization(self):
+        _, a, _, fa, _ = self.pair(40, 6, 2)
+        assert fa.transposed.transposed is fa
+        t, u = fa.transposed.factors
+        ref_t, ref_u = sla.schur(a.T, output="real")
+        assert np.array_equal(t, ref_t) and np.array_equal(u, ref_u)
+
+    def test_eigvals_from_diagonal_blocks(self):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(15, 15))  # complex pairs: 2x2 blocks in T
+        lam = np.sort_complex(SchurForm(a).eigvals)
+        ref = np.sort_complex(sla.eigvals(a))
+        assert np.abs(lam.imag).max() > 0.1
+        assert np.allclose(lam, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_hurwitz_test_reads_the_form(self):
+        form = SchurForm(np.array([[0.5, 2.0], [-2.0, 0.5]]))
+        assert not is_hurwitz(form)
+        with pytest.raises(HurwitzError) as err:
+            require_hurwitz(form, "A")
+        assert err.value.context["eigenvalue"] == pytest.approx([0.5, 2.0], rel=1e-15)
+        assert is_hurwitz(SchurForm(np.array([[-0.5, 2.0], [-2.0, -0.5]])))
+
+    def test_expm_memo(self):
+        _, a, _, fa, _ = self.pair(42, 5, 2)
+        x = fa.expm(0.3)
+        assert fa.expm(0.3) is x
+        assert np.array_equal(x, expm(a, 0.3))
+        assert not x.flags.writeable
+        assert np.array_equal(fa.expm(0.0), np.eye(5))
+
+    def test_singular_sylvester_through_forms(self):
+        with pytest.raises(SolverError):
+            solve_sylvester(SchurForm(np.array([[-1.0]])), SchurForm(np.array([[1.0]])),
+                            np.array([[1.0]]))

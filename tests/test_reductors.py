@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from lqomor import matfun
 from lqomor.errors import DimensionError, RankError, ValidationError
+from lqomor.optimality import tl_residuals
 from lqomor.gramians import timelimited_gramians
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
@@ -274,3 +276,25 @@ class TestTlhnoia:
                 rand_system(rng, 2, 1, 1),
                 TimeInterval(0.0, INFINITE),
             )
+
+
+def test_full_order_a_is_factored_at_most_twice(monkeypatch):
+    """Construction, bt, one tlhnoia sweep and tl_residuals share A's forms."""
+    n, r = 20, 4
+    seen = {"schur": [], "eigvals": []}
+    for name in seen:
+        original = getattr(matfun.sla, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            seen[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(matfun.sla, name, counting)
+    system = rand_system(np.random.default_rng(77), n, m=2, p=2)
+    horizon = TimeInterval(0.0, 0.8)
+    rom0 = bt(system, r).rom
+    report = tlhnoia(system, rom0, horizon, tol=0.0, max_iter=1)
+    tl_residuals(system, report.rom, horizon)
+    assert report.iterations == 1
+    assert seen["schur"].count((n, n)) <= 2
+    assert (n, n) not in seen["eigvals"]
