@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import demo as demo_mod
-from .errors import LqoError, NumericalError, ValidationError
+from .errors import LqoError, ValidationError
 from .gramians import hankel_singular_values, timelimited_gramians
 from .model import TimeInterval, simulate
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
@@ -21,11 +21,13 @@ from .optimality import h2_residuals, tl_residuals
 from .reductors import bt, homora, tlbt, tlhnoia
 from .signals import parse_signal
 from .sysio import (
+    json_text,
     load_system,
     report_document,
     residual_norms_document,
     save_report,
     save_system,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -69,8 +71,8 @@ def _emit_error(code, message, context=None):
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _json_out(doc, stream=None):
-    print(json.dumps(doc, indent=2), file=stream or sys.stdout)
+def _json_out(doc):
+    sys.stdout.write(json_text(doc))
 
 
 def _parse_t1(text):
@@ -295,10 +297,8 @@ def _cmd_demo(args):
         + [result["errors"][name] for name in ("bt", "tlbt", "homora", "tlhnoia")],
     )
     if args.report:
-        doc = {name: report_document(rep) for name, rep in reports.items()}
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        docs = {name: report_document(rep) for name, rep in reports.items()}
+        write_json(docs, args.report)
     return EXIT_OK
 
 
@@ -385,9 +385,6 @@ def run_command(argv):
     except ValidationError as exc:
         _emit_error(exc.code, str(exc), exc.context)
         return EXIT_VALIDATION
-    except NumericalError as exc:
-        _emit_error(exc.code, str(exc), exc.context)
-        return EXIT_NUMERICAL
     except LqoError as exc:
         _emit_error(exc.code, str(exc), exc.context)
         return EXIT_NUMERICAL

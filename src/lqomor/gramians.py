@@ -6,14 +6,11 @@ weighting ``e^(X t0) K e^(Y t0) - e^(X t1) K e^(Y t1)``; an infinite right
 endpoint drops the second term and ``t0 = 0`` reduces the first factor pair
 to the identity, recovering the classical equations.
 
-The controllability Gramian P of one system solves
-
-    A P + P A^T + w(B B^T) = 0
-
-and the observability Gramian splits into a linear-output part Y, a
-quadratic-output part Z (whose right-hand side uses this same P inside
-``sum_i M_i P M_i``) and their total Q = Y + Z.  The coupled blocks of a
-system/reduced-model pair satisfy the analogous mixed equations.
+Every Gramian triple, the controllability Gramian P and the linear and
+quadratic observability parts Y and Z (whose right-hand side uses this
+same P), comes from :func:`gramian_blocks`: of one system with itself, or
+of a system/reduced-model pair.  The total observability Gramian is
+Q = Y + Z.
 """
 
 from dataclasses import dataclass
@@ -22,15 +19,15 @@ import numpy as np
 
 from . import matfun
 from .errors import DimensionError, SolverError
-from .model import LqoSystem, TimeInterval
+from .model import TimeInterval, require_same_io
 
 
 def _boundaries(form, interval):
-    """Exponentials ``e^(a t0)`` and ``e^(a t1)`` (None for an infinite end)
-    from the memo of the Schur form of ``a``."""
-    s0 = form.expm(interval.t_start)
-    s1 = None if interval.is_infinite else form.expm(interval.t_end)
-    return s0, s1
+    """Exponentials ``(e^(a t0), e^(a t1))`` (None for an infinite end) from
+    the memo of the Schur form of ``a``, and the pair of their transposes."""
+    s = (form.expm(interval.t_start),
+         None if interval.is_infinite else form.expm(interval.t_end))
+    return s, tuple(None if x is None else x.T for x in s)
 
 
 def _weighted(kern, left, right):
@@ -40,11 +37,6 @@ def _weighted(kern, left, right):
     if l1 is not None:
         rhs = rhs - l1 @ kern @ r1.T
     return rhs
-
-
-def _solve_lyap(a, q, side, stable_required):
-    x = matfun.solve_lyapunov(a, q, side=side, require_stable=stable_required)
-    return (x + x.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -90,75 +82,78 @@ class HankelSpectrum:
     clamp_magnitude: float = 0.0
 
 
-def timelimited_gramians(system, interval):
-    """Gramian set of ``system`` restricted to ``interval``.
+def gramian_blocks(left, right, interval):
+    """Gramian triple ``(P, Y, Z)`` of the pair ``(left, right)`` on ``interval``.
 
-    The quadratic part Z is solved after P because its right-hand side
-    contains ``sum_i M_i P M_i`` with this set's own P.  An infinite-horizon
-    interval requires a Hurwitz A; finite horizons are well posed for any A
-    whose spectrum contains no pair summing to zero.
+    The right-hand sides are ``B_l B_r^T``, ``C_l^T C_r`` and
+    ``sum_i M_l,i P M_r,i``: symmetrized Lyapunov solutions if ``left is
+    right`` (an infinite horizon needs a Hurwitz A), else Sylvester
+    solutions with no Hurwitz test, so reductors pass unstable iterates.
+
+    Returns
+    -------
+    tuple
+        ``(P, Y, Z)``, each of shape ``(left.order, right.order)``.
+    """
+    def solve(side, q):
+        if left is right:
+            x = matfun.solve_lyapunov(
+                left.schur, q, side=side, require_stable=interval.is_infinite
+            )
+            return (x + x.T) / 2.0
+        if side == "controllability":
+            return matfun.solve_sylvester(left.schur, right.schur_t, q)
+        return matfun.solve_sylvester(left.schur_t, right.schur, q)
+
+    s, st = _boundaries(left.schur, interval)
+    sr, srt = _boundaries(right.schur, interval)
+    p = solve("controllability", _weighted(left.B @ right.B.T, s, sr))
+    y = solve("observability", _weighted(left.C.T @ right.C, st, srt))
+    kern = sum(mi @ p @ mri for mi, mri in zip(left.M, right.M))
+    z = solve("observability", _weighted(kern, st, srt))
+    return p, y, z
+
+
+def timelimited_gramians(system, interval):
+    """Gramian set of ``system`` on ``interval``: the :func:`gramian_blocks`
+    of the system with itself, and ``Q = Y + Z``.
 
     Returns
     -------
     GramianSet
     """
-    a, b, c = system.schur, system.B, system.C
-    stable_required = interval.is_infinite
-    s = _boundaries(a, interval)
-    p = _solve_lyap(a, _weighted(b @ b.T, s, s), "controllability", stable_required)
-    st = (s[0].T, None if s[1] is None else s[1].T)
-    y = _solve_lyap(a, _weighted(c.T @ c, st, st), "observability", stable_required)
-    kern = sum(mi @ p @ mi for mi in system.M)
-    z = _solve_lyap(a, _weighted(kern, st, st), "observability", stable_required)
+    p, y, z = gramian_blocks(system, system, interval)
     return GramianSet(P=p, Y=y, Z=z, Q=y + z, interval=interval)
 
 
 def cross_gramians(system, rom, interval):
     """Coupled Gramian blocks of a system/reduced-model pair on ``interval``.
 
-    Solved in dependency order Pt, Ph, Yt, Yh, Zt (uses Pt), Zh (uses Ph);
-    the totals are assembled as Qt = Yt + Zt and Qh = Yh + Zh.  Every solve
-    uses the cached Schur forms of the two systems' ``A`` and ``A^T``.
+    Pt, Yt, Zt are the :func:`gramian_blocks` of the pair and Ph, Yh, Zh
+    those of the reduced model with itself, with ``Qt = Yt + Zt`` and
+    ``Qh = Yh + Zh``.  An infinite horizon needs both A to be Hurwitz.
 
     Returns
     -------
     CrossGramianSet
     """
-    if system.n_inputs != rom.n_inputs or system.n_outputs != rom.n_outputs:
-        raise DimensionError(
-            "input/output dimensions differ: "
-            f"({system.n_inputs}, {system.n_outputs}) vs ({rom.n_inputs}, {rom.n_outputs})"
-        )
-    a, at, b, c = system.schur, system.schur_t, system.B, system.C
-    ah, aht, bh, ch = rom.schur, rom.schur_t, rom.B, rom.C
-    stable_required = interval.is_infinite
-    if stable_required:
-        matfun.require_hurwitz(a, "A")
-        matfun.require_hurwitz(ah, "reduced A")
-    s = _boundaries(a, interval)
-    sh = _boundaries(ah, interval)
-    st = (s[0].T, None if s[1] is None else s[1].T)
-    sht = (sh[0].T, None if sh[1] is None else sh[1].T)
-
-    pt = matfun.solve_sylvester(a, aht, _weighted(b @ bh.T, s, sh))
-    ph = _solve_lyap(ah, _weighted(bh @ bh.T, sh, sh), "controllability", stable_required)
-    yt = matfun.solve_sylvester(at, ah, _weighted(c.T @ ch, st, sht))
-    yh = _solve_lyap(ah, _weighted(ch.T @ ch, sht, sht), "observability", stable_required)
-    kt = sum(mi @ pt @ mhi for mi, mhi in zip(system.M, rom.M))
-    zt = matfun.solve_sylvester(at, ah, _weighted(kt, st, sht))
-    kh = sum(mhi @ ph @ mhi for mhi in rom.M)
-    zh = _solve_lyap(ah, _weighted(kh, sht, sht), "observability", stable_required)
+    require_same_io(system, rom)
+    if interval.is_infinite:
+        matfun.require_hurwitz(system.schur, "A")
+        matfun.require_hurwitz(rom.schur, "reduced A")
+    pt, yt, zt = gramian_blocks(system, rom, interval)
+    ph, yh, zh = gramian_blocks(rom, rom, interval)
     return CrossGramianSet(
         Pt=pt, Ph=ph, Yt=yt, Yh=yh, Zt=zt, Zh=zh, Qt=yt + zt, Qh=yh + zh,
         interval=interval,
     )
 
 
-def _psd_eig(x, name, rtol=1e-10):
+def _psd_eig(x, name):
     sym = (x + x.T) / 2.0
     w, v = np.linalg.eigh(sym)
     wmax = max(w.max(initial=0.0), 0.0)
-    floor = rtol * wmax + 64.0 * np.finfo(float).eps * max(np.linalg.norm(sym), 1.0)
+    floor = 1e-10 * wmax + 64.0 * np.finfo(float).eps * max(np.linalg.norm(sym), 1.0)
     if w.min(initial=0.0) < -floor:
         raise SolverError(
             f"{name} is indefinite beyond tolerance: min eigenvalue {w.min():.3e}",

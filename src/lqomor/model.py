@@ -10,7 +10,6 @@ output rows and one quadratic form matrix ``M_i`` per output channel.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,10 @@ class LqoSystem:
     construct instances with ``check_hurwitz=False`` and the stability flag
     is then reported rather than enforced.
 
+    Only the symmetric part of each ``M_i`` reaches the output, so an
+    ``M_i`` with ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)`` is stored as
+    ``(M_i + M_i^T) / 2``; any other ``M_i`` is kept as given.
+
     The real Schur forms of ``A`` (``schur``) and of ``A^T`` (``schur_t``)
     are each factored at most once, on first use, so the matrices must not
     be modified after construction.
@@ -96,16 +99,14 @@ class LqoSystem:
             if not np.isfinite(mat).all():
                 raise NonFiniteError(f"{name} contains non-finite entries", name=name)
 
-        for i, mi in enumerate(m):
-            dev = np.linalg.norm(mi - mi.T)
-            if dev > 1e-12 * max(np.linalg.norm(mi), 1.0):
-                # Values are kept verbatim; several Gramian formulas assume
-                # symmetric quadratic-form matrices, hence the diagnostic.
-                warnings.warn(
-                    f"M[{i}] is not symmetric (deviation {dev:.3g}); "
-                    "quadratic-output Gramians assume symmetric forms",
-                    stacklevel=2,
-                )
+        # the bar spares the rounding-level asymmetry of projected models:
+        # symmetrizing it too changes the path of the fixed-point reductors
+        m = tuple(
+            (mi + mi.T) / 2.0
+            if np.linalg.norm(mi - mi.T) > 1e-12 * max(np.linalg.norm(mi), 1.0)
+            else mi
+            for mi in m
+        )
 
         self.A = a
         self.B = b
@@ -350,6 +351,15 @@ def simulate(system, u, grid, x0=None, substeps=1):
     return Trajectory(times=t, states=states, outputs=_output_trajectory(system, states))
 
 
+def require_same_io(system, rom):
+    """Raise :class:`DimensionError` unless the input/output counts agree."""
+    if system.n_inputs != rom.n_inputs or system.n_outputs != rom.n_outputs:
+        raise DimensionError(
+            "input/output dimensions differ: "
+            f"({system.n_inputs}, {system.n_outputs}) vs ({rom.n_inputs}, {rom.n_outputs})"
+        )
+
+
 def error_system(system, rom):
     """Block realization of the output difference of two systems.
 
@@ -361,11 +371,7 @@ def error_system(system, rom):
     so that, driven by the same input from zero state, its output equals
     ``y(t) - y_r(t)``.
     """
-    if system.n_inputs != rom.n_inputs or system.n_outputs != rom.n_outputs:
-        raise DimensionError(
-            "input/output dimensions differ: "
-            f"({system.n_inputs}, {system.n_outputs}) vs ({rom.n_inputs}, {rom.n_outputs})"
-        )
+    require_same_io(system, rom)
     n1, n2 = system.order, rom.order
     a_e = np.zeros((n1 + n2, n1 + n2))
     a_e[:n1, :n1] = system.A

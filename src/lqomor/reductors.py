@@ -18,8 +18,8 @@ import scipy.linalg as sla
 
 from . import matfun, optimality
 from .errors import DimensionError, RankError, SolverError, ValidationError
-from .gramians import cross_gramians, timelimited_gramians
-from .model import LqoSystem, TimeInterval
+from .gramians import cross_gramians, gramian_blocks, timelimited_gramians
+from .model import LqoSystem, TimeInterval, require_same_io
 
 #: Condition-number limit beyond which a normalization factor counts as singular.
 COND_LIMIT = 1e12
@@ -120,13 +120,13 @@ def biorthogonalize(v, w):
     return ProjectionPair(V=v, W=w)
 
 
-def _project(system, v, w, check_hurwitz=False):
+def _project(system, v, w):
     return LqoSystem(
         w.T @ system.A @ v,
         w.T @ system.B,
         system.C @ v,
         [v.T @ mi @ v for mi in system.M],
-        check_hurwitz=check_hurwitz,
+        check_hurwitz=False,
     )
 
 
@@ -154,7 +154,18 @@ def _square_root_balance(p, q, n):
     return v, w, s
 
 
-def _balancing_report(method, system, gset, n):
+def _report(method, rom, pole_history, metric, converged, notes, **extra):
+    """The report of a run whose ``metric`` has one entry per iteration."""
+    return ReductionReport(
+        method, rom, len(metric), pole_history, metric, converged,
+        warnings=tuple(notes), **extra,
+    )
+
+
+def _balanced_truncation(method, system, n, interval):
+    if not 0 < n <= system.order:
+        raise ValidationError(f"order n must satisfy 0 < n <= {system.order}, got {n}")
+    gset = timelimited_gramians(system, interval)
     v, w, sigma = _square_root_balance(gset.P, gset.Q, n)
     rom = _project(system, v, w)
     notes = []
@@ -163,16 +174,9 @@ def _balancing_report(method, system, gset, n):
             "reduced A is not Hurwitz; horizon-limited balancing does not "
             "guarantee stability"
         )
-    return ReductionReport(
-        method=method,
-        rom=rom,
-        iterations=0,
-        pole_history=[rom.poles()],
-        convergence_metric=[],
-        converged=True,
-        projection=ProjectionPair(V=v, W=w),
-        sigma=sigma,
-        warnings=tuple(notes),
+    return _report(
+        method, rom, [rom.poles()], [], True, notes,
+        projection=ProjectionPair(V=v, W=w), sigma=sigma,
     )
 
 
@@ -187,11 +191,7 @@ def bt(system, n):
     -------
     ReductionReport
     """
-    if not 0 < n <= system.order:
-        raise ValidationError(f"order n must satisfy 0 < n <= {system.order}, got {n}")
-    interval = TimeInterval(0.0, np.inf)
-    gset = timelimited_gramians(system, interval)
-    return _balancing_report("bt", system, gset, n)
+    return _balanced_truncation("bt", system, n, TimeInterval(0.0, np.inf))
 
 
 def tlbt(system, n, interval):
@@ -205,10 +205,7 @@ def tlbt(system, n, interval):
     -------
     ReductionReport
     """
-    if not 0 < n <= system.order:
-        raise ValidationError(f"order n must satisfy 0 < n <= {system.order}, got {n}")
-    gset = timelimited_gramians(system, interval)
-    return _balancing_report("tlbt", system, gset, n)
+    return _balanced_truncation("tlbt", system, n, interval)
 
 
 def _solve_right(num, den, what):
@@ -216,6 +213,26 @@ def _solve_right(num, den, what):
     if np.linalg.cond(den) > COND_LIMIT:
         raise SolverError(f"{what} is numerically singular", factor=what)
     return np.linalg.solve(den.T, num.T).T
+
+
+def _check_start(system, rom0):
+    """Start checks of the fixed-point methods: Hurwitz A, Hurwitz initial
+    model, ``0 < n <= N`` and equal input/output counts, in this order."""
+    matfun.require_hurwitz(system.schur, "A")
+    matfun.require_hurwitz(rom0.schur, "initial reduced A")
+    if not 0 < rom0.order <= system.order:
+        raise ValidationError(
+            f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
+        )
+    require_same_io(system, rom0)
+
+
+def _record_poles(rom, pole_history, metric):
+    """Append the poles of ``rom`` and their change; return the change."""
+    poles = rom.poles()
+    metric.append(pole_change(pole_history[-1], poles))
+    pole_history.append(poles)
+    return metric[-1]
 
 
 def homora(system, rom0, tol=1e-6, max_iter=200):
@@ -237,66 +254,46 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
     ReductionReport
         With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`.
     """
-    matfun.require_hurwitz(system.schur, "A")
-    matfun.require_hurwitz(rom0.schur, "initial reduced A")
-    if not 0 < rom0.order <= system.order:
-        raise ValidationError(
-            f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
-        )
+    _check_start(system, rom0)
     rom = rom0
     pole_history = [rom.poles()]
     metric = []
     notes = []
     last_stable = (rom, None)
     converged = False
-    stopped = False
+    infinite = TimeInterval(0.0, np.inf)
     for it in range(1, max_iter + 1):
         try:
-            pt = matfun.solve_sylvester(system.schur, rom.schur_t, system.B @ rom.B.T)
-            yt = matfun.solve_sylvester(system.schur_t, rom.schur, system.C.T @ rom.C)
-            kt = sum(mi @ pt @ mhi for mi, mhi in zip(system.M, rom.M))
-            zt = matfun.solve_sylvester(system.schur_t, rom.schur, kt)
+            # mixed blocks only: Sylvester solves, no Hurwitz test
+            pt, yt, zt = gramian_blocks(system, rom, infinite)
             gt = yt + 2.0 * zt
-            v = pt
             w = _solve_right(gt, pt.T @ gt, "normalization factor Pt^T Gt")
-            rom = _project(system, v, w)
+            rom = _project(system, pt, w)
         except (SolverError, np.linalg.LinAlgError) as exc:
             notes.append(
                 f"iteration {it} broke down ({exc}); returning last Hurwitz iterate"
             )
-            stopped = True
             break
-        poles = rom.poles()
-        metric.append(pole_change(pole_history[-1], poles))
-        pole_history.append(poles)
+        change = _record_poles(rom, pole_history, metric)
         if rom.is_hurwitz:
-            last_stable = (rom, ProjectionPair(V=v, W=w))
-            if metric[-1] <= tol:
+            last_stable = (rom, ProjectionPair(V=pt, W=w))
+            if change <= tol:
                 converged = True
-                stopped = True
                 break
         else:
             notes.append(f"iterate {it} is not Hurwitz; continuing")
-            if metric[-1] <= tol:
+            if change <= tol:
                 notes.append(
                     "poles stagnated on a non-Hurwitz iterate; returning last "
                     "Hurwitz iterate"
                 )
-                stopped = True
                 break
-    rom, pair = last_stable
-    if not stopped:
+    else:
         notes.append(f"no pole stagnation within {max_iter} iterations")
-    return ReductionReport(
-        method="homora",
-        rom=rom,
-        iterations=len(metric),
-        pole_history=pole_history,
-        convergence_metric=metric,
-        converged=converged,
-        residuals=optimality.h2_residuals(system, rom),
-        projection=pair,
-        warnings=tuple(notes),
+    rom, pair = last_stable
+    return _report(
+        "homora", rom, pole_history, metric, converged, notes,
+        residuals=optimality.h2_residuals(system, rom), projection=pair,
     )
 
 
@@ -320,12 +317,7 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     """
     if interval.is_infinite:
         raise ValidationError("this reductor requires a finite horizon")
-    matfun.require_hurwitz(system.schur, "A")
-    matfun.require_hurwitz(rom0.schur, "initial reduced A")
-    if not 0 < rom0.order <= system.order:
-        raise ValidationError(
-            f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
-        )
+    _check_start(system, rom0)
     rom = rom0
     pole_history = [rom.poles()]
     metric = []
@@ -340,25 +332,15 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
         w = _solve_right(gt, gh, "observability factor Gh")
         pair = biorthogonalize(v, w)
         rom = _project(system, pair.V, pair.W)
-        poles = rom.poles()
-        metric.append(pole_change(pole_history[-1], poles))
-        pole_history.append(poles)
-        if metric[-1] <= tol:
+        change = _record_poles(rom, pole_history, metric)
+        if change <= tol:
             converged = True
             break
     if not rom.is_hurwitz:
         notes.append("returned reduced model is not Hurwitz")
     if not converged:
         notes.append(f"no pole stagnation within {max_iter} iterations")
-    residuals = optimality.tl_residuals(system, rom, interval)
-    return ReductionReport(
-        method="tlhnoia",
-        rom=rom,
-        iterations=len(metric),
-        pole_history=pole_history,
-        convergence_metric=metric,
-        converged=converged,
-        residuals=residuals,
-        projection=pair,
-        warnings=tuple(notes),
+    return _report(
+        "tlhnoia", rom, pole_history, metric, converged, notes,
+        residuals=optimality.tl_residuals(system, rom, interval), projection=pair,
     )

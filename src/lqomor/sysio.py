@@ -45,6 +45,8 @@ def _load_mm(path_value, base_dir, path):
         ) from None
     if hasattr(mat, "todense"):
         mat = mat.todense()
+    if np.iscomplexobj(mat):
+        raise SchemaError(f"{path}: complex entries in Matrix Market file {full}", field=path)
     return np.atleast_2d(np.asarray(mat, dtype=float))
 
 
@@ -174,14 +176,24 @@ def system_document(system):
     }
 
 
+def json_text(doc):
+    """The one JSON layout of every document: two-space indent, final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_json(doc, path):
+    """Write a document to ``path`` as UTF-8 :func:`json_text`."""
+    with open(path, "wb") as fh:
+        fh.write(json_text(doc).encode("utf-8"))
+
+
 def serialize_system(system):
     """Encode a system as UTF-8 JSON bytes; inverse of :func:`parse_system`."""
-    return (json.dumps(system_document(system), indent=2) + "\n").encode("utf-8")
+    return json_text(system_document(system)).encode("utf-8")
 
 
 def save_system(system, path):
-    with open(path, "wb") as fh:
-        fh.write(serialize_system(system))
+    write_json(system_document(system), path)
 
 
 def _pole_pairs(poles):
@@ -217,9 +229,8 @@ def report_document(report):
 
 def serialize_report(report):
     """Encode a reduction report as UTF-8 JSON bytes."""
-    return (json.dumps(report_document(report), indent=2) + "\n").encode("utf-8")
+    return json_text(report_document(report)).encode("utf-8")
 
 
 def save_report(report, path):
-    with open(path, "wb") as fh:
-        fh.write(serialize_report(report))
+    write_json(report_document(report), path)

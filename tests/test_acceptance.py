@@ -104,8 +104,6 @@ def test_criterion_3_norm_oracle_equivalence():
     )
 
 
-@pytest.mark.filterwarnings("ignore:M\\[0\\] is not symmetric")
-@pytest.mark.filterwarnings("ignore:M\\[1\\] is not symmetric")
 def test_criterion_4_gradient_oracle():
     """All four analytic gradient blocks match central finite differences."""
     start = time.perf_counter()

@@ -325,6 +325,26 @@ class TestExitCodes:
         assert doc["context"]["steps"] == steps
         assert f"{steps} steps" in doc["message"]
 
+    @pytest.mark.parametrize("layout", ["array", "coordinate"])
+    def test_complex_matrix_market_is_schema_error(self, capsys, tmp_path, layout):
+        body = {
+            "array": "2 1\n1.0 2.0\n3.0 0.5\n",
+            "coordinate": "2 1 2\n1 1 1.0 2.0\n2 1 3.0 0.5\n",
+        }[layout]
+        (tmp_path / "b.mtx").write_text(f"%%MatrixMarket matrix {layout} complex general\n{body}")
+        doc = {
+            "n_states": 2, "n_inputs": 1, "n_outputs": 1,
+            "A": [[-1.0, 0.5], [0.0, -2.0]], "B": "b.mtx", "C": [[1.0, 0.0]],
+            "M": [[[1.0, 0.0], [0.0, 1.0]]],
+        }
+        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "norm", "--system", str(tmp_path / "sys.json"))
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["code"] == "schema"
+        assert error["context"]["field"] == "B"
+        assert "complex" in error["message"]
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "norm", "--system", "no/such/file.json", "--t1", "1")
         assert code == 3

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from lqomor.errors import DimensionError, HurwitzError, SolverError
-from lqomor.gramians import cross_gramians, hankel_singular_values, timelimited_gramians
+from lqomor.gramians import (
+    cross_gramians,
+    gramian_blocks,
+    hankel_singular_values,
+    timelimited_gramians,
+)
 from lqomor.matfun import expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 
@@ -208,6 +213,39 @@ class TestCrossGramians:
             cross_gramians(
                 rand_system(rng, 4, 1, 1), rand_system(rng, 2, 2, 1), TimeInterval(0, 1)
             )
+
+
+class TestGramianBlocks:
+    @pytest.mark.parametrize(
+        "iv", [TimeInterval(0.2, 1.5), TimeInterval(0.0, INFINITE)], ids=["finite", "infinite"]
+    )
+    def test_every_triple_comes_from_the_builder(self, iv):
+        rng = np.random.default_rng(91)
+        full = rand_system(rng, 6, 2, 2)
+        rom = rand_system(rng, 3, 2, 2)
+        gset = timelimited_gramians(rom, iv)
+        cg = cross_gramians(full, rom, iv)
+        p, y, z = gramian_blocks(rom, rom, iv)
+        for block, own, reduced in ((p, gset.P, cg.Ph), (y, gset.Y, cg.Yh), (z, gset.Z, cg.Zh)):
+            assert np.array_equal(block, own)
+            assert np.array_equal(block, reduced)
+        for block, mixed in zip(gramian_blocks(full, rom, iv), (cg.Pt, cg.Yt, cg.Zt)):
+            assert np.array_equal(block, mixed)
+
+    def test_mixed_blocks_skip_the_hurwitz_test(self):
+        # a reductor's unstable iterate still gets its infinite-horizon blocks
+        rng = np.random.default_rng(92)
+        full = rand_system(rng, 4, 1, 1)
+        rom = LqoSystem([[0.5]], [[1.0]], [[1.0]], [np.array([[0.2]])], check_hurwitz=False)
+        iv = TimeInterval(0.0, INFINITE)
+        pt, yt, zt = gramian_blocks(full, rom, iv)
+        assert pt.shape == yt.shape == zt.shape == (4, 1)
+        rhs = full.B @ rom.B.T
+        res = full.A @ pt + pt @ rom.A.T + rhs
+        scale = np.linalg.norm(full.A) * np.linalg.norm(pt) + np.linalg.norm(rhs)
+        assert np.linalg.norm(res) <= 1e-12 * scale
+        with pytest.raises(HurwitzError):
+            cross_gramians(full, rom, iv)
 
 
 class TestHankelSingularValues:

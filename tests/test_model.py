@@ -14,6 +14,7 @@ from lqomor.model import (
     validate,
 )
 from lqomor.demo import DEMO_INPUT, DEMO_INTERVAL, DEMO_STEP, demo_system
+from lqomor.norms import h2tau_norm
 from lqomor.signals import parse_signal
 
 from util import rand_lti, rand_system, rk4_reference
@@ -63,10 +64,23 @@ class TestValidate:
                 -np.eye(2), np.ones((2, 1)), np.ones((2, 2)), [np.zeros((2, 2))]
             )
 
-    def test_asymmetric_m_warns_but_keeps_values(self):
+    def test_asymmetric_m_acts_as_its_symmetric_part(self):
+        # x^T M x only sees (M + M^T)/2, so the norm and the response must too
+        a, b, c = [[-1.0, 0.5], [0.0, -2.0]], [[1.0], [1.0]], [[0.0, 0.0]]
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning, match="not symmetric"):
-            sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
+        asym = LqoSystem(a, b, c, [m])
+        sym = LqoSystem(a, b, c, [(m + m.T) / 2.0])
+        iv = TimeInterval(0.0, 1.0)
+        assert h2tau_norm(asym, iv).value == h2tau_norm(sym, iv).value
+        grid = np.linspace(0.0, 1.0, 21)
+        u = parse_signal("cos(3*t)")
+        assert np.array_equal(
+            simulate(asym, u, grid).outputs, simulate(sym, u, grid).outputs
+        )
+
+    def test_rounding_level_asymmetry_is_kept(self):
+        m = np.array([[1.0, 0.5], [0.5 + 1e-15, 2.0]])
+        sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
         assert np.array_equal(sys2.M[0], m)
 
     def test_rejects_nonfinite(self):

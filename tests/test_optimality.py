@@ -55,9 +55,6 @@ class TestObjective:
 
 
 class TestGradients:
-    # entrywise finite-difference probes perturb single entries of symmetric
-    # form matrices, so the asymmetry diagnostic is expected noise here
-    @pytest.mark.filterwarnings("ignore:M\\[0\\] is not symmetric")
     @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (0.3, 2.0)])
     def test_matches_central_finite_differences(self, t0, t1):
         rng = np.random.default_rng(63)

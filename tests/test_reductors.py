@@ -144,6 +144,17 @@ class TestTimeLimitedBalancedTruncation:
         assert np.linalg.norm(r_bt.sigma - r_tl.sigma) <= 1e-10 * r_bt.sigma[0]
         assert np.allclose(sorted(r_bt.rom.poles()), sorted(r_tl.rom.poles()))
 
+    def test_infinite_interval_is_bt_bit_for_bit(self):
+        rng = np.random.default_rng(87)
+        sys1 = rand_system(rng, 6, 2, 2)
+        r_bt = bt(sys1, 3)
+        r_tl = tlbt(sys1, 3, TimeInterval(0.0, INFINITE))
+        assert (r_bt.method, r_tl.method) == ("bt", "tlbt")
+        assert np.array_equal(r_bt.sigma, r_tl.sigma)
+        for x, y in zip((r_bt.rom.A, r_bt.rom.B, r_bt.rom.C, *r_bt.rom.M),
+                        (r_tl.rom.A, r_tl.rom.B, r_tl.rom.C, *r_tl.rom.M)):
+            assert np.array_equal(x, y)
+
     def test_benchmark_balancing_identity(self):
         sys6 = demo_system()
         iv = TimeInterval(0.0, 0.5)
@@ -276,6 +287,18 @@ class TestTlhnoia:
                 rand_system(rng, 2, 1, 1),
                 TimeInterval(0.0, INFINITE),
             )
+
+
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+def test_mismatched_initial_io_is_dimension_error(method):
+    rng = np.random.default_rng(93)
+    full = rand_system(rng, 5, 1, 2)
+    rom0 = rand_system(rng, 2, 1, 1)
+    with pytest.raises(DimensionError, match="input/output dimensions differ"):
+        if method == "homora":
+            homora(full, rom0)
+        else:
+            tlhnoia(full, rom0, TimeInterval(0.0, 1.0))
 
 
 def test_full_order_a_is_factored_at_most_twice(monkeypatch):
