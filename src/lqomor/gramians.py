@@ -3,14 +3,14 @@
 For a horizon ``[t0, t1]`` every Gramian is the solution of a Lyapunov or
 Sylvester equation whose right-hand side carries the two-point exponential
 weighting ``e^(X t0) K e^(Y t0) - e^(X t1) K e^(Y t1)``; an infinite right
-endpoint drops the second term and ``t0 = 0`` reduces the first factor pair
-to the identity, recovering the classical equations.
+endpoint drops the second term and ``t0 = 0`` drops the first factor pair
+(the identity), recovering the classical equations.
 
-Every Gramian triple, the controllability Gramian P and the linear and
-quadratic observability parts Y and Z (whose right-hand side uses this
-same P), comes from :func:`gramian_blocks`: of one system with itself, or
-of a system/reduced-model pair.  The total observability Gramian is
-Q = Y + Z.
+The controllability Gramian P of one system, or the block of a
+system/reduced-model pair, comes from :func:`controllability_block`; every
+Gramian triple, P and the linear and quadratic observability parts Y and Z
+(whose right-hand side uses this same P), comes from :func:`gramian_blocks`.
+The total observability Gramian is Q = Y + Z.
 """
 
 from dataclasses import dataclass
@@ -23,20 +23,36 @@ from .model import TimeInterval, require_same_io
 
 
 def _boundaries(form, interval):
-    """Exponentials ``(e^(a t0), e^(a t1))`` (None for an infinite end) from
-    the memo of the Schur form of ``a``, and the pair of their transposes."""
-    s = (form.expm(interval.t_start),
+    """Exponentials ``(e^(a t0), e^(a t1))`` from the memo of the Schur form
+    of ``a``, None for ``t0 = 0`` (the identity) and for an infinite end, and
+    the pair of their transposes."""
+    s = (None if interval.t_start == 0.0 else form.expm(interval.t_start),
          None if interval.is_infinite else form.expm(interval.t_end))
     return s, tuple(None if x is None else x.T for x in s)
 
 
 def _weighted(kern, left, right):
-    """Two-point weighted right-hand side ``L0 K R0^T - L1 K R1^T``."""
+    """Two-point weighted right-hand side ``L0 K R0^T - L1 K R1^T``, where a
+    None first pair is the identity and a None second pair drops its term."""
     (l0, l1), (r0, r1) = left, right
-    rhs = l0 @ kern @ r0.T
+    rhs = kern if l0 is None else l0 @ kern @ r0.T
     if l1 is not None:
         rhs = rhs - l1 @ kern @ r1.T
     return rhs
+
+
+def _solve(left, right, side, q, interval):
+    """Gramian-type block of the pair on one side with right-hand side ``q``:
+    a symmetrized Lyapunov solution if ``left is right`` (an infinite horizon
+    needs a Hurwitz A), else a Sylvester solution with no Hurwitz test."""
+    if left is right:
+        x = matfun.solve_lyapunov(
+            left.schur, q, side=side, require_stable=interval.is_infinite
+        )
+        return (x + x.T) / 2.0
+    if side == "controllability":
+        return matfun.solve_sylvester(left.schur, right.schur_t, q)
+    return matfun.solve_sylvester(left.schur_t, right.schur, q)
 
 
 @dataclass(frozen=True)
@@ -82,35 +98,57 @@ class HankelSpectrum:
     clamp_magnitude: float = 0.0
 
 
+def require_pair(system, rom, interval):
+    """Preconditions of every system/reduced-model pair quantity: equal
+    input and output counts and, on an infinite horizon, Hurwitz A on both
+    sides."""
+    require_same_io(system, rom)
+    if interval.is_infinite:
+        matfun.require_hurwitz(system.schur, "A")
+        matfun.require_hurwitz(rom.schur, "reduced A")
+
+
+def controllability_block(left, right, interval):
+    """Controllability block P of the pair ``(left, right)`` on ``interval``.
+
+    Solves ``A_l P + P A_r^T + K = 0`` with K the weighted ``B_l B_r^T``;
+    this needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
+    system with itself is its controllability Gramian.
+
+    Returns
+    -------
+    (left.order, right.order) ndarray
+    """
+    s = _boundaries(left.schur, interval)[0]
+    sr = _boundaries(right.schur, interval)[0]
+    return _solve(
+        left, right, "controllability", _weighted(left.B @ right.B.T, s, sr),
+        interval,
+    )
+
+
 def gramian_blocks(left, right, interval):
     """Gramian triple ``(P, Y, Z)`` of the pair ``(left, right)`` on ``interval``.
 
-    The right-hand sides are ``B_l B_r^T``, ``C_l^T C_r`` and
-    ``sum_i M_l,i P M_r,i``: symmetrized Lyapunov solutions if ``left is
-    right`` (an infinite horizon needs a Hurwitz A), else Sylvester
-    solutions with no Hurwitz test, so reductors pass unstable iterates.
+    P is the :func:`controllability_block`; Y and Z solve the observability
+    equations with right-hand sides ``C_l^T C_r`` and ``sum_i M_l,i P M_r,i``:
+    symmetrized Lyapunov solutions if ``left is right`` (an infinite horizon
+    needs a Hurwitz A), else Sylvester solutions with no Hurwitz test, so
+    reductors pass unstable iterates.
 
     Returns
     -------
     tuple
         ``(P, Y, Z)``, each of shape ``(left.order, right.order)``.
     """
-    def solve(side, q):
-        if left is right:
-            x = matfun.solve_lyapunov(
-                left.schur, q, side=side, require_stable=interval.is_infinite
-            )
-            return (x + x.T) / 2.0
-        if side == "controllability":
-            return matfun.solve_sylvester(left.schur, right.schur_t, q)
-        return matfun.solve_sylvester(left.schur_t, right.schur, q)
-
-    s, st = _boundaries(left.schur, interval)
-    sr, srt = _boundaries(right.schur, interval)
-    p = solve("controllability", _weighted(left.B @ right.B.T, s, sr))
-    y = solve("observability", _weighted(left.C.T @ right.C, st, srt))
+    st = _boundaries(left.schur, interval)[1]
+    srt = _boundaries(right.schur, interval)[1]
+    p = controllability_block(left, right, interval)
     kern = sum(mi @ p @ mri for mi, mri in zip(left.M, right.M))
-    z = solve("observability", _weighted(kern, st, srt))
+    y, z = (
+        _solve(left, right, "observability", _weighted(k, st, srt), interval)
+        for k in (left.C.T @ right.C, kern)
+    )
     return p, y, z
 
 
@@ -137,10 +175,7 @@ def cross_gramians(system, rom, interval):
     -------
     CrossGramianSet
     """
-    require_same_io(system, rom)
-    if interval.is_infinite:
-        matfun.require_hurwitz(system.schur, "A")
-        matfun.require_hurwitz(rom.schur, "reduced A")
+    require_pair(system, rom, interval)
     pt, yt, zt = gramian_blocks(system, rom, interval)
     ph, yh, zh = gramian_blocks(rom, rom, interval)
     return CrossGramianSet(

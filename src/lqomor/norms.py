@@ -7,9 +7,19 @@ energy of its impulse-response kernels
     k2_i(s, t) = B^T e^(A^T s) M_i e^(A t) B    (quadratic part)
 
 integrated over the horizon (the double integral runs over the square).
-The Gramian route evaluates it as ``sqrt(trace(B^T Q B))`` with the
-observability Gramian of the horizon; an independent composite-Simpson
-quadrature of the kernels serves as the cross-check oracle.
+It equals ``trace(B^T Q B)`` with the observability Gramian Q = Y + Z of
+the horizon.  Since Z solves the observability equation whose right-hand
+side is ``sum_i M_i P M_i``, the same value is
+
+    ||H||^2 = trace(C P C^T) + sum_i trace(M_i P M_i P),
+
+which needs only the controllability Gramian P (Benner, Goyal and Pontes
+Duff, "Gramians, energy functionals and balanced truncation for linear
+dynamical systems with quadratic outputs", IEEE TAC 2022).  Inner products
+and error norms use the controllability blocks of system/reduced-model
+pairs in the same way (:func:`output_energy`).  An independent
+composite-Simpson quadrature of the kernels serves as the cross-check
+oracle.
 """
 
 from dataclasses import dataclass
@@ -18,7 +28,7 @@ import numpy as np
 
 from . import matfun
 from .errors import SolverError, ValidationError
-from .gramians import cross_gramians, timelimited_gramians
+from .gramians import controllability_block, require_pair
 from .model import TimeInterval, error_system
 
 
@@ -37,19 +47,37 @@ class NormReport:
     decomposition: tuple = None
 
 
-def h2tau_norm(system, interval):
-    """Horizon-limited H2 norm via the observability Gramian.
+def output_energy(left, right, p):
+    """Inner product of two systems' kernels from their controllability block.
 
-    ``value = sqrt(trace(B^T Q B))`` with Q from
-    :func:`lqomor.gramians.timelimited_gramians`; an infinite right endpoint
-    yields the classical H2 norm.
+    ``trace(C_l P C_r^T) + sum_i trace(M_l,i P M_r,i P^T)`` with the
+    :func:`lqomor.gramians.controllability_block` ``p`` of ``(left, right)``
+    on a horizon: the horizon-limited ``<H_l, H_r>``, and ``||H||^2`` for a
+    system with itself.
+    """
+    val = np.sum((left.C @ p) * right.C)
+    for ml, mr in zip(left.M, right.M):
+        val += np.sum((ml @ p @ mr) * p)
+    return float(val)
+
+
+def _inner(left, right, interval):
+    return output_energy(left, right, controllability_block(left, right, interval))
+
+
+def h2tau_norm(system, interval):
+    """Horizon-limited H2 norm from the controllability Gramian alone.
+
+    ``value = sqrt(trace(C P C^T) + sum_i trace(M_i P M_i P))`` with the
+    controllability Gramian P of the horizon, which equals
+    ``sqrt(trace(B^T Q B))`` (Benner, Goyal and Pontes Duff, IEEE TAC 2022);
+    an infinite right endpoint yields the classical H2 norm.
 
     Returns
     -------
     NormReport
     """
-    g = timelimited_gramians(system, interval)
-    val = float(np.trace(system.B.T @ g.Q @ system.B))
+    val = _inner(system, system, interval)
     return NormReport(value=np.sqrt(max(val, 0.0)), method="gramian", interval=interval)
 
 
@@ -93,12 +121,13 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     k1 = np.einsum("pn,jnm->jpm", system.C, ub)
     total = (h / 3.0) * float(w @ np.einsum("jpm,jpm->j", k1, k1))
 
+    # Row (j, a) of f is (e^(A t_j) B)[:, a]^T, so the entries of f M_i f^T
+    # are the kernel samples k2_i(t_j, t_k)[a, b].
+    f = ub.transpose(0, 2, 1).reshape(-1, system.order)
+    wf = np.repeat(w, system.n_inputs)
     for mi in system.M:
-        mb = np.einsum("nq,jqm->jnm", mi, ub)
-        # gram[j, k] = ||(e^(A t_j) B)^T M_i (e^(A t_k) B)||_F^2
-        cross = np.einsum("jna,knb->jkab", ub, mb)
-        gram = np.einsum("jkab,jkab->jk", cross, cross)
-        total += (h / 3.0) ** 2 * float(w @ gram @ w)
+        cross = f @ mi @ f.T
+        total += (h / 3.0) ** 2 * float(wf @ (cross * cross) @ wf)
 
     return NormReport(
         value=np.sqrt(max(total, 0.0)), method="quadrature", interval=interval
@@ -106,30 +135,34 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
 
 
 def h2tau_inner(system, rom, interval):
-    """Inner product ``trace(B^T Qt Br)`` of two systems over a horizon."""
-    cg = cross_gramians(system, rom, interval)
-    return float(np.trace(system.B.T @ cg.Qt @ rom.B))
+    """Inner product of two systems over a horizon.
+
+    ``trace(C Pt Cr^T) + sum_i trace(M_i Pt Mr_i Pt^T)`` with the
+    controllability block Pt of the pair, which equals ``trace(B^T Qt Br)``.
+    """
+    require_pair(system, rom, interval)
+    return _inner(system, rom, interval)
 
 
 def h2tau_error(system, rom, interval):
     """Horizon-limited norm of the output error between two systems.
 
-    Evaluates ``sqrt(||H||^2 - 2 <H, Hr> + ||Hr||^2)`` where the middle term
-    comes from the coupled Gramian blocks and the outer ones from each
-    system's own observability Gramian (the reduced one being the Qh block
-    of the same coupled set).  Small negative radicands from rounding clamp
-    to zero; larger ones indicate a solver failure and raise.
+    Evaluates ``sqrt(||H||^2 - 2 <H, Hr> + ||Hr||^2)``, each term an
+    :func:`output_energy` of one controllability block: P of the system, Pt
+    of the pair and Ph of the reduced model.  Equal input/output counts are
+    required, and Hurwitz A on both sides for an infinite horizon.  Small
+    negative radicands from rounding clamp to zero; larger ones indicate a
+    solver failure and raise.
 
     Returns
     -------
     NormReport
         With the ``decomposition`` triple populated.
     """
-    cg = cross_gramians(system, rom, interval)
-    g = timelimited_gramians(system, interval)
-    first = float(np.trace(system.B.T @ g.Q @ system.B))
-    second = float(np.trace(system.B.T @ cg.Qt @ rom.B))
-    third = float(np.trace(rom.B.T @ cg.Qh @ rom.B))
+    require_pair(system, rom, interval)
+    first = _inner(system, system, interval)
+    second = _inner(system, rom, interval)
+    third = _inner(rom, rom, interval)
     radicand = first - 2.0 * second + third
     scale = abs(first) + 2.0 * abs(second) + abs(third)
     if radicand < -1e-12 * max(scale, 1.0):

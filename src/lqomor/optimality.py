@@ -3,9 +3,10 @@
 The objective is the part of the squared horizon-limited error norm that
 depends on the reduced model,
 
-    J = trace(-2 B^T Qt Br + Br^T Qh Br),
+    J = trace(-2 B^T Qt Br + Br^T Qh Br) = -2 <H, Hr> + ||Hr||^2,
 
-so that ``||H - Hr||^2 = ||H||^2 + J``.  First-order stationarity of J
+so that ``||H - Hr||^2 = ||H||^2 + J``; it is evaluated from the
+controllability blocks Pt and Ph alone (:func:`lqomor.norms.output_energy`).  First-order stationarity of J
 yields four matrix conditions, each residual half the gradient of J with
 respect to the matching reduced matrix.  Three of them involve only
 horizon-limited Gramian blocks; the condition on the reduced A carries a
@@ -24,8 +25,9 @@ import numpy as np
 
 from . import matfun
 from .errors import ValidationError
-from .gramians import cross_gramians
+from .gramians import controllability_block, cross_gramians, require_pair
 from .model import TimeInterval
+from .norms import output_energy
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,23 @@ class Theorem2Report:
     conclusion_observability: float
 
 
-def _objective(system, rom, cg):
-    return float(np.trace(-2.0 * system.B.T @ cg.Qt @ rom.B + rom.B.T @ cg.Qh @ rom.B))
+def _objective(system, rom, pt, ph):
+    """J from the controllability blocks Pt and Ph: ``-2 <H, Hr> + ||Hr||^2``."""
+    return -2.0 * output_energy(system, rom, pt) + output_energy(rom, rom, ph)
 
 
 def objective_J(system, rom, interval):
     """Reduced-model-dependent part of the squared error norm.
 
-    Satisfies ``h2tau_error(system, rom)^2 = h2tau_norm(system)^2 + J``.
+    Satisfies ``h2tau_error(system, rom)^2 = h2tau_norm(system)^2 + J``;
+    needs only the controllability blocks Pt and Ph.
     """
-    return _objective(system, rom, cross_gramians(system, rom, interval))
+    require_pair(system, rom, interval)
+    return _objective(
+        system, rom,
+        controllability_block(system, rom, interval),
+        controllability_block(rom, rom, interval),
+    )
 
 
 def _infinite_adjoints(system, rom, cg):
@@ -194,7 +203,7 @@ def gradients(system, rom, interval):
     cg = cross_gramians(system, rom, interval)
     op1, op2, op3, op4 = _stationarity(system, rom, cg, interval)[:4]
     return GradientReport(
-        J=_objective(system, rom, cg),
+        J=_objective(system, rom, cg.Pt, cg.Ph),
         grad_A=2.0 * op1,
         grad_B=2.0 * op3,
         grad_C=2.0 * op4,

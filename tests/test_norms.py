@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lqomor import matfun
 from lqomor.errors import ValidationError
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import (
@@ -14,7 +15,14 @@ from lqomor.norms import (
 )
 from lqomor.demo import demo_system
 
-from util import rand_lti, rand_system
+from util import (
+    einsum_quadrature_squared,
+    q_route_error_triple,
+    q_route_norm_squared,
+    rand_lti,
+    rand_system,
+    shifted_to,
+)
 
 
 def scalar_system(a, b, c, m):
@@ -22,6 +30,19 @@ def scalar_system(a, b, c, m):
 
 
 UNIT_INTERVAL = TimeInterval(0.0, 1.0)
+
+#: A horizon from 0, one from t0 > 0 and the infinite horizon.
+HORIZONS = {
+    "zero_start": TimeInterval(0.0, 0.9),
+    "late_start": TimeInterval(0.3, 1.7),
+    "infinite": TimeInterval(0.0, INFINITE),
+}
+
+
+def q_route_pair(seed):
+    """A 7-state system and a 3-state reduced model, m = p = 2."""
+    rng = np.random.default_rng(seed)
+    return rand_system(rng, 7, 2, 2), rand_system(rng, 3, 2, 2)
 
 
 class TestGramianNorm:
@@ -104,6 +125,14 @@ class TestQuadratureOracle:
         q = h2tau_norm_quadrature(sys1, iv, resolution=200).value
         assert q == pytest.approx(expected, rel=1e-7)
 
+    def test_gemm_contraction_matches_einsum_reference(self):
+        rng = np.random.default_rng(51)
+        sys1 = rand_system(rng, 6, 2, 2)
+        iv = TimeInterval(0.1, 1.3)
+        gemm = h2tau_norm_quadrature(sys1, iv, resolution=61).value
+        reference = math.sqrt(einsum_quadrature_squared(sys1, iv, 61))
+        assert gemm == pytest.approx(reference, rel=1e-13)
+
     def test_rejects_infinite_horizon(self):
         with pytest.raises(ValidationError):
             h2tau_norm_quadrature(
@@ -175,3 +204,71 @@ class TestErrorNorm:
         assert rep.value**2 == pytest.approx(
             first - 2.0 * second + third, rel=1e-12, abs=1e-300
         )
+
+
+class TestObservabilityRouteOracle:
+    """The P-only norms against ``trace(B^T Q B)`` from the full Gramians."""
+
+    @pytest.mark.parametrize("name", sorted(HORIZONS))
+    def test_norm(self, name):
+        full, _ = q_route_pair(52)
+        value = h2tau_norm(full, HORIZONS[name]).value
+        assert value**2 == pytest.approx(
+            q_route_norm_squared(full, HORIZONS[name]), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("name", sorted(HORIZONS))
+    def test_inner_product(self, name):
+        full, rom = q_route_pair(53)
+        expected = q_route_error_triple(full, rom, HORIZONS[name])[1]
+        assert h2tau_inner(full, rom, HORIZONS[name]) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "name,unstable",
+        [(name, False) for name in sorted(HORIZONS)]
+        + [("zero_start", True), ("late_start", True)],
+    )
+    def test_error_decomposition(self, name, unstable):
+        full, rom = q_route_pair(54)
+        if unstable:
+            rom = shifted_to(rom, 0.8)
+        rep = h2tau_error(full, rom, HORIZONS[name])
+        expected = q_route_error_triple(full, rom, HORIZONS[name])
+        assert rep.decomposition == pytest.approx(expected, rel=1e-12)
+
+
+def test_norm_and_error_solve_only_controllability_blocks(monkeypatch):
+    """h2tau_norm and h2tau_error factor A once, never A^T, and make one
+    trsyl call per controllability block."""
+    n, r = 20, 4
+    factored, trsyl_shapes = [], []
+    original_schur = matfun.sla.schur
+    original_trsyl = matfun.sla.lapack.dtrsyl
+
+    def counting_schur(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return original_schur(a, *args, **kwargs)
+
+    def counting_trsyl(t, s, f, *args, **kwargs):
+        trsyl_shapes.append(np.shape(f))
+        return original_trsyl(t, s, f, *args, **kwargs)
+
+    monkeypatch.setattr(matfun.sla, "schur", counting_schur)
+    monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", counting_trsyl)
+    rng = np.random.default_rng(78)
+    system = rand_system(rng, n, m=2, p=2)
+    rom = rand_system(rng, r, m=2, p=2)
+    horizon = TimeInterval(0.0, 0.8)
+
+    h2tau_norm(system, horizon)
+    assert sum(np.array_equal(a, system.A) for a in factored) == 1
+    assert not any(np.array_equal(a, system.A.T) for a in factored)
+    assert trsyl_shapes == [(n, n)]
+
+    trsyl_shapes.clear()
+    h2tau_error(system, rom, horizon)
+    assert sum(np.array_equal(a, system.A) for a in factored) == 1
+    assert not any(np.array_equal(a, system.A.T) for a in factored)
+    assert sorted(trsyl_shapes) == sorted([(n, n), (n, r), (r, r)])

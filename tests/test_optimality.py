@@ -15,7 +15,7 @@ from lqomor.optimality import (
 )
 from lqomor.reductors import ProjectionPair, homora
 
-from util import rand_system
+from util import q_route_error_triple, rand_system, shifted_to
 
 
 def fd_gradient(fun, x0, step):
@@ -52,6 +52,23 @@ class TestObjective:
             lhs = h2tau_error(full, rom, iv).value ** 2
             rhs = h2tau_norm(full, iv).value ** 2 + objective_J(full, rom, iv)
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "t0,t1,unstable", [(0.0, 0.9, False), (0.3, 1.7, False),
+                           (0.0, INFINITE, False), (0.0, 0.9, True),
+                           (0.3, 1.7, True)],
+    )
+    def test_matches_observability_route(self, t0, t1, unstable):
+        rng = np.random.default_rng(66)
+        full = rand_system(rng, 7, 2, 2)
+        rom = rand_system(rng, 3, 2, 2)
+        if unstable:
+            rom = shifted_to(rom, 0.8)
+        iv = TimeInterval(t0, t1)
+        _, inner, rom_squared = q_route_error_triple(full, rom, iv)
+        assert objective_J(full, rom, iv) == pytest.approx(
+            -2.0 * inner + rom_squared, rel=1e-12
+        )
 
 
 class TestGradients:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lqomor import matfun
+from lqomor.gramians import cross_gramians, timelimited_gramians
 from lqomor.model import LqoSystem
 
 
@@ -30,6 +32,60 @@ def rand_lti(rng, n, m=1, p=1, margin=1.0):
     return LqoSystem(
         a, rng.normal(size=(n, m)), rng.normal(size=(p, n)),
         [np.zeros((n, n)) for _ in range(p)],
+    )
+
+
+def q_route_norm_squared(system, interval):
+    """``||H||^2 = trace(B^T Q B)`` from the full Gramian set: the
+    observability-Gramian route, an oracle for the P-only norms."""
+    g = timelimited_gramians(system, interval)
+    return float(np.trace(system.B.T @ g.Q @ system.B))
+
+
+def q_route_error_triple(system, rom, interval):
+    """``(||H||^2, <H, Hr>, ||Hr||^2)`` as ``trace(B^T Q B)``,
+    ``trace(B^T Qt Br)`` and ``trace(Br^T Qh Br)``."""
+    cg = cross_gramians(system, rom, interval)
+    return (
+        q_route_norm_squared(system, interval),
+        float(np.trace(system.B.T @ cg.Qt @ rom.B)),
+        float(np.trace(rom.B.T @ cg.Qh @ rom.B)),
+    )
+
+
+def einsum_quadrature_squared(system, interval, resolution):
+    """Squared Simpson quadrature norm with the quadratic kernel contracted
+    sample pair by sample pair; reference for the GEMM form in
+    ``h2tau_norm_quadrature``.  ``resolution`` is rounded up to even."""
+    r = resolution + resolution % 2
+    t0, t1 = interval.t_start, interval.t_end
+    h = (t1 - t0) / r
+    prop = matfun.expm(system.A, h)
+    ub = np.empty((r + 1, system.order, system.n_inputs))
+    ub[0] = matfun.expm(system.A, t0) @ system.B
+    for j in range(r):
+        ub[j + 1] = prop @ ub[j]
+    w = np.ones(r + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    k1 = np.einsum("pn,jnm->jpm", system.C, ub)
+    total = (h / 3.0) * float(w @ np.einsum("jpm,jpm->j", k1, k1))
+    for mi in system.M:
+        mb = np.einsum("nq,jqm->jnm", mi, ub)
+        # gram[j, k] = ||(e^(A t_j) B)^T M_i (e^(A t_k) B)||_F^2
+        cross = np.einsum("jna,knb->jkab", ub, mb)
+        gram = np.einsum("jkab,jkab->jk", cross, cross)
+        total += (h / 3.0) ** 2 * float(w @ gram @ w)
+    return total
+
+
+def shifted_to(system, rightmost):
+    """``system`` with A shifted so that its rightmost eigenvalue has real
+    part ``rightmost``; no Hurwitz check."""
+    shift = rightmost - np.linalg.eigvals(system.A).real.max()
+    return LqoSystem(
+        system.A + shift * np.eye(system.order), system.B, system.C, system.M,
+        check_hurwitz=False,
     )
 
 
