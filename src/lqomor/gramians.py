@@ -7,7 +7,8 @@ endpoint drops the second term and ``t0 = 0`` drops the first factor pair
 (the identity), recovering the classical equations.
 
 The controllability Gramian P of one system, or the block of a
-system/reduced-model pair, comes from :func:`controllability_block`; every
+system/reduced-model pair, comes from :func:`controllability_block`, and
+every observability-type block from :func:`observability_block`; every
 Gramian triple, P and the linear and quadratic observability parts Y and Z
 (whose right-hand side uses this same P), comes from :func:`gramian_blocks`.
 The total observability Gramian is Q = Y + Z.
@@ -127,26 +128,43 @@ def controllability_block(left, right, interval):
     )
 
 
+def observability_block(left, right, interval, kern):
+    """Observability block of the pair ``(left, right)`` on ``interval``.
+
+    Solves ``A_l^T X + X A_r + K = 0`` with K the weighted ``kern``; this
+    needs only the Schur forms of ``A_l^T`` and ``A_r``.  It is the only
+    writer of a weighted observability right-hand side: ``C_l^T C_r`` gives
+    the linear part Y, ``sum_i M_l,i P M_r,i`` the quadratic part Z, and by
+    linearity any combination of the two kernels gives the same combination
+    of Y and Z from one solve.
+
+    Returns
+    -------
+    (left.order, right.order) ndarray
+    """
+    st = _boundaries(left.schur, interval)[1]
+    srt = _boundaries(right.schur, interval)[1]
+    return _solve(left, right, "observability", _weighted(kern, st, srt), interval)
+
+
 def gramian_blocks(left, right, interval):
     """Gramian triple ``(P, Y, Z)`` of the pair ``(left, right)`` on ``interval``.
 
-    P is the :func:`controllability_block`; Y and Z solve the observability
-    equations with right-hand sides ``C_l^T C_r`` and ``sum_i M_l,i P M_r,i``:
-    symmetrized Lyapunov solutions if ``left is right`` (an infinite horizon
-    needs a Hurwitz A), else Sylvester solutions with no Hurwitz test, so
-    reductors pass unstable iterates.
+    P is the :func:`controllability_block`; Y and Z are the
+    :func:`observability_block` with kernels ``C_l^T C_r`` and
+    ``sum_i M_l,i P M_r,i``: symmetrized Lyapunov solutions if
+    ``left is right`` (an infinite horizon needs a Hurwitz A), else
+    Sylvester solutions with no Hurwitz test.
 
     Returns
     -------
     tuple
         ``(P, Y, Z)``, each of shape ``(left.order, right.order)``.
     """
-    st = _boundaries(left.schur, interval)[1]
-    srt = _boundaries(right.schur, interval)[1]
     p = controllability_block(left, right, interval)
     kern = sum(mi @ p @ mri for mi, mri in zip(left.M, right.M))
     y, z = (
-        _solve(left, right, "observability", _weighted(k, st, srt), interval)
+        observability_block(left, right, interval, k)
         for k in (left.C.T @ right.C, kern)
     )
     return p, y, z

@@ -140,8 +140,8 @@ class LqoSystem:
         return matfun.is_hurwitz(self.schur)
 
     def poles(self):
-        """Eigenvalues of A, sorted by (real, imaginary) part."""
-        return np.sort_complex(np.linalg.eigvals(self.A))
+        """Eigenvalues of A from its Schur form, sorted by (real, imaginary) part."""
+        return np.sort_complex(self.schur.eigvals)
 
     def __repr__(self):
         return (

@@ -7,8 +7,8 @@ All four reductors produce a reduced model through the congruence
 with ``W^T V = I``.  The balancing methods (``bt``, ``tlbt``) pick the
 projection from a square-root balancing of the controllability and total
 observability Gramians; the fixed-point methods (``homora``, ``tlhnoia``)
-iterate projections built from coupled Gramian blocks until the reduced
-poles stagnate.
+share one Petrov-Galerkin loop that projects onto the spans of the coupled
+Gramian blocks of the (system, model) pair until the reduced poles stagnate.
 """
 
 from dataclasses import dataclass
@@ -17,12 +17,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import matfun, optimality
-from .errors import DimensionError, RankError, SolverError, ValidationError
-from .gramians import cross_gramians, gramian_blocks, timelimited_gramians
+from .errors import DimensionError, NumericalError, RankError, ValidationError
+from .gramians import controllability_block, observability_block, timelimited_gramians
 from .model import LqoSystem, TimeInterval, require_same_io
-
-#: Condition-number limit beyond which a normalization factor counts as singular.
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -208,13 +205,6 @@ def tlbt(system, n, interval):
     return _balanced_truncation("tlbt", system, n, interval)
 
 
-def _solve_right(num, den, what):
-    """Solve ``X den = num`` for X, guarding against a singular factor."""
-    if np.linalg.cond(den) > COND_LIMIT:
-        raise SolverError(f"{what} is numerically singular", factor=what)
-    return np.linalg.solve(den.T, num.T).T
-
-
 def _check_start(system, rom0):
     """Start checks of the fixed-point methods: Hurwitz A, Hurwitz initial
     model, ``0 < n <= N`` and equal input/output counts, in this order."""
@@ -227,87 +217,97 @@ def _check_start(system, rom0):
     require_same_io(system, rom0)
 
 
-def _record_poles(rom, pole_history, metric):
-    """Append the poles of ``rom`` and their change; return the change."""
-    poles = rom.poles()
-    metric.append(pole_change(pole_history[-1], poles))
-    pole_history.append(poles)
-    return metric[-1]
+def _fixed_point(method, system, rom0, interval, tol, max_iter):
+    """The Petrov-Galerkin fixed-point loop shared by both iterative methods.
 
+    Per sweep: the controllability block Pt of the (system, model) pair,
+    ``Gt = Yt + 2 Zt`` from one observability solve with kernel
+    ``C^T Cr + 2 sum_i M_i Pt Mr_i``, ``biorthogonalize(Pt, Gt)`` and the
+    projection.  A Petrov-Galerkin model depends only on span(Pt) and
+    span(Gt), so no normalization factor is needed.  The mixed blocks are
+    Sylvester solves with no Hurwitz test, so unstable iterates pass.  The
+    loop stops when the reduced poles stagnate (relative change ``<= tol``),
+    after ``max_iter`` sweeps, or when a sweep raises a
+    :class:`NumericalError`, which adds one note naming the sweep.
 
-def homora(system, rom0, tol=1e-6, max_iter=200):
-    """Fixed-point iteration for the infinite-horizon optimality conditions.
-
-    Per sweep: solve the coupled infinite-horizon Gramian blocks of the pair,
-    set ``V = Pt`` and ``W = Gt (Pt^T Gt)^{-1}`` (the inverse factor enforces
-    ``W^T V = I``), project, and repeat until the reduced poles stagnate.
-
-    The infinite-horizon blocks lose their Gramian meaning on non-Hurwitz
-    iterates.  Transiently unstable iterates are passed through (the
-    algebraic solves stay well posed) but the returned model is always the
-    last Hurwitz iterate; if the iteration stagnates on an unstable iterate,
-    breaks down, or hits ``max_iter``, that last Hurwitz iterate comes back
-    with ``converged=False`` and a diagnostic entry.
-
-    Returns
-    -------
-    ReductionReport
-        With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`.
+    The returned model is the last iterate whose horizon norm exists: on a
+    finite horizon the last iterate, on [0, inf) the last Hurwitz iterate
+    (``rom0`` if there is none).  ``converged`` is true only if the poles
+    stagnated on the returned iterate.
     """
     _check_start(system, rom0)
     rom = rom0
     pole_history = [rom.poles()]
     metric = []
     notes = []
-    last_stable = (rom, None)
-    converged = False
-    infinite = TimeInterval(0.0, np.inf)
+    kept = (rom0, None, False)
     for it in range(1, max_iter + 1):
         try:
-            # mixed blocks only: Sylvester solves, no Hurwitz test
-            pt, yt, zt = gramian_blocks(system, rom, infinite)
-            gt = yt + 2.0 * zt
-            w = _solve_right(gt, pt.T @ gt, "normalization factor Pt^T Gt")
-            rom = _project(system, pt, w)
-        except (SolverError, np.linalg.LinAlgError) as exc:
-            notes.append(
-                f"iteration {it} broke down ({exc}); returning last Hurwitz iterate"
+            pt = controllability_block(system, rom, interval)
+            kern = system.C.T @ rom.C + 2.0 * sum(
+                mi @ pt @ mri for mi, mri in zip(system.M, rom.M)
             )
+            pair = biorthogonalize(pt, observability_block(system, rom, interval, kern))
+            rom = _project(system, pair.V, pair.W)
+        except NumericalError as exc:
+            notes.append(f"sweep {it} broke down ({exc}); returning the kept iterate")
             break
-        change = _record_poles(rom, pole_history, metric)
-        if rom.is_hurwitz:
-            last_stable = (rom, ProjectionPair(V=pt, W=w))
-            if change <= tol:
-                converged = True
-                break
-        else:
-            notes.append(f"iterate {it} is not Hurwitz; continuing")
-            if change <= tol:
-                notes.append(
-                    "poles stagnated on a non-Hurwitz iterate; returning last "
-                    "Hurwitz iterate"
-                )
-                break
+        poles = rom.poles()
+        metric.append(pole_change(pole_history[-1], poles))
+        pole_history.append(poles)
+        stagnated = metric[-1] <= tol
+        if not interval.is_infinite or rom.is_hurwitz:
+            kept = (rom, pair, stagnated)
+        if stagnated:
+            if kept[0] is not rom:
+                notes.append("poles stagnated on a non-Hurwitz iterate")
+            break
     else:
         notes.append(f"no pole stagnation within {max_iter} iterations")
-    rom, pair = last_stable
+    rom, pair, converged = kept
+    if not rom.is_hurwitz:
+        notes.append("returned reduced model is not Hurwitz")
+    residuals = (
+        optimality.h2_residuals(system, rom) if interval.is_infinite
+        else optimality.tl_residuals(system, rom, interval)
+    )
     return _report(
-        "homora", rom, pole_history, metric, converged, notes,
-        residuals=optimality.h2_residuals(system, rom), projection=pair,
+        method, rom, pole_history, metric, converged, notes,
+        residuals=residuals, projection=pair,
+    )
+
+
+def homora(system, rom0, tol=1e-6, max_iter=200):
+    """Fixed-point iteration for the infinite-horizon optimality conditions.
+
+    The shared Petrov-Galerkin loop of :func:`tlhnoia` on [0, inf): each
+    sweep projects onto the spans of the infinite-horizon blocks Pt and
+    ``Gt = Yt + 2 Zt`` of the pair, until the reduced poles stagnate.
+    Unstable iterates are passed through, but the returned model is the
+    last Hurwitz iterate (``rom0`` if there is none), and ``converged`` is
+    true only if the poles stagnated on it.  A breakdown ends the run with a
+    note and returns that iterate.
+
+    Returns
+    -------
+    ReductionReport
+        With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`.
+    """
+    return _fixed_point(
+        "homora", system, rom0, TimeInterval(0.0, np.inf), tol, max_iter
     )
 
 
 def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     """Fixed-point iteration for the horizon-limited near-optimality conditions.
 
-    Per sweep: solve the horizon-limited blocks Pt, Ph, Gt = Yt + 2 Zt and
-    Gh = Yh + 2 Zh of the pair, set ``V = Pt Ph^{-1}`` and ``W = Gt Gh^{-1}``,
-    bi-orthogonalize, project, and repeat until the reduced poles stagnate.
-
-    The finite-horizon equations stay well posed for unstable iterates, and
-    the converged model itself may legitimately be non-Hurwitz (it is then
-    flagged in the warnings, not rejected).  A numerically singular Ph or Gh
-    raises :class:`SolverError`.
+    The shared Petrov-Galerkin loop of :func:`homora` on a finite horizon:
+    each sweep projects onto the spans of the horizon-limited blocks Pt and
+    ``Gt = Yt + 2 Zt`` of the pair, until the reduced poles stagnate.  The
+    finite-horizon equations stay well posed for unstable iterates, so the
+    returned model is the last iterate; it may legitimately be non-Hurwitz
+    (it is then flagged in the warnings, not rejected).  A breakdown ends
+    the run with a note and returns the iterate before it.
 
     Returns
     -------
@@ -317,30 +317,4 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     """
     if interval.is_infinite:
         raise ValidationError("this reductor requires a finite horizon")
-    _check_start(system, rom0)
-    rom = rom0
-    pole_history = [rom.poles()]
-    metric = []
-    notes = []
-    pair = None
-    converged = False
-    for it in range(1, max_iter + 1):
-        cg = cross_gramians(system, rom, interval)
-        gt = cg.Yt + 2.0 * cg.Zt
-        gh = cg.Yh + 2.0 * cg.Zh
-        v = _solve_right(cg.Pt, cg.Ph, "controllability factor Ph")
-        w = _solve_right(gt, gh, "observability factor Gh")
-        pair = biorthogonalize(v, w)
-        rom = _project(system, pair.V, pair.W)
-        change = _record_poles(rom, pole_history, metric)
-        if change <= tol:
-            converged = True
-            break
-    if not rom.is_hurwitz:
-        notes.append("returned reduced model is not Hurwitz")
-    if not converged:
-        notes.append(f"no pole stagnation within {max_iter} iterations")
-    return _report(
-        "tlhnoia", rom, pole_history, metric, converged, notes,
-        residuals=optimality.tl_residuals(system, rom, interval), projection=pair,
-    )
+    return _fixed_point("tlhnoia", system, rom0, interval, tol, max_iter)

@@ -93,6 +93,17 @@ class TestReduceCommand:
         report = json.loads(rep_path.read_text())
         assert summary == {key: report[key] for key in summary}
 
+    def test_homora_on_benchmark_keeps_a_hurwitz_iterate(self, capsys):
+        code, out, _ = run(
+            capsys, "reduce", "--method", "homora", "--system", BENCH, "--init", INIT,
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["rom_hurwitz"] is True
+        assert summary["converged"] is False
+        assert summary["iterations"] == 200
+        assert len(summary["warnings"]) <= 2
+
     def test_bt_requires_order(self, capsys):
         code, _, err = run(capsys, "reduce", "--method", "bt", "--system", BENCH)
         assert code == 2

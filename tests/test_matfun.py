@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lqomor.demo import demo_system
 from lqomor.errors import DimensionError, HurwitzError, NonFiniteError, SolverError
 from lqomor.matfun import (
     SchurForm,
@@ -15,7 +16,7 @@ from lqomor.matfun import (
     solve_sylvester,
 )
 
-from util import lyap_residual, stable_matrix, sylv_residual
+from util import lyap_residual, rand_system, stable_matrix, sylv_residual
 
 
 class TestExpm:
@@ -225,6 +226,12 @@ class TestSchurForm:
         ref = np.sort_complex(sla.eigvals(a))
         assert np.abs(lam.imag).max() > 0.1
         assert np.allclose(lam, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        # LqoSystem.poles() reads the same form
+        for system in (demo_system(), rand_system(rng, 12, 1, 2)):
+            poles = system.poles()
+            ref = np.sort_complex(np.linalg.eigvals(system.A))
+            assert np.abs(poles.imag).max() > 0.1
+            assert np.abs(poles - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_hurwitz_test_reads_the_form(self):
         form = SchurForm(np.array([[0.5, 2.0], [-2.0, 0.5]]))

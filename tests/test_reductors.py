@@ -5,11 +5,12 @@ from lqomor import matfun
 from lqomor.errors import DimensionError, RankError, ValidationError
 from lqomor.optimality import tl_residuals
 from lqomor.gramians import timelimited_gramians
+from lqomor.norms import h2tau_norm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
 from lqomor.demo import demo_initial_guess, demo_system
 
-from util import rand_system
+from util import rand_system, reference_fixed_point
 
 
 def markov_parameters(system, count=4):
@@ -189,15 +190,6 @@ class TestHomora:
         assert again.iterations == 1
         assert again.converged
 
-    def test_full_order_similarity(self):
-        rng = np.random.default_rng(88)
-        sys1 = rand_system(rng, 4, 1, 1)
-        report = homora(sys1, sys1, tol=1e-6, max_iter=10)
-        assert report.converged and report.iterations == 1
-        mk_full = markov_parameters(sys1)
-        mk_rom = markov_parameters(report.rom)
-        assert np.linalg.norm(mk_full - mk_rom) <= 1e-8 * np.linalg.norm(mk_full)
-
     def test_random_system_reaches_stationarity(self):
         rng = np.random.default_rng(89)
         sys1 = rand_system(rng, 6, 1, 1)
@@ -218,16 +210,6 @@ class TestHomora:
 
 
 class TestTlhnoia:
-    def test_full_order_fixed_point(self):
-        # starting an order-N run at the system itself gives V = W = I and
-        # the model reproduces itself after a single sweep
-        rng = np.random.default_rng(90)
-        sys1 = rand_system(rng, 4, 1, 1)
-        report = tlhnoia(sys1, sys1, TimeInterval(0.0, 1.0))
-        assert report.converged and report.iterations == 1
-        assert np.allclose(report.rom.A, sys1.A, atol=1e-9 * np.linalg.norm(sys1.A))
-        assert np.allclose(report.projection.V, np.eye(4), atol=1e-9)
-
     def test_benchmark_reproduction(self):
         report = tlhnoia(
             demo_system(), demo_initial_guess(), TimeInterval(0.0, 0.5),
@@ -289,16 +271,85 @@ class TestTlhnoia:
             )
 
 
+def run_fixed_point(method, system, rom0, interval, **kwargs):
+    if method == "homora":
+        return homora(system, rom0, **kwargs)
+    return tlhnoia(system, rom0, interval, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "method, interval",
+    [("homora", TimeInterval(0.0, INFINITE)), ("tlhnoia", TimeInterval(0.0, 1.0))],
+    ids=["homora", "tlhnoia"],
+)
+def test_full_order_start_is_fixed_point(method, interval):
+    # an order-N run started at the system itself reproduces the system,
+    # up to a change of coordinates, after a single sweep
+    rng = np.random.default_rng(90)
+    sys1 = rand_system(rng, 4, 1, 1)
+    report = run_fixed_point(method, sys1, sys1, interval, tol=1e-6, max_iter=10)
+    assert report.converged and report.iterations == 1
+    assert pole_change(sys1.poles(), report.rom.poles()) <= 1e-9
+    mk_full = markov_parameters(sys1)
+    mk_rom = markov_parameters(report.rom)
+    assert np.linalg.norm(mk_full - mk_rom) <= 1e-8 * np.linalg.norm(mk_full)
+    assert h2tau_norm(report.rom, interval).value == pytest.approx(
+        h2tau_norm(sys1, interval).value, rel=1e-10
+    )
+    assert_projection_consistent(sys1, report)
+
+
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+def test_breakdown_returns_the_initial_model(method):
+    # B = 0 makes Pt = 0, so the first bi-orthogonalization breaks down
+    rng = np.random.default_rng(94)
+    base = rand_system(rng, 5, 1, 1)
+    system = LqoSystem(base.A, np.zeros((5, 1)), base.C, base.M)
+    rom0 = rand_system(rng, 2, 1, 1)
+    report = run_fixed_point(method, system, rom0, TimeInterval(0.0, 1.0))
+    assert report.rom is rom0
+    assert not report.converged
+    assert report.iterations == 0
+    assert len(report.warnings) == 1 and "sweep 1 " in report.warnings[0]
+
+
+def _criterion_6_cases():
+    rng = np.random.default_rng(606)
+    return [(rand_system(rng, 6, 1, 1), rand_system(rng, 2, 1, 1)) for _ in range(5)]
+
+
+def _item_1_cases():
+    cases = []
+    for seed in range(4):
+        system = rand_system(np.random.default_rng(seed), 30, 1, 2)
+        cases.append((system, bt(system, 4).rom))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "method, interval, tol, cases",
+    [
+        ("homora", TimeInterval(0.0, INFINITE), 1e-9, _criterion_6_cases),
+        ("tlhnoia", TimeInterval(0.0, 1.0), 1e-10, _item_1_cases),
+    ],
+    ids=["criterion_6_infinite", "item_1_limited"],
+)
+def test_reaches_the_reference_fixed_point(method, interval, tol, cases):
+    """The shared loop and the ``W = Gt (Pt^T Gt)^{-1}`` sweep meet."""
+    for system, rom0 in cases():
+        report = run_fixed_point(method, system, rom0, interval, tol=tol, max_iter=500)
+        ref, ref_converged = reference_fixed_point(system, rom0, interval, tol, 500)
+        assert report.converged and ref_converged
+        assert pole_change(ref.poles(), report.rom.poles()) <= 1e-8
+
+
 @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
 def test_mismatched_initial_io_is_dimension_error(method):
     rng = np.random.default_rng(93)
     full = rand_system(rng, 5, 1, 2)
     rom0 = rand_system(rng, 2, 1, 1)
     with pytest.raises(DimensionError, match="input/output dimensions differ"):
-        if method == "homora":
-            homora(full, rom0)
-        else:
-            tlhnoia(full, rom0, TimeInterval(0.0, 1.0))
+        run_fixed_point(method, full, rom0, TimeInterval(0.0, 1.0))
 
 
 def test_full_order_a_is_factored_at_most_twice(monkeypatch):

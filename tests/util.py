@@ -3,8 +3,9 @@
 import numpy as np
 
 from lqomor import matfun
-from lqomor.gramians import cross_gramians, timelimited_gramians
+from lqomor.gramians import cross_gramians, gramian_blocks, timelimited_gramians
 from lqomor.model import LqoSystem
+from lqomor.reductors import pole_change
 
 
 def stable_matrix(rng, n, margin=1.0):
@@ -77,6 +78,29 @@ def einsum_quadrature_squared(system, interval, resolution):
         gram = np.einsum("jkab,jkab->jk", cross, cross)
         total += (h / 3.0) ** 2 * float(w @ gram @ w)
     return total
+
+
+def reference_fixed_point(system, rom0, interval, tol, max_iter):
+    """Fixed-point sweep with ``V = Pt`` and ``W = Gt (Pt^T Gt)^{-1}``, where
+    ``Gt = Yt + 2 Zt`` from ``gramian_blocks``, and no Hurwitz test.
+
+    Oracle for the shared Petrov-Galerkin loop, which projects onto the same
+    two spans.  Returns the last model and whether its poles stagnated.
+    """
+    rom = rom0
+    for _ in range(max_iter):
+        pt, yt, zt = gramian_blocks(system, rom, interval)
+        gt = yt + 2.0 * zt
+        w = np.linalg.solve((pt.T @ gt).T, gt.T).T
+        new = LqoSystem(
+            w.T @ system.A @ pt, w.T @ system.B, system.C @ pt,
+            [pt.T @ mi @ pt for mi in system.M], check_hurwitz=False,
+        )
+        stagnated = pole_change(rom.poles(), new.poles()) <= tol
+        rom = new
+        if stagnated:
+            return rom, True
+    return rom, False
 
 
 def shifted_to(system, rightmost):
