@@ -14,7 +14,7 @@ import numpy as np
 
 from . import demo as demo_mod
 from .errors import LqoError, ValidationError
-from .gramians import hankel_singular_values, timelimited_gramians
+from .gramians import gramian_pair, hankel_singular_values
 from .model import TimeInterval, simulate
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
 from .optimality import h2_residuals, tl_residuals
@@ -220,8 +220,7 @@ def _cmd_residuals(args):
 
 def _cmd_hsv(args):
     system = _load(args.system)
-    gset = timelimited_gramians(system, _interval(args))
-    spectrum = hankel_singular_values(gset.P, gset.Q)
+    spectrum = hankel_singular_values(*gramian_pair(system, _interval(args)))
     _json_out(
         {
             "sigma": [float(s) for s in spectrum.sigma],

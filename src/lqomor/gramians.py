@@ -11,7 +11,8 @@ system/reduced-model pair, comes from :func:`controllability_block`, and
 every observability-type block from :func:`observability_block`; every
 Gramian triple, P and the linear and quadratic observability parts Y and Z
 (whose right-hand side uses this same P), comes from :func:`gramian_blocks`.
-The total observability Gramian is Q = Y + Z.
+The total observability Gramian is Q = Y + Z; :func:`gramian_pair` takes it
+from one solve where Y and Z are not needed on their own.
 """
 
 from dataclasses import dataclass
@@ -132,7 +133,8 @@ def observability_block(left, right, interval, kern):
     """Observability block of the pair ``(left, right)`` on ``interval``.
 
     Solves ``A_l^T X + X A_r + K = 0`` with K the weighted ``kern``; this
-    needs only the Schur forms of ``A_l^T`` and ``A_r``.  It is the only
+    reads the Schur forms of ``A_l`` (transposed) and ``A_r``, the same
+    factorizations as :func:`controllability_block`.  It is the only
     writer of a weighted observability right-hand side: ``C_l^T C_r`` gives
     the linear part Y, ``sum_i M_l,i P M_r,i`` the quadratic part Z, and by
     linearity any combination of the two kernels gives the same combination
@@ -168,6 +170,22 @@ def gramian_blocks(left, right, interval):
         for k in (left.C.T @ right.C, kern)
     )
     return p, y, z
+
+
+def gramian_pair(system, interval):
+    """Controllability Gramian P and total observability Gramian Q of
+    ``system`` on ``interval``, from one solve each: by linearity Q = Y + Z
+    is the :func:`observability_block` with kernel
+    ``C^T C + sum_i M_i P M_i``.  An infinite horizon needs a Hurwitz A.
+
+    Returns
+    -------
+    tuple
+        ``(P, Q)``, each of shape ``(system.order, system.order)``.
+    """
+    p = controllability_block(system, system, interval)
+    kern = system.C.T @ system.C + sum(mi @ p @ mi for mi in system.M)
+    return p, observability_block(system, system, interval, kern)
 
 
 def timelimited_gramians(system, interval):

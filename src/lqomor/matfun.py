@@ -4,10 +4,12 @@ The Lyapunov and Sylvester solvers are Bartels-Stewart: a real Schur form
 ``A = U T U^T`` of each coefficient, LAPACK ``trsyl`` on the
 quasi-triangular factors, and a back-transform.  A coefficient is either a
 plain array, factored on the spot, or a :class:`SchurForm` that keeps its
-factorization, so a matrix used in many equations is factored once; the
-Hurwitz and solvability tests read their eigenvalues from the same form.
-The matrix exponential uses scaling and squaring with a fixed-order Pade
-approximant.
+factorization, so a matrix used in many equations is factored once.  The
+form of ``A^T`` is a view of A's form, ``A^T = U T^T U^T``, so one
+factorization serves both sides of every equation: ``trsyl`` applies the
+transpose to T.  The Hurwitz and solvability tests read their eigenvalues
+from the same form.  The matrix exponential uses scaling and squaring with a
+fixed-order Pade approximant.
 """
 
 import functools
@@ -46,32 +48,34 @@ class SchurForm:
     Holds the spectral facts the solvers need about ``a``: the factors, the
     eigenvalues read from T's 1x1 and 2x2 diagonal blocks, the rightmost
     eigenvalue of the Hurwitz test, and a memo of ``e^(a t)``.
-    ``transposed`` is the form of ``a^T``, factored on its own and linked
-    back to this one, so one pair serves both sides of every Lyapunov and
-    Sylvester equation in ``a``.  ``a`` must be a finite square float array
-    that does not change after the form is built.
+    ``transposed`` is the form of ``a^T``: a view that shares all of these
+    (``a^T = U T^T U^T``, flagged by ``trans``), so one factorization serves
+    both sides of every Lyapunov and Sylvester equation in ``a``.  ``a``
+    must be a finite square float array that does not change after the form
+    is built.
     """
 
     def __init__(self, a, transposed=None):
         self.a = a
-        self._transposed = transposed
+        #: Whether this is the view of another form's transpose, so that
+        #: ``a = U T^T U^T`` with that form's factors.
+        self.trans = transposed is not None
+        self.transposed = transposed if self.trans else SchurForm(a.T, self)
         self._expm = {}
-
-    @property
-    def transposed(self):
-        """The form of ``a^T``."""
-        if self._transposed is None:
-            self._transposed = SchurForm(self.a.T, transposed=self)
-        return self._transposed
 
     @functools.cached_property
     def factors(self):
-        """``(T, U)``: quasi-upper-triangular T and orthogonal U."""
+        """``(T, U)``: quasi-upper-triangular T and orthogonal U, shared with
+        ``transposed``; ``a = U T U^T``, or ``a = U T^T U^T`` if ``trans``."""
+        if self.trans:
+            return self.transposed.factors
         return sla.schur(self.a, output="real")
 
     @functools.cached_property
     def eigvals(self):
         """Eigenvalues of ``a``, in the order of T's diagonal blocks."""
+        if self.trans:
+            return self.transposed.eigvals
         # a standardized 2x2 block [[x, b], [c, x]] holds x +- i sqrt(|b|) sqrt(|c|)
         t = self.factors[0]
         lam = np.diag(t).astype(complex)
@@ -85,11 +89,16 @@ class SchurForm:
     def rightmost(self):
         """Eigenvalue with the largest real part, and whether it meets the
         Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
+        if self.trans:
+            return self.transposed.rightmost
         top = self.eigvals[int(np.argmax(self.eigvals.real))]
         return top, bool(top.real < -HURWITZ_RTOL * sla.norm(self.a, "fro"))
 
     def expm(self, t):
-        """``e^(a t)`` as :func:`expm` returns it, computed once per ``t``."""
+        """``e^(a t)`` as :func:`expm` returns it, computed once per ``t``;
+        the transposed view returns the transpose of the same memo entry."""
+        if self.trans:
+            return self.transposed.expm(t).T
         t = float(t)
         if t not in self._expm:
             x = expm(self.a, t)
@@ -196,22 +205,27 @@ def _require_unique_solution(fa, fb, message, **context):
 
 
 def _trsyl(fa, fb, q):
-    """Solve ``A X + X B = Q`` from the forms ``fa`` of A and ``fb`` of B^T.
+    """Solve ``A X + X B = Q`` from the forms ``fa`` of A and ``fb`` of B.
 
-    ``fb is fa`` is the Lyapunov equation ``A X + X A^T = Q``.  Each case
-    repeats the operation order of ``scipy.linalg.solve_continuous_lyapunov``
-    and ``scipy.linalg.solve_sylvester``, so the solutions are bit-identical
-    to theirs.
+    With ``A = U op(R) U^T`` and ``B = V op(S) V^T``, where ``op`` transposes
+    the factor of a ``trans`` view, ``trsyl`` solves
+    ``op(R) Y + Y op(S) = U^T Q V`` and ``X = U Y V^T``.  ``fb is
+    fa.transposed`` is the Lyapunov equation, which reads one factor pair in
+    the operation order of ``scipy.linalg.solve_continuous_lyapunov``, so
+    the controllability solve is bit-identical to scipy's.
     """
     r, u = fa.factors
     s, v = fb.factors
-    f = u.T.dot(q.dot(u)) if fb is fa else np.dot(np.dot(u.T, q), v)
-    y, scale, info = sla.lapack.dtrsyl(r, s, f, tranb="T")
+    lyapunov = fb is fa.transposed
+    f = u.T.dot(q.dot(u)) if lyapunov else np.dot(np.dot(u.T, q), v)
+    y, scale, info = sla.lapack.dtrsyl(
+        r, s, f, trana="T" if fa.trans else "N", tranb="T" if fb.trans else "N"
+    )
     if info < 0:
         raise SolverError(f"trsyl rejected argument {-info}")
     x = np.dot(np.dot(u, scale * y), v.T)
     if not np.isfinite(x).all():
-        kind = "Lyapunov" if fb is fa else "Sylvester"
+        kind = "Lyapunov" if lyapunov else "Sylvester"
         raise SolverError(f"{kind} solve produced non-finite entries")
     return x
 
@@ -225,8 +239,9 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
     Parameters
     ----------
     a : (n, n) array_like or SchurForm
-        Coefficient matrix, Hurwitz when ``require_stable`` is true.  The
-        observability side factors ``A^T`` (``a.transposed`` of a form).
+        Coefficient matrix, Hurwitz when ``require_stable`` is true.  Both
+        sides solve from the one real Schur form of ``a``; the observability
+        side applies its factor transposed.
     q : (n, n) array_like
         Right-hand side.  Symmetry is not required; if ``q`` is symmetric
         the returned solution is symmetrized to counter rounding drift.
@@ -263,7 +278,7 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
             "Lyapunov equation with A is singular: eigenvalue pair sums to zero",
             name="A",
         )
-    x = _trsyl(form, form, -q)
+    x = _trsyl(form, form.transposed, -q)
     qnorm = sla.norm(q, "fro")
     if qnorm == 0.0 or sla.norm(q - q.T, "fro") <= 1e-12 * qnorm:
         x = (x + x.T) / 2.0
@@ -277,7 +292,9 @@ def solve_sylvester(a, b, c):
     ----------
     a : (N, N) array_like or SchurForm
     b : (n, n) array_like or SchurForm
-        The solver factors ``B^T`` (``b.transposed`` of a form).
+        A form of ``B^T`` passed as ``form.transposed`` shares the factors of
+        that form, so an equation in ``A^T`` or ``B^T`` factors no more than
+        one in A and B.
     c : (N, n) array_like
         Right-hand side.
 
@@ -292,7 +309,7 @@ def solve_sylvester(a, b, c):
         If the spectra of ``a`` and ``-b`` overlap (no unique solution).
     """
     fa = _form(a, "A")
-    fb = _form(b, "B").transposed
+    fb = _form(b, "B")
     c = _as_matrix(c, "C")
     if c.shape != (fa.a.shape[0], fb.a.shape[0]):
         raise DimensionError(

@@ -63,9 +63,9 @@ class LqoSystem:
     ``M_i`` with ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)`` is stored as
     ``(M_i + M_i^T) / 2``; any other ``M_i`` is kept as given.
 
-    The real Schur forms of ``A`` (``schur``) and of ``A^T`` (``schur_t``)
-    are each factored at most once, on first use, so the matrices must not
-    be modified after construction.
+    The real Schur form of ``A`` (``schur``) is factored at most once, on
+    first use, and the form of ``A^T`` (``schur_t``) is a view of the same
+    factors, so the matrices must not be modified after construction.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -132,7 +132,7 @@ class LqoSystem:
 
     @property
     def schur_t(self):
-        """Real Schur form of A^T, factored on first use (not derived from A's)."""
+        """Real Schur form of A^T: a view of ``schur`` that shares its factors."""
         return self.schur.transposed
 
     @property

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 
 from . import matfun, optimality
 from .errors import DimensionError, NumericalError, RankError, ValidationError
-from .gramians import controllability_block, observability_block, timelimited_gramians
+from .gramians import controllability_block, gramian_pair, observability_block
 from .model import LqoSystem, TimeInterval, require_same_io
 
 
@@ -162,8 +162,7 @@ def _report(method, rom, pole_history, metric, converged, notes, **extra):
 def _balanced_truncation(method, system, n, interval):
     if not 0 < n <= system.order:
         raise ValidationError(f"order n must satisfy 0 < n <= {system.order}, got {n}")
-    gset = timelimited_gramians(system, interval)
-    v, w, sigma = _square_root_balance(gset.P, gset.Q, n)
+    v, w, sigma = _square_root_balance(*gramian_pair(system, interval), n)
     rom = _project(system, v, w)
     notes = []
     if not rom.is_hurwitz:

@@ -1,7 +1,48 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from lqomor import matfun
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+class LapackCalls:
+    """The dense kernels ``matfun`` ran: the matrix of each ``schur`` and
+    ``eigvals`` call and the right-hand-side shape of each ``dtrsyl`` call."""
+
+    def __init__(self):
+        self.schur = []
+        self.eigvals = []
+        self.trsyl = []
+
+    def factored(self, a):
+        """How often ``schur`` ran on a matrix equal to ``a``."""
+        return sum(np.array_equal(x, a) for x in self.schur)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """A :class:`LapackCalls` that records every call from here on."""
+    calls = LapackCalls()
+
+    def recording(original, log, record):
+        def wrapper(*args, **kwargs):
+            log.append(record(args))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("schur", "eigvals"):
+        monkeypatch.setattr(matfun.sla, name, recording(
+            getattr(matfun.sla, name), getattr(calls, name), lambda args: np.array(args[0])
+        ))
+    monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", recording(
+        matfun.sla.lapack.dtrsyl, calls.trsyl, lambda args: np.shape(args[2])
+    ))
+    return calls
 
 _ACCEPTANCE_RESULTS = {}
 

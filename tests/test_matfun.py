@@ -16,7 +16,7 @@ from lqomor.matfun import (
     solve_sylvester,
 )
 
-from util import lyap_residual, rand_system, stable_matrix, sylv_residual
+from util import lyap_residual, rand_system, residual_budget, stable_matrix, sylv_residual
 
 
 class TestExpm:
@@ -174,7 +174,9 @@ def test_is_hurwitz_boundary():
 
 
 class TestSchurForm:
-    """Solves from cached forms equal scipy's solvers bit for bit."""
+    """Solves from cached forms meet criterion 9's residual budget and agree
+    with scipy's solvers; the controllability Lyapunov solve, which reads
+    A's factors untransposed on both sides, equals scipy's bit for bit."""
 
     @staticmethod
     def pair(seed, n, r):
@@ -196,8 +198,10 @@ class TestSchurForm:
         ]
         for mat_a, mat_b, form_a, form_b in cases:
             ref = sla.solve_sylvester(mat_a, mat_b, -c)
-            assert np.array_equal(solve_sylvester(form_a, form_b, c), ref)
-            assert np.array_equal(solve_sylvester(mat_a, mat_b, c), ref)
+            for x in (solve_sylvester(form_a, form_b, c), solve_sylvester(mat_a, mat_b, c)):
+                budget = residual_budget(x, c, mat_a, mat_b)
+                assert sylv_residual(mat_a, mat_b, x, c) <= budget
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
     @pytest.mark.parametrize("side", ["controllability", "observability"])
@@ -209,15 +213,31 @@ class TestSchurForm:
         ref = sla.solve_continuous_lyapunov(a if side == "controllability" else a.T, -q)
         if symmetric:
             ref = (ref + ref.T) / 2.0
-        assert np.array_equal(solve_lyapunov(fa, q, side=side), ref)
-        assert np.array_equal(solve_lyapunov(a, q, side=side), ref)
+        for x in (solve_lyapunov(fa, q, side=side), solve_lyapunov(a, q, side=side)):
+            if side == "controllability":
+                assert np.array_equal(x, ref)
+            else:
+                assert lyap_residual(a, x, q, side) <= residual_budget(x, q, a)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_transposed_is_its_own_factorization(self):
-        _, a, _, fa, _ = self.pair(40, 6, 2)
-        assert fa.transposed.transposed is fa
-        t, u = fa.transposed.factors
-        ref_t, ref_u = sla.schur(a.T, output="real")
-        assert np.array_equal(t, ref_t) and np.array_equal(u, ref_u)
+    def test_transposed_shares_the_factorization(self, lapack_calls):
+        _, a, b, fa, fb = self.pair(40, 6, 2)
+        view = fa.transposed
+        assert view.transposed is fa and view.trans and not fa.trans
+        assert np.array_equal(view.a, a.T)
+        assert view.factors is fa.factors
+        assert view.eigvals is fa.eigvals
+        assert view.rightmost is fa.rightmost
+        assert np.array_equal(view.expm(0.4), fa.expm(0.4).T)
+        q = a @ a.T
+        for side in ("controllability", "observability"):
+            solve_lyapunov(fa, q, side=side)
+        for form_a in (fa, view):
+            for form_b in (fb, fb.transposed):
+                solve_sylvester(form_a, form_b, np.ones((6, 2)))
+        assert [x.shape for x in lapack_calls.schur] == [(6, 6), (2, 2)]
+        assert lapack_calls.factored(a) == 1 and lapack_calls.factored(b) == 1
+        assert len(lapack_calls.trsyl) == 6
 
     def test_eigvals_from_diagonal_blocks(self):
         rng = np.random.default_rng(41)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lqomor import matfun
 from lqomor.errors import ValidationError
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import (
@@ -239,36 +238,22 @@ class TestObservabilityRouteOracle:
         assert rep.decomposition == pytest.approx(expected, rel=1e-12)
 
 
-def test_norm_and_error_solve_only_controllability_blocks(monkeypatch):
+def test_norm_and_error_solve_only_controllability_blocks(lapack_calls):
     """h2tau_norm and h2tau_error factor A once, never A^T, and make one
     trsyl call per controllability block."""
     n, r = 20, 4
-    factored, trsyl_shapes = [], []
-    original_schur = matfun.sla.schur
-    original_trsyl = matfun.sla.lapack.dtrsyl
-
-    def counting_schur(a, *args, **kwargs):
-        factored.append(np.array(a))
-        return original_schur(a, *args, **kwargs)
-
-    def counting_trsyl(t, s, f, *args, **kwargs):
-        trsyl_shapes.append(np.shape(f))
-        return original_trsyl(t, s, f, *args, **kwargs)
-
-    monkeypatch.setattr(matfun.sla, "schur", counting_schur)
-    monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", counting_trsyl)
     rng = np.random.default_rng(78)
     system = rand_system(rng, n, m=2, p=2)
     rom = rand_system(rng, r, m=2, p=2)
     horizon = TimeInterval(0.0, 0.8)
 
     h2tau_norm(system, horizon)
-    assert sum(np.array_equal(a, system.A) for a in factored) == 1
-    assert not any(np.array_equal(a, system.A.T) for a in factored)
-    assert trsyl_shapes == [(n, n)]
+    assert lapack_calls.factored(system.A) == 1
+    assert lapack_calls.factored(system.A.T) == 0
+    assert lapack_calls.trsyl == [(n, n)]
 
-    trsyl_shapes.clear()
+    lapack_calls.trsyl.clear()
     h2tau_error(system, rom, horizon)
-    assert sum(np.array_equal(a, system.A) for a in factored) == 1
-    assert not any(np.array_equal(a, system.A.T) for a in factored)
-    assert sorted(trsyl_shapes) == sorted([(n, n), (n, r), (r, r)])
+    assert lapack_calls.factored(system.A) == 1
+    assert lapack_calls.factored(system.A.T) == 0
+    assert sorted(lapack_calls.trsyl) == sorted([(n, n), (n, r), (r, r)])

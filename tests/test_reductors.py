@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from lqomor import matfun
 from lqomor.errors import DimensionError, RankError, ValidationError
+from lqomor.cli import run_command
 from lqomor.optimality import tl_residuals
 from lqomor.gramians import timelimited_gramians
 from lqomor.norms import h2tau_norm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
 from lqomor.demo import demo_initial_guess, demo_system
+from lqomor.sysio import save_system
 
 from util import rand_system, reference_fixed_point
 
@@ -352,23 +353,39 @@ def test_mismatched_initial_io_is_dimension_error(method):
         run_fixed_point(method, full, rom0, TimeInterval(0.0, 1.0))
 
 
-def test_full_order_a_is_factored_at_most_twice(monkeypatch):
-    """Construction, bt, one tlhnoia sweep and tl_residuals share A's forms."""
+def test_full_order_a_is_factored_once(lapack_calls, tmp_path):
+    """Construction, bt, tlbt, one tlhnoia sweep and tl_residuals share one
+    real Schur form of A; the hsv command factors the A it loads once."""
     n, r = 20, 4
-    seen = {"schur": [], "eigvals": []}
-    for name in seen:
-        original = getattr(matfun.sla, name)
-
-        def counting(a, *args, _name=name, _original=original, **kwargs):
-            seen[_name].append(np.shape(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(matfun.sla, name, counting)
     system = rand_system(np.random.default_rng(77), n, m=2, p=2)
     horizon = TimeInterval(0.0, 0.8)
     rom0 = bt(system, r).rom
+    tlbt(system, r, horizon)
     report = tlhnoia(system, rom0, horizon, tol=0.0, max_iter=1)
     tl_residuals(system, report.rom, horizon)
     assert report.iterations == 1
-    assert seen["schur"].count((n, n)) <= 2
-    assert (n, n) not in seen["eigvals"]
+    assert [a.shape for a in lapack_calls.schur].count((n, n)) == 1
+    assert not any(a.shape == (n, n) for a in lapack_calls.eigvals)
+
+    path = tmp_path / "system.json"
+    save_system(system, path)
+    lapack_calls.schur.clear()
+    assert run_command(["hsv", "--system", str(path), "--t0", "0", "--t1", "0.8"]) == 0
+    assert [a.shape for a in lapack_calls.schur].count((n, n)) == 1
+
+
+@pytest.mark.parametrize("command", ["bt", "tlbt", "hsv"])
+def test_balancing_makes_two_full_order_solves(command, lapack_calls, tmp_path):
+    """P and Q = Y + Z take one N x N trsyl call each."""
+    n, r = 20, 4
+    system = rand_system(np.random.default_rng(79), n, m=2, p=2)
+    if command == "bt":
+        bt(system, r)
+    elif command == "tlbt":
+        tlbt(system, r, TimeInterval(0.2, 0.8))
+    else:
+        path = tmp_path / "system.json"
+        save_system(system, path)
+        argv = ["hsv", "--system", str(path), "--t0", "0.2", "--t1", "0.8"]
+        assert run_command(argv) == 0
+    assert lapack_calls.trsyl.count((n, n)) == 2

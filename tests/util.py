@@ -81,20 +81,24 @@ def einsum_quadrature_squared(system, interval, resolution):
 
 
 def reference_fixed_point(system, rom0, interval, tol, max_iter):
-    """Fixed-point sweep with ``V = Pt`` and ``W = Gt (Pt^T Gt)^{-1}``, where
-    ``Gt = Yt + 2 Zt`` from ``gramian_blocks``, and no Hurwitz test.
+    """Fixed-point sweep with V an orthonormal basis of span(Pt) and
+    ``W = Gt (V^T Gt)^{-1}``, where ``Gt = Yt + 2 Zt`` from
+    ``gramian_blocks``, and no Hurwitz test.
 
     Oracle for the shared Petrov-Galerkin loop, which projects onto the same
-    two spans.  Returns the last model and whether its poles stagnated.
+    two spans.  Unlike ``V = Pt``, whose scale drifts from sweep to sweep,
+    the orthonormal V keeps the reduced coordinates well scaled.  Returns
+    the last model and whether its poles stagnated.
     """
     rom = rom0
     for _ in range(max_iter):
         pt, yt, zt = gramian_blocks(system, rom, interval)
         gt = yt + 2.0 * zt
-        w = np.linalg.solve((pt.T @ gt).T, gt.T).T
+        v = np.linalg.qr(pt)[0]
+        w = np.linalg.solve((v.T @ gt).T, gt.T).T
         new = LqoSystem(
-            w.T @ system.A @ pt, w.T @ system.B, system.C @ pt,
-            [pt.T @ mi @ pt for mi in system.M], check_hurwitz=False,
+            w.T @ system.A @ v, w.T @ system.B, system.C @ v,
+            [v.T @ mi @ v for mi in system.M], check_hurwitz=False,
         )
         stagnated = pole_change(rom.poles(), new.poles()) <= tol
         rom = new
@@ -121,6 +125,14 @@ def lyap_residual(a, x, q, side="controllability"):
 
 def sylv_residual(a, b, x, c):
     return np.linalg.norm(a @ x + x @ b + c)
+
+
+def residual_budget(x, rhs, *coefficients):
+    """Criterion 9's residual budget ``1e-10 (||A|| ||X|| + ||Q||)``, with
+    ``||A||`` the largest coefficient norm: a Sylvester equation and its
+    transpose, which swaps the coefficients, get the same budget."""
+    norm_a = max(np.linalg.norm(a) for a in coefficients)
+    return 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(rhs))
 
 
 def rk4_reference(system, u, grid, x0=None, substeps=1):
