@@ -212,7 +212,6 @@ def _cmd_residuals(args):
         {
             "horizon": rep.horizon,
             "residual_norms": residual_norms_document(rep),
-            "notes": list(rep.notes),
         }
     )
     return EXIT_OK

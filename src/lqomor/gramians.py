@@ -18,6 +18,7 @@ from one solve where Y and Z are not needed on their own.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import matfun
 from .errors import DimensionError, SolverError
@@ -43,14 +44,12 @@ def _weighted(kern, left, right):
     return rhs
 
 
-def _solve(left, right, side, q, interval):
+def _solve(left, right, side, q):
     """Gramian-type block of the pair on one side with right-hand side ``q``:
-    a symmetrized Lyapunov solution if ``left is right`` (an infinite horizon
-    needs a Hurwitz A), else a Sylvester solution with no Hurwitz test."""
+    a symmetrized Lyapunov solution if ``left is right``, else a Sylvester
+    solution.  Only unique solvability is checked, never the Hurwitz test."""
     if left is right:
-        x = matfun.solve_lyapunov(
-            left.schur, q, side=side, require_stable=interval.is_infinite
-        )
+        x = matfun.solve_lyapunov(left.schur, q, side=side, require_stable=False)
         return (x + x.T) / 2.0
     if side == "controllability":
         return matfun.solve_sylvester(left.schur, right.schur_t, q)
@@ -93,7 +92,7 @@ class HankelSpectrum:
     """Nonincreasing, nonnegative singular values sigma_i = sqrt(eig_i(P Q)).
 
     ``clamp_magnitude`` records the largest negative eigenvalue magnitude
-    (in units of sigma^2) that was clamped to zero.
+    of P or Q that was clipped to zero.
     """
 
     sigma: np.ndarray
@@ -101,9 +100,9 @@ class HankelSpectrum:
 
 
 def require_pair(system, rom, interval):
-    """Preconditions of every system/reduced-model pair quantity: equal
-    input and output counts and, on an infinite horizon, Hurwitz A on both
-    sides."""
+    """Preconditions of every pair quantity, or of a system with itself:
+    equal input and output counts and, on an infinite horizon, Hurwitz A on
+    both sides.  The one Hurwitz test of the Gramians and norms."""
     require_same_io(system, rom)
     if interval.is_infinite:
         matfun.require_hurwitz(system.schur, "A")
@@ -124,8 +123,7 @@ def controllability_block(left, right, interval):
     s = _boundaries(left.schur, interval)[0]
     sr = _boundaries(right.schur, interval)[0]
     return _solve(
-        left, right, "controllability", _weighted(left.B @ right.B.T, s, sr),
-        interval,
+        left, right, "controllability", _weighted(left.B @ right.B.T, s, sr)
     )
 
 
@@ -146,7 +144,7 @@ def observability_block(left, right, interval, kern):
     """
     st = _boundaries(left.schur, interval)[1]
     srt = _boundaries(right.schur, interval)[1]
-    return _solve(left, right, "observability", _weighted(kern, st, srt), interval)
+    return _solve(left, right, "observability", _weighted(kern, st, srt))
 
 
 def gramian_blocks(left, right, interval):
@@ -155,8 +153,7 @@ def gramian_blocks(left, right, interval):
     P is the :func:`controllability_block`; Y and Z are the
     :func:`observability_block` with kernels ``C_l^T C_r`` and
     ``sum_i M_l,i P M_r,i``: symmetrized Lyapunov solutions if
-    ``left is right`` (an infinite horizon needs a Hurwitz A), else
-    Sylvester solutions with no Hurwitz test.
+    ``left is right``, else Sylvester solutions, with no Hurwitz test.
 
     Returns
     -------
@@ -183,6 +180,7 @@ def gramian_pair(system, interval):
     tuple
         ``(P, Q)``, each of shape ``(system.order, system.order)``.
     """
+    require_pair(system, system, interval)
     p = controllability_block(system, system, interval)
     kern = system.C.T @ system.C + sum(mi @ p @ mi for mi in system.M)
     return p, observability_block(system, system, interval, kern)
@@ -190,12 +188,14 @@ def gramian_pair(system, interval):
 
 def timelimited_gramians(system, interval):
     """Gramian set of ``system`` on ``interval``: the :func:`gramian_blocks`
-    of the system with itself, and ``Q = Y + Z``.
+    of the system with itself, and ``Q = Y + Z``.  An infinite horizon
+    needs a Hurwitz A.
 
     Returns
     -------
     GramianSet
     """
+    require_pair(system, system, interval)
     p, y, z = gramian_blocks(system, system, interval)
     return GramianSet(P=p, Y=y, Z=z, Q=y + z, interval=interval)
 
@@ -220,26 +220,41 @@ def cross_gramians(system, rom, interval):
     )
 
 
-def _psd_eig(x, name):
+def _psd_factor(x, name):
+    """``L`` with ``x = L L^T``, columns by nonincreasing eigenvalue, and the
+    largest negative eigenvalue magnitude clipped to zero."""
     sym = (x + x.T) / 2.0
     w, v = np.linalg.eigh(sym)
     wmax = max(w.max(initial=0.0), 0.0)
     floor = 1e-10 * wmax + 64.0 * np.finfo(float).eps * max(np.linalg.norm(sym), 1.0)
-    if w.min(initial=0.0) < -floor:
+    lowest = float(w.min(initial=0.0))
+    if lowest < -floor:
         raise SolverError(
-            f"{name} is indefinite beyond tolerance: min eigenvalue {w.min():.3e}",
-            min_eigenvalue=float(w.min()),
+            f"{name} is indefinite beyond tolerance: min eigenvalue {lowest:.3e}",
+            min_eigenvalue=lowest,
         )
-    return np.clip(w, 0.0, None), v
+    w = np.clip(w, 0.0, None)
+    order = np.argsort(w)[::-1]
+    return v[:, order] * np.sqrt(w[order]), max(0.0, -lowest)
+
+
+def balancing_svd(p, q):
+    """``(Lp, Lq, U, sigma, V^T, clipped)``: factors ``P = Lp Lp^T`` and
+    ``Q = Lq Lq^T``, the SVD ``Lq^T Lp = U diag(sigma) V^T`` and the largest
+    negative eigenvalue magnitude clipped from P or Q."""
+    lp, clip_p = _psd_factor(p, "P")
+    lq, clip_q = _psd_factor(q, "Q")
+    u, s, vt = sla.svd(lq.T @ lp)
+    return lp, lq, u, s, vt, max(clip_p, clip_q)
 
 
 def hankel_singular_values(p, q):
     """Time-limited Hankel spectrum ``sigma_i = sqrt(eig_i(P Q))``.
 
-    Uses the symmetric formulation ``eig(L^T Q L)`` with ``P = L L^T`` from a
-    clamped eigenfactorization, so the values are real by construction.
-    Negative eigenvalues of magnitude at most ``1e-10 * sigma_max^2`` are
-    clamped to zero (recorded in the result); larger ones raise.
+    The singular values of :func:`balancing_svd`, which ``bt`` and ``tlbt``
+    balance with.  Negative eigenvalues of P or Q of magnitude at most
+    ``1e-10`` times the largest are clipped to zero (the largest clip is
+    recorded in the result); larger ones raise.
 
     Returns
     -------
@@ -251,18 +266,5 @@ def hankel_singular_values(p, q):
         raise DimensionError(
             f"P and Q must be equal square matrices, got {p.shape} and {q.shape}"
         )
-    wp, vp = _psd_eig(p, "P")
-    factor = vp * np.sqrt(wp)
-    core = factor.T @ ((q + q.T) / 2.0) @ factor
-    lam = np.linalg.eigvalsh((core + core.T) / 2.0)
-    lam_max = max(lam.max(initial=0.0), 0.0)
-    thresh = 1e-10 * lam_max + 64.0 * np.finfo(float).eps * max(np.linalg.norm(core), 1.0)
-    negative = lam[lam < 0.0]
-    clamp = float(-negative.min()) if negative.size else 0.0
-    if clamp > thresh:
-        raise SolverError(
-            f"P*Q has a negative eigenvalue {-clamp:.3e} beyond the clamp tolerance",
-            eigenvalue=-clamp,
-        )
-    sigma = np.sqrt(np.clip(lam, 0.0, None))[::-1].copy()
-    return HankelSpectrum(sigma=sigma, clamp_magnitude=clamp)
+    _, _, _, sigma, _, clipped = balancing_svd(p, q)
+    return HankelSpectrum(sigma=sigma, clamp_magnitude=clipped)

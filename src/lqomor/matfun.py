@@ -193,7 +193,11 @@ def expm_frechet(a, v, t=1.0):
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return np.zeros_like(a)
-    return sla.expm_frechet(a * t, v * t, compute_expm=False)
+    n = a.shape[0]
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = big[n:, n:] = a * t
+    big[:n, n:] = v * t
+    return sla.expm(big)[:n, n:]
 
 
 def _require_unique_solution(fa, fb, message, **context):
@@ -248,9 +252,9 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
     side : {"controllability", "observability"}
     require_stable : bool
         When true (the default, and the documented contract) a non-Hurwitz
-        ``a`` raises :class:`HurwitzError`.  Internal finite-horizon callers
-        disable the check; the equation stays uniquely solvable as long as
-        no two eigenvalues of ``a`` sum to zero.
+        ``a`` raises :class:`HurwitzError`.  The Gramian builders disable
+        the check; the equation stays uniquely solvable as long as no two
+        eigenvalues of ``a`` sum to zero.
 
     Returns
     -------

@@ -71,12 +71,14 @@ def h2tau_norm(system, interval):
     ``value = sqrt(trace(C P C^T) + sum_i trace(M_i P M_i P))`` with the
     controllability Gramian P of the horizon, which equals
     ``sqrt(trace(B^T Q B))`` (Benner, Goyal and Pontes Duff, IEEE TAC 2022);
-    an infinite right endpoint yields the classical H2 norm.
+    an infinite right endpoint yields the classical H2 norm and needs a
+    Hurwitz A.
 
     Returns
     -------
     NormReport
     """
+    require_pair(system, system, interval)
     val = _inner(system, system, interval)
     return NormReport(value=np.sqrt(max(val, 0.0)), method="gramian", interval=interval)
 

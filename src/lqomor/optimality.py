@@ -12,7 +12,9 @@ respect to the matching reduced matrix.  Three of them involve only
 horizon-limited Gramian blocks; the condition on the reduced A carries a
 deviation term ``L`` built from infinite-horizon blocks, the differences
 between infinite and horizon-limited blocks, and a Frechet-derivative term
-of the matrix exponential at the horizon boundaries.
+of the matrix exponential at the horizon boundaries.  All four exist for
+every uniquely solvable pair, Hurwitz or not: one whose Gramian equations
+have no two eigenvalues summing to zero (else ``SolverError``).
 
 All gradients follow the entrywise convention ``dJ = sum_ij G_ij dX_ij``
 and are validated against central finite differences of :func:`objective_J`
@@ -25,7 +27,12 @@ import numpy as np
 
 from . import matfun
 from .errors import ValidationError
-from .gramians import controllability_block, cross_gramians, require_pair
+from .gramians import (
+    controllability_block,
+    cross_gramians,
+    observability_block,
+    require_pair,
+)
 from .model import TimeInterval
 from .norms import output_energy
 
@@ -46,9 +53,6 @@ class OptimalityReport:
     """Residual matrices and norms of the four stationarity conditions.
 
     ``op1_residual = petrov_galerkin_term + L`` holds exactly as assembled.
-    For horizon-limited residuals of a non-Hurwitz reduced model the
-    infinite-horizon blocks do not exist, so ``op1_residual`` and ``L`` are
-    ``None`` and a note records why.
     """
 
     op1_residual: np.ndarray
@@ -63,7 +67,6 @@ class OptimalityReport:
     petrov_galerkin_term: np.ndarray
     horizon: str
     splits: dict = None
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,17 @@ def objective_J(system, rom, interval):
 def _infinite_adjoints(system, rom, cg):
     """Infinite-horizon blocks entering the gradient of J with respect to Ar.
 
-    ``pti, phi`` solve the unweighted controllability-type equations;
-    ``zb, zbn`` solve infinite-horizon observability-type equations whose
-    right-hand sides carry the horizon-limited Pt and Ph.
+    The [0, inf) controllability blocks ``pti, phi`` of the pair and of the
+    reduced model, and the [0, inf) observability blocks ``zb, zbn`` whose
+    kernels carry the horizon-limited Pt and Ph.
     """
-    pti = matfun.solve_sylvester(system.schur, rom.schur_t, system.B @ rom.B.T)
-    phi = matfun.solve_lyapunov(rom.schur, rom.B @ rom.B.T, side="controllability")
+    inf = TimeInterval(0.0, np.inf)
+    pti = controllability_block(system, rom, inf)
+    phi = controllability_block(rom, rom, inf)
     kt = sum(mi @ cg.Pt @ mhi for mi, mhi in zip(system.M, rom.M))
-    zb = matfun.solve_sylvester(system.schur_t, rom.schur, kt)
+    zb = observability_block(system, rom, inf, kt)
     kh = sum(mhi @ cg.Ph @ mhi for mhi in rom.M)
-    zbn = matfun.solve_lyapunov(rom.schur, kh, side="observability")
+    zbn = observability_block(rom, rom, inf, kh)
     return pti, phi, zb, zbn
 
 
@@ -150,10 +154,8 @@ def _w_total(system, rom, cg, adjoints, interval):
 def _stationarity(system, rom, cg, interval):
     """The four stationarity blocks, each half the gradient of J.
 
-    Returns ``(op1, op2, op3, op4, pg, L, splits, notes)`` with
-    ``op1 = pg + L``.  On the infinite horizon ``L`` is zero.  On a finite
-    horizon with a non-Hurwitz side the infinite-horizon blocks of ``L`` do
-    not exist: ``op1``, ``L`` and ``splits`` are ``None`` and a note says so.
+    Returns ``(op1, op2, op3, op4, pg, L, splits)`` with ``op1 = pg + L``.
+    On the infinite horizon ``L`` is zero and ``splits`` is None.
     """
     gt = cg.Yt + 2.0 * cg.Zt
     gh = cg.Yh + 2.0 * cg.Zh
@@ -165,13 +167,7 @@ def _stationarity(system, rom, cg, interval):
     op4 = -system.C @ cg.Pt + rom.C @ cg.Ph
     pg = -gt.T @ cg.Pt + gh @ cg.Ph
     if interval.is_infinite:
-        return pg, op2, op3, op4, pg, np.zeros_like(pg), None, ()
-    if not (rom.is_hurwitz and system.is_hurwitz):
-        note = (
-            "reduced A is not Hurwitz: infinite-horizon blocks for the first "
-            "condition do not exist, op1 and L omitted"
-        )
-        return None, op2, op3, op4, pg, None, None, (note,)
+        return pg, op2, op3, op4, pg, np.zeros_like(pg), None
     adjoints = _infinite_adjoints(system, rom, cg)
     pti, phi, zb, zbn = adjoints
     w = _w_total(system, rom, cg, adjoints, interval)
@@ -181,15 +177,14 @@ def _stationarity(system, rom, cg, interval):
     zn = zbn - cg.Zh
     l_mat = -cg.Qt.T @ p12 + cg.Qh @ pn - z12.T @ cg.Pt + zn @ cg.Ph + w.T
     splits = {"P12": p12, "Pn": pn, "Z12": z12, "Zn": zn, "W": w}
-    return pg + l_mat, op2, op3, op4, pg, l_mat, splits, ()
+    return pg + l_mat, op2, op3, op4, pg, l_mat, splits
 
 
 def gradients(system, rom, interval):
     """Analytic gradients of the objective with respect to (Ar, Br, Cr, Mr_i).
 
-    Requires a finite horizon and Hurwitz A on both sides (the gradient of J
-    with respect to the reduced A involves infinite-horizon blocks).  Each
-    block is exactly twice the matching :func:`tl_residuals` block, and
+    Requires a finite horizon and a uniquely solvable pair, Hurwitz or not.
+    Each block is exactly twice the matching :func:`tl_residuals` block, and
     every block matches a central finite difference of :func:`objective_J`.
 
     Returns
@@ -198,8 +193,6 @@ def gradients(system, rom, interval):
     """
     if interval.is_infinite:
         raise ValidationError("gradients require a finite horizon")
-    matfun.require_hurwitz(system.schur, "A")
-    matfun.require_hurwitz(rom.schur, "reduced A")
     cg = cross_gramians(system, rom, interval)
     op1, op2, op3, op4 = _stationarity(system, rom, cg, interval)[:4]
     return GradientReport(
@@ -212,14 +205,12 @@ def gradients(system, rom, interval):
 
 
 def _norm2(mat):
-    return None if mat is None else float(np.linalg.norm(mat, 2))
+    return float(np.linalg.norm(mat, 2))
 
 
 def _report(system, rom, interval):
     cg = cross_gramians(system, rom, interval)
-    op1, op2, op3, op4, pg, l_mat, splits, notes = _stationarity(
-        system, rom, cg, interval
-    )
+    op1, op2, op3, op4, pg, l_mat, splits = _stationarity(system, rom, cg, interval)
     return OptimalityReport(
         op1_residual=op1,
         op1_norm=_norm2(op1),
@@ -233,7 +224,6 @@ def _report(system, rom, interval):
         petrov_galerkin_term=pg,
         horizon="infinite" if interval.is_infinite else "limited",
         splits=splits,
-        notes=notes,
     )
 
 
@@ -242,10 +232,8 @@ def tl_residuals(system, rom, interval):
 
     The first condition reads ``petrov_galerkin_term + L = 0`` where L
     collects the infinite-minus-limited splits and the boundary Frechet
-    term; conditions two to four use horizon-limited blocks only.  When the
-    reduced A is not Hurwitz the L machinery is skipped (``op1_residual``
-    and ``L`` come back ``None`` with an explanatory note) while the other
-    three residuals remain exact.
+    term; conditions two to four use horizon-limited blocks only.  All four
+    exist for every uniquely solvable pair, Hurwitz or not.
 
     Returns
     -------

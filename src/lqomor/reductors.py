@@ -14,11 +14,15 @@ Gramian blocks of the (system, model) pair until the reduced poles stagnate.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matfun, optimality
 from .errors import DimensionError, NumericalError, RankError, ValidationError
-from .gramians import controllability_block, gramian_pair, observability_block
+from .gramians import (
+    balancing_svd,
+    controllability_block,
+    gramian_pair,
+    observability_block,
+)
 from .model import LqoSystem, TimeInterval, require_same_io
 
 
@@ -127,18 +131,9 @@ def _project(system, v, w):
     )
 
 
-def _psd_factor(x):
-    wv, vec = np.linalg.eigh((x + x.T) / 2.0)
-    wv = np.clip(wv, 0.0, None)
-    order = np.argsort(wv)[::-1]
-    return vec[:, order] * np.sqrt(wv[order])
-
-
 def _square_root_balance(p, q, n):
     """Square-root balanced projection of order ``n`` from Gramians P and Q."""
-    fp = _psd_factor(p)
-    fq = _psd_factor(q)
-    u, s, vt = sla.svd(fq.T @ fp)
+    fp, fq, u, s, vt, _ = balancing_svd(p, q)
     if n > s.size or s[n - 1] <= 1e-12 * s[0]:
         raise RankError(
             f"requested order {n} exceeds the numerical rank of the balancing "
@@ -311,8 +306,8 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     Returns
     -------
     ReductionReport
-        With ``residuals`` populated by :func:`lqomor.optimality.tl_residuals`
-        (whose first condition is omitted for a non-Hurwitz result).
+        With ``residuals`` populated by :func:`lqomor.optimality.tl_residuals`,
+        all four conditions also for a non-Hurwitz result.
     """
     if interval.is_infinite:
         raise ValidationError("this reductor requires a finite horizon")

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from lqomor.cli import run_command
+from lqomor.model import TimeInterval
+from lqomor.optimality import tl_residuals
 from lqomor.sysio import load_system, save_system
 
 from util import rand_system
@@ -158,8 +160,14 @@ class TestErrorAndResiduals:
         assert code == 0
         doc = json.loads(out)
         assert doc["horizon"] == "limited"
+        assert set(doc) == {"horizon", "residual_norms"}
         assert doc["residual_norms"]["op2"] <= 1e-6
-        assert doc["residual_norms"]["op1"] is None
+        # the tlhnoia model is not Hurwitz, yet op1 is reported
+        rom = load_system(rom_file, require_hurwitz=False)
+        assert not rom.is_hurwitz
+        expected = tl_residuals(load_system(BENCH), rom, TimeInterval(0.0, 0.5))
+        assert math.isfinite(doc["residual_norms"]["op1"])
+        assert doc["residual_norms"]["op1"] == expected.op1_norm
 
     def test_residuals_infinite(self, capsys):
         code, out, _ = run(

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from lqomor.errors import DimensionError, HurwitzError, SolverError
+from lqomor.demo import demo_system
 from lqomor.gramians import (
     cross_gramians,
     gramian_blocks,
+    gramian_pair,
     hankel_singular_values,
     timelimited_gramians,
 )
 from lqomor.matfun import expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
+from lqomor.reductors import tlbt
 
 from util import rand_lti, rand_system
 
@@ -268,6 +271,16 @@ class TestHankelSingularValues:
         spec = hankel_singular_values(g.P, g.Q)
         assert (np.diff(spec.sigma) <= 1e-12).all()
         assert (spec.sigma >= 0.0).all()
+
+    def test_equals_the_balancing_spectrum_of_tlbt(self):
+        sys1 = demo_system()
+        iv = TimeInterval(0.0, 0.5)
+        spec = hankel_singular_values(*gramian_pair(sys1, iv))
+        assert np.array_equal(spec.sigma, tlbt(sys1, 3, iv).sigma)
+
+    def test_indefinite_q_rejected(self):
+        with pytest.raises(SolverError):
+            hankel_singular_values(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_indefinite_p_rejected(self):
         with pytest.raises(SolverError):

@@ -88,6 +88,15 @@ class TestExpmFrechet:
         with pytest.raises(DimensionError):
             expm_frechet(np.eye(2), np.eye(3), 1.0)
 
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_block_method_matches_scipy(self, n):
+        rng = np.random.default_rng(7 + n)
+        a = rng.normal(size=(n, n))
+        v = rng.normal(size=(n, n))
+        t = 0.8
+        ref = sla.expm_frechet(a * t, v * t, compute_expm=False)
+        assert np.linalg.norm(expm_frechet(a, v, t) - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestSolveLyapunov:
     def test_scalar_closed_form(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqomor.errors import ValidationError
-from lqomor.model import INFINITE, LqoSystem, TimeInterval
+from lqomor.model import INFINITE, LqoSystem, TimeInterval, error_system
 from lqomor.norms import (
     h2tau_error,
     h2tau_error_blockwise,
@@ -193,6 +193,32 @@ class TestErrorNorm:
             assert err <= (
                 h2tau_norm(full, iv).value + h2tau_norm(rom, iv).value + 1e-12
             )
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            1e-2,
+            pytest.param(1e-12, marks=pytest.mark.xfail(
+                strict=True,
+                reason="the pair's Sylvester equation is nearly singular: "
+                "the Gramian route is 4.1e-4 off the quadrature",
+            )),
+        ],
+    )
+    def test_mirrored_poles_match_quadrature(self, delta):
+        # the reduced poles mirror A's rightmost pair -1.0 +- 0.887j across
+        # the imaginary axis, up to a relative offset delta
+        full = rand_system(np.random.default_rng(5), 8, 1, 1)
+        eig = np.linalg.eigvals(full.A)
+        top = eig[np.argmax(eig.real)]
+        x, y = -top.real * (1.0 + delta), abs(top.imag)
+        rom = LqoSystem(
+            [[x, y], [-y, x]], [[1.0], [0.5]], [[0.7, 0.2]],
+            [np.array([[0.3, 0.1], [0.1, 0.2]])], check_hurwitz=False,
+        )
+        iv = TimeInterval(0.0, 1.0)
+        oracle = h2tau_norm_quadrature(error_system(full, rom), iv, resolution=2000)
+        assert h2tau_error(full, rom, iv).value == pytest.approx(oracle.value, rel=1e-6)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(50)

@@ -72,11 +72,20 @@ class TestObjective:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (0.3, 2.0)])
-    def test_matches_central_finite_differences(self, t0, t1):
+    @pytest.mark.parametrize(
+        "t0,t1,unstable",
+        [
+            pytest.param(0.0, 1.0, False, id="0.0-1.0"),
+            pytest.param(0.3, 2.0, False, id="0.3-2.0"),
+            pytest.param(0.3, 2.0, True, id="0.3-2.0-unstable"),
+        ],
+    )
+    def test_matches_central_finite_differences(self, t0, t1, unstable):
         rng = np.random.default_rng(63)
         full = rand_system(rng, 5, 2, 2)
         rom = rand_system(rng, 2, 2, 2)
+        if unstable:
+            rom = shifted_to(rom, 0.8)
         iv = TimeInterval(t0, t1)
         rep = gradients(full, rom, iv)
 
@@ -234,15 +243,17 @@ class TestTlResiduals:
         for name in ("P12", "Pn", "Z12", "Zn"):
             assert np.linalg.norm(rep_t.splits[name]) <= 1e-6
 
-    def test_non_hurwitz_rom_keeps_three_conditions(self):
+    def test_non_hurwitz_rom_has_all_four_conditions(self):
         rng = np.random.default_rng(70)
         full = rand_system(rng, 4, 1, 1)
         rom = LqoSystem(
             [[0.5]], [[1.0]], [[1.0]], [np.array([[0.1]])], check_hurwitz=False
         )
-        rep = tl_residuals(full, rom, TimeInterval(0.0, 0.5))
-        assert rep.op1_residual is None and rep.L is None
-        assert rep.notes
+        iv = TimeInterval(0.0, 0.5)
+        rep = tl_residuals(full, rom, iv)
+        assert np.isfinite(rep.op1_residual).all() and np.isfinite(rep.op1_norm)
+        assert np.array_equal(rep.op1_residual, rep.petrov_galerkin_term + rep.L)
+        assert np.array_equal(rep.op1_residual, gradients(full, rom, iv).grad_A / 2.0)
         assert np.isfinite(rep.op3_norm) and np.isfinite(rep.op4_norm)
 
 

@@ -119,7 +119,9 @@ class TestSerializeReport:
         assert doc["iterations"] == report.iterations
         assert len(doc["pole_history"]) == report.iterations + 1
         assert set(doc["residual_norms"]) == {"op1", "op2", "op3", "op4"}
-        assert doc["residual_norms"]["op1"] is None
+        assert not report.rom.is_hurwitz
+        assert np.isfinite(doc["residual_norms"]["op1"])
+        assert doc["residual_norms"]["op1"] == report.residuals.op1_norm
         assert doc["residual_norms"]["op2"] == max(report.residuals.op2_norms)
 
     def test_rom_round_trips_from_report(self):
