@@ -11,7 +11,7 @@ input ``u(t) = 0.01*cos(2*t)``.
 
 import numpy as np
 
-from .model import LqoSystem, TimeInterval, simulate
+from .model import LqoSystem, TimeInterval, simulate, time_grid
 from .reductors import bt, homora, tlbt, tlhnoia
 from .signals import parse_signal
 
@@ -71,6 +71,9 @@ def relative_output_error(full_traj, rom_traj, eps=1e-12):
 def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):
     """Run the full demonstration pipeline.
 
+    ``step`` is the simulation grid step, checked by
+    :func:`lqomor.model.time_grid` before any reduction runs.
+
     Returns
     -------
     dict
@@ -80,6 +83,9 @@ def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):
     """
     system = demo_system()
     rom0 = demo_initial_guess()
+    grid = time_grid(
+        DEMO_INTERVAL.t_start, DEMO_INTERVAL.t_end, step, system.order + DEMO_ORDER
+    )
 
     reports = {
         "bt": bt(system, DEMO_ORDER),
@@ -89,8 +95,6 @@ def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):
     }
 
     u = parse_signal(DEMO_INPUT)
-    n_steps = int(round((DEMO_INTERVAL.t_end - DEMO_INTERVAL.t_start) / step))
-    grid = DEMO_INTERVAL.t_start + step * np.arange(n_steps + 1)
     full_traj = simulate(system, u, grid)
     errors = {}
     for name, rep in reports.items():

@@ -8,11 +8,13 @@ endpoint drops the second term and ``t0 = 0`` drops the first factor pair
 
 The controllability Gramian P of one system, or the block of a
 system/reduced-model pair, comes from :func:`controllability_block`, and
-every observability-type block from :func:`observability_block`; every
-Gramian triple, P and the linear and quadratic observability parts Y and Z
-(whose right-hand side uses this same P), comes from :func:`gramian_blocks`.
-The total observability Gramian is Q = Y + Z; :func:`gramian_pair` takes it
-from one solve where Y and Z are not needed on their own.
+every observability-type block from :func:`observability_block`, whose
+equation is linear in its kernel: ``C_l^T C_r`` gives the linear part Y and
+:func:`quadratic_kernel` the quadratic part Z.  So each combination a
+caller reads is one solve: Q = Y + Z from :func:`gramian_pair` and
+G = Y + 2 Z of the optimality conditions from :func:`adjoint_block`.
+:func:`gramian_blocks`, :func:`timelimited_gramians` and
+:func:`cross_gramians` return Y and Z apart.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import matfun
-from .errors import DimensionError, SolverError
+from .errors import DimensionError, NonFiniteError, SolverError
 from .model import TimeInterval, require_same_io
 
 
@@ -46,14 +48,21 @@ def _weighted(kern, left, right):
 
 def _solve(left, right, side, q):
     """Gramian-type block of the pair on one side with right-hand side ``q``:
-    a symmetrized Lyapunov solution if ``left is right``, else a Sylvester
-    solution.  Only unique solvability is checked, never the Hurwitz test."""
-    if left is right:
-        x = matfun.solve_lyapunov(left.schur, q, side=side, require_stable=False)
-        return (x + x.T) / 2.0
+    one Sylvester solve, which ``matfun`` runs as the Lyapunov equation when
+    ``left is right`` and then symmetrized.  Only unique solvability is
+    checked, never the Hurwitz test; a right-hand side that overflowed is a
+    numerical failure, not bad input."""
     if side == "controllability":
-        return matfun.solve_sylvester(left.schur, right.schur_t, q)
-    return matfun.solve_sylvester(left.schur_t, right.schur, q)
+        a, b = left.schur, right.schur_t
+    else:
+        a, b = left.schur_t, right.schur
+    try:
+        x = matfun.solve_sylvester(a, b, q)
+    except NonFiniteError:
+        raise SolverError(
+            f"{side} Gramian right-hand side overflowed", side=side
+        ) from None
+    return (x + x.T) / 2.0 if left is right else x
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,12 @@ def controllability_block(left, right, interval):
     )
 
 
+def quadratic_kernel(left, right, p):
+    """``sum_i M_l,i P M_r,i`` for the controllability block ``p`` of the
+    pair ``(left, right)``: the observability kernel of the quadratic part Z."""
+    return sum(ml @ p @ mr for ml, mr in zip(left.M, right.M))
+
+
 def observability_block(left, right, interval, kern):
     """Observability block of the pair ``(left, right)`` on ``interval``.
 
@@ -134,7 +149,7 @@ def observability_block(left, right, interval, kern):
     reads the Schur forms of ``A_l`` (transposed) and ``A_r``, the same
     factorizations as :func:`controllability_block`.  It is the only
     writer of a weighted observability right-hand side: ``C_l^T C_r`` gives
-    the linear part Y, ``sum_i M_l,i P M_r,i`` the quadratic part Z, and by
+    the linear part Y, :func:`quadratic_kernel` the quadratic part Z, and by
     linearity any combination of the two kernels gives the same combination
     of Y and Z from one solve.
 
@@ -147,12 +162,21 @@ def observability_block(left, right, interval, kern):
     return _solve(left, right, "observability", _weighted(kern, st, srt))
 
 
+def adjoint_block(left, right, interval, p):
+    """``G = Y + 2 Z`` of the pair ``(left, right)`` on ``interval`` for its
+    controllability block ``p``: one :func:`observability_block` solve with
+    kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i``.  The fixed-point sweep and
+    the optimality conditions read G in place of Y and Z."""
+    kern = left.C.T @ right.C + 2.0 * quadratic_kernel(left, right, p)
+    return observability_block(left, right, interval, kern)
+
+
 def gramian_blocks(left, right, interval):
     """Gramian triple ``(P, Y, Z)`` of the pair ``(left, right)`` on ``interval``.
 
     P is the :func:`controllability_block`; Y and Z are the
-    :func:`observability_block` with kernels ``C_l^T C_r`` and
-    ``sum_i M_l,i P M_r,i``: symmetrized Lyapunov solutions if
+    :func:`observability_block` with kernels ``C_l^T C_r`` and the
+    :func:`quadratic_kernel` of P: symmetrized Lyapunov solutions if
     ``left is right``, else Sylvester solutions, with no Hurwitz test.
 
     Returns
@@ -161,10 +185,9 @@ def gramian_blocks(left, right, interval):
         ``(P, Y, Z)``, each of shape ``(left.order, right.order)``.
     """
     p = controllability_block(left, right, interval)
-    kern = sum(mi @ p @ mri for mi, mri in zip(left.M, right.M))
     y, z = (
         observability_block(left, right, interval, k)
-        for k in (left.C.T @ right.C, kern)
+        for k in (left.C.T @ right.C, quadratic_kernel(left, right, p))
     )
     return p, y, z
 
@@ -182,7 +205,7 @@ def gramian_pair(system, interval):
     """
     require_pair(system, system, interval)
     p = controllability_block(system, system, interval)
-    kern = system.C.T @ system.C + sum(mi @ p @ mi for mi in system.M)
+    kern = system.C.T @ system.C + quadratic_kernel(system, system, p)
     return p, observability_block(system, system, interval, kern)
 
 

@@ -13,6 +13,7 @@ fixed-order Pade approximant.
 """
 
 import functools
+import weakref
 
 import numpy as np
 import scipy.linalg as sla
@@ -60,8 +61,23 @@ class SchurForm:
         #: Whether this is the view of another form's transpose, so that
         #: ``a = U T^T U^T`` with that form's factors.
         self.trans = transposed is not None
-        self.transposed = transposed if self.trans else SchurForm(a.T, self)
+        # The view holds its form and the form holds its view weakly, so a
+        # form is freed by reference counting, not by the cycle collector.
+        self._form = transposed
+        self._view = None
         self._expm = {}
+
+    @property
+    def transposed(self):
+        """Form of ``a^T``: the form a view was made from, or the view of a
+        form, the same object for as long as anything holds it."""
+        if self.trans:
+            return self._form
+        view = self._view and self._view()
+        if view is None:
+            view = SchurForm(self.a.T, self)
+            self._view = weakref.ref(view)
+        return view
 
     @functools.cached_property
     def factors(self):
@@ -252,9 +268,8 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
     side : {"controllability", "observability"}
     require_stable : bool
         When true (the default, and the documented contract) a non-Hurwitz
-        ``a`` raises :class:`HurwitzError`.  The Gramian builders disable
-        the check; the equation stays uniquely solvable as long as no two
-        eigenvalues of ``a`` sum to zero.
+        ``a`` raises :class:`HurwitzError`.  When false only unique
+        solvability is checked: no two eigenvalues of ``a`` may sum to zero.
 
     Returns
     -------

@@ -21,6 +21,10 @@ from .signals import SignalExpr
 #: Sentinel for an unbounded right endpoint of a :class:`TimeInterval`.
 INFINITE = math.inf
 
+#: Most floats one sampled array may hold, 1 GiB: the state samples of a
+#: :func:`time_grid` and the kernel samples of the quadrature norm.
+MAX_SAMPLE_FLOATS = 2**27
+
 
 @dataclass(frozen=True)
 class TimeInterval:
@@ -267,6 +271,32 @@ def _sample_input(u, times, m):
         tk = times[np.argmin(finite)]
         raise NonFiniteError(f"input signal non-finite at t={tk:g}")
     return values
+
+
+def time_grid(t0, t1, step, states):
+    """Grid ``t0 + k step``, ``k = 0..round((t1 - t0) / step)``, on which
+    ``states`` states are simulated; ``ValidationError`` unless the bounds
+    and step are finite, the step positive, the span at least one step and
+    the ``(steps + 1) * states`` samples within :data:`MAX_SAMPLE_FLOATS`."""
+    for name, value in (("t0", t0), ("t1", t1), ("step", step)):
+        if not math.isfinite(value):
+            raise ValidationError(f"the time grid requires a finite {name}, got {value}")
+    if step <= 0:
+        raise ValidationError(f"step must be positive, got {step}")
+    span = (t1 - t0) / step
+    if not math.isfinite(span):
+        raise ValidationError(f"step {step} too small for the time span")
+    n_steps = int(round(span))
+    if n_steps < 1:
+        raise ValidationError("time span shorter than one step")
+    if (n_steps + 1) * states > MAX_SAMPLE_FLOATS:
+        raise ValidationError(
+            f"step {step} gives {n_steps} steps; {n_steps + 1} samples of "
+            f"{states} states exceed the budget of {MAX_SAMPLE_FLOATS} floats",
+            steps=n_steps,
+            max_floats=MAX_SAMPLE_FLOATS,
+        )
+    return t0 + step * np.arange(n_steps + 1)
 
 
 def simulate(system, u, grid, x0=None, substeps=1):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matfun
 from .errors import SolverError, ValidationError
-from .gramians import controllability_block, require_pair
+from .gramians import controllability_block, quadratic_kernel, require_pair
 from .model import TimeInterval, error_system
 
 
@@ -53,12 +53,14 @@ def output_energy(left, right, p):
     ``trace(C_l P C_r^T) + sum_i trace(M_l,i P M_r,i P^T)`` with the
     :func:`lqomor.gramians.controllability_block` ``p`` of ``(left, right)``
     on a horizon: the horizon-limited ``<H_l, H_r>``, and ``||H||^2`` for a
-    system with itself.
+    system with itself.  A value that overflowed raises ``SolverError``.
     """
-    val = np.sum((left.C @ p) * right.C)
-    for ml, mr in zip(left.M, right.M):
-        val += np.sum((ml @ p @ mr) * p)
-    return float(val)
+    val = float(
+        np.sum((left.C @ p) * right.C) + np.sum(quadratic_kernel(left, right, p) * p)
+    )
+    if not np.isfinite(val):
+        raise SolverError(f"output energy overflowed to {val}")
+    return val
 
 
 def _inner(left, right, interval):

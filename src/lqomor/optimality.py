@@ -8,11 +8,16 @@ depends on the reduced model,
 so that ``||H - Hr||^2 = ||H||^2 + J``; it is evaluated from the
 controllability blocks Pt and Ph alone (:func:`lqomor.norms.output_energy`).  First-order stationarity of J
 yields four matrix conditions, each residual half the gradient of J with
-respect to the matching reduced matrix.  Three of them involve only
-horizon-limited Gramian blocks; the condition on the reduced A carries a
-deviation term ``L`` built from infinite-horizon blocks, the differences
-between infinite and horizon-limited blocks, and a Frechet-derivative term
-of the matrix exponential at the horizon boundaries.  All four exist for
+respect to the matching reduced matrix.  Three of them, and the
+Petrov-Galerkin part of the condition on the reduced A, read only the
+horizon-limited controllability blocks Pt, Ph and the adjoint blocks
+``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one solve each
+(:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
+carries a deviation term ``L`` built from infinite-horizon blocks, the
+differences between infinite and horizon-limited blocks, and a
+Frechet-derivative term of the matrix exponential at the horizon
+boundaries; only a finite horizon needs it, and with it the quadratic parts
+Zt and Zh (so ``Qt = Gt - Zt`` and ``Qh = Gh - Zh``).  All four exist for
 every uniquely solvable pair, Hurwitz or not: one whose Gramian equations
 have no two eigenvalues summing to zero (else ``SolverError``).
 
@@ -28,9 +33,10 @@ import numpy as np
 from . import matfun
 from .errors import ValidationError
 from .gramians import (
+    adjoint_block,
     controllability_block,
-    cross_gramians,
     observability_block,
+    quadratic_kernel,
     require_pair,
 )
 from .model import TimeInterval
@@ -77,7 +83,8 @@ class Theorem2Report:
     ``||W^T e^(A tau) B - e^(Ar tau) Br||``, ``||C e^(A tau) V - Cr e^(Ar tau)||``
     and ``max_i ||V^T M_i e^(A tau) V - Mr_i e^(Ar tau)||`` (maximum over the
     boundaries).  Conclusion deviations measure how far the reduced blocks are
-    from the identity: ``||Ph - I||`` and ``||Yh + 2 Zh - I||``.
+    from the identity: ``||Ph - I||`` and ``||Gh - I||`` with the adjoint
+    block ``Gh = Yh + 2 Zh``.
     """
 
     premise_input: float
@@ -92,90 +99,92 @@ def _objective(system, rom, pt, ph):
     return -2.0 * output_energy(system, rom, pt) + output_energy(rom, rom, ph)
 
 
+def _controllability_blocks(system, rom, interval):
+    """Pt and Ph of the pair on ``interval``, after :func:`require_pair`."""
+    require_pair(system, rom, interval)
+    return (
+        controllability_block(system, rom, interval),
+        controllability_block(rom, rom, interval),
+    )
+
+
 def objective_J(system, rom, interval):
     """Reduced-model-dependent part of the squared error norm.
 
     Satisfies ``h2tau_error(system, rom)^2 = h2tau_norm(system)^2 + J``;
     needs only the controllability blocks Pt and Ph.
     """
-    require_pair(system, rom, interval)
-    return _objective(
-        system, rom,
-        controllability_block(system, rom, interval),
-        controllability_block(rom, rom, interval),
-    )
+    return _objective(system, rom, *_controllability_blocks(system, rom, interval))
 
 
-def _infinite_adjoints(system, rom, cg):
+def _infinite_adjoints(system, rom, kt, kh):
     """Infinite-horizon blocks entering the gradient of J with respect to Ar.
 
     The [0, inf) controllability blocks ``pti, phi`` of the pair and of the
     reduced model, and the [0, inf) observability blocks ``zb, zbn`` whose
-    kernels carry the horizon-limited Pt and Ph.
+    kernels are the quadratic kernels ``kt``, ``kh`` of the horizon-limited
+    Pt and Ph.
     """
     inf = TimeInterval(0.0, np.inf)
     pti = controllability_block(system, rom, inf)
     phi = controllability_block(rom, rom, inf)
-    kt = sum(mi @ cg.Pt @ mhi for mi, mhi in zip(system.M, rom.M))
     zb = observability_block(system, rom, inf, kt)
-    kh = sum(mhi @ cg.Ph @ mhi for mhi in rom.M)
     zbn = observability_block(rom, rom, inf, kh)
     return pti, phi, zb, zbn
 
 
-def _boundary_direction(system, rom, cg, pti, phi, zb, zbn, s, sh):
-    """Direction matrix of the Frechet boundary term at one horizon endpoint."""
-    b, c = system.B, system.C
-    bh, ch = rom.B, rom.C
-    v = (
-        pti.T @ s.T @ c.T @ ch
-        + bh @ b.T @ s.T @ zb
-        - phi @ sh.T @ ch.T @ ch
-        - bh @ bh.T @ sh.T @ zbn
-    )
-    for mi, mhi in zip(system.M, rom.M):
-        v = v + pti.T @ s.T @ mi @ cg.Pt @ mhi - phi @ sh.T @ mhi @ cg.Ph @ mhi
-    return v
+def _w_total(system, rom, interval, adjoints, qt_kern, qh_kern):
+    """Frechet boundary term: its value at t1 minus its value at t0.
 
-
-def _w_total(system, rom, cg, adjoints, interval):
-    """Frechet boundary term: its value at t1 minus its value at t0."""
+    ``qt_kern`` and ``qh_kern`` are the observability kernels of Qt and Qh,
+    ``C^T Cr + sum_i M_i Pt Mr_i`` and ``Cr^T Cr + sum_i Mr_i Ph Mr_i``.
+    """
+    pti, phi, zb, zbn = adjoints
+    b, bh = system.B, rom.B
     w = np.zeros_like(rom.A)
     for sign, t in ((-1.0, interval.t_start), (1.0, interval.t_end)):
         if t == 0.0:
             continue
-        v = _boundary_direction(
-            system, rom, cg, *adjoints, system.schur.expm(t), rom.schur.expm(t)
+        s, sh = system.schur.expm(t), rom.schur.expm(t)
+        v = (
+            pti.T @ s.T @ qt_kern
+            - phi @ sh.T @ qh_kern
+            + bh @ (b.T @ s.T @ zb - bh.T @ sh.T @ zbn)
         )
         w = w + sign * matfun.expm_frechet(rom.A, v, t)
     return w
 
 
-def _stationarity(system, rom, cg, interval):
-    """The four stationarity blocks, each half the gradient of J.
+def _stationarity(system, rom, interval, pt, ph):
+    """The four stationarity blocks, each half the gradient of J, from the
+    controllability blocks Pt and Ph of the pair.
 
     Returns ``(op1, op2, op3, op4, pg, L, splits)`` with ``op1 = pg + L``.
     On the infinite horizon ``L`` is zero and ``splits`` is None.
     """
-    gt = cg.Yt + 2.0 * cg.Zt
-    gh = cg.Yh + 2.0 * cg.Zh
-    op2 = [
-        -cg.Pt.T @ mi @ cg.Pt + cg.Ph @ mhi @ cg.Ph
-        for mi, mhi in zip(system.M, rom.M)
-    ]
+    gt = adjoint_block(system, rom, interval, pt)
+    gh = adjoint_block(rom, rom, interval, ph)
+    op2 = [-pt.T @ mi @ pt + ph @ mhi @ ph for mi, mhi in zip(system.M, rom.M)]
     op3 = -gt.T @ system.B + gh @ rom.B
-    op4 = -system.C @ cg.Pt + rom.C @ cg.Ph
-    pg = -gt.T @ cg.Pt + gh @ cg.Ph
+    op4 = -system.C @ pt + rom.C @ ph
+    pg = -gt.T @ pt + gh @ ph
     if interval.is_infinite:
         return pg, op2, op3, op4, pg, np.zeros_like(pg), None
-    adjoints = _infinite_adjoints(system, rom, cg)
+    kt = quadratic_kernel(system, rom, pt)
+    kh = quadratic_kernel(rom, rom, ph)
+    zt = observability_block(system, rom, interval, kt)
+    zh = observability_block(rom, rom, interval, kh)
+    adjoints = _infinite_adjoints(system, rom, kt, kh)
     pti, phi, zb, zbn = adjoints
-    w = _w_total(system, rom, cg, adjoints, interval)
-    p12 = pti - cg.Pt
-    pn = phi - cg.Ph
-    z12 = zb - cg.Zt
-    zn = zbn - cg.Zh
-    l_mat = -cg.Qt.T @ p12 + cg.Qh @ pn - z12.T @ cg.Pt + zn @ cg.Ph + w.T
+    w = _w_total(
+        system, rom, interval, adjoints,
+        system.C.T @ rom.C + kt, rom.C.T @ rom.C + kh,
+    )
+    p12 = pti - pt
+    pn = phi - ph
+    z12 = zb - zt
+    zn = zbn - zh
+    l_mat = -(gt - zt).T @ p12 + (gh - zh) @ pn - z12.T @ pt + zn @ ph + w.T
     splits = {"P12": p12, "Pn": pn, "Z12": z12, "Zn": zn, "W": w}
     return pg + l_mat, op2, op3, op4, pg, l_mat, splits
 
@@ -193,10 +202,10 @@ def gradients(system, rom, interval):
     """
     if interval.is_infinite:
         raise ValidationError("gradients require a finite horizon")
-    cg = cross_gramians(system, rom, interval)
-    op1, op2, op3, op4 = _stationarity(system, rom, cg, interval)[:4]
+    pt, ph = _controllability_blocks(system, rom, interval)
+    op1, op2, op3, op4 = _stationarity(system, rom, interval, pt, ph)[:4]
     return GradientReport(
-        J=_objective(system, rom, cg.Pt, cg.Ph),
+        J=_objective(system, rom, pt, ph),
         grad_A=2.0 * op1,
         grad_B=2.0 * op3,
         grad_C=2.0 * op4,
@@ -209,8 +218,8 @@ def _norm2(mat):
 
 
 def _report(system, rom, interval):
-    cg = cross_gramians(system, rom, interval)
-    op1, op2, op3, op4, pg, l_mat, splits = _stationarity(system, rom, cg, interval)
+    pt, ph = _controllability_blocks(system, rom, interval)
+    op1, op2, op3, op4, pg, l_mat, splits = _stationarity(system, rom, interval, pt, ph)
     return OptimalityReport(
         op1_residual=op1,
         op1_norm=_norm2(op1),
@@ -288,12 +297,14 @@ def theorem2_check(system, rom, pair, interval):
             dev_quad = max(
                 dev_quad, float(np.linalg.norm(v.T @ mi @ s @ v - mhi @ sh, 2))
             )
-    cg = cross_gramians(system, rom, interval)
+    require_pair(system, rom, interval)
+    ph = controllability_block(rom, rom, interval)
+    gh = adjoint_block(rom, rom, interval, ph)
     eye = np.eye(rom.order)
     return Theorem2Report(
         premise_input=dev_in,
         premise_output=dev_out,
         premise_quadratic=dev_quad,
-        conclusion_controllability=float(np.linalg.norm(cg.Ph - eye, 2)),
-        conclusion_observability=float(np.linalg.norm(cg.Yh + 2.0 * cg.Zh - eye, 2)),
+        conclusion_controllability=float(np.linalg.norm(ph - eye, 2)),
+        conclusion_observability=float(np.linalg.norm(gh - eye, 2)),
     )

@@ -18,10 +18,10 @@ import numpy as np
 from . import matfun, optimality
 from .errors import DimensionError, NumericalError, RankError, ValidationError
 from .gramians import (
+    adjoint_block,
     balancing_svd,
     controllability_block,
     gramian_pair,
-    observability_block,
 )
 from .model import LqoSystem, TimeInterval, require_same_io
 
@@ -215,14 +215,15 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     """The Petrov-Galerkin fixed-point loop shared by both iterative methods.
 
     Per sweep: the controllability block Pt of the (system, model) pair,
-    ``Gt = Yt + 2 Zt`` from one observability solve with kernel
-    ``C^T Cr + 2 sum_i M_i Pt Mr_i``, ``biorthogonalize(Pt, Gt)`` and the
-    projection.  A Petrov-Galerkin model depends only on span(Pt) and
-    span(Gt), so no normalization factor is needed.  The mixed blocks are
+    its :func:`lqomor.gramians.adjoint_block` ``Gt = Yt + 2 Zt`` (one
+    observability solve), ``biorthogonalize(Pt, Gt)`` and the projection.
+    A Petrov-Galerkin model depends only on span(Pt) and span(Gt), so no
+    normalization factor is needed.  The mixed blocks are
     Sylvester solves with no Hurwitz test, so unstable iterates pass.  The
     loop stops when the reduced poles stagnate (relative change ``<= tol``),
     after ``max_iter`` sweeps, or when a sweep raises a
-    :class:`NumericalError`, which adds one note naming the sweep.
+    :class:`NumericalError` (an overflow included), which adds one note
+    naming the sweep.
 
     The returned model is the last iterate whose horizon norm exists: on a
     finite horizon the last iterate, on [0, inf) the last Hurwitz iterate
@@ -238,10 +239,7 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     for it in range(1, max_iter + 1):
         try:
             pt = controllability_block(system, rom, interval)
-            kern = system.C.T @ rom.C + 2.0 * sum(
-                mi @ pt @ mri for mi, mri in zip(system.M, rom.M)
-            )
-            pair = biorthogonalize(pt, observability_block(system, rom, interval, kern))
+            pair = biorthogonalize(pt, adjoint_block(system, rom, interval, pt))
             rom = _project(system, pair.V, pair.W)
         except NumericalError as exc:
             notes.append(f"sweep {it} broke down ({exc}); returning the kept iterate")

@@ -344,6 +344,55 @@ class TestExitCodes:
         assert doc["context"]["steps"] == steps
         assert f"{steps} steps" in doc["message"]
 
+    @pytest.fixture()
+    def overflow_pair(self, tmp_path):
+        # e^(700 * 0.32) squared twice overflows the reduced-model blocks
+        paths = []
+        for name, a in (("sys", -1.0), ("rom", 700.0)):
+            doc = {
+                "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
+                "A": [[a]], "B": [[1.0]], "C": [[1.0]], "M": [[[1.0]]],
+            }
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("command", ["error", "residuals", "norm"])
+    def test_overflow_is_numerical_failure(self, capsys, overflow_pair, command):
+        system, rom = overflow_pair
+        if command == "norm":
+            argv = [command, "--system", BENCH, "--t0", "1e300", "--t1", "inf"]
+        else:
+            argv = [command, "--system", system, "--rom", rom, "--t0", "0", "--t1", "0.32"]
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "solver"
+
+    def test_quadrature_budget(self, capsys, monkeypatch):
+        # 20001 x 20001 kernel samples: rejected before anything is allocated
+        def allocating(*args, **kwargs):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr("lqomor.cli.h2tau_norm_quadrature", allocating)
+        code, out, err = run(
+            capsys, "norm", "--system", SCALAR, "--t1", "1", "--quadrature", "20000"
+        )
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert doc["context"]["rows"] == 20001
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr("lqomor.cli.build_parser", rebuilt)
+        code, out, _ = run(capsys, "norm", "--system", SCALAR, "--t1", "1")
+        assert code == 0
+        assert json.loads(out)["method"] == "gramian"
+
     @pytest.mark.parametrize("layout", ["array", "coordinate"])
     def test_complex_matrix_market_is_schema_error(self, capsys, tmp_path, layout):
         body = {
@@ -386,3 +435,15 @@ class TestDemoCommand:
         assert norms["op2"] <= 1e-6
         assert norms["op3"] <= 1e-3
         assert norms["op4"] <= 1e-3
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_bad_step_is_validation(self, capsys, tmp_path, step):
+        csv_path = tmp_path / "demo.csv"
+        code, out, err = run(
+            capsys, "demo", f"--step={step}", "--out", str(csv_path),
+            "--report", str(tmp_path / "demo.json"),
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "validation"
+        assert not csv_path.exists()

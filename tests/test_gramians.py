@@ -6,6 +6,7 @@ import pytest
 from lqomor.errors import DimensionError, HurwitzError, SolverError
 from lqomor.demo import demo_system
 from lqomor.gramians import (
+    adjoint_block,
     cross_gramians,
     gramian_blocks,
     gramian_pair,
@@ -16,7 +17,7 @@ from lqomor.matfun import expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import tlbt
 
-from util import rand_lti, rand_system
+from util import rand_lti, rand_system, shifted_to
 
 
 def scalar_system(a, b, c, m):
@@ -234,6 +235,16 @@ class TestGramianBlocks:
             assert np.array_equal(block, reduced)
         for block, mixed in zip(gramian_blocks(full, rom, iv), (cg.Pt, cg.Yt, cg.Zt)):
             assert np.array_equal(block, mixed)
+        # G = Y + 2 Z from one solve, also for a non-Hurwitz model on a
+        # finite horizon
+        roms = [rom] if iv.is_infinite else [rom, shifted_to(rom, 0.7)]
+        for r in roms:
+            for left in (full, r):
+                p, y, z = gramian_blocks(left, r, iv)
+                g = y + 2.0 * z
+                assert np.linalg.norm(adjoint_block(left, r, iv, p) - g) <= (
+                    1e-12 * np.linalg.norm(g)
+                )
 
     def test_mixed_blocks_skip_the_hurwitz_test(self):
         # a reductor's unstable iterate still gets its infinite-horizon blocks

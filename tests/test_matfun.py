@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +249,21 @@ class TestSchurForm:
         assert [x.shape for x in lapack_calls.schur] == [(6, 6), (2, 2)]
         assert lapack_calls.factored(a) == 1 and lapack_calls.factored(b) == 1
         assert len(lapack_calls.trsyl) == 6
+
+    def test_freed_without_the_cycle_collector(self):
+        # a form and its view make no reference cycle, so a system's factors
+        # go with its last reference, however rarely the collector runs
+        gc.disable()
+        try:
+            system = rand_system(np.random.default_rng(42), 5)
+            view = system.schur_t
+            assert view.transposed is system.schur and system.schur.transposed is view
+            assert view.factors is system.schur.factors
+            form = weakref.ref(system.schur)
+            del system, view
+            assert form() is None
+        finally:
+            gc.enable()
 
     def test_eigvals_from_diagonal_blocks(self):
         rng = np.random.default_rng(41)

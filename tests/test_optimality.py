@@ -365,3 +365,24 @@ class TestTheorem2:
         pair = ProjectionPair(V=np.eye(3)[:, :2], W=np.eye(3)[:, :2])
         rep = theorem2_check(full, rom, pair, TimeInterval(0.0, 1.0))
         assert rep.premise_input == 0.0
+
+
+def test_each_quantity_solves_only_the_blocks_it_reads(lapack_calls):
+    # Pt, Ph and G = Y + 2 Z one solve each; Zt, Zh and the [0, inf) blocks
+    # only for the deviation term L of a finite horizon
+    n, r = 20, 4
+    rng = np.random.default_rng(77)
+    full = rand_system(rng, n, 2, 2)
+    rom = rand_system(rng, r, 2, 2)
+    iv = TimeInterval(0.0, 0.5)
+    pair = ProjectionPair(V=np.eye(n)[:, :r], W=np.eye(n)[:, :r])
+
+    def solves(fun):
+        lapack_calls.trsyl.clear()
+        fun()
+        return sorted(lapack_calls.trsyl)
+
+    assert solves(lambda: h2_residuals(full, rom)) == [(r, r)] * 2 + [(n, r)] * 2
+    assert solves(lambda: theorem2_check(full, rom, pair, iv)) == [(r, r)] * 2
+    for fun in (tl_residuals, gradients):
+        assert solves(lambda: fun(full, rom, iv)) == [(r, r)] * 5 + [(n, r)] * 5
