@@ -15,7 +15,7 @@ import numpy as np
 from . import demo as demo_mod
 from .errors import LqoError, ValidationError
 from .gramians import gramian_pair, hankel_singular_values
-from .model import MAX_SAMPLE_FLOATS, TimeInterval, simulate, time_grid
+from .model import TimeInterval, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
 from .optimality import h2_residuals, tl_residuals
 from .reductors import bt, homora, tlbt, tlhnoia
@@ -163,17 +163,6 @@ def _cmd_norm(args):
     system = _load(args.system)
     interval = _interval(args)
     if args.quadrature is not None:
-        # one sample row per grid time and input: rows x N state samples
-        # and rows x rows kernel samples per M_i
-        rows = (args.quadrature + args.quadrature % 2 + 1) * system.n_inputs
-        if rows * max(rows, system.order) > MAX_SAMPLE_FLOATS:
-            raise ValidationError(
-                f"--quadrature {args.quadrature} needs {rows} x "
-                f"{max(rows, system.order)} floats, over the budget of "
-                f"{MAX_SAMPLE_FLOATS}",
-                rows=rows,
-                max_floats=MAX_SAMPLE_FLOATS,
-            )
         rep = h2tau_norm_quadrature(system, interval, resolution=args.quadrature)
     else:
         rep = h2tau_norm(system, interval)

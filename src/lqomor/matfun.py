@@ -250,26 +250,24 @@ def _trsyl(fa, fb, q):
     return x
 
 
-def solve_lyapunov(a, q, side="controllability", require_stable=True):
-    """Solve a continuous-time Lyapunov equation.
+def solve_lyapunov(a, q, side="controllability"):
+    """Solve a continuous-time Lyapunov equation with a Hurwitz coefficient.
 
     ``side="controllability"`` returns ``X`` with ``A X + X A^T + Q = 0``;
     ``side="observability"`` returns ``X`` with ``A^T X + X A + Q = 0``.
+    This is :func:`solve_sylvester` of the form of A (or of ``A^T``) and
+    its transposed view, behind the Hurwitz test.
 
     Parameters
     ----------
     a : (n, n) array_like or SchurForm
-        Coefficient matrix, Hurwitz when ``require_stable`` is true.  Both
+        Hurwitz coefficient matrix, else :class:`HurwitzError`.  Both
         sides solve from the one real Schur form of ``a``; the observability
         side applies its factor transposed.
     q : (n, n) array_like
         Right-hand side.  Symmetry is not required; if ``q`` is symmetric
         the returned solution is symmetrized to counter rounding drift.
     side : {"controllability", "observability"}
-    require_stable : bool
-        When true (the default, and the documented contract) a non-Hurwitz
-        ``a`` raises :class:`HurwitzError`.  When false only unique
-        solvability is checked: no two eigenvalues of ``a`` may sum to zero.
 
     Returns
     -------
@@ -289,15 +287,8 @@ def solve_lyapunov(a, q, side="controllability", require_stable=True):
         raise ValueError(f"unknown side {side!r}")
     if side == "observability":
         form = form.transposed
-    if require_stable:
-        require_hurwitz(form, "A")
-    else:
-        _require_unique_solution(
-            form, form,
-            "Lyapunov equation with A is singular: eigenvalue pair sums to zero",
-            name="A",
-        )
-    x = _trsyl(form, form.transposed, -q)
+    require_hurwitz(form, "A")
+    x = solve_sylvester(form, form.transposed, q)
     qnorm = sla.norm(q, "fro")
     if qnorm == 0.0 or sla.norm(q - q.T, "fro") <= 1e-12 * qnorm:
         x = (x + x.T) / 2.0

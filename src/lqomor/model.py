@@ -22,7 +22,7 @@ from .signals import SignalExpr
 INFINITE = math.inf
 
 #: Most floats one sampled array may hold, 1 GiB: the state samples of a
-#: :func:`time_grid` and the kernel samples of the quadrature norm.
+#: :func:`time_grid`; the quadrature norm also caps its kernel samples by it.
 MAX_SAMPLE_FLOATS = 2**27
 
 
@@ -185,14 +185,15 @@ def eval_output(system, x):
     return system.C @ x + quad
 
 
-#: Rows per block when evaluating quadratic outputs along a trajectory, so
-#: the temporary ``states @ M_i`` stays near 128 KiB.
-_OUTPUT_BLOCK_FLOATS = 1 << 14
+#: Floats per block of quadratic samples (outputs along a trajectory, the
+#: kernel samples of the quadrature norm), so each temporary stays near
+#: 128 KiB.
+BLOCK_FLOATS = 1 << 14
 
 
 def _output_trajectory(system, states):
     out = states @ system.C.T
-    rows = max(1, _OUTPUT_BLOCK_FLOATS // max(system.order, 1))
+    rows = max(1, BLOCK_FLOATS // max(system.order, 1))
     for lo in range(0, states.shape[0], rows):
         blk = states[lo:lo + rows]
         for i, mi in enumerate(system.M):

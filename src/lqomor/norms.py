@@ -29,7 +29,7 @@ import numpy as np
 from . import matfun
 from .errors import SolverError, ValidationError
 from .gramians import controllability_block, quadratic_kernel, require_pair
-from .model import TimeInterval, error_system
+from .model import BLOCK_FLOATS, MAX_SAMPLE_FLOATS, TimeInterval, error_system
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,11 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     Integrates ``trace(k1^T k1)`` over the horizon and
     ``sum_i trace(k2_i^T k2_i)`` over its Cartesian square with composite
     Simpson rules on a uniform grid of ``resolution`` subintervals (rounded
-    up to an even count).  Finite horizons only.
+    up to an even count).  Finite horizons only.  The ``rows = (resolution
+    + 1) m`` sample rows for m inputs give ``rows x N`` state samples and
+    ``rows x rows`` kernel samples per ``M_i``; the larger count must be
+    within :data:`lqomor.model.MAX_SAMPLE_FLOATS`, else ``ValidationError``
+    before anything is allocated.
 
     Returns
     -------
@@ -111,6 +115,14 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     r = int(resolution)
     if r % 2:
         r += 1
+    rows = (r + 1) * system.n_inputs
+    if rows * max(rows, system.order) > MAX_SAMPLE_FLOATS:
+        raise ValidationError(
+            f"resolution {resolution} needs {rows} x {max(rows, system.order)} "
+            f"samples, over the budget of {MAX_SAMPLE_FLOATS}",
+            rows=rows,
+            max_floats=MAX_SAMPLE_FLOATS,
+        )
     t0, t1 = interval.t_start, interval.t_end
     h = (t1 - t0) / r
 
@@ -125,13 +137,18 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     k1 = np.einsum("pn,jnm->jpm", system.C, ub)
     total = (h / 3.0) * float(w @ np.einsum("jpm,jpm->j", k1, k1))
 
-    # Row (j, a) of f is (e^(A t_j) B)[:, a]^T, so the entries of f M_i f^T
-    # are the kernel samples k2_i(t_j, t_k)[a, b].
+    # Row (j, a) of f is sqrt(w_j) (e^(A t_j) B)[:, a]^T, so the entries of
+    # f M_i f^T are the kernel samples k2_i(t_j, t_k)[a, b] scaled by
+    # sqrt(w_j w_k), and their sum of squares is the weighted double sum;
+    # it is summed over row blocks of BLOCK_FLOATS samples.
     f = ub.transpose(0, 2, 1).reshape(-1, system.order)
-    wf = np.repeat(w, system.n_inputs)
+    f = f * np.sqrt(np.repeat(w, system.n_inputs))[:, None]
+    step = max(1, BLOCK_FLOATS // rows)
     for mi in system.M:
-        cross = f @ mi @ f.T
-        total += (h / 3.0) ** 2 * float(wf @ (cross * cross) @ wf)
+        fm = f @ mi
+        for lo in range(0, rows, step):
+            cross = fm[lo:lo + step] @ f.T
+            total += (h / 3.0) ** 2 * float(np.vdot(cross, cross))
 
     return NormReport(
         value=np.sqrt(max(total, 0.0)), method="quadrature", interval=interval

@@ -13,11 +13,10 @@ Petrov-Galerkin part of the condition on the reduced A, read only the
 horizon-limited controllability blocks Pt, Ph and the adjoint blocks
 ``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one solve each
 (:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
-carries a deviation term ``L`` built from infinite-horizon blocks, the
-differences between infinite and horizon-limited blocks, and a
-Frechet-derivative term of the matrix exponential at the horizon
-boundaries; only a finite horizon needs it, and with it the quadratic parts
-Zt and Zh (so ``Qt = Gt - Zt`` and ``Qh = Gh - Zh``).  All four exist for
+carries a deviation term ``L``, which only a finite horizon needs: the
+[0, inf) adjoint blocks ``Xt`` and ``Xh`` of the same kernels as Gt and Gh
+(one more solve each) minus Gt and Gh, and a Frechet-derivative term of
+the matrix exponential at the horizon boundaries.  All four exist for
 every uniquely solvable pair, Hurwitz or not: one whose Gramian equations
 have no two eigenvalues summing to zero (else ``SolverError``).
 
@@ -31,14 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import ValidationError
-from .gramians import (
-    adjoint_block,
-    controllability_block,
-    observability_block,
-    quadratic_kernel,
-    require_pair,
-)
+from .errors import SolverError, ValidationError
+from .gramians import adjoint_block, controllability_block, require_pair
 from .model import TimeInterval
 from .norms import output_energy
 
@@ -59,6 +52,10 @@ class OptimalityReport:
     """Residual matrices and norms of the four stationarity conditions.
 
     ``op1_residual = petrov_galerkin_term + L`` holds exactly as assembled.
+    On a finite horizon ``splits`` holds the parts of ``L``: the tails
+    ``tail_t = Xt - Gt`` and ``tail_h = Xh - Gh`` of the adjoint blocks
+    beyond the horizon and the boundary Frechet term ``W``, with
+    ``L = -tail_t^T Pt + tail_h Ph + W``; on [0, inf) it is None.
     """
 
     op1_residual: np.ndarray
@@ -117,50 +114,20 @@ def objective_J(system, rom, interval):
     return _objective(system, rom, *_controllability_blocks(system, rom, interval))
 
 
-def _infinite_adjoints(system, rom, kt, kh):
-    """Infinite-horizon blocks entering the gradient of J with respect to Ar.
-
-    The [0, inf) controllability blocks ``pti, phi`` of the pair and of the
-    reduced model, and the [0, inf) observability blocks ``zb, zbn`` whose
-    kernels are the quadratic kernels ``kt``, ``kh`` of the horizon-limited
-    Pt and Ph.
-    """
-    inf = TimeInterval(0.0, np.inf)
-    pti = controllability_block(system, rom, inf)
-    phi = controllability_block(rom, rom, inf)
-    zb = observability_block(system, rom, inf, kt)
-    zbn = observability_block(rom, rom, inf, kh)
-    return pti, phi, zb, zbn
-
-
-def _w_total(system, rom, interval, adjoints, qt_kern, qh_kern):
-    """Frechet boundary term: its value at t1 minus its value at t0.
-
-    ``qt_kern`` and ``qh_kern`` are the observability kernels of Qt and Qh,
-    ``C^T Cr + sum_i M_i Pt Mr_i`` and ``Cr^T Cr + sum_i Mr_i Ph Mr_i``.
-    """
-    pti, phi, zb, zbn = adjoints
-    b, bh = system.B, rom.B
-    w = np.zeros_like(rom.A)
-    for sign, t in ((-1.0, interval.t_start), (1.0, interval.t_end)):
-        if t == 0.0:
-            continue
-        s, sh = system.schur.expm(t), rom.schur.expm(t)
-        v = (
-            pti.T @ s.T @ qt_kern
-            - phi @ sh.T @ qh_kern
-            + bh @ (b.T @ s.T @ zb - bh.T @ sh.T @ zbn)
-        )
-        w = w + sign * matfun.expm_frechet(rom.A, v, t)
-    return w
-
-
 def _stationarity(system, rom, interval, pt, ph):
     """The four stationarity blocks, each half the gradient of J, from the
     controllability blocks Pt and Ph of the pair.
 
     Returns ``(op1, op2, op3, op4, pg, L, splits)`` with ``op1 = pg + L``.
-    On the infinite horizon ``L`` is zero and ``splits`` is None.
+    On a finite horizon the gradient of J tests ``dPt`` and ``dPh`` against
+    the [0, inf) adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
+    ``op1 = -Xt^T Pt + Xh Ph + W``.  The boundary term is
+    ``W = sum_k s_k L_exp(Ar^T, V_k Br^T, t_k)`` with
+    ``V_k = Xh e^(Ar t_k) Br - Xt^T e^(A t_k) B``, where ``L_exp`` is the
+    Frechet derivative of the exponential (:func:`lqomor.matfun.expm_frechet`),
+    ``s = +1`` at t0 (no term for t0 = 0) and ``s = -1`` at t1.  ``splits``
+    holds the parts of ``L``: ``tail_t = Xt - Gt``, ``tail_h = Xh - Gh``
+    and ``W``.  On the infinite horizon ``L`` is zero and ``splits`` is None.
     """
     gt = adjoint_block(system, rom, interval, pt)
     gh = adjoint_block(rom, rom, interval, ph)
@@ -170,23 +137,22 @@ def _stationarity(system, rom, interval, pt, ph):
     pg = -gt.T @ pt + gh @ ph
     if interval.is_infinite:
         return pg, op2, op3, op4, pg, np.zeros_like(pg), None
-    kt = quadratic_kernel(system, rom, pt)
-    kh = quadratic_kernel(rom, rom, ph)
-    zt = observability_block(system, rom, interval, kt)
-    zh = observability_block(rom, rom, interval, kh)
-    adjoints = _infinite_adjoints(system, rom, kt, kh)
-    pti, phi, zb, zbn = adjoints
-    w = _w_total(
-        system, rom, interval, adjoints,
-        system.C.T @ rom.C + kt, rom.C.T @ rom.C + kh,
-    )
-    p12 = pti - pt
-    pn = phi - ph
-    z12 = zb - zt
-    zn = zbn - zh
-    l_mat = -(gt - zt).T @ p12 + (gh - zh) @ pn - z12.T @ pt + zn @ ph + w.T
-    splits = {"P12": p12, "Pn": pn, "Z12": z12, "Zn": zn, "W": w}
-    return pg + l_mat, op2, op3, op4, pg, l_mat, splits
+    inf = TimeInterval(0.0, np.inf)
+    xt = adjoint_block(system, rom, inf, pt)
+    xh = adjoint_block(rom, rom, inf, ph)
+    w = np.zeros_like(pg)
+    for sign, t in ((1.0, interval.t_start), (-1.0, interval.t_end)):
+        if t == 0.0:
+            continue
+        v = xh @ rom.schur.expm(t) @ rom.B - xt.T @ (system.schur.expm(t) @ system.B)
+        w = w + sign * matfun.expm_frechet(rom.A.T, v @ rom.B.T, t)
+    tail_t, tail_h = xt - gt, xh - gh
+    l_mat = -tail_t.T @ pt + tail_h @ ph + w
+    op1 = pg + l_mat
+    if not np.isfinite(op1).all():
+        raise SolverError("first stationarity residual overflowed")
+    splits = {"tail_t": tail_t, "tail_h": tail_h, "W": w}
+    return op1, op2, op3, op4, pg, l_mat, splits
 
 
 def gradients(system, rom, interval):
@@ -240,9 +206,10 @@ def tl_residuals(system, rom, interval):
     """Residuals of the four horizon-limited stationarity conditions.
 
     The first condition reads ``petrov_galerkin_term + L = 0`` where L
-    collects the infinite-minus-limited splits and the boundary Frechet
-    term; conditions two to four use horizon-limited blocks only.  All four
-    exist for every uniquely solvable pair, Hurwitz or not.
+    collects the tails of the adjoint blocks beyond the horizon and the
+    boundary Frechet term; conditions two to four use horizon-limited
+    blocks only.  All four exist for every uniquely solvable pair, Hurwitz
+    or not.
 
     Returns
     -------

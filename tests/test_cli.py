@@ -370,12 +370,23 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "solver"
 
+    def test_overflowing_deviation_term_is_numerical_failure(self, capsys):
+        # the iterate after two sweeps on [0.2, 2] has a pole at +21.4, so the
+        # boundary Frechet term of op1 overflows
+        code, out, err = run(
+            capsys, "reduce", "--method", "tlhnoia", "--order", "3", "--system", BENCH,
+            "--init", INIT, "--t0", "0.2", "--t1", "2", "--max-iter", "2",
+        )
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "solver"
+
     def test_quadrature_budget(self, capsys, monkeypatch):
         # 20001 x 20001 kernel samples: rejected before anything is allocated
         def allocating(*args, **kwargs):
             raise AssertionError("the quadrature ran")
 
-        monkeypatch.setattr("lqomor.cli.h2tau_norm_quadrature", allocating)
+        monkeypatch.setattr("lqomor.matfun.expm", allocating)
         code, out, err = run(
             capsys, "norm", "--system", SCALAR, "--t1", "1", "--quadrature", "20000"
         )

@@ -128,9 +128,29 @@ class TestQuadratureOracle:
         rng = np.random.default_rng(51)
         sys1 = rand_system(rng, 6, 2, 2)
         iv = TimeInterval(0.1, 1.3)
-        gemm = h2tau_norm_quadrature(sys1, iv, resolution=61).value
-        reference = math.sqrt(einsum_quadrature_squared(sys1, iv, 61))
-        assert gemm == pytest.approx(reference, rel=1e-13)
+        # 124 sample rows fit one row block; 406 rows take 11, the last partial
+        for resolution in (61, 201):
+            gemm = h2tau_norm_quadrature(sys1, iv, resolution=resolution).value
+            reference = math.sqrt(einsum_quadrature_squared(sys1, iv, resolution))
+            assert gemm == pytest.approx(reference, rel=1e-13)
+
+    def test_sample_budget_is_checked_before_allocating(self, monkeypatch):
+        # m = 2: resolution 5790 gives 11582^2 kernel samples, under 2**27;
+        # 5791 rounds up to 5792 and gives 11586^2, over it
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("lqomor.matfun.expm", reached)
+        sys1 = rand_system(np.random.default_rng(52), 3, 2, 1)
+        with pytest.raises(Reached):
+            h2tau_norm_quadrature(sys1, UNIT_INTERVAL, resolution=5790)
+        for resolution in (5791, 5792):
+            with pytest.raises(ValidationError) as err:
+                h2tau_norm_quadrature(sys1, UNIT_INTERVAL, resolution=resolution)
+            assert err.value.context["rows"] == 11586
 
     def test_rejects_infinite_horizon(self):
         with pytest.raises(ValidationError):

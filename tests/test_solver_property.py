@@ -75,13 +75,16 @@ def test_lyapunov_both_sides(spectrum, seed, symmetric):
         q = q @ q.T
     form = SchurForm(a)
     for side in ("controllability", "observability"):
-        x, x_array = (
-            solve_lyapunov(coef, q, side=side, require_stable=False) for coef in (form, a)
-        )
+        # the route of the Gramian builders: A's form and its transposed view
+        pairs = [(form, form.transposed), (a, a.T)]
+        if side == "observability":
+            pairs = [(fb, fa) for fa, fb in pairs]
+        x, x_array = (solve_sylvester(fa, fb, q) for fa, fb in pairs)
         for y in (x, x_array):
             assert lyap_residual(a, y, q, side) <= residual_budget(y, q, a)
         if is_hurwitz(form):
-            assert np.array_equal(solve_lyapunov(form, q, side=side), x)
+            expected = (x + x.T) / 2.0 if symmetric else x
+            assert np.array_equal(solve_lyapunov(form, q, side=side), expected)
         else:
             with pytest.raises(HurwitzError):
                 solve_lyapunov(form, q, side=side)
@@ -98,7 +101,7 @@ def test_singular_spectrum_is_a_solver_error(spec_a, extra, seed):
     for (_, form_a), (_, form_b) in itertools.product(sides(a), sides(b)):
         with pytest.raises(SolverError):
             solve_sylvester(form_a, form_b, c)
-    a2 = coefficient(spec_a + [(-re, im)], seed)
-    for side in ("controllability", "observability"):
+    form2 = SchurForm(coefficient(spec_a + [(-re, im)], seed))
+    for fa, fb in ((form2, form2.transposed), (form2.transposed, form2)):
         with pytest.raises(SolverError):
-            solve_lyapunov(a2, np.eye(a2.shape[0]), side=side, require_stable=False)
+            solve_sylvester(fa, fb, np.eye(form2.a.shape[0]))

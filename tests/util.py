@@ -3,8 +3,16 @@
 import numpy as np
 
 from lqomor import matfun
-from lqomor.gramians import cross_gramians, gramian_blocks, timelimited_gramians
-from lqomor.model import LqoSystem
+from lqomor.gramians import (
+    adjoint_block,
+    controllability_block,
+    cross_gramians,
+    gramian_blocks,
+    observability_block,
+    quadratic_kernel,
+    timelimited_gramians,
+)
+from lqomor.model import LqoSystem, TimeInterval
 from lqomor.reductors import pole_change
 
 
@@ -105,6 +113,49 @@ def reference_fixed_point(system, rom0, interval, tol, max_iter):
         if stagnated:
             return rom, True
     return rom, False
+
+
+def reference_op1(system, rom, interval):
+    """``(op1, L)`` on a finite horizon from the infinite-minus-limited
+    splits: ``P12 = Pt(inf) - Pt``, ``Pn = Ph(inf) - Ph``, the differences
+    ``Z12``, ``Zn`` of the quadratic parts with kernels ``sum_i M_i Pt Mr_i``
+    and ``sum_i Mr_i Ph Mr_i`` on [0, inf) and on the horizon, and a
+    boundary Frechet direction built from all four [0, inf) blocks.
+
+    Oracle for the two-adjoint assembly in ``optimality._stationarity``.
+    """
+    inf = TimeInterval(0.0, np.inf)
+    pt = controllability_block(system, rom, interval)
+    ph = controllability_block(rom, rom, interval)
+    gt = adjoint_block(system, rom, interval, pt)
+    gh = adjoint_block(rom, rom, interval, ph)
+    kt = quadratic_kernel(system, rom, pt)
+    kh = quadratic_kernel(rom, rom, ph)
+    zt = observability_block(system, rom, interval, kt)
+    zh = observability_block(rom, rom, interval, kh)
+    pti = controllability_block(system, rom, inf)
+    phi = controllability_block(rom, rom, inf)
+    zb = observability_block(system, rom, inf, kt)
+    zbn = observability_block(rom, rom, inf, kh)
+    qt_kern = system.C.T @ rom.C + kt
+    qh_kern = rom.C.T @ rom.C + kh
+    b, bh = system.B, rom.B
+    w = np.zeros_like(rom.A)
+    for sign, t in ((-1.0, interval.t_start), (1.0, interval.t_end)):
+        if t == 0.0:
+            continue
+        s, sh = matfun.expm(system.A, t), matfun.expm(rom.A, t)
+        v = (
+            pti.T @ s.T @ qt_kern
+            - phi @ sh.T @ qh_kern
+            + bh @ (b.T @ s.T @ zb - bh.T @ sh.T @ zbn)
+        )
+        w = w + sign * matfun.expm_frechet(rom.A, v, t)
+    l_mat = (
+        -(gt - zt).T @ (pti - pt) + (gh - zh) @ (phi - ph)
+        - (zb - zt).T @ pt + (zbn - zh) @ ph + w.T
+    )
+    return -gt.T @ pt + gh @ ph + l_mat, l_mat
 
 
 def shifted_to(system, rightmost):
