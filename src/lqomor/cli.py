@@ -101,18 +101,12 @@ def _add_interval_flags(p, t1_default="inf"):
     )
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_csv(path, comment, header, columns):
-    rows = zip(*columns)
-    lines = []
-    if comment:
-        lines.append("# " + comment)
+    """Write the columns as CSV rows, each value as the ``repr`` of its float."""
+    cols = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = ["# " + comment] if comment else []
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(map(",".join, zip(*cols)))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

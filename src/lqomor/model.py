@@ -250,6 +250,72 @@ def _step_lengths(steps, tol):
     return labels, lengths
 
 
+def _block_jump(psi, n_steps):
+    """Block length L and the jump ``Phi^L - I`` for ``Phi = I + psi``.
+
+    L is the largest power of two with ``L^2 <= n_steps`` whose jump is
+    finite; at L = 1 the jump is ``psi`` itself.  Each squaring is taken in
+    increment form, ``(I + J)^2 - I = 2 J + J^2``, so the identity never
+    enters a sum and the small increments of short steps keep their digits.
+    """
+    block, jump = 1, psi
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (2 * block) ** 2 <= n_steps:
+            square = jump @ jump
+            square += jump
+            square += jump
+            if not np.isfinite(square).all():
+                break
+            block, jump = 2 * block, square
+    return block, jump
+
+
+def _run_steps(psi, rows):
+    """Run ``x+ = x + psi x + f`` over ``rows`` in place.
+
+    On entry ``rows[0]`` holds the start and ``rows[j + 1]`` the forcing
+    ``f`` of step j; on return ``rows[j + 1]`` holds the state after step j.
+    The S steps are cut into ``S // L`` blocks of L steps, ``sqrt(S) / 2 <
+    L <= sqrt(S)`` (see :func:`_block_jump`), and a tail of fewer than L.
+    Pass 1 runs every block from a zero start, all blocks as rows of one
+    array; pass 2 walks the block starts with the jump ``Phi^L - I``; pass 3
+    reruns every block from its true start, and the tail follows step by
+    step: ``2 L + S / L`` batched steps and block jumps plus a tail of
+    fewer than L steps, O(sqrt(S)) array operations, not S.  L is halved
+    while the jump overflows, so that ``inf * 0`` never enters a state that
+    the step-by-step recurrence keeps finite.
+    """
+    n_steps = rows.shape[0] - 1
+    block, jump = _block_jump(psi, n_steps)
+    n_blocks = n_steps // block
+    blocks = rows[1:1 + n_blocks * block].reshape(n_blocks, block, -1)
+    # pass 1 leaves the local end of block b in starts[b + 1]; the last
+    # block's end is not needed
+    starts = np.zeros((n_blocks, rows.shape[1]))
+    ends = starts[1:]
+    for k in range(block):
+        ends += ends @ psi.T
+        ends += blocks[:-1, k]
+    # pass 2 turns them into the true starts in place
+    starts[0] = rows[0]
+    for b in range(1, n_blocks):
+        starts[b] += jump @ starts[b - 1]
+        starts[b] += starts[b - 1]
+    del jump  # free its N x N floats before pass 3 allocates
+    # pass 3, then the tail from the end of the last block
+    x = starts
+    for k in range(block):
+        nxt = blocks[:, k]
+        nxt += x @ psi.T
+        nxt += x
+        x = nxt
+    x = rows[n_blocks * block]
+    for nxt in rows[n_blocks * block + 1:]:
+        nxt += psi @ x
+        nxt += x
+        x = nxt
+
+
 def _sample_input(u, times, m):
     """Input values at ``times`` as a ``(times.size, m)`` array.
 
@@ -309,12 +375,23 @@ def simulate(system, u, grid, x0=None, substeps=1):
 
     with ``Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24`` and ``Gamma_*``
     polynomials in ``hA`` times ``B`` (see :func:`_rk4_step_matrices`).
-    The input is sampled once on all stage times, the forcing terms of all
-    steps are one matrix product, and each step is then one matrix-vector
-    product.  Building ``(Phi, Gamma)`` costs three N x N matrix products
-    once per run of consecutive steps of one length; lengths that agree to
-    within the rounding of the grid count as one, so uniform grids need a
-    single set.
+    The input is sampled once on all stage times and the forcing terms of
+    all steps are one matrix product.  Building ``(Phi, Gamma)`` costs three
+    N x N matrix products once per run of consecutive steps of one length;
+    lengths that agree to within the rounding of the grid count as one, so
+    uniform grids need a single set.
+
+    A run of S steps is cut into blocks of L steps, L the largest power of
+    two not above ``sqrt(S)`` (see :func:`_run_steps`): all blocks step
+    together as rows of one array, and the block starts follow from each
+    other by the jump ``Phi^L - I``.  A run then costs O(sqrt(S)) array
+    operations (about ``3 sqrt(S)`` steps and jumps), two N x N matrices
+    and ``O(sqrt(S) N)`` floats beside the states, not S operations.  The
+    jump comes from repeated squaring in increment form, which keeps the
+    states within a few units of rounding of the step-by-step recurrence.
+    Where the jump overflows (a model that grows by more than the float
+    range over one block), L is halved until it does not, so a zero
+    response stays exactly zero.
 
     Parameters
     ----------
@@ -371,11 +448,7 @@ def simulate(system, u, grid, x0=None, substeps=1):
     for lo, hi in zip(edges[:-1], edges[1:]):
         psi, gamma = _rk4_step_matrices(system.A, system.B, lengths[labels[lo]])
         np.matmul(stages[lo:hi], gamma.T, out=states[lo + 1:hi + 1])
-        x = states[lo]
-        for nxt in states[lo + 1:hi + 1]:
-            nxt += psi @ x
-            nxt += x
-            x = nxt
+        _run_steps(psi, states[lo:hi + 1])
     if substeps > 1:
         states = states[::substeps].copy()
 

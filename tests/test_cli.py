@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from lqomor import cli
 from lqomor.cli import run_command
 from lqomor.model import TimeInterval
 from lqomor.optimality import tl_residuals
 from lqomor.sysio import load_system, save_system
 
-from util import rand_system
+from util import rand_system, reference_csv
 
 from pathlib import Path
 
@@ -228,6 +229,60 @@ class TestSimulateCommand:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestCsvWriter:
+    """The column-wise CSV writer against the row-wise oracle, byte for byte."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        recorded = []
+        write = cli._write_csv
+
+        def spy(path, comment, header, columns):
+            recorded.append((path, comment, header, columns))
+            write(path, comment, header, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        return recorded
+
+    @pytest.mark.parametrize("with_rom", [False, True])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_simulate_matches_row_writer(self, capsys, tmp_path, calls, with_rom, to_file):
+        argv = ["simulate", "--system", BENCH, "--input", "0.01*cos(2*t)",
+                "--t1", "0.5", "--step", "1e-3"]
+        if with_rom:
+            argv += ["--rom", INIT]
+        path = tmp_path / "out.csv"
+        if to_file:
+            argv += ["--out", str(path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        [(_, comment, header, columns)] = calls
+        assert len(header) == (4 if with_rom else 2)
+        text = path.read_text() if to_file else out
+        assert text == reference_csv(comment, header, columns)
+
+    def test_demo_matches_row_writer(self, capsys, tmp_path, calls):
+        path = tmp_path / "demo.csv"
+        code, _, _ = run(
+            capsys, "demo", "--step", "0.005", "--out", str(path),
+            "--report", str(tmp_path / "demo.json"),
+        )
+        assert code == 0
+        [(_, comment, header, columns)] = calls
+        assert path.read_text() == reference_csv(comment, header, columns)
+
+    def test_extreme_values(self, capsys, tmp_path):
+        special = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, math.inf, math.nan]
+        columns = [np.arange(7.0), special]
+        expected = reference_csv("note", ["t", "v"], columns)
+        assert "-0.0" in expected and "5e-324" in expected and "nan" in expected
+        cli._write_csv(None, "note", ["t", "v"], columns)
+        assert capsys.readouterr().out == expected
+        path = tmp_path / "v.csv"
+        cli._write_csv(str(path), "note", ["t", "v"], columns)
+        assert path.read_text() == expected
 
 
 class TestExitCodes:

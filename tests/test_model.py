@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from lqomor.model import (
     error_system,
     eval_output,
     simulate,
+    time_grid,
     validate,
+    _block_jump,
+    _rk4_step_matrices,
 )
 from lqomor.demo import DEMO_INPUT, DEMO_INTERVAL, DEMO_STEP, demo_system
 from lqomor.norms import h2tau_norm
@@ -181,6 +185,64 @@ class TestSimulate:
         sys1 = rand_system(np.random.default_rng(10), 4, 2, 2)
         grid = np.linspace(0.0, 1.5, 301)
         _assert_matches_reference(sys1, parse_signal("exp(-t)*cos(5*t)"), grid)
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 99, 100, 101]
+    )
+    def test_recurrence_matches_stages_for_every_block_split(self, n_steps):
+        # blocks of 1, 2, 4 and 8 steps, with and without a tail
+        sys1 = rand_system(np.random.default_rng(12), 4, 2, 2)
+        grid = np.linspace(0.0, 1.5, n_steps + 1)
+        u = parse_signal("sin(3*t) + 0.5")
+        _assert_matches_reference(sys1, u, grid, x0=[1.0, -2.0, 0.5, 3.0])
+
+    def test_recurrence_matches_stages_over_many_steps(self):
+        grid = time_grid(0.0, 4.0, 1e-4, 6)
+        assert grid.size == 40001
+        _assert_matches_reference(demo_system(), lambda t: 0.01 * math.cos(2.0 * t), grid)
+
+    def test_recurrence_matches_stages_on_growing_oscillator(self):
+        # poles 0.3 +- 5i: the response grows by e^6 and stays finite
+        sys1 = LqoSystem(
+            [[0.3, 5.0], [-5.0, 0.3]], [[1.0], [0.5]], [[1.0, 0.0]], [np.eye(2)],
+            check_hurwitz=False,
+        )
+        grid = np.linspace(0.0, 20.0, 4001)
+        _assert_matches_reference(sys1, parse_signal("cos(t)"), grid, x0=[1.0, -1.0])
+
+    def test_block_jump_keeps_the_digits_of_small_increments(self):
+        # Phi = I + diag(d): Phi^L - I is expm1(L log1p(d)) entry by entry;
+        # forming I + d first would lose all digits of d below 1e-16
+        d = np.array([1e-7, -3e-6, 2e-5])
+        block, jump = _block_jump(np.diag(d), 10_000)
+        assert block == 64
+        exact = np.expm1(block * np.log1p(d))
+        assert np.array_equal(jump, np.diag(np.diag(jump)))
+        assert (np.abs(np.diag(jump) - exact) <= 1e-14 * np.abs(exact)).all()
+
+    def test_zero_response_of_fast_growing_model_stays_zero(self):
+        # Phi = 1 + psi with psi near 1.2e5 at h = 1: Phi^64 overflows, so the
+        # blocks shrink to 32 steps and inf * 0 never reaches a state
+        rom = LqoSystem([[40.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False)
+        psi = _rk4_step_matrices(rom.A, rom.B, 1.0)[0]
+        assert _block_jump(psi, 10_000)[0] == 32
+        traj = simulate(rom, parse_signal("0*t"), np.arange(10001.0))
+        assert (traj.states == 0.0).all()
+
+    def test_peak_memory_of_a_long_run(self):
+        # 200 000 steps: the states, the stage inputs and their forcing; the
+        # blocked recurrence adds O(sqrt(S) N) floats, well inside 1% of the
+        # 3.355 state arrays that the step-by-step loop peaked at
+        grid = time_grid(0.0, 20.0, 1e-4, 6)
+        system, u = demo_system(), parse_signal(DEMO_INPUT)
+        tracemalloc.start()
+        try:
+            traj = simulate(system, u, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (200001, 6)
+        assert peak <= 1.01 * 3.355 * traj.states.nbytes
 
     def test_single_point_grid_returns_initial_state(self):
         sys1 = rand_system(np.random.default_rng(11), 3)

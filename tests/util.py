@@ -213,3 +213,15 @@ def rk4_reference(system, u, grid, x0=None, substeps=1):
             tk += h
         states[k + 1] = x
     return states
+
+
+def reference_csv(comment, header, columns):
+    """CSV text written row by row, each value as ``repr(float(x))``.
+
+    Reference for the column-wise writer ``lqomor.cli._write_csv``.
+    """
+    lines = ["# " + comment] if comment else []
+    lines.append(",".join(header))
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
