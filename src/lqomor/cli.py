@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import demo as demo_mod
-from .errors import LqoError, ValidationError
+from .errors import LqoError, SolverError, ValidationError
 from .gramians import gramian_pair, hankel_singular_values
 from .model import TimeInterval, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
@@ -45,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _InputFailure(ValidationError):
-    """Any failure while loading an input file counts as input validation."""
+    """A failure while loading an input file counts as input validation,
+    except a solver's: a factorization that fails on a well-formed file is a
+    numerical failure."""
 
     def __init__(self, exc):
         super().__init__(str(exc), **getattr(exc, "context", {}))
@@ -55,7 +57,7 @@ class _InputFailure(ValidationError):
 def _load(path, require_hurwitz=True):
     try:
         return load_system(path, require_hurwitz=require_hurwitz)
-    except ValidationError:
+    except (ValidationError, SolverError):
         raise
     except LqoError as exc:
         raise _InputFailure(exc) from exc
@@ -148,8 +150,7 @@ def _cmd_reduce(args):
         save_system(report.rom, args.out)
     if args.report:
         save_report(report, args.report)
-    doc = report_document(report)
-    _json_out({key: doc[key] for key in _REDUCE_SUMMARY})
+    _json_out(report_document(report, _REDUCE_SUMMARY))
     return EXIT_OK
 
 

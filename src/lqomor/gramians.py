@@ -29,11 +29,10 @@ from .model import TimeInterval, require_same_io
 
 def _boundaries(form, interval):
     """Exponentials ``(e^(a t0), e^(a t1))`` from the memo of the Schur form
-    of ``a``, None for ``t0 = 0`` (the identity) and for an infinite end, and
-    the pair of their transposes."""
-    s = (None if interval.t_start == 0.0 else form.expm(interval.t_start),
-         None if interval.is_infinite else form.expm(interval.t_end))
-    return s, tuple(None if x is None else x.T for x in s)
+    of ``a``, None for ``t0 = 0`` (the identity) and for an infinite end; the
+    transposed view of a form gives their transposes."""
+    return (None if interval.t_start == 0.0 else form.expm(interval.t_start),
+            None if interval.is_infinite else form.expm(interval.t_end))
 
 
 def _weighted(kern, left, right):
@@ -129,8 +128,8 @@ def controllability_block(left, right, interval):
     -------
     (left.order, right.order) ndarray
     """
-    s = _boundaries(left.schur, interval)[0]
-    sr = _boundaries(right.schur, interval)[0]
+    s = _boundaries(left.schur, interval)
+    sr = _boundaries(right.schur, interval)
     return _solve(
         left, right, "controllability", _weighted(left.B @ right.B.T, s, sr)
     )
@@ -157,8 +156,8 @@ def observability_block(left, right, interval, kern):
     -------
     (left.order, right.order) ndarray
     """
-    st = _boundaries(left.schur, interval)[1]
-    srt = _boundaries(right.schur, interval)[1]
+    st = _boundaries(left.schur_t, interval)
+    srt = _boundaries(right.schur_t, interval)
     return _solve(left, right, "observability", _weighted(kern, st, srt))
 
 

@@ -10,9 +10,17 @@ factorization serves both sides of every equation: ``trsyl`` applies the
 transpose to T.  The Hurwitz and solvability tests read their eigenvalues
 from the same form.  The matrix exponential uses scaling and squaring with a
 fixed-order Pade approximant.
+
+A form is one LAPACK ``dgees`` call, made with the workspace that
+``scipy.linalg.schur`` queries, so its factors are bit-identical to that
+function's.  The same call returns the eigenvalues: bit for bit those read
+from T's diagonal blocks, except for a matrix that ``dgees`` scales (one
+whose largest entry lies outside about [6.7e-139, 1.5e138]), whose
+eigenvalues agree with T's to rounding.
 """
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -34,6 +42,14 @@ def _as_matrix(a, name):
     return a
 
 
+def fro_norm(a):
+    """Frobenius norm of the float array ``a``: the square root of the sum of
+    squares in memory order, which is what ``np.linalg.norm(a)`` and
+    ``scipy.linalg.norm(a, "fro")`` compute, to the last bit."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def _as_square(a, name):
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
@@ -43,12 +59,22 @@ def _as_square(a, name):
     return a
 
 
+def _unsorted(*_):
+    """``dgees`` selector of an unsorted form; LAPACK never calls it."""
+
+
 class SchurForm:
     """Real Schur form ``a = U T U^T`` of one square matrix, factored on first use.
 
-    Holds the spectral facts the solvers need about ``a``: the factors, the
-    eigenvalues read from T's 1x1 and 2x2 diagonal blocks, the rightmost
-    eigenvalue of the Hurwitz test, and a memo of ``e^(a t)``.
+    Holds the spectral facts the solvers need about ``a``: the factors and
+    the eigenvalues of one ``dgees`` call, the spectral radius of the
+    solvability test, the rightmost eigenvalue of the Hurwitz test, and a
+    memo of ``e^(a t)``.  The eigenvalues are ``dgees``'s ``wr + i wi``, in
+    the order of T's diagonal blocks: bit for bit the ``x +- i sqrt(|b|)
+    sqrt(|c|)`` of T's standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
+    unless the largest entry of ``a`` lies outside about [6.7e-139,
+    1.5e138], where ``dgees`` scales ``a`` and scales the imaginary parts
+    back apart from T, so the two agree to rounding.
     ``transposed`` is the form of ``a^T``: a view that shares all of these
     (``a^T = U T^T U^T``, flagged by ``trans``), so one factorization serves
     both sides of every Lyapunov and Sylvester equation in ``a``.  ``a``
@@ -80,35 +106,53 @@ class SchurForm:
         return view
 
     @functools.cached_property
+    def _schur(self):
+        """``((T, U), eigenvalues)`` of one ``dgees`` call on the form's
+        matrix, with the workspace ``scipy.linalg.schur`` would use."""
+        if self.trans:
+            return self._form._schur
+        if not self.a.size:
+            raise DimensionError("a Schur form needs a matrix of order 1 or more")
+        gees = sla.lapack.dgees
+        lwork = int(gees(_unsorted, self.a, lwork=-1)[-2][0])
+        t, _, wr, wi, u, _, info = gees(_unsorted, self.a, lwork=lwork)
+        if info < 0:
+            raise SolverError(f"gees rejected argument {-info}")
+        if info > 0:
+            raise SolverError(
+                "Schur form not found: the QR iteration did not converge",
+                info=int(info),
+            )
+        # a real eigenvalue is T's diagonal entry as it stands, a zero's sign
+        # included, which adding ``1j * 0.0`` would drop
+        return (t, u), np.where(wi == 0.0, wr, wr + 1j * wi)
+
+    @property
     def factors(self):
         """``(T, U)``: quasi-upper-triangular T and orthogonal U, shared with
         ``transposed``; ``a = U T U^T``, or ``a = U T^T U^T`` if ``trans``."""
-        if self.trans:
-            return self.transposed.factors
-        return sla.schur(self.a, output="real")
+        return self._schur[0]
 
-    @functools.cached_property
+    @property
     def eigvals(self):
         """Eigenvalues of ``a``, in the order of T's diagonal blocks."""
+        return self._schur[1]
+
+    @functools.cached_property
+    def radius(self):
+        """Spectral radius of ``a``, shared with ``transposed``."""
         if self.trans:
-            return self.transposed.eigvals
-        # a standardized 2x2 block [[x, b], [c, x]] holds x +- i sqrt(|b|) sqrt(|c|)
-        t = self.factors[0]
-        lam = np.diag(t).astype(complex)
-        k = np.flatnonzero(np.diag(t, -1))
-        w = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-        lam[k] += 1j * w
-        lam[k + 1] -= 1j * w
-        return lam
+            return self._form.radius
+        return np.abs(self.eigvals).max()
 
     @functools.cached_property
     def rightmost(self):
         """Eigenvalue with the largest real part, and whether it meets the
         Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
         if self.trans:
-            return self.transposed.rightmost
-        top = self.eigvals[int(np.argmax(self.eigvals.real))]
-        return top, bool(top.real < -HURWITZ_RTOL * sla.norm(self.a, "fro"))
+            return self._form.rightmost
+        top = self.eigvals[self.eigvals.real.argmax()]
+        return top, bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
 
     def expm(self, t):
         """``e^(a t)`` as :func:`expm` returns it, computed once per ``t``;
@@ -218,9 +262,8 @@ def expm_frechet(a, v, t=1.0):
 
 def _require_unique_solution(fa, fb, message, **context):
     # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
-    la, lb = fa.eigvals, fb.eigvals
-    s = np.abs(la[:, None] + lb[None, :]).min()
-    if s <= 1e-13 * max(np.abs(la).max(), np.abs(lb).max(), 1.0):
+    s = np.abs(fa.eigvals[:, None] + fb.eigvals[None, :]).min()
+    if s <= 1e-13 * max(fa.radius, fb.radius, 1.0):
         raise SolverError(message, min_eig_sum=float(s), **context)
 
 
@@ -289,8 +332,8 @@ def solve_lyapunov(a, q, side="controllability"):
         form = form.transposed
     require_hurwitz(form, "A")
     x = solve_sylvester(form, form.transposed, q)
-    qnorm = sla.norm(q, "fro")
-    if qnorm == 0.0 or sla.norm(q - q.T, "fro") <= 1e-12 * qnorm:
+    qnorm = fro_norm(q)
+    if qnorm == 0.0 or fro_norm(q - q.T) <= 1e-12 * qnorm:
         x = (x + x.T) / 2.0
     return x
 

@@ -107,7 +107,7 @@ class LqoSystem:
         # symmetrizing it too changes the path of the fixed-point reductors
         m = tuple(
             (mi + mi.T) / 2.0
-            if np.linalg.norm(mi - mi.T) > 1e-12 * max(np.linalg.norm(mi), 1.0)
+            if matfun.fro_norm(mi - mi.T) > 1e-12 * max(matfun.fro_norm(mi), 1.0)
             else mi
             for mi in m
         )
@@ -119,6 +119,10 @@ class LqoSystem:
         #: Real Schur form of A, factored on first use and shared by every
         #: solve, Hurwitz test and boundary exponential of this system.
         self.schur = matfun.SchurForm(a)
+        #: Real Schur form of A^T: the view of ``schur`` that shares its
+        #: factors, held for the system's life so that every solve reads the
+        #: same view (a form holds its view only weakly).
+        self.schur_t = self.schur.transposed
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")
 
@@ -133,11 +137,6 @@ class LqoSystem:
     @property
     def n_outputs(self):
         return self.C.shape[0]
-
-    @property
-    def schur_t(self):
-        """Real Schur form of A^T: a view of ``schur`` that shares its factors."""
-        return self.schur.transposed
 
     @property
     def is_hurwitz(self):

@@ -11,6 +11,7 @@ share one Petrov-Galerkin loop that projects onto the spans of the coupled
 Gramian blocks of the (system, model) pair until the reduced poles stagnate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ def pole_change(prev, new):
         raise DimensionError(
             f"eigenvalue lists differ in length: {prev.size} vs {new.size}"
         )
-    return float(np.max(np.abs(prev - new) / np.maximum(1.0, np.abs(prev))))
+    return float((np.abs(prev - new) / np.maximum(1.0, np.abs(prev))).max())
 
 
 def biorthogonalize(v, w):
@@ -87,6 +88,12 @@ def biorthogonalize(v, w):
     RankError
         If a column collapses under deflation or the normalization pivot
         ``|w^T v|`` falls below 1e-13, reported with the column index.
+
+    Each column pair is deflated in contiguous copies against the strided
+    columns ``v[:, j]``, ``w[:, j]``: the BLAS dot kernel, and with it the
+    last bits of every product, depends on that memory layout, so the
+    fixed-point paths are reproducible only with it.  A norm is
+    ``sqrt(x . x)`` of such a copy, the sum ``np.linalg.norm`` forms.
     """
     v = np.array(v, dtype=float)
     w = np.array(w, dtype=float)
@@ -97,20 +104,20 @@ def biorthogonalize(v, w):
     for col in range(v.shape[1]):
         vc = v[:, col].copy()
         wc = w[:, col].copy()
-        v0 = np.linalg.norm(vc)
-        w0 = np.linalg.norm(wc)
+        v0 = math.sqrt(vc.dot(vc))
+        w0 = math.sqrt(wc.dot(wc))
         for j in range(col):
-            vc -= v[:, j] * (w[:, j] @ vc)
-            wc -= w[:, j] * (v[:, j] @ wc)
-        nv = np.linalg.norm(vc)
-        nw = np.linalg.norm(wc)
+            vc -= v[:, j] * w[:, j].dot(vc)
+            wc -= w[:, j] * v[:, j].dot(wc)
+        nv = math.sqrt(vc.dot(vc))
+        nw = math.sqrt(wc.dot(wc))
         if nv <= 1e-13 * max(v0, 1.0) or nw <= 1e-13 * max(w0, 1.0):
             raise RankError(
                 f"column {col} collapsed during deflation", column=col
             )
         vc /= nv
         wc /= nw
-        pivot = wc @ vc
+        pivot = wc.dot(vc)
         if abs(pivot) < 1e-13:
             raise RankError(
                 f"normalization pivot |w^T v| = {abs(pivot):.3e} at column {col}",

@@ -196,10 +196,6 @@ def save_system(system, path):
     write_json(system_document(system), path)
 
 
-def _pole_pairs(poles):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(poles, dtype=complex)]
-
-
 def residual_norms_document(residuals):
     """Fixed four-field summary of an optimality report (op2 is the worst channel)."""
     if residuals is None:
@@ -212,19 +208,32 @@ def residual_norms_document(residuals):
     }
 
 
-def report_document(report):
-    """Plain-dict form of a :class:`~lqomor.reductors.ReductionReport`."""
-    return {
-        "method": report.method,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "rom_hurwitz": report.rom.is_hurwitz,
-        "pole_history": [_pole_pairs(p) for p in report.pole_history],
-        "convergence_metric": [float(x) for x in report.convergence_metric],
-        "residual_norms": residual_norms_document(report.residuals),
-        "warnings": list(report.warnings),
-        "rom": system_document(report.rom),
-    }
+def _pole_history(history):
+    """``[re, im]`` pairs of every iterate's poles, converted as one
+    ``(iterations + 1, r)`` array."""
+    h = np.asarray(history, dtype=complex)
+    return np.stack([h.real, h.imag], -1).tolist()
+
+
+#: The fields of a report document in their order, each with its value.
+_REPORT_FIELDS = {
+    "method": lambda r: r.method,
+    "converged": lambda r: r.converged,
+    "iterations": lambda r: r.iterations,
+    "rom_hurwitz": lambda r: r.rom.is_hurwitz,
+    "pole_history": lambda r: _pole_history(r.pole_history),
+    "convergence_metric": lambda r: [float(x) for x in r.convergence_metric],
+    "residual_norms": lambda r: residual_norms_document(r.residuals),
+    "warnings": lambda r: list(r.warnings),
+    "rom": lambda r: system_document(r.rom),
+}
+
+
+def report_document(report, fields=tuple(_REPORT_FIELDS)):
+    """Plain-dict form of a :class:`~lqomor.reductors.ReductionReport`:
+    the named ``fields`` in the given order, by default the whole document;
+    only the named fields are converted."""
+    return {key: _REPORT_FIELDS[key](report) for key in fields}
 
 
 def serialize_report(report):

@@ -10,8 +10,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 class LapackCalls:
-    """The dense kernels ``matfun`` ran: the matrix of each ``schur`` and
-    ``eigvals`` call and the right-hand-side shape of each ``dtrsyl`` call."""
+    """The dense kernels ``matfun`` ran: the matrix of each Schur
+    factorization (a ``dgees`` call that is not a workspace query) and of
+    each ``eigvals`` call, and the right-hand-side shape of each ``dtrsyl``
+    call."""
 
     def __init__(self):
         self.schur = []
@@ -19,7 +21,7 @@ class LapackCalls:
         self.trsyl = []
 
     def factored(self, a):
-        """How often ``schur`` ran on a matrix equal to ``a``."""
+        """How often a Schur factorization ran on a matrix equal to ``a``."""
         return sum(np.array_equal(x, a) for x in self.schur)
 
 
@@ -35,10 +37,17 @@ def lapack_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("schur", "eigvals"):
-        monkeypatch.setattr(matfun.sla, name, recording(
-            getattr(matfun.sla, name), getattr(calls, name), lambda args: np.array(args[0])
-        ))
+    gees = matfun.sla.lapack.dgees
+
+    def factoring(select, a, *args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            calls.schur.append(np.array(a))
+        return gees(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(matfun.sla.lapack, "dgees", factoring)
+    monkeypatch.setattr(matfun.sla, "eigvals", recording(
+        matfun.sla.eigvals, calls.eigvals, lambda args: np.array(args[0])
+    ))
     monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", recording(
         matfun.sla.lapack.dtrsyl, calls.trsyl, lambda args: np.shape(args[2])
     ))

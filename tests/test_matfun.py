@@ -1,11 +1,14 @@
 import gc
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lqomor import cli, matfun
 from lqomor.demo import demo_system
 from lqomor.errors import DimensionError, HurwitzError, NonFiniteError, SolverError
 from lqomor.matfun import (
@@ -18,7 +21,34 @@ from lqomor.matfun import (
     solve_sylvester,
 )
 
-from util import lyap_residual, rand_system, residual_budget, stable_matrix, sylv_residual
+from util import (
+    block_eigvals,
+    lyap_residual,
+    rand_system,
+    residual_budget,
+    stable_matrix,
+    sylv_residual,
+)
+
+
+def oracle_matrices(seed):
+    """Random, shifted and rotation-block matrices of orders 1 to 40 and 150
+    (where ``dgees``'s blocking depends on its workspace), the bundled
+    benchmark's A, and matrices with zero eigenvalues of either sign."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 41):
+        g = rng.normal(size=(n, n))
+        yield g
+        yield g - 3.0 * np.eye(n)
+        blocks = np.zeros((n, n))
+        for i in range(0, n - 1, 2):
+            blocks[i:i + 2, i:i + 2] = [[-0.5 * i, 1.0 + i], [-2.0 - i, -0.5 * i]]
+        yield blocks + np.triu(rng.normal(size=(n, n)), 2)
+    yield rng.normal(size=(150, 150))
+    yield demo_system().A
+    yield np.array([[-0.0]])
+    yield np.diag([-0.0, 1.0, 0.0])
+    yield -np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestExpm:
@@ -239,6 +269,7 @@ class TestSchurForm:
         assert view.factors is fa.factors
         assert view.eigvals is fa.eigvals
         assert view.rightmost is fa.rightmost
+        assert view.radius == fa.radius == np.abs(fa.eigvals).max()
         assert np.array_equal(view.expm(0.4), fa.expm(0.4).T)
         q = a @ a.T
         for side in ("controllability", "observability"):
@@ -279,6 +310,33 @@ class TestSchurForm:
             assert np.abs(poles.imag).max() > 0.1
             assert np.abs(poles - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_factors_and_eigvals_equal_the_block_formula(self):
+        # bitwise, so the sign of a zero eigenvalue counts too
+        for a in oracle_matrices(43):
+            form = SchurForm(a)
+            t, u = sla.schur(a, output="real")
+            assert np.array_equal(form.factors[0], t) and np.array_equal(form.factors[1], u)
+            assert form.eigvals.tobytes() == block_eigvals(a).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-141, 1e-160, 1e140, 1e160, 1e-300])
+    def test_eigvals_of_rescaled_matrices_agree_to_rounding(self, scale):
+        a = np.random.default_rng(44).normal(size=(6, 6)) * scale
+        ref = block_eigvals(a)
+        lam = SchurForm(a).eigvals
+        assert np.abs(lam - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("info", [1, -6])
+    def test_failed_factorization_is_a_solver_error(self, monkeypatch, info):
+        failing(monkeypatch, info)
+        with pytest.raises(SolverError):
+            SchurForm(np.eye(3)).factors
+
+    def test_empty_matrix_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            SchurForm(np.zeros((0, 0))).factors
+        with pytest.raises(DimensionError):
+            is_hurwitz(np.zeros((0, 0)))
+
     def test_hurwitz_test_reads_the_form(self):
         form = SchurForm(np.array([[0.5, 2.0], [-2.0, 0.5]]))
         assert not is_hurwitz(form)
@@ -299,3 +357,29 @@ class TestSchurForm:
         with pytest.raises(SolverError):
             solve_sylvester(SchurForm(np.array([[-1.0]])), SchurForm(np.array([[1.0]])),
                             np.array([[1.0]]))
+        # the bar scales with the larger spectral radius of the two forms
+        with pytest.raises(SolverError):
+            solve_sylvester(SchurForm(np.array([[-1.0]])),
+                            SchurForm(np.diag([1.0 + 1e-8, 1e6])), np.ones((1, 2)))
+
+
+def failing(monkeypatch, info):
+    """Make every Schur factorization, not the workspace query, end with
+    LAPACK's ``info``."""
+    gees = matfun.sla.lapack.dgees
+
+    def fail(select, a, *args, **kwargs):
+        out = gees(select, a, *args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else out[:-1] + (info,)
+
+    monkeypatch.setattr(matfun.sla.lapack, "dgees", fail)
+
+
+def test_failed_factorization_exits_as_numerical_failure(monkeypatch, capsys):
+    failing(monkeypatch, 1)
+    path = str(Path(__file__).resolve().parent.parent / "data" / "benchmark6.json")
+    code = cli.run_command(["norm", "--system", path, "--t1", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == "solver"

@@ -8,10 +8,11 @@ from lqomor.gramians import timelimited_gramians
 from lqomor.norms import h2tau_norm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
+from lqomor import reductors
 from lqomor.demo import demo_initial_guess, demo_system
 from lqomor.sysio import save_system
 
-from util import rand_system, reference_fixed_point
+from util import rand_system, reference_biorthogonalize, reference_fixed_point
 
 
 def markov_parameters(system, count=4):
@@ -80,6 +81,13 @@ class TestBiorthogonalize:
     def test_rejects_wide_input(self):
         with pytest.raises(DimensionError):
             biorthogonalize(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (6, 3), (40, 7), (150, 10)])
+    def test_equals_the_reference_sweep(self, n, r):
+        rng = np.random.default_rng(82 + n)
+        v, w = rng.normal(size=(n, r)), rng.normal(size=(n, r))
+        pair, ref = biorthogonalize(v, w), reference_biorthogonalize(v, w)
+        assert np.array_equal(pair.V, ref.V) and np.array_equal(pair.W, ref.W)
 
 
 class TestBalancedTruncation:
@@ -389,3 +397,24 @@ def test_balancing_makes_two_full_order_solves(command, lapack_calls, tmp_path):
         argv = ["hsv", "--system", str(path), "--t0", "0.2", "--t1", "0.8"]
         assert run_command(argv) == 0
     assert lapack_calls.trsyl.count((n, n)) == 2
+
+
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+def test_benchmark_path_equals_the_reference_sweep(method, monkeypatch):
+    """The fixed-point path on the bundled benchmark, homora's 200 sweeps
+    included, is bit for bit that of the reference bi-orthogonalization."""
+    def run():
+        if method == "homora":
+            return homora(demo_system(), demo_initial_guess())
+        return tlhnoia(demo_system(), demo_initial_guess(), TimeInterval(0.0, 0.5))
+
+    report = run()
+    monkeypatch.setattr(reductors, "biorthogonalize", reference_biorthogonalize)
+    ref = run()
+    assert report.iterations == ref.iterations
+    if method == "homora":
+        assert report.iterations == 200
+    assert all(np.array_equal(p, q) for p, q in zip(report.pole_history, ref.pole_history))
+    for x, y in zip((report.rom.A, report.rom.B, report.rom.C, *report.rom.M),
+                    (ref.rom.A, ref.rom.B, ref.rom.C, *ref.rom.M)):
+        assert np.array_equal(x, y)

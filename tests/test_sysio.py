@@ -5,8 +5,9 @@ import pytest
 
 from lqomor.errors import HurwitzError, SchemaError
 from lqomor.model import LqoSystem, TimeInterval
-from lqomor.reductors import tlhnoia
+from lqomor.reductors import bt, homora, tlhnoia
 from lqomor.sysio import (
+    json_text,
     load_system,
     parse_system,
     report_document,
@@ -16,7 +17,7 @@ from lqomor.sysio import (
 )
 from lqomor.demo import demo_initial_guess, demo_system
 
-from util import rand_system
+from util import rand_system, reference_report_document
 
 
 def doc_of(system):
@@ -123,6 +124,22 @@ class TestSerializeReport:
         assert np.isfinite(doc["residual_norms"]["op1"])
         assert doc["residual_norms"]["op1"] == report.residuals.op1_norm
         assert doc["residual_norms"]["op2"] == max(report.residuals.op2_norms)
+
+    @pytest.mark.parametrize("method", ["bt", "homora", "tlhnoia"])
+    def test_document_equals_the_reference_serializer(self, method):
+        system, rom0 = demo_system(), demo_initial_guess()
+        report = {
+            "bt": lambda: bt(system, 3),
+            "homora": lambda: homora(system, rom0),
+            "tlhnoia": lambda: tlhnoia(system, rom0, TimeInterval(0.0, 0.5)),
+        }[method]()
+        ref = reference_report_document(report)
+        assert json_text(report_document(report)) == json_text(ref)
+        fields = ("method", "converged", "iterations", "rom_hurwitz",
+                  "residual_norms", "warnings")
+        assert json_text(report_document(report, fields)) == json_text(
+            {key: ref[key] for key in fields}
+        )
 
     def test_rom_round_trips_from_report(self):
         report = tlhnoia(

@@ -1,6 +1,7 @@
 """Shared random-system generators for the test suite."""
 
 import numpy as np
+import scipy.linalg as sla
 
 from lqomor import matfun
 from lqomor.gramians import (
@@ -13,7 +14,8 @@ from lqomor.gramians import (
     timelimited_gramians,
 )
 from lqomor.model import LqoSystem, TimeInterval
-from lqomor.reductors import pole_change
+from lqomor.reductors import ProjectionPair, pole_change
+from lqomor.sysio import residual_norms_document, system_document
 
 
 def stable_matrix(rng, n, margin=1.0):
@@ -225,3 +227,61 @@ def reference_csv(comment, header, columns):
     for row in zip(*columns):
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def block_eigvals(a):
+    """Eigenvalues of ``a`` read from the diagonal blocks of
+    ``scipy.linalg.schur(a)``: a standardized 2x2 block ``[[x, b], [c, x]]``
+    holds ``x +- i sqrt(|b|) sqrt(|c|)``.
+
+    Reference for the eigenvalues of ``matfun.SchurForm``.
+    """
+    t = sla.schur(a, output="real")[0]
+    lam = np.diag(t).astype(complex)
+    k = np.flatnonzero(np.diag(t, -1))
+    w = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    lam[k] += 1j * w
+    lam[k + 1] -= 1j * w
+    return lam
+
+
+def reference_biorthogonalize(v, w):
+    """Bi-orthogonal Gram-Schmidt sweep with ``np.linalg.norm`` norms and
+    ``@`` products, without the input checks.
+
+    Reference for ``lqomor.reductors.biorthogonalize``.
+    """
+    v = np.array(v, dtype=float)
+    w = np.array(w, dtype=float)
+    for col in range(v.shape[1]):
+        vc = v[:, col].copy()
+        wc = w[:, col].copy()
+        for j in range(col):
+            vc -= v[:, j] * (w[:, j] @ vc)
+            wc -= w[:, j] * (v[:, j] @ wc)
+        vc /= np.linalg.norm(vc)
+        wc /= np.linalg.norm(wc)
+        v[:, col] = vc / (wc @ vc)
+        w[:, col] = wc
+    return ProjectionPair(V=v, W=w)
+
+
+def reference_report_document(report):
+    """Report document with the poles converted one number at a time.
+
+    Reference for ``lqomor.sysio.report_document``.
+    """
+    return {
+        "method": report.method,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "rom_hurwitz": report.rom.is_hurwitz,
+        "pole_history": [
+            [[float(z.real), float(z.imag)] for z in np.asarray(p, dtype=complex)]
+            for p in report.pole_history
+        ],
+        "convergence_metric": [float(x) for x in report.convergence_metric],
+        "residual_norms": residual_norms_document(report.residuals),
+        "warnings": list(report.warnings),
+        "rom": system_document(report.rom),
+    }
