@@ -32,6 +32,11 @@ from .errors import DimensionError, HurwitzError, NonFiniteError, SolverError
 #: ``-HURWITZ_RTOL * ||A||_F``.
 HURWITZ_RTOL = 1e-12
 
+#: Exponentials ``e^(a t)`` a :class:`SchurForm` keeps: the two most recently
+#: used ``t``, one horizon's start and end.  A form held across many
+#: horizons (a loaded system reused by several commands) stays this size.
+EXPM_MEMO = 2
+
 
 def _as_matrix(a, name):
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -69,9 +74,10 @@ class SchurForm:
     Holds the spectral facts the solvers need about ``a``: the factors and
     the eigenvalues of one ``dgees`` call, the spectral radius of the
     solvability test, the rightmost eigenvalue of the Hurwitz test, and a
-    memo of ``e^(a t)``.  The eigenvalues are ``dgees``'s ``wr + i wi``, in
-    the order of T's diagonal blocks: bit for bit the ``x +- i sqrt(|b|)
-    sqrt(|c|)`` of T's standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
+    memo of ``e^(a t)`` for the last :data:`EXPM_MEMO` values of ``t``.
+    The eigenvalues are ``dgees``'s ``wr + i wi``, in the order of T's
+    diagonal blocks: bit for bit the ``x +- i sqrt(|b|) sqrt(|c|)`` of T's
+    standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
     unless the largest entry of ``a`` lies outside about [6.7e-139,
     1.5e138], where ``dgees`` scales ``a`` and scales the imaginary parts
     back apart from T, so the two agree to rounding.
@@ -155,16 +161,20 @@ class SchurForm:
         return top, bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
 
     def expm(self, t):
-        """``e^(a t)`` as :func:`expm` returns it, computed once per ``t``;
-        the transposed view returns the transpose of the same memo entry."""
+        """``e^(a t)`` as :func:`expm` returns it, read-only.  The memo keeps
+        the :data:`EXPM_MEMO` most recently used ``t`` and recomputes any
+        other; the transposed view returns the transpose of the same entry."""
         if self.trans:
             return self.transposed.expm(t).T
         t = float(t)
-        if t not in self._expm:
+        x = self._expm.pop(t, None)
+        if x is None:
             x = expm(self.a, t)
             x.flags.writeable = False
-            self._expm[t] = x
-        return self._expm[t]
+        self._expm[t] = x
+        if len(self._expm) > EXPM_MEMO:
+            del self._expm[next(iter(self._expm))]
+        return x
 
 
 def _form(a, name):

@@ -70,6 +70,9 @@ class LqoSystem:
     The real Schur form of ``A`` (``schur``) is factored at most once, on
     first use, and the form of ``A^T`` (``schur_t``) is a view of the same
     factors, so the matrices must not be modified after construction.
+    :func:`~lqomor.sysio.load_system` hands the same instance to every load
+    of the same bytes, and makes the matrices of the systems it loads
+    read-only.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):

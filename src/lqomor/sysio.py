@@ -13,17 +13,32 @@ Any matrix value may instead be a string naming a Matrix Market file,
 resolved relative to the system file's directory.  Serialization writes
 floats through their shortest round-tripping representation, so values
 survive a parse/serialize cycle bit for bit.
+
+:func:`load_system` keeps the systems it parsed, keyed by the SHA-256 of
+the file's bytes, so loading the same bytes again in one process returns
+the same object with its Schur form already factored.
 """
 
+import hashlib
 import json
 import os
 
 import numpy as np
 
+from . import matfun
 from .errors import SchemaError
 from .model import LqoSystem
 
 FORMAT_VERSION = 1
+
+#: Most systems :func:`load_system` keeps; the least recently loaded goes
+#: first.  A command reads at most two files, a model and a reduced model;
+#: a session that reduces one model and evaluates the results reads a few.
+LOADED_SYSTEMS = 8
+
+#: System of each loaded document by the SHA-256 of its bytes, least
+#: recently loaded first.
+_loaded = {}
 
 _COUNT_FIELDS = ("n_states", "n_inputs", "n_outputs")
 
@@ -106,6 +121,15 @@ def parse_system(text, base_dir=None, require_hurwitz=True):
         Reduced models produced by horizon-limited methods may be unstable;
         pass False to admit them.  Full-order inputs keep the default.
     """
+    system, _ = _parse(text, base_dir)
+    if require_hurwitz:
+        matfun.require_hurwitz(system.schur, "A")
+    return system
+
+
+def _parse(text, base_dir):
+    """``(system, external)``: the system of a document, built without the
+    Hurwitz test, and whether any of its matrices is a Matrix Market file."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -146,16 +170,41 @@ def parse_system(text, base_dir=None, require_hurwitz=True):
     mats = [
         _as_array(mi, (n, n), f"M[{i}]", base_dir) for i, mi in enumerate(doc["M"])
     ]
-    return LqoSystem(a, b, c, mats, check_hurwitz=require_hurwitz)
+    external = any(
+        isinstance(value, str) for value in [doc["A"], doc["B"], doc["C"], *doc["M"]]
+    )
+    return LqoSystem(a, b, c, mats, check_hurwitz=False), external
 
 
 def load_system(path, require_hurwitz=True):
-    """Read and parse a system file from disk."""
+    """Read and parse a system file from disk, as :func:`parse_system` would.
+
+    Loading bytes that were loaded before in this process returns the same
+    :class:`~lqomor.model.LqoSystem`, with its Schur form, Hurwitz result
+    and exponential memo: the last :data:`LOADED_SYSTEMS` documents are kept
+    by the SHA-256 of their bytes, so a file rewritten in place is parsed
+    again whatever its size and time stamps.  A document that references
+    Matrix Market files is not kept, since its bytes do not cover theirs.
+    Loaded systems are shared, so their ``A``, ``B``, ``C`` and ``M_i`` are
+    read-only.  A file that fails to parse leaves nothing behind, and a
+    factorization that fails is tried again on the next load.
+    """
     with open(path, "rb") as fh:
-        return parse_system(
-            fh.read(), base_dir=os.path.dirname(os.path.abspath(path)),
-            require_hurwitz=require_hurwitz,
-        )
+        data = fh.read()
+    key = hashlib.sha256(data).digest()
+    system, external = _loaded.pop(key, None), False
+    if system is None:
+        system, external = _parse(data, os.path.dirname(os.path.abspath(path)))
+        # the view of A^T was taken while A was writeable
+        for mat in (system.A, system.schur_t.a, system.B, system.C, *system.M):
+            mat.flags.writeable = False
+    if not external:
+        _loaded[key] = system
+        if len(_loaded) > LOADED_SYSTEMS:
+            del _loaded[next(iter(_loaded))]
+    if require_hurwitz:
+        matfun.require_hurwitz(system.schur, "A")
+    return system
 
 
 def _matrix_lists(arr):

@@ -3,17 +3,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lqomor import matfun
+from lqomor import matfun, sysio
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
+@pytest.fixture(autouse=True)
+def empty_load_cache():
+    """Each test loads its files afresh: a system another test loaded would
+    come back already factored."""
+    sysio._loaded.clear()
+
+
 class LapackCalls:
-    """The dense kernels ``matfun`` ran: the matrix of each Schur
+    """The dense kernels the library ran: the matrix of each Schur
     factorization (a ``dgees`` call that is not a workspace query) and of
-    each ``eigvals`` call, and the right-hand-side shape of each ``dtrsyl``
-    call."""
+    each eigenvalue call (``eigvals`` or ``eig`` of numpy or scipy), and the
+    right-hand-side shape of each ``dtrsyl`` call."""
 
     def __init__(self):
         self.schur = []
@@ -45,9 +53,11 @@ def lapack_calls(monkeypatch):
         return gees(select, a, *args, **kwargs)
 
     monkeypatch.setattr(matfun.sla.lapack, "dgees", factoring)
-    monkeypatch.setattr(matfun.sla, "eigvals", recording(
-        matfun.sla.eigvals, calls.eigvals, lambda args: np.array(args[0])
-    ))
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eigvals", "eig"):
+            monkeypatch.setattr(module, name, recording(
+                getattr(module, name), calls.eigvals, lambda args: np.array(args[0])
+            ))
     monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", recording(
         matfun.sla.lapack.dtrsyl, calls.trsyl, lambda args: np.shape(args[2])
     ))

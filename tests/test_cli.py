@@ -153,6 +153,18 @@ class TestErrorAndResiduals:
         )
         assert doc["value"] ** 2 == pytest.approx(first - 2 * second + third, rel=1e-9)
 
+    def test_same_file_as_system_and_rom(self, capsys):
+        """Both names load one object, so the inner product takes the
+        symmetric Lyapunov path of the full-order norm."""
+        code, out, _ = run(
+            capsys, "error", "--system", BENCH, "--rom", BENCH, "--t0", "0", "--t1", "0.3",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        terms = doc["decomposition"]
+        assert terms["inner_product"] == terms["norm_full_squared"] == terms["norm_rom_squared"]
+        assert doc["value"] == 0.0
+
     def test_residuals_limited(self, capsys, rom_file):
         code, out, _ = run(
             capsys, "residuals", "--system", BENCH, "--rom", rom_file,

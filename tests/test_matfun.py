@@ -353,6 +353,20 @@ class TestSchurForm:
         assert not x.flags.writeable
         assert np.array_equal(fa.expm(0.0), np.eye(5))
 
+    def test_expm_memo_keeps_the_two_latest_times(self, monkeypatch):
+        _, a, _, fa, _ = self.pair(43, 4, 2)
+        computed = []
+        monkeypatch.setattr(matfun, "expm", lambda a, t: computed.append(t) or expm(a, t))
+        x1, x2 = fa.expm(0.1), fa.expm(0.2)
+        assert fa.transposed.expm(0.2).base is x2
+        assert fa.expm(0.1) is x1
+        x3 = fa.expm(0.3)
+        assert len(fa._expm) == matfun.EXPM_MEMO == 2
+        assert fa.expm(0.1) is x1 and fa.expm(0.3) is x3
+        assert fa.expm(0.2) is not x2
+        assert np.array_equal(fa.expm(0.2), x2)
+        assert computed == [0.1, 0.2, 0.3, 0.2]
+
     def test_singular_sylvester_through_forms(self):
         with pytest.raises(SolverError):
             solve_sylvester(SchurForm(np.array([[-1.0]])), SchurForm(np.array([[1.0]])),

@@ -366,6 +366,7 @@ def test_full_order_a_is_factored_once(lapack_calls, tmp_path):
     real Schur form of A; the hsv command factors the A it loads once."""
     n, r = 20, 4
     system = rand_system(np.random.default_rng(77), n, m=2, p=2)
+    lapack_calls.eigvals.clear()  # the eigenvalues that placed the test spectrum
     horizon = TimeInterval(0.0, 0.8)
     rom0 = bt(system, r).rom
     tlbt(system, r, horizon)
@@ -380,6 +381,7 @@ def test_full_order_a_is_factored_once(lapack_calls, tmp_path):
     lapack_calls.schur.clear()
     assert run_command(["hsv", "--system", str(path), "--t0", "0", "--t1", "0.8"]) == 0
     assert [a.shape for a in lapack_calls.schur].count((n, n)) == 1
+    assert not any(a.shape == (n, n) for a in lapack_calls.eigvals)
 
 
 @pytest.mark.parametrize("command", ["bt", "tlbt", "hsv"])

@@ -1,10 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from lqomor import matfun, sysio
+from lqomor.cli import run_command
 from lqomor.errors import HurwitzError, SchemaError
 from lqomor.model import LqoSystem, TimeInterval
+from lqomor.norms import h2tau_norm
 from lqomor.reductors import bt, homora, tlhnoia
 from lqomor.sysio import (
     json_text,
@@ -155,3 +159,145 @@ class TestSerializeReport:
         path = tmp_path / "sys.json"
         save_system(sys1, path)
         assert np.array_equal(load_system(path).A, sys1.A)
+
+
+def scalar_document(a, b):
+    """A first-order system file with fixed-width entries, so documents of
+    different numbers have the same size."""
+    return json.dumps({
+        "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
+        "A": [[a]], "B": [[b]], "C": [[1.0]], "M": [[[0.0]]],
+    })
+
+
+class TestLoadCache:
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Every system document the library parses from here on."""
+        calls = []
+        parse = sysio._parse
+
+        def recording(text, base_dir):
+            calls.append(text)
+            return parse(text, base_dir)
+
+        monkeypatch.setattr(sysio, "_parse", recording)
+        return calls
+
+    def norm(self, capsys, path):
+        code = run_command(["norm", "--system", str(path), "--t1", "0.7"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_second_command_neither_parses_nor_factors(
+        self, capsys, tmp_path, lapack_calls, parses
+    ):
+        n = 20
+        path = tmp_path / "system.json"
+        save_system(rand_system(np.random.default_rng(110), n, 2, 2), path)
+        lapack_calls.schur.clear()
+        first = self.norm(capsys, path)
+        assert first[0] == 0 and len(parses) == 1
+        assert [a.shape for a in lapack_calls.schur].count((n, n)) == 1
+        parses.clear()
+        lapack_calls.schur.clear()
+        assert self.norm(capsys, path) == first
+        assert parses == []
+        assert not any(a.shape == (n, n) for a in lapack_calls.schur)
+
+    def test_same_bytes_give_the_same_system(self, tmp_path):
+        text = scalar_document(-1.0, 1.0)
+        (tmp_path / "one.json").write_text(text)
+        (tmp_path / "two.json").write_text(text)
+        system = load_system(tmp_path / "one.json")
+        assert load_system(tmp_path / "two.json", require_hurwitz=False) is system
+
+    def test_file_rewritten_in_place_is_parsed_again(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(scalar_document(-1.0, 1.0))
+        stat = os.stat(path)
+        code, before, _ = self.norm(capsys, path)
+        path.write_text(scalar_document(-1.0, 2.0))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        after_stat = os.stat(path)
+        assert (after_stat.st_size, after_stat.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        code2, after, _ = self.norm(capsys, path)
+        assert code == code2 == 0
+        assert json.loads(after)["value"] == pytest.approx(
+            2.0 * json.loads(before)["value"], rel=1e-14
+        )
+
+    def test_non_hurwitz_file_fails_on_every_load(self, capsys, tmp_path):
+        path = tmp_path / "unstable.json"
+        path.write_text(scalar_document(1.0, 1.0))
+        first = self.norm(capsys, path)
+        assert first[0] == 3 and json.loads(first[2])["code"] == "not_hurwitz"
+        assert self.norm(capsys, path) == first
+        assert not load_system(path, require_hurwitz=False).is_hurwitz
+        assert self.norm(capsys, path) == first
+
+    def test_failed_parse_leaves_nothing(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert self.norm(capsys, path)[0] == 3
+        assert sysio._loaded == {}
+
+    def test_failed_factorization_is_tried_again(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "system.json"
+        save_system(rand_system(np.random.default_rng(113), 4, 1, 1), path)
+        gees = matfun.sla.lapack.dgees
+
+        def fail(*args, **kwargs):
+            out = gees(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else out[:-1] + (1,)
+
+        monkeypatch.setattr(matfun.sla.lapack, "dgees", fail)
+        code, _, err = self.norm(capsys, path)
+        assert code == 4 and json.loads(err)["code"] == "solver"
+        monkeypatch.undo()
+        assert self.norm(capsys, path)[0] == 0
+
+    def test_loaded_matrices_are_read_only(self, tmp_path):
+        path = tmp_path / "system.json"
+        save_system(rand_system(np.random.default_rng(111), 3, 1, 2), path)
+        system = load_system(path)
+        for mat in (system.A, system.schur_t.a, system.B, system.C, *system.M):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    def test_matrix_market_documents_are_not_kept(self, capsys, tmp_path, parses):
+        from scipy.io import mmwrite
+
+        rng = np.random.default_rng(112)
+        sys1, sys2 = rand_system(rng, 3, 1, 1), rand_system(rng, 3, 1, 1)
+        doc = doc_of(sys1)
+        doc["A"] = "a.mtx"
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        values = []
+        for a in (sys1.A, sys2.A):
+            mmwrite(tmp_path / "a.mtx", a)
+            code, out, _ = self.norm(capsys, path)
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[0] != values[1] and len(parses) == 2
+        assert sysio._loaded == {}
+        direct = LqoSystem(sys2.A, sys1.B, sys1.C, sys1.M)
+        assert values[1] == pytest.approx(
+            h2tau_norm(direct, TimeInterval(0.0, 0.7)).value, rel=1e-12
+        )
+
+    def test_least_recently_loaded_goes_first(self, tmp_path, parses):
+        paths = []
+        for k in range(sysio.LOADED_SYSTEMS + 1):
+            paths.append(tmp_path / f"s{k}.json")
+            paths[-1].write_text(scalar_document(-1.0 - k, 1.0))
+        systems = [load_system(path) for path in paths[:-1]]
+        assert load_system(paths[0]) is systems[0]
+        load_system(paths[-1])
+        assert len(sysio._loaded) == sysio.LOADED_SYSTEMS
+        parses.clear()
+        assert load_system(paths[0]) is systems[0]
+        assert parses == []
+        assert load_system(paths[1]) is not systems[1]
+        assert len(parses) == 1 and len(sysio._loaded) == sysio.LOADED_SYSTEMS
