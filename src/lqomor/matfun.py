@@ -1,15 +1,25 @@
 """Dense matrix-function and matrix-equation kernels.
 
 The Lyapunov and Sylvester solvers are Bartels-Stewart: a real Schur form
-``A = U T U^T`` of each coefficient, LAPACK ``trsyl`` on the
-quasi-triangular factors, and a back-transform.  A coefficient is either a
+``A = U T U^T`` of each coefficient, a solve of the quasi-triangular
+equation in the factors, and a back-transform.  A coefficient is either a
 plain array, factored on the spot, or a :class:`SchurForm` that keeps its
 factorization, so a matrix used in many equations is factored once.  The
 form of ``A^T`` is a view of A's form, ``A^T = U T^T U^T``, so one
-factorization serves both sides of every equation: ``trsyl`` applies the
+factorization serves both sides of every equation: the solve applies the
 transpose to T.  The Hurwitz and solvability tests read their eigenvalues
 from the same form.  The matrix exponential uses scaling and squaring with a
 fixed-order Pade approximant.
+
+The quasi-triangular solve is recursive and blocked (Jonsson and Kagstrom,
+ACM TOMS 2002).  It splits the factors at a 1x1/2x2 block boundary and
+joins the halves with matrix products, down to leaves of at most
+:data:`LEAF` rows and columns, each one unblocked LAPACK ``trsyl`` call; an
+equation that small is exactly one such call.  A Lyapunov equation with a
+symmetric right-hand side takes a symmetric recursion: three block solves
+per split instead of four.  Every leaf divides its solution by the scale
+``trsyl`` applied to avoid overflow, so a solution that overflows is a
+:class:`SolverError`, not a finite wrong answer.
 
 A form is one LAPACK ``dgees`` call, made with the workspace that
 ``scipy.linalg.schur`` queries, so its factors are bit-identical to that
@@ -36,6 +46,12 @@ HURWITZ_RTOL = 1e-12
 #: used ``t``, one horizon's start and end.  A form held across many
 #: horizons (a loaded system reused by several commands) stays this size.
 EXPM_MEMO = 2
+
+#: Largest number of rows or columns of a quasi-triangular Sylvester block
+#: that one unblocked LAPACK ``trsyl`` call solves; larger blocks are split
+#: recursively (see ``_trsyl``).  48 is the fastest measured at N = 150 and
+#: within 5% of the fastest at N = 300.
+LEAF = 48
 
 
 def _as_matrix(a, name):
@@ -72,9 +88,10 @@ class SchurForm:
     """Real Schur form ``a = U T U^T`` of one square matrix, factored on first use.
 
     Holds the spectral facts the solvers need about ``a``: the factors and
-    the eigenvalues of one ``dgees`` call, the spectral radius of the
-    solvability test, the rightmost eigenvalue of the Hurwitz test, and a
-    memo of ``e^(a t)`` for the last :data:`EXPM_MEMO` values of ``t``.
+    the eigenvalues of one ``dgees`` call, the spectral radius and the
+    eigenvalue sums with other forms that the solvability test reads, the
+    rightmost eigenvalue of the Hurwitz test, and a memo of ``e^(a t)`` for
+    the last :data:`EXPM_MEMO` values of ``t``.
     The eigenvalues are ``dgees``'s ``wr + i wi``, in the order of T's
     diagonal blocks: bit for bit the ``x +- i sqrt(|b|) sqrt(|c|)`` of T's
     standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
@@ -150,6 +167,24 @@ class SchurForm:
         if self.trans:
             return self._form.radius
         return np.abs(self.eigvals).max()
+
+    @functools.cached_property
+    def _eig_sums(self):
+        """``min_eig_sum`` of this form with each form it has met, keyed
+        weakly, so the entry of a freed form goes with it."""
+        return weakref.WeakKeyDictionary()
+
+    def min_eig_sum(self, other):
+        """``min |lambda + mu|`` over the eigenvalues lambda of ``a`` and mu
+        of ``other.a``: computed once per pair of forms, a view counting as
+        the form it was made from, since a matrix and its transpose share
+        their eigenvalues."""
+        root = self._form if self.trans else self
+        key = other._form if other.trans else other
+        s = root._eig_sums.get(key)
+        if s is None:
+            s = root._eig_sums[key] = np.abs(self.eigvals[:, None] + other.eigvals[None, :]).min()
+        return s
 
     @functools.cached_property
     def rightmost(self):
@@ -272,31 +307,115 @@ def expm_frechet(a, v, t=1.0):
 
 def _require_unique_solution(fa, fb, message, **context):
     # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
-    s = np.abs(fa.eigvals[:, None] + fb.eigvals[None, :]).min()
+    s = fa.min_eig_sum(fb)
     if s <= 1e-13 * max(fa.radius, fb.radius, 1.0):
         raise SolverError(message, min_eig_sum=float(s), **context)
+
+
+def _leaf(r, s, f, trana, tranb):
+    """``Y`` with ``op(R) Y + Y op(S) = F`` from one unblocked ``dtrsyl`` call."""
+    y, scale, info = sla.lapack.dtrsyl(r, s, f, trana=trana, tranb=tranb)
+    if info < 0:
+        raise SolverError(f"trsyl rejected argument {-info}")
+    # trsyl solves for scale * F, scale <= 1 chosen to avoid overflow; an
+    # overflowing solution becomes non-finite here and fails the caller's check
+    return y / scale
+
+
+def _split(t):
+    """Index near the middle of quasi-triangular ``t`` that no 2x2 block straddles."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0.0 else k
+
+
+def _sylvester_blocked(r, s, f, trana, tranb):
+    """``Y`` with ``op(R) Y + Y op(S) = F``, ``op`` the transpose where ``trana``
+    or ``tranb`` is ``"T"``: split the longer side of ``F`` in two, solve the
+    half that does not couple to the other first, and subtract its share
+    from the other half's right-hand side with one matrix product."""
+    m, n = f.shape
+    if m <= LEAF and n <= LEAF:
+        return _leaf(r, s, f, trana, tranb)
+    y = np.empty_like(f)
+    if m >= n:
+        k = _split(r)
+        r11, r12, r22 = r[:k, :k], r[:k, k:], r[k:, k:]
+        if trana == "N":
+            y[k:] = _sylvester_blocked(r22, s, f[k:], trana, tranb)
+            y[:k] = _sylvester_blocked(r11, s, f[:k] - r12.dot(y[k:]), trana, tranb)
+        else:
+            y[:k] = _sylvester_blocked(r11, s, f[:k], trana, tranb)
+            y[k:] = _sylvester_blocked(r22, s, f[k:] - r12.T.dot(y[:k]), trana, tranb)
+    else:
+        k = _split(s)
+        s11, s12, s22 = s[:k, :k], s[:k, k:], s[k:, k:]
+        if tranb == "N":
+            y[:, :k] = _sylvester_blocked(r, s11, f[:, :k], trana, tranb)
+            y[:, k:] = _sylvester_blocked(r, s22, f[:, k:] - y[:, :k].dot(s12), trana, tranb)
+        else:
+            y[:, k:] = _sylvester_blocked(r, s22, f[:, k:], trana, tranb)
+            y[:, :k] = _sylvester_blocked(r, s11, f[:, :k] - y[:, k:].dot(s12.T), trana, tranb)
+    return y
+
+
+def _lyapunov_blocked(t, f, trans):
+    """Symmetric ``Y`` with ``T Y + Y T^T = F``, or ``T^T Y + Y T = F`` if
+    ``trans``, for symmetric F: with T split in two, one Lyapunov half, the
+    off-diagonal block as a Sylvester equation, then the other Lyapunov half
+    with ``G + G^T`` of the off-diagonal block subtracted."""
+    n = f.shape[0]
+    if n <= LEAF:
+        return _leaf(t, t, f, *("TN" if trans else "NT"))
+    k = _split(t)
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    y = np.empty_like(f)
+    if trans:
+        y[:k, :k] = _lyapunov_blocked(t11, f[:k, :k], trans)
+        y12 = _sylvester_blocked(t11, t22, f[:k, k:] - y[:k, :k].dot(t12), "T", "N")
+        g = t12.T.dot(y12)
+        y[k:, k:] = _lyapunov_blocked(t22, f[k:, k:] - g - g.T, trans)
+    else:
+        y[k:, k:] = _lyapunov_blocked(t22, f[k:, k:], trans)
+        y12 = _sylvester_blocked(t11, t22, f[:k, k:] - t12.dot(y[k:, k:]), "N", "T")
+        g = t12.dot(y12.T)
+        y[:k, :k] = _lyapunov_blocked(t11, f[:k, :k] - g - g.T, trans)
+    y[:k, k:] = y12
+    y[k:, :k] = y12.T
+    return y
 
 
 def _trsyl(fa, fb, q):
     """Solve ``A X + X B = Q`` from the forms ``fa`` of A and ``fb`` of B.
 
     With ``A = U op(R) U^T`` and ``B = V op(S) V^T``, where ``op`` transposes
-    the factor of a ``trans`` view, ``trsyl`` solves
-    ``op(R) Y + Y op(S) = U^T Q V`` and ``X = U Y V^T``.  ``fb is
-    fa.transposed`` is the Lyapunov equation, which reads one factor pair in
-    the operation order of ``scipy.linalg.solve_continuous_lyapunov``, so
-    the controllability solve is bit-identical to scipy's.
+    the factor of a ``trans`` view, this solves the quasi-triangular
+    equation ``op(R) Y + Y op(S) = F`` for ``F = U^T Q V`` and returns
+    ``X = U Y V^T``.  ``fb is fa.transposed`` is the Lyapunov equation,
+    which reads one factor pair in the operation order of
+    ``scipy.linalg.solve_continuous_lyapunov``.
+
+    An F with both sides at most :data:`LEAF` is one LAPACK ``trsyl`` call,
+    so such a controllability solve is bit-identical to scipy's.  A larger
+    F is solved by recursive blocking (Jonsson and Kagstrom, ACM TOMS 28,
+    2002): the factors are split at a 1x1/2x2 block boundary, each half is
+    solved in turn, and the coupling is a matrix product, down to ``trsyl``
+    leaves of at most ``LEAF`` rows and columns.  A Lyapunov equation with
+    a symmetric F (to ``1e-12`` relative, the test of
+    :func:`solve_lyapunov`) takes the symmetric recursion: three block
+    solves per split, not four.  ``trsyl`` returns the solution of
+    ``scale * F``, scaled down to avoid overflow, and every leaf divides
+    by that scale, so a solution that overflows is non-finite and raises
+    :class:`SolverError`, never a finite wrong answer.
     """
     r, u = fa.factors
     s, v = fb.factors
     lyapunov = fb is fa.transposed
     f = u.T.dot(q.dot(u)) if lyapunov else np.dot(np.dot(u.T, q), v)
-    y, scale, info = sla.lapack.dtrsyl(
-        r, s, f, trana="T" if fa.trans else "N", tranb="T" if fb.trans else "N"
-    )
-    if info < 0:
-        raise SolverError(f"trsyl rejected argument {-info}")
-    x = np.dot(np.dot(u, scale * y), v.T)
+    if lyapunov and len(f) > LEAF and fro_norm(f - f.T) <= 1e-12 * fro_norm(f):
+        y = _lyapunov_blocked(r, (f + f.T) / 2.0, fa.trans)
+    else:
+        y = _sylvester_blocked(r, s, f, "T" if fa.trans else "N", "T" if fb.trans else "N")
+    x = np.dot(np.dot(u, y), v.T)
     if not np.isfinite(x).all():
         kind = "Lyapunov" if lyapunov else "Sylvester"
         raise SolverError(f"{kind} solve produced non-finite entries")

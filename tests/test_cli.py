@@ -448,6 +448,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "solver"
 
+    def test_overflowing_gramian_is_numerical_failure(self, capsys, tmp_path):
+        # P = B B^T / (2 * 1e-10) = 5e309 overflows inside trsyl, which scales
+        # the right-hand side down; a finite scaled answer would read 0.0
+        doc = {
+            "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
+            "A": [[-1e-10]], "B": [[1e150]], "C": [[1e-160]], "M": [[[0.0]]],
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "inf")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "solver"
+
     def test_quadrature_budget(self, capsys, monkeypatch):
         # 20001 x 20001 kernel samples: rejected before anything is allocated
         def allocating(*args, **kwargs):

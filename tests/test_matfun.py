@@ -207,6 +207,18 @@ class TestSolveSylvester:
         with pytest.raises(DimensionError):
             solve_sylvester(-np.eye(2), -np.eye(3), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [([[1.0]], [[-1.0 + 1e-10]]), (np.diag([1.0, 2.0]), np.diag([-1.0 + 1e-10, -3.0]))],
+        ids=["scalar", "diagonal"],
+    )
+    def test_overflowing_solution_is_a_solver_error(self, a, b):
+        # x = -1e300 / 1e-10 overflows; trsyl solves for a scaled-down right-hand
+        # side, and the solution must be scaled back up, not down further
+        c = np.full((len(a), len(b)), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
+            solve_sylvester(a, b, c)
+
 
 def test_is_hurwitz_boundary():
     assert is_hurwitz(np.array([[-1e-3]]))
@@ -260,6 +272,51 @@ class TestSchurForm:
             else:
                 assert lyap_residual(a, x, q, side) <= residual_budget(x, q, a)
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_leaf_order_is_one_trsyl_call(self, lapack_calls):
+        """Up to LEAF rows and columns a solve is one unblocked trsyl call: the
+        controllability solve equals scipy's bit for bit."""
+        n, r = matfun.LEAF, 5
+        rng, a, _, fa, fb = self.pair(33, n, r)
+        q = rng.normal(size=(n, n))
+        q = q @ q.T
+        c = rng.normal(size=(n, r))
+        ref = sla.solve_continuous_lyapunov(a, -q)
+        (t, u), (s, v) = fa.factors, fb.factors
+        y, scale, _ = sla.lapack.dtrsyl(t, s, np.dot(np.dot(u.T, -c), v), tranb="T")
+        lapack_calls.trsyl.clear()
+        assert np.array_equal(solve_lyapunov(fa, q), (ref + ref.T) / 2.0)
+        x = solve_sylvester(fa, fb.transposed, c)
+        assert np.array_equal(x, np.dot(np.dot(u, y / scale), v.T))
+        assert lapack_calls.trsyl == [(n, n), (n, r)]
+
+    @pytest.mark.parametrize("side", ["controllability", "observability"])
+    def test_blocked_lyapunov_equals_scipy(self, lapack_calls, side):
+        """Above LEAF a solve is recursive: no trsyl call is larger than LEAF on
+        either side, a symmetric right-hand side takes fewer of them, and both
+        agree with scipy's unblocked solver."""
+        n = 150
+        rng, a, _, fa, _ = self.pair(32, n, 2)
+        a_side = a if side == "controllability" else a.T
+        q = rng.normal(size=(n, n))
+        leaves = []
+        for rhs in (q, q @ q.T):
+            ref = sla.solve_continuous_lyapunov(a_side, -rhs)
+            lapack_calls.trsyl.clear()
+            x = solve_lyapunov(fa, rhs, side=side)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert lyap_residual(a, x, rhs, side) <= residual_budget(x, rhs, a)
+            assert max(max(shape) for shape in lapack_calls.trsyl) <= matfun.LEAF
+            leaves.append(len(lapack_calls.trsyl))
+        assert leaves[1] < leaves[0]
+
+    def test_eigenvalue_sum_is_kept_per_pair_of_forms(self):
+        _, _, _, fa, fb = self.pair(46, 5, 3)
+        s = fa.min_eig_sum(fb.transposed)
+        assert fa.transposed.min_eig_sum(fb) is s
+        assert len(fa._eig_sums) == 1
+        del fb  # its entry goes with it, so no later form can alias it
+        assert len(fa._eig_sums) == 0
 
     def test_transposed_shares_the_factorization(self, lapack_calls):
         _, a, b, fa, fb = self.pair(40, 6, 2)

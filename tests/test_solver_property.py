@@ -9,13 +9,16 @@ random non-orthogonal S and a block-diagonal D, so their Schur forms hold
 multiple of 1/8 of the form ``(4k + 1) / 8``, so any two eigenvalues sum to
 a real part of magnitude at least 1/4: every equation is uniquely solvable,
 Hurwitz or not.  Negating a block makes the spectrum singular instead.
+Coefficients of 25 to 45 blocks have orders above ``matfun.LEAF``, so
+their solves take the recursive blocked path, with 2x2 blocks falling on
+its split points.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lqomor.errors import HurwitzError, SolverError
@@ -30,9 +33,13 @@ blocks = st.one_of(
     st.tuples(real_parts, st.floats(0.25, 3.0)),
 )
 spectra = st.lists(blocks, min_size=1, max_size=4)
+#: Spectra of 25 to 45 blocks: orders 25 to 90, above ``matfun.LEAF`` for most.
+large_spectra = st.lists(blocks, min_size=25, max_size=45)
 seeds = st.integers(0, 2**32 - 1)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+#: Shrinking a failing example of order 90 takes minutes, so report it as drawn.
+LARGE_SETTINGS = settings(SETTINGS, max_examples=30, phases=[Phase.generate])
 
 
 def coefficient(spectrum, seed):
@@ -56,9 +63,7 @@ def sides(m):
     return [(m, form), (m.T, form.transposed)]
 
 
-@SETTINGS
-@given(spec_a=spectra, spec_b=spectra, seed=seeds)
-def test_sylvester_every_transpose_combination(spec_a, spec_b, seed):
+def check_sylvester(spec_a, spec_b, seed):
     a, b = coefficient(spec_a, seed), coefficient(spec_b, seed + 1)
     c = np.random.default_rng(seed + 2).normal(size=(a.shape[0], b.shape[0]))
     for (mat_a, form_a), (mat_b, form_b) in itertools.product(sides(a), sides(b)):
@@ -67,8 +72,20 @@ def test_sylvester_every_transpose_combination(spec_a, spec_b, seed):
 
 
 @SETTINGS
-@given(spectrum=spectra, seed=seeds, symmetric=st.booleans())
-def test_lyapunov_both_sides(spectrum, seed, symmetric):
+@given(spec_a=spectra, spec_b=spectra, seed=seeds)
+def test_sylvester_every_transpose_combination(spec_a, spec_b, seed):
+    check_sylvester(spec_a, spec_b, seed)
+
+
+@LARGE_SETTINGS
+@given(spec_a=large_spectra, spec_b=st.one_of(spectra, large_spectra), seed=seeds,
+       rows_first=st.booleans())
+def test_blocked_sylvester_every_transpose_combination(spec_a, spec_b, seed, rows_first):
+    # a tall right-hand side splits its rows first, a wide one its columns
+    check_sylvester(*((spec_a, spec_b) if rows_first else (spec_b, spec_a)), seed)
+
+
+def check_lyapunov(spectrum, seed, symmetric):
     a = coefficient(spectrum, seed)
     q = np.random.default_rng(seed + 1).normal(size=a.shape)
     if symmetric:
@@ -88,6 +105,18 @@ def test_lyapunov_both_sides(spectrum, seed, symmetric):
         else:
             with pytest.raises(HurwitzError):
                 solve_lyapunov(form, q, side=side)
+
+
+@SETTINGS
+@given(spectrum=spectra, seed=seeds, symmetric=st.booleans())
+def test_lyapunov_both_sides(spectrum, seed, symmetric):
+    check_lyapunov(spectrum, seed, symmetric)
+
+
+@LARGE_SETTINGS
+@given(spectrum=large_spectra, seed=seeds, symmetric=st.booleans())
+def test_blocked_lyapunov_both_sides(spectrum, seed, symmetric):
+    check_lyapunov(spectrum, seed, symmetric)
 
 
 @SETTINGS
