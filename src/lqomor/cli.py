@@ -47,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
 class _InputFailure(ValidationError):
     """A failure while loading an input file counts as input validation,
     except a solver's: a factorization that fails on a well-formed file is a
-    numerical failure."""
+    numerical failure.  A non-Hurwitz file where the command needs a Hurwitz
+    A (a system, or a reduced model on an infinite horizon) is invalid
+    input."""
 
     def __init__(self, exc):
         super().__init__(str(exc), **getattr(exc, "context", {}))
@@ -172,9 +174,9 @@ def _cmd_norm(args):
 
 
 def _cmd_error(args):
-    system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=False)
     interval = _interval(args)
+    system = _load(args.system)
+    rom = _load(args.rom, require_hurwitz=interval.is_infinite)
     rep = h2tau_error(system, rom, interval)
     first, second, third = rep.decomposition
     _json_out(
@@ -193,7 +195,7 @@ def _cmd_error(args):
 
 def _cmd_residuals(args):
     system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=False)
+    rom = _load(args.rom, require_hurwitz=args.horizon == "infinite")
     if args.horizon == "infinite":
         rep = h2_residuals(system, rom)
     else:

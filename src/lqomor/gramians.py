@@ -7,8 +7,12 @@ endpoint drops the second term and ``t0 = 0`` drops the first factor pair
 (the identity), recovering the classical equations.
 
 The controllability Gramian P of one system, or the block of a
-system/reduced-model pair, comes from :func:`controllability_block`, and
-every observability-type block from :func:`observability_block`, whose
+system/reduced-model pair, comes from :func:`controllability_block`.  Its
+kernel ``B_l B_r^T`` has rank m, so its weighted right-hand side is handed
+to the solver as the factor pair ``L R^T`` with ``L = [e^(A_l t0) B_l,
+e^(A_l t1) B_l]`` and ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, at most 2m
+columns each, and is never formed as a matrix.  Every observability-type
+block comes from :func:`observability_block`, whose
 equation is linear in its kernel: ``C_l^T C_r`` gives the linear part Y and
 :func:`quadratic_kernel` the quadratic part Z.  So each combination a
 caller reads is one solve: Q = Y + Z from :func:`gramian_pair` and
@@ -37,7 +41,9 @@ def _boundaries(form, interval):
 
 def _weighted(kern, left, right):
     """Two-point weighted right-hand side ``L0 K R0^T - L1 K R1^T``, where a
-    None first pair is the identity and a None second pair drops its term."""
+    None first pair is the identity and a None second pair drops its term.
+    The only writer of a weighted kernel, and only of the observability
+    kernels, which have full rank."""
     (l0, l1), (r0, r1) = left, right
     rhs = kern if l0 is None else l0 @ kern @ r0.T
     if l1 is not None:
@@ -46,11 +52,11 @@ def _weighted(kern, left, right):
 
 
 def _solve(left, right, side, q):
-    """Gramian-type block of the pair on one side with right-hand side ``q``:
-    one Sylvester solve, which ``matfun`` runs as the Lyapunov equation when
-    ``left is right`` and then symmetrized.  Only unique solvability is
-    checked, never the Hurwitz test; a right-hand side that overflowed is a
-    numerical failure, not bad input."""
+    """Gramian-type block of the pair on one side with right-hand side ``q``,
+    an array or a factor pair: one Sylvester solve, which ``matfun`` runs as
+    the Lyapunov equation when ``left is right`` and then symmetrized.  Only
+    unique solvability is checked, never the Hurwitz test; a right-hand side
+    (or factor) that overflowed is a numerical failure, not bad input."""
     if side == "controllability":
         a, b = left.schur, right.schur_t
     else:
@@ -117,22 +123,38 @@ def require_pair(system, rom, interval):
         matfun.require_hurwitz(rom.schur, "reduced A")
 
 
+def _boundary_factor(system, interval, negate):
+    """``[e^(A t0) B, e^(A t1) B]``, its second block negated if ``negate``:
+    the identity stands in for ``t0 = 0`` and an infinite horizon drops the
+    second block."""
+    e0, e1 = _boundaries(system.schur, interval)
+    head = system.B if e0 is None else e0 @ system.B
+    if e1 is None:
+        return head
+    tail = e1 @ system.B
+    if negate:
+        np.negative(tail, out=tail)
+    return np.concatenate((head, tail), axis=1)
+
+
 def controllability_block(left, right, interval):
     """Controllability block P of the pair ``(left, right)`` on ``interval``.
 
-    Solves ``A_l P + P A_r^T + K = 0`` with K the weighted ``B_l B_r^T``;
-    this needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
+    Solves ``A_l P + P A_r^T + L R^T = 0`` with ``L R^T`` the weighted
+    ``B_l B_r^T``: ``L = [e^(A_l t0) B_l, e^(A_l t1) B_l]`` and
+    ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, handed to the solver as
+    factors, so no N x N kernel is formed and no N^3 product weights it.
+    This needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
     system with itself is its controllability Gramian.
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
-    s = _boundaries(left.schur, interval)
-    sr = _boundaries(right.schur, interval)
-    return _solve(
-        left, right, "controllability", _weighted(left.B @ right.B.T, s, sr)
+    factors = (
+        _boundary_factor(left, interval, False), _boundary_factor(right, interval, True)
     )
+    return _solve(left, right, "controllability", factors)
 
 
 def quadratic_kernel(left, right, p):
@@ -146,8 +168,8 @@ def observability_block(left, right, interval, kern):
 
     Solves ``A_l^T X + X A_r + K = 0`` with K the weighted ``kern``; this
     reads the Schur forms of ``A_l`` (transposed) and ``A_r``, the same
-    factorizations as :func:`controllability_block`.  It is the only
-    writer of a weighted observability right-hand side: ``C_l^T C_r`` gives
+    factorizations as :func:`controllability_block`.  Its kernel is weighted
+    as a matrix, by :func:`_weighted`: ``C_l^T C_r`` gives
     the linear part Y, :func:`quadratic_kernel` the quadratic part Z, and by
     linearity any combination of the two kernels gives the same combination
     of Y and Z from one solve.

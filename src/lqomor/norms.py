@@ -53,11 +53,17 @@ def output_energy(left, right, p):
     ``trace(C_l P C_r^T) + sum_i trace(M_l,i P M_r,i P^T)`` with the
     :func:`lqomor.gramians.controllability_block` ``p`` of ``(left, right)``
     on a horizon: the horizon-limited ``<H_l, H_r>``, and ``||H||^2`` for a
-    system with itself.  A value that overflowed raises ``SolverError``.
+    system with itself.  For a system with itself (``left is right``, whose
+    block is symmetric) the quadratic part is ``sum_i trace((M_i P)^2)``,
+    the sum of ``X_i * X_i^T`` for ``X_i = M_i P``: one product per
+    ``M_i``, and exact whether or not ``M_i`` is symmetric.  A value that
+    overflowed raises ``SolverError``.
     """
-    val = float(
-        np.sum((left.C @ p) * right.C) + np.sum(quadratic_kernel(left, right, p) * p)
-    )
+    if left is right:
+        quad = sum(np.sum(x * x.T) for x in (mi @ p for mi in left.M))
+    else:
+        quad = np.sum(quadratic_kernel(left, right, p) * p)
+    val = float(np.sum((left.C @ p) * right.C) + quad)
     if not np.isfinite(val):
         raise SolverError(f"output energy overflowed to {val}")
     return val

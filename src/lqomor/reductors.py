@@ -235,7 +235,9 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     The returned model is the last iterate whose horizon norm exists: on a
     finite horizon the last iterate, on [0, inf) the last Hurwitz iterate
     (``rom0`` if there is none).  ``converged`` is true only if the poles
-    stagnated on the returned iterate.
+    stagnated on the returned iterate.  Its residuals are computed under the
+    same guard: if they raise a :class:`NumericalError` (an overflow), the
+    model is still returned, with ``residuals`` None and a note.
     """
     _check_start(system, rom0)
     rom = rom0
@@ -266,10 +268,14 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     rom, pair, converged = kept
     if not rom.is_hurwitz:
         notes.append("returned reduced model is not Hurwitz")
-    residuals = (
-        optimality.h2_residuals(system, rom) if interval.is_infinite
-        else optimality.tl_residuals(system, rom, interval)
-    )
+    try:
+        residuals = (
+            optimality.h2_residuals(system, rom) if interval.is_infinite
+            else optimality.tl_residuals(system, rom, interval)
+        )
+    except NumericalError as exc:
+        residuals = None
+        notes.append(f"residuals of the returned model broke down ({exc})")
     return _report(
         method, rom, pole_history, metric, converged, notes,
         residuals=residuals, projection=pair,
@@ -290,7 +296,8 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
     Returns
     -------
     ReductionReport
-        With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`.
+        With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`,
+        or None with a note if they broke down.
     """
     return _fixed_point(
         "homora", system, rom0, TimeInterval(0.0, np.inf), tol, max_iter
@@ -312,7 +319,8 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     -------
     ReductionReport
         With ``residuals`` populated by :func:`lqomor.optimality.tl_residuals`,
-        all four conditions also for a non-Hurwitz result.
+        all four conditions also for a non-Hurwitz result, or None with a
+        note if they overflowed.
     """
     if interval.is_infinite:
         raise ValidationError("this reductor requires a finite horizon")

@@ -321,6 +321,44 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["code"] == "not_hurwitz"
 
+    @pytest.fixture()
+    def unstable_rom(self, capsys, tmp_path):
+        """The tlbt model of order 3 on [0, 0.5] of the bundled benchmark,
+        which has a pole at +1.26."""
+        path = tmp_path / "tlbt.json"
+        code, _, _ = run(
+            capsys, "reduce", "--method", "tlbt", "--order", "3", "--system", BENCH,
+            "--t1", "0.5", "--out", str(path),
+        )
+        assert code == 0 and not load_system(path, require_hurwitz=False).is_hurwitz
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["error", "--t1", "inf"], ["residuals", "--horizon", "infinite"]],
+        ids=["error", "residuals"],
+    )
+    def test_validation_error_non_hurwitz_rom_on_infinite_horizon(
+        self, capsys, unstable_rom, argv
+    ):
+        # the same exit as a non-Hurwitz system file: invalid input
+        code, out, err = run(capsys, *argv, "--system", BENCH, "--rom", unstable_rom)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == "not_hurwitz"
+        assert doc["context"]["eigenvalue"][0] > 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["error", "--t1", "0.5"], ["residuals", "--t1", "0.5"]],
+        ids=["error", "residuals"],
+    )
+    def test_non_hurwitz_rom_on_finite_horizon(self, capsys, unstable_rom, argv):
+        code, out, err = run(capsys, *argv, "--system", BENCH, "--rom", unstable_rom)
+        assert code == 0 and err == ""
+        assert json.loads(out)
+
     def test_validation_error_infinite_quadrature(self, capsys):
         code, _, err = run(
             capsys, "norm", "--system", SCALAR, "--t1", "inf", "--quadrature", "100"
@@ -437,16 +475,54 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "solver"
 
-    def test_overflowing_deviation_term_is_numerical_failure(self, capsys):
+    def test_overflowing_residuals_keep_the_model(self, capsys, tmp_path):
         # the iterate after two sweeps on [0.2, 2] has a pole at +21.4, so the
-        # boundary Frechet term of op1 overflows
+        # boundary Frechet term of op1 overflows; both sweeps succeeded, so
+        # the model is written and its residuals are reported missing
+        rom_path, rep_path = tmp_path / "m.json", tmp_path / "r.json"
         code, out, err = run(
             capsys, "reduce", "--method", "tlhnoia", "--order", "3", "--system", BENCH,
             "--init", INIT, "--t0", "0.2", "--t1", "2", "--max-iter", "2",
+            "--out", str(rom_path), "--report", str(rep_path),
         )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["residual_norms"] is None and doc["iterations"] == 2
+        assert doc["warnings"][-1] == (
+            "residuals of the returned model broke down "
+            "(first stationarity residual overflowed)"
+        )
+        report = json.loads(rep_path.read_text())
+        assert report["residual_norms"] is None
+        rom = load_system(rom_path, require_hurwitz=False)
+        assert rom.order == 3 and not rom.is_hurwitz
+        assert report["rom"]["A"] == rom.A.tolist()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # e^(A t) B overflows at t = 0.5 and 1, and B B^T does too
+            {"n_states": 2, "A": [[-1.0, 1e11], [0.0, -1.0]], "B": [[0.0], [1e298]],
+             "C": [[1.0, 0.0]], "M": [[[0.0, 0.0], [0.0, 0.0]]]},
+            # finite factors whose product B B^T overflows
+            {"n_states": 1, "A": [[-1.0]], "B": [[1e200]], "C": [[1.0]], "M": [[[0.0]]]},
+        ],
+        ids=["transient", "large-input"],
+    )
+    @pytest.mark.parametrize("horizon", [["--t1", "1"], ["--t0", "0.5", "--t1", "1"], []])
+    def test_overflowing_gramian_factor_is_numerical_failure(
+        self, capsys, tmp_path, doc, horizon
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"version": 1, "n_inputs": 1, "n_outputs": 1, **doc}))
+        code, out, err = run(capsys, "norm", "--system", str(path), *horizon)
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1
-        assert json.loads(err)["code"] == "solver"
+        assert json.loads(err) == {
+            "code": "solver",
+            "message": "controllability Gramian right-hand side overflowed",
+            "context": {"side": "controllability"},
+        }
 
     def test_overflowing_gramian_is_numerical_failure(self, capsys, tmp_path):
         # P = B B^T / (2 * 1e-10) = 5e309 overflows inside trsyl, which scales

@@ -1,23 +1,28 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from lqomor.errors import DimensionError, HurwitzError, SolverError
+from lqomor import gramians, matfun
+from lqomor.errors import DimensionError, HurwitzError, NonFiniteError, SolverError
 from lqomor.demo import demo_system
 from lqomor.gramians import (
     adjoint_block,
+    controllability_block,
     cross_gramians,
     gramian_blocks,
     gramian_pair,
     hankel_singular_values,
+    quadratic_kernel,
     timelimited_gramians,
 )
-from lqomor.matfun import expm
+from lqomor.matfun import LEAF, expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
-from lqomor.reductors import tlbt
+from lqomor.norms import h2tau_error, h2tau_norm, output_energy
+from lqomor.reductors import bt, tlbt
 
-from util import rand_lti, rand_system, shifted_to
+from util import dense_controllability_block, rand_lti, rand_system, shifted_to
 
 
 def scalar_system(a, b, c, m):
@@ -300,3 +305,130 @@ class TestHankelSingularValues:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             hankel_singular_values(np.eye(2), np.eye(3))
+
+
+#: The three horizon kinds of the factor pair: [0, inf) drops the second
+#: column block, t0 = 0 takes B itself, and [t0, t1] takes both exponentials.
+HORIZONS = [TimeInterval(0.0, INFINITE), TimeInterval(0.0, 0.4), TimeInterval(0.1, 0.4)]
+
+
+def dense_output_energy(left, right, p):
+    """``trace(C_l P C_r^T) + sum_i trace(M_l,i P M_r,i P^T)`` as written."""
+    return float(np.sum((left.C @ p) * right.C) + np.sum(quadratic_kernel(left, right, p) * p))
+
+
+def transient_system():
+    """Hurwitz A with a 1e11 transient: e^(A t) B overflows at t = 0.5 and 1,
+    and so does B B^T."""
+    return LqoSystem(
+        [[-1.0, 1e11], [0.0, -1.0]], [[0.0], [1e298]], [[1.0, 0.0]], [np.zeros((2, 2))]
+    )
+
+
+def large_input_system():
+    """Finite factors whose product ``B B^T = 1e400`` overflows."""
+    return LqoSystem([[-1.0]], [[1e200]], [[1.0]], [np.zeros((1, 1))])
+
+
+class TestFactoredControllability:
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    @pytest.mark.parametrize("kind", ["self", "pair"])
+    @pytest.mark.parametrize("n", [6, LEAF, LEAF + 1, 200])
+    def test_matches_the_dense_kernel(self, n, kind, iv):
+        rng = np.random.default_rng(n)
+        full = rand_system(rng, n, 2, 2)
+        right = full if kind == "self" else rand_system(rng, 3 if n == 6 else 5, 2, 2)
+        x = controllability_block(full, right, iv)
+        ref = dense_controllability_block(full, right, iv)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        if kind == "self":
+            assert np.array_equal(x, x.T)
+
+    @pytest.mark.parametrize(
+        "iv",
+        [TimeInterval(0.0, 0.3), TimeInterval(0.05, 0.3), TimeInterval(0.0, INFINITE)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("n", [150, 400])
+    def test_norm_and_error_match_the_dense_kernel(self, n, iv):
+        full = rand_system(np.random.default_rng(0), n, 2, 2)
+        rom = rand_system(np.random.default_rng(1), 10, 2, 2)
+        norm2 = dense_output_energy(full, full, dense_controllability_block(full, full, iv))
+        assert h2tau_norm(full, iv).value ** 2 == pytest.approx(norm2, rel=1e-12)
+        terms = [norm2] + [
+            dense_output_energy(left, right, dense_controllability_block(left, right, iv))
+            for left, right in ((full, rom), (rom, rom))
+        ]
+        got = h2tau_error(full, rom, iv).decomposition
+        assert got == pytest.approx(terms, rel=1e-12)
+        radicand = lambda t: t[0] - 2.0 * t[1] + t[2]  # noqa: E731
+        scale = abs(terms[0]) + 2.0 * abs(terms[1]) + abs(terms[2])
+        assert abs(radicand(got) - radicand(terms)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    @pytest.mark.parametrize("make", [transient_system, large_input_system])
+    def test_overflow_is_the_right_hand_side_error(self, make, iv):
+        # the dense kernel overflows too, which the Gramian builders have
+        # always reported as this SolverError
+        system = make()
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError):
+                dense_controllability_block(system, system, iv)
+            with pytest.raises(SolverError) as exc:
+                controllability_block(system, system, iv)
+        assert str(exc.value) == "controllability Gramian right-hand side overflowed"
+        assert exc.value.context == {"side": "controllability"}
+
+    def test_output_energy_reads_trace_of_the_square(self):
+        # an M_i asymmetric at rounding level is kept as given, and the norm
+        # is sum_i trace(M_i P M_i P) for it
+        rng = np.random.default_rng(61)
+        base = rand_system(rng, 30, 2, 2)
+        skew = rng.normal(size=(30, 30))
+        mats = [mi + 1e-15 * np.linalg.norm(mi) * (skew - skew.T) for mi in base.M]
+        system = LqoSystem(base.A, base.B, base.C, mats)
+        assert all(np.array_equal(mi, m0) for mi, m0 in zip(system.M, mats))
+        assert all(not np.array_equal(mi, mi.T) for mi in system.M)
+        iv = TimeInterval(0.1, 0.6)
+        p = controllability_block(system, system, iv)
+        expected = np.trace(system.C @ p @ system.C.T) + sum(
+            np.trace(mi @ p @ mi @ p) for mi in system.M
+        )
+        assert output_energy(system, system, p) == pytest.approx(expected, rel=1e-13)
+
+    def test_no_dense_controllability_kernel(self, monkeypatch):
+        """norm, error, bt and tlbt hand every controllability solve the
+        factors of B_l B_r^T, and only observability kernels are weighted."""
+        weighted, controllability = [], []
+        weigh, solve = gramians._weighted, matfun.solve_sylvester
+
+        def weighing(kern, left, right):
+            weighted.append(sys._getframe(1).f_code.co_name)
+            return weigh(kern, left, right)
+
+        def solving(a, b, c):
+            if not a.trans:
+                controllability.append(c)
+            return solve(a, b, c)
+
+        monkeypatch.setattr(gramians, "_weighted", weighing)
+        monkeypatch.setattr(matfun, "solve_sylvester", solving)
+        rng = np.random.default_rng(62)
+        full = rand_system(rng, 2 * LEAF, 2, 2)
+        rom = rand_system(rng, 4, 2, 2)
+        iv = TimeInterval(0.1, 0.5)
+        runs = [
+            lambda: h2tau_norm(full, iv),
+            lambda: h2tau_error(full, rom, iv),
+            lambda: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)),
+            lambda: bt(full, 4),
+            lambda: tlbt(full, 4, iv),
+        ]
+        for run in runs:
+            controllability.clear()
+            run()
+            assert controllability
+            for c in controllability:
+                assert isinstance(c, tuple) and len(c) == 2
+                assert all(f.ndim == 2 and f.shape[1] <= 2 * full.n_inputs for f in c)
+        assert weighted and set(weighted) == {"observability_block"}

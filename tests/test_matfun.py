@@ -207,6 +207,30 @@ class TestSolveSylvester:
         with pytest.raises(DimensionError):
             solve_sylvester(-np.eye(2), -np.eye(3), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("n, r", [(6, 3), (60, 60), (60, 7)])
+    def test_factor_pair_equals_its_product(self, n, r):
+        rng = np.random.default_rng(n + r)
+        a = SchurForm(stable_matrix(rng, n))
+        b = a.transposed if r == n else SchurForm(stable_matrix(rng, r))
+        left, right = rng.normal(size=(n, 4)), rng.normal(size=(r, 4))
+        x = solve_sylvester(a, b, (left, right))
+        ref = solve_sylvester(a, b, left @ right.T)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            ((np.ones((3, 1)), np.ones((2, 2))), DimensionError),
+            ((np.ones((2, 1)), np.ones((2, 1))), DimensionError),
+            ((np.full((3, 1), np.inf), np.ones((2, 1))), NonFiniteError),
+            ((np.full((3, 1), 1e200), np.full((2, 1), 1e200)), NonFiniteError),
+        ],
+        ids=["columns", "rows", "non-finite-factor", "overflowing-product"],
+    )
+    def test_bad_factor_pair(self, pair, error):
+        with np.errstate(over="ignore"), pytest.raises(error):
+            solve_sylvester(-np.eye(3), -np.eye(2), pair)
+
     @pytest.mark.parametrize(
         "a, b",
         [([[1.0]], [[-1.0 + 1e-10]]), (np.diag([1.0, 2.0]), np.diag([-1.0 + 1e-10, -3.0]))],

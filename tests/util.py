@@ -64,6 +64,26 @@ def q_route_error_triple(system, rom, interval):
     )
 
 
+def dense_controllability_block(left, right, interval):
+    """Controllability block from the dense N x n kernel: ``B_l B_r^T``
+    weighted by ``e^(A_l t) K e^(A_r^T t)`` at both horizon ends as a
+    matrix, then one ``solve_sylvester``, symmetrized for a system with
+    itself.
+
+    Oracle for the factor-pair right-hand side of
+    ``gramians.controllability_block``.
+    """
+    kern = left.B @ right.B.T
+    t0, t1 = interval.t_start, interval.t_end
+    rhs = kern if t0 == 0.0 else (
+        matfun.expm(left.A, t0) @ kern @ matfun.expm(right.A, t0).T
+    )
+    if not interval.is_infinite:
+        rhs = rhs - matfun.expm(left.A, t1) @ kern @ matfun.expm(right.A, t1).T
+    x = matfun.solve_sylvester(left.schur, right.schur_t, rhs)
+    return (x + x.T) / 2.0 if left is right else x
+
+
 def einsum_quadrature_squared(system, interval, resolution):
     """Squared Simpson quadrature norm with the quadratic kernel contracted
     sample pair by sample pair; reference for the GEMM form in
