@@ -56,9 +56,10 @@ class _InputFailure(ValidationError):
         self.code = getattr(exc, "code", "validation")
 
 
-def _load(path, require_hurwitz=True):
+def _load(path, require_hurwitz=True, name="A"):
+    """The system in ``path``; ``name`` is its A's name in a Hurwitz error."""
     try:
-        return load_system(path, require_hurwitz=require_hurwitz)
+        return load_system(path, require_hurwitz=require_hurwitz, name=name)
     except (ValidationError, SolverError):
         raise
     except LqoError as exc:
@@ -137,7 +138,7 @@ def _cmd_reduce(args):
     else:
         if args.init is None:
             raise _UsageError(f"--init is required for method {args.method}")
-        rom0 = _load(args.init)
+        rom0 = _load(args.init, name="initial reduced A (--init)")
         if args.order is not None and args.order != rom0.order:
             raise ValidationError(
                 f"--order {args.order} contradicts initial guess order {rom0.order}"
@@ -176,7 +177,7 @@ def _cmd_norm(args):
 def _cmd_error(args):
     interval = _interval(args)
     system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=interval.is_infinite)
+    rom = _load(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
     rep = h2tau_error(system, rom, interval)
     first, second, third = rep.decomposition
     _json_out(
@@ -195,7 +196,7 @@ def _cmd_error(args):
 
 def _cmd_residuals(args):
     system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=args.horizon == "infinite")
+    rom = _load(args.rom, require_hurwitz=args.horizon == "infinite", name="reduced A (--rom)")
     if args.horizon == "infinite":
         rep = h2_residuals(system, rom)
     else:

@@ -19,6 +19,17 @@ caller reads is one solve: Q = Y + Z from :func:`gramian_pair` and
 G = Y + 2 Z of the optimality conditions from :func:`adjoint_block`.
 :func:`gramian_blocks`, :func:`timelimited_gramians` and
 :func:`cross_gramians` return Y and Z apart.
+
+A system's own P and Q are facts of the system: :func:`controllability_block`
+of a system with itself and the Q of :func:`gramian_pair` are solved at most
+once per horizon and kept, read-only, in the system's ``gramian_memo`` for
+the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons.  So
+``h2tau_norm``, ``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
+:func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
+each.  Mixed blocks, Y and Z apart, and every :func:`adjoint_block` are
+solved on each call.  A kept Gramian passed the same checks on the same
+matrices, which :class:`~lqomor.model.LqoSystem` requires not to change; a
+solve that raises keeps nothing.
 """
 
 from dataclasses import dataclass
@@ -145,16 +156,42 @@ def controllability_block(left, right, interval):
     ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, handed to the solver as
     factors, so no N x N kernel is formed and no N^3 product weights it.
     This needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
-    system with itself is its controllability Gramian.
+    system with itself (``left is right``) is its controllability Gramian,
+    kept read-only in the system's memo.
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
+    if left is right:
+        return _memo(left, interval, "P", lambda: _controllability(left, left, interval))
+    return _controllability(left, right, interval)
+
+
+def _controllability(left, right, interval):
     factors = (
         _boundary_factor(left, interval, False), _boundary_factor(right, interval, True)
     )
     return _solve(left, right, "controllability", factors)
+
+
+def _memo(system, interval, name, solve):
+    """Gramian ``name`` of ``system`` on ``interval`` from its memo, or from
+    ``solve()`` and then kept read-only.  The entry of ``interval`` becomes
+    the most recently used one, and the least recently used beyond
+    :data:`~lqomor.matfun.GRAMIAN_MEMO` goes; a ``solve`` that raises
+    leaves the memo as it was."""
+    memo = system.gramian_memo
+    x = memo.get(interval, {}).get(name)
+    if x is None:
+        x = solve()
+        x.flags.writeable = False
+    entry = memo.pop(interval, {})
+    entry[name] = x
+    memo[interval] = entry
+    if len(memo) > matfun.GRAMIAN_MEMO:
+        del memo[next(iter(memo))]
+    return x
 
 
 def quadratic_kernel(left, right, p):
@@ -217,7 +254,8 @@ def gramian_pair(system, interval):
     """Controllability Gramian P and total observability Gramian Q of
     ``system`` on ``interval``, from one solve each: by linearity Q = Y + Z
     is the :func:`observability_block` with kernel
-    ``C^T C + sum_i M_i P M_i``.  An infinite horizon needs a Hurwitz A.
+    ``C^T C + sum_i M_i P M_i``.  An infinite horizon needs a Hurwitz A,
+    tested on every call.  Both are kept read-only in the system's memo.
 
     Returns
     -------
@@ -226,8 +264,12 @@ def gramian_pair(system, interval):
     """
     require_pair(system, system, interval)
     p = controllability_block(system, system, interval)
-    kern = system.C.T @ system.C + quadratic_kernel(system, system, p)
-    return p, observability_block(system, system, interval, kern)
+
+    def solve_q():
+        kern = system.C.T @ system.C + quadratic_kernel(system, system, p)
+        return observability_block(system, system, interval, kern)
+
+    return p, _memo(system, interval, "Q", solve_q)
 
 
 def timelimited_gramians(system, interval):

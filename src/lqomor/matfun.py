@@ -50,6 +50,13 @@ HURWITZ_RTOL = 1e-12
 #: horizons (a loaded system reused by several commands) stays this size.
 EXPM_MEMO = 2
 
+#: Horizons whose controllability Gramian P and total observability Gramian
+#: Q a :class:`~lqomor.model.LqoSystem` keeps (see
+#: :mod:`lqomor.gramians`): the two most recently used, one finite horizon
+#: and [0, inf), which is what a ``bt``/``tlbt`` comparison reads.  At
+#: N = 150 that is four N x N arrays, about 0.7 MiB per system.
+GRAMIAN_MEMO = 2
+
 #: Largest number of rows or columns of a quasi-triangular Sylvester block
 #: that one unblocked LAPACK ``trsyl`` call solves; larger blocks are split
 #: recursively (see ``_trsyl``).  48 is the fastest measured at N = 150 and

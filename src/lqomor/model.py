@@ -69,7 +69,11 @@ class LqoSystem:
 
     The real Schur form of ``A`` (``schur``) is factored at most once, on
     first use, and the form of ``A^T`` (``schur_t``) is a view of the same
-    factors, so the matrices must not be modified after construction.
+    factors.  The system's own Gramians P and Q are likewise solved at most
+    once per horizon and kept in ``gramian_memo`` for the
+    :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons, as
+    read-only arrays.  So the matrices must not be modified after
+    construction.
     :func:`~lqomor.sysio.load_system` hands the same instance to every load
     of the same bytes, and makes the matrices of the systems it loads
     read-only.
@@ -126,6 +130,9 @@ class LqoSystem:
         #: factors, held for the system's life so that every solve reads the
         #: same view (a form holds its view only weakly).
         self.schur_t = self.schur.transposed
+        #: ``{TimeInterval: {"P": P, "Q": Q}}``, least recently used first:
+        #: the Gramians of this system that :mod:`lqomor.gramians` solved.
+        self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")
 

@@ -176,18 +176,20 @@ def _parse(text, base_dir):
     return LqoSystem(a, b, c, mats, check_hurwitz=False), external
 
 
-def load_system(path, require_hurwitz=True):
+def load_system(path, require_hurwitz=True, name="A"):
     """Read and parse a system file from disk, as :func:`parse_system` would.
 
     Loading bytes that were loaded before in this process returns the same
     :class:`~lqomor.model.LqoSystem`, with its Schur form, Hurwitz result
-    and exponential memo: the last :data:`LOADED_SYSTEMS` documents are kept
+    and exponential and Gramian memos: the last :data:`LOADED_SYSTEMS` documents are kept
     by the SHA-256 of their bytes, so a file rewritten in place is parsed
     again whatever its size and time stamps.  A document that references
     Matrix Market files is not kept, since its bytes do not cover theirs.
     Loaded systems are shared, so their ``A``, ``B``, ``C`` and ``M_i`` are
     read-only.  A file that fails to parse leaves nothing behind, and a
-    factorization that fails is tried again on the next load.
+    factorization that fails is tried again on the next load.  ``name`` is
+    the name the Hurwitz test gives the file's A in its error, so that a
+    caller reading several files can say which one failed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -203,7 +205,7 @@ def load_system(path, require_hurwitz=True):
         if len(_loaded) > LOADED_SYSTEMS:
             del _loaded[next(iter(_loaded))]
     if require_hurwitz:
-        matfun.require_hurwitz(system.schur, "A")
+        matfun.require_hurwitz(system.schur, name)
     return system
 
 

@@ -320,6 +320,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "norm", "--system", str(bad), "--t1", "1")
         assert code == 3
         assert json.loads(err)["code"] == "not_hurwitz"
+        assert json.loads(err)["context"]["name"] == "A"
 
     @pytest.fixture()
     def unstable_rom(self, capsys, tmp_path):
@@ -348,6 +349,24 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["code"] == "not_hurwitz"
         assert doc["context"]["eigenvalue"][0] > 0.0
+        assert doc["context"]["name"] == "reduced A (--rom)"
+        assert doc["message"].startswith("reduced A (--rom) is not Hurwitz")
+
+    @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+    def test_validation_error_non_hurwitz_initial_guess(
+        self, capsys, unstable_rom, method
+    ):
+        # the message names the --init file's A, not the system's
+        code, out, err = run(
+            capsys, "reduce", "--method", method, "--system", BENCH, "--init", unstable_rom,
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == "not_hurwitz"
+        assert doc["context"]["eigenvalue"][0] > 0.0
+        assert doc["context"]["name"] == "initial reduced A (--init)"
+        assert doc["message"].startswith("initial reduced A (--init) is not Hurwitz")
 
     @pytest.mark.parametrize(
         "argv",

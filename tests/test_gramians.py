@@ -413,22 +413,133 @@ class TestFactoredControllability:
 
         monkeypatch.setattr(gramians, "_weighted", weighing)
         monkeypatch.setattr(matfun, "solve_sylvester", solving)
-        rng = np.random.default_rng(62)
-        full = rand_system(rng, 2 * LEAF, 2, 2)
-        rom = rand_system(rng, 4, 2, 2)
         iv = TimeInterval(0.1, 0.5)
+        # each run on a fresh pair, since a system keeps its own block; the
+        # count of controllability solves when the same run is repeated
         runs = [
-            lambda: h2tau_norm(full, iv),
-            lambda: h2tau_error(full, rom, iv),
-            lambda: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)),
-            lambda: bt(full, 4),
-            lambda: tlbt(full, 4, iv),
+            (lambda full, rom: h2tau_norm(full, iv), 0),
+            (lambda full, rom: h2tau_error(full, rom, iv), 1),
+            (lambda full, rom: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)), 1),
+            (lambda full, rom: bt(full, 4), 0),
+            (lambda full, rom: tlbt(full, 4, iv), 0),
         ]
-        for run in runs:
+        for run, repeated in runs:
+            rng = np.random.default_rng(62)
+            full = rand_system(rng, 2 * LEAF, 2, 2)
+            rom = rand_system(rng, 4, 2, 2)
             controllability.clear()
-            run()
+            run(full, rom)
             assert controllability
             for c in controllability:
                 assert isinstance(c, tuple) and len(c) == 2
                 assert all(f.ndim == 2 and f.shape[1] <= 2 * full.n_inputs for f in c)
+            controllability.clear()
+            run(full, rom)
+            assert len(controllability) == repeated
         assert weighted and set(weighted) == {"observability_block"}
+
+
+class TestGramianMemo:
+    """A system's own P and Q are solved once per horizon and kept for the
+    GRAMIAN_MEMO most recently used horizons."""
+
+    N = LEAF
+    IV = TimeInterval(0.1, 0.5)
+
+    def fresh(self):
+        return rand_system(np.random.default_rng(63), self.N, 2, 2)
+
+    def full_solves(self, lapack_calls):
+        """(N, N) trsyl calls since the log was last cleared."""
+        return lapack_calls.trsyl.count((self.N, self.N))
+
+    @pytest.mark.parametrize("quantity", ["norm", "error", "hsv"])
+    def test_second_call_makes_no_full_order_solve(self, lapack_calls, quantity):
+        system = self.fresh()
+        rom = rand_system(np.random.default_rng(64), 4, 2, 2)
+        run = {
+            "norm": lambda: h2tau_norm(system, self.IV),
+            "error": lambda: h2tau_error(system, rom, self.IV),
+            "hsv": lambda: hankel_singular_values(*gramian_pair(system, self.IV)),
+        }[quantity]
+        run()
+        assert self.full_solves(lapack_calls) == (2 if quantity == "hsv" else 1)
+        lapack_calls.trsyl.clear()
+        run()
+        assert self.full_solves(lapack_calls) == 0
+
+    def test_tlbt_at_several_orders_solves_p_and_q_once(self, lapack_calls):
+        system = self.fresh()
+        for n in range(2, 6):
+            tlbt(system, n, self.IV)
+        assert self.full_solves(lapack_calls) == 2
+
+    def test_results_equal_those_of_a_fresh_system(self):
+        system = self.fresh()
+        rom = rand_system(np.random.default_rng(64), 4, 2, 2)
+
+        def results(full, model):
+            return [
+                h2tau_norm(full, self.IV).value,
+                *h2tau_error(full, model, self.IV).decomposition,
+                *h2tau_error(full, model, TimeInterval(0.0, INFINITE)).decomposition,
+                *hankel_singular_values(*gramian_pair(full, self.IV)).sigma,
+                *tlbt(full, 3, self.IV).rom.A.ravel(),
+                *bt(full, 3).rom.C.ravel(),
+            ]
+
+        first = results(system, rom)
+        warm = results(system, rom)
+        cold = results(self.fresh(), rand_system(np.random.default_rng(64), 4, 2, 2))
+        assert first == warm == cold
+
+    @pytest.mark.parametrize("iv", [IV, TimeInterval(0.0, INFINITE)], ids=str)
+    def test_kept_gramians_are_read_only(self, iv):
+        system = self.fresh()
+        p, q = gramian_pair(system, iv)
+        gset = timelimited_gramians(system, iv)
+        assert gset.P is p
+        for x in (p, q, controllability_block(system, system, iv)):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.0
+        assert system.gramian_memo[iv]["P"] is p and system.gramian_memo[iv]["Q"] is q
+
+    def test_third_horizon_evicts_the_least_recently_used(self, lapack_calls):
+        assert matfun.GRAMIAN_MEMO == 2
+        system = self.fresh()
+        first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
+        for iv in (first, second, first, third):
+            h2tau_norm(system, iv)
+        assert list(system.gramian_memo) == [first, third]
+        lapack_calls.trsyl.clear()
+        h2tau_norm(system, first)
+        h2tau_norm(system, third)
+        assert self.full_solves(lapack_calls) == 0
+        h2tau_norm(system, second)
+        assert self.full_solves(lapack_calls) == 1
+        assert list(system.gramian_memo) == [third, second]
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    def test_failed_solve_keeps_nothing(self, iv):
+        # the 1e11 transient of transient_system with a smaller B: P exists
+        # on [0, 0.001], but overflows on [0, inf) and the right-hand side
+        # overflows on the finite horizons
+        system = LqoSystem(
+            [[-1.0, 1e11], [0.0, -1.0]], [[0.0], [1e145]], [[1.0, 0.0]], [np.zeros((2, 2))]
+        )
+        kept = TimeInterval(0.0, 0.001)
+        p = controllability_block(system, system, kept)
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(SolverError):
+                controllability_block(system, system, iv)
+            assert list(system.gramian_memo) == [kept]
+        assert controllability_block(system, system, kept) is p
+
+    def test_mixed_blocks_are_not_kept(self):
+        system = self.fresh()
+        twin = self.fresh()
+        a = controllability_block(system, twin, self.IV)
+        b = controllability_block(system, twin, self.IV)
+        assert a is not b and a.flags.writeable
+        assert not system.gramian_memo and not twin.gramian_memo

@@ -286,20 +286,32 @@ class TestObservabilityRouteOracle:
 
 def test_norm_and_error_solve_only_controllability_blocks(lapack_calls):
     """h2tau_norm and h2tau_error factor A once, never A^T, and make one
-    trsyl call per controllability block."""
+    trsyl call per controllability block.  Each runs on a fresh pair, since
+    a system keeps its own block: called again, only Pt is solved."""
     n, r = 20, 4
-    rng = np.random.default_rng(78)
-    system = rand_system(rng, n, m=2, p=2)
-    rom = rand_system(rng, r, m=2, p=2)
     horizon = TimeInterval(0.0, 0.8)
 
+    def fresh():
+        lapack_calls.schur.clear()
+        lapack_calls.trsyl.clear()
+        rng = np.random.default_rng(78)
+        return rand_system(rng, n, m=2, p=2), rand_system(rng, r, m=2, p=2)
+
+    system, rom = fresh()
     h2tau_norm(system, horizon)
     assert lapack_calls.factored(system.A) == 1
     assert lapack_calls.factored(system.A.T) == 0
     assert lapack_calls.trsyl == [(n, n)]
 
-    lapack_calls.trsyl.clear()
+    system, rom = fresh()
     h2tau_error(system, rom, horizon)
     assert lapack_calls.factored(system.A) == 1
     assert lapack_calls.factored(system.A.T) == 0
     assert sorted(lapack_calls.trsyl) == sorted([(n, n), (n, r), (r, r)])
+
+    lapack_calls.trsyl.clear()
+    h2tau_norm(system, horizon)
+    assert lapack_calls.trsyl == []
+    h2tau_error(system, rom, horizon)
+    assert lapack_calls.trsyl == [(n, r)]
+    assert lapack_calls.factored(system.A) == 1

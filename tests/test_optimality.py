@@ -386,19 +386,31 @@ class TestTheorem2:
 def test_each_quantity_solves_only_the_blocks_it_reads(lapack_calls):
     # Pt, Ph and G = Y + 2 Z one solve each; the [0, inf) adjoints Xt, Xh
     # only for the deviation term L of a finite horizon
+    # Each quantity runs on a fresh pair, since the model keeps its own Ph:
+    # a second call on the same pair solves every block but Ph.
     n, r = 20, 4
-    rng = np.random.default_rng(77)
-    full = rand_system(rng, n, 2, 2)
-    rom = rand_system(rng, r, 2, 2)
     iv = TimeInterval(0.0, 0.5)
     pair = ProjectionPair(V=np.eye(n)[:, :r], W=np.eye(n)[:, :r])
 
-    def solves(fun):
-        lapack_calls.trsyl.clear()
-        fun()
+    def solves(fun, calls=1):
+        """Sorted trsyl shapes of the last of ``calls`` runs of ``fun``."""
+        rng = np.random.default_rng(77)
+        full = rand_system(rng, n, 2, 2)
+        rom = rand_system(rng, r, 2, 2)
+        for _ in range(calls):
+            lapack_calls.trsyl.clear()
+            fun(full, rom)
         return sorted(lapack_calls.trsyl)
 
-    assert solves(lambda: h2_residuals(full, rom)) == [(r, r)] * 2 + [(n, r)] * 2
-    assert solves(lambda: theorem2_check(full, rom, pair, iv)) == [(r, r)] * 2
+    def theorem2(full, rom):
+        return theorem2_check(full, rom, pair, iv)
+
+    assert solves(h2_residuals) == [(r, r)] * 2 + [(n, r)] * 2
+    assert solves(theorem2) == [(r, r)] * 2
     for fun in (tl_residuals, gradients):
-        assert solves(lambda: fun(full, rom, iv)) == [(r, r)] * 3 + [(n, r)] * 3
+        assert solves(lambda full, rom: fun(full, rom, iv)) == [(r, r)] * 3 + [(n, r)] * 3
+
+    assert solves(h2_residuals, 2) == [(r, r)] + [(n, r)] * 2
+    assert solves(theorem2, 2) == [(r, r)]
+    for fun in (tl_residuals, gradients):
+        assert solves(lambda full, rom: fun(full, rom, iv), 2) == [(r, r)] * 2 + [(n, r)] * 3

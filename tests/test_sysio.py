@@ -236,6 +236,16 @@ class TestLoadCache:
         assert not load_system(path, require_hurwitz=False).is_hurwitz
         assert self.norm(capsys, path) == first
 
+    def test_hurwitz_error_names_the_callers_matrix(self, tmp_path):
+        # the cached system is checked again, under the name of each load
+        path = tmp_path / "unstable.json"
+        path.write_text(scalar_document(1.0, 1.0))
+        with pytest.raises(HurwitzError, match="^A is not Hurwitz"):
+            load_system(path)
+        with pytest.raises(HurwitzError, match=r"^reduced A \(--rom\) is not Hurwitz") as exc:
+            load_system(path, name="reduced A (--rom)")
+        assert exc.value.context["name"] == "reduced A (--rom)"
+
     def test_failed_parse_leaves_nothing(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
