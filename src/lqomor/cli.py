@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import demo as demo_mod
-from .errors import LqoError, SolverError, ValidationError
+from .errors import HurwitzError, LqoError, ValidationError
 from .gramians import gramian_pair, hankel_singular_values
 from .model import TimeInterval, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
@@ -42,28 +42,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-class _InputFailure(ValidationError):
-    """A failure while loading an input file counts as input validation,
-    except a solver's: a factorization that fails on a well-formed file is a
-    numerical failure.  A non-Hurwitz file where the command needs a Hurwitz
-    A (a system, or a reduced model on an infinite horizon) is invalid
-    input."""
-
-    def __init__(self, exc):
-        super().__init__(str(exc), **getattr(exc, "context", {}))
-        self.code = getattr(exc, "code", "validation")
-
-
-def _load(path, require_hurwitz=True, name="A"):
-    """The system in ``path``; ``name`` is its A's name in a Hurwitz error."""
-    try:
-        return load_system(path, require_hurwitz=require_hurwitz, name=name)
-    except (ValidationError, SolverError):
-        raise
-    except LqoError as exc:
-        raise _InputFailure(exc) from exc
 
 
 def _emit_error(code, message, context=None):
@@ -127,7 +105,7 @@ _REDUCE_SUMMARY = (
 
 
 def _cmd_reduce(args):
-    system = _load(args.system)
+    system = load_system(args.system)
     if args.method in ("bt", "tlbt"):
         if args.order is None:
             raise _UsageError(f"--order is required for method {args.method}")
@@ -138,7 +116,7 @@ def _cmd_reduce(args):
     else:
         if args.init is None:
             raise _UsageError(f"--init is required for method {args.method}")
-        rom0 = _load(args.init, name="initial reduced A (--init)")
+        rom0 = load_system(args.init, name="initial reduced A (--init)")
         if args.order is not None and args.order != rom0.order:
             raise ValidationError(
                 f"--order {args.order} contradicts initial guess order {rom0.order}"
@@ -158,7 +136,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_norm(args):
-    system = _load(args.system)
+    system = load_system(args.system)
     interval = _interval(args)
     if args.quadrature is not None:
         rep = h2tau_norm_quadrature(system, interval, resolution=args.quadrature)
@@ -176,8 +154,8 @@ def _cmd_norm(args):
 
 def _cmd_error(args):
     interval = _interval(args)
-    system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
+    system = load_system(args.system)
+    rom = load_system(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
     rep = h2tau_error(system, rom, interval)
     first, second, third = rep.decomposition
     _json_out(
@@ -195,8 +173,10 @@ def _cmd_error(args):
 
 
 def _cmd_residuals(args):
-    system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=args.horizon == "infinite", name="reduced A (--rom)")
+    system = load_system(args.system)
+    rom = load_system(
+        args.rom, require_hurwitz=args.horizon == "infinite", name="reduced A (--rom)"
+    )
     if args.horizon == "infinite":
         rep = h2_residuals(system, rom)
     else:
@@ -211,7 +191,7 @@ def _cmd_residuals(args):
 
 
 def _cmd_hsv(args):
-    system = _load(args.system)
+    system = load_system(args.system)
     spectrum = hankel_singular_values(*gramian_pair(system, _interval(args)))
     _json_out(
         {
@@ -223,8 +203,8 @@ def _cmd_hsv(args):
 
 
 def _cmd_simulate(args):
-    system = _load(args.system)
-    rom = _load(args.rom, require_hurwitz=False) if args.rom else None
+    system = load_system(args.system)
+    rom = load_system(args.rom, require_hurwitz=False) if args.rom else None
     states = system.order + (rom.order if rom is not None else 0)
     grid = time_grid(args.t0, args.t1, args.step, states)
     u = parse_signal(args.input)
@@ -362,7 +342,9 @@ def run_command(argv):
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE
-    except ValidationError as exc:
+    except (ValidationError, HurwitzError) as exc:
+        # a Hurwitz error is a file's A failing the test of its load, where
+        # the command needs a Hurwitz A: invalid input
         _emit_error(exc.code, str(exc), exc.context)
         return EXIT_VALIDATION
     except LqoError as exc:

@@ -28,8 +28,8 @@ the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons.  So
 :func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
 each.  Mixed blocks, Y and Z apart, and every :func:`adjoint_block` are
 solved on each call.  A kept Gramian passed the same checks on the same
-matrices, which :class:`~lqomor.model.LqoSystem` requires not to change; a
-solve that raises keeps nothing.
+matrices (see :class:`~lqomor.model.LqoSystem`); a solve that raises keeps
+nothing.
 """
 
 from dataclasses import dataclass
@@ -177,20 +177,14 @@ def _controllability(left, right, interval):
 
 def _memo(system, interval, name, solve):
     """Gramian ``name`` of ``system`` on ``interval`` from its memo, or from
-    ``solve()`` and then kept read-only.  The entry of ``interval`` becomes
-    the most recently used one, and the least recently used beyond
-    :data:`~lqomor.matfun.GRAMIAN_MEMO` goes; a ``solve`` that raises
-    leaves the memo as it was."""
-    memo = system.gramian_memo
-    x = memo.get(interval, {}).get(name)
+    ``solve()`` and then kept read-only, under the policy of
+    :func:`~lqomor.matfun.recall` with :data:`~lqomor.matfun.GRAMIAN_MEMO`
+    horizons.  The solve comes first, so one that raises keeps nothing."""
+    x = system.gramian_memo.get(interval, {}).get(name)
     if x is None:
         x = solve()
         x.flags.writeable = False
-    entry = memo.pop(interval, {})
-    entry[name] = x
-    memo[interval] = entry
-    if len(memo) > matfun.GRAMIAN_MEMO:
-        del memo[next(iter(memo))]
+    matfun.recall(system.gramian_memo, interval, matfun.GRAMIAN_MEMO, dict)[name] = x
     return x
 
 

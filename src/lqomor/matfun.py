@@ -111,8 +111,7 @@ class SchurForm:
     ``transposed`` is the form of ``a^T``: a view that shares all of these
     (``a^T = U T^T U^T``, flagged by ``trans``), so one factorization serves
     both sides of every Lyapunov and Sylvester equation in ``a``.  ``a``
-    must be a finite square float array that does not change after the form
-    is built.
+    must be a finite square float array.
     """
 
     def __init__(self, a, transposed=None):
@@ -212,14 +211,25 @@ class SchurForm:
         if self.trans:
             return self.transposed.expm(t).T
         t = float(t)
-        x = self._expm.pop(t, None)
-        if x is None:
+
+        def make():
             x = expm(self.a, t)
             x.flags.writeable = False
-        self._expm[t] = x
-        if len(self._expm) > EXPM_MEMO:
-            del self._expm[next(iter(self._expm))]
-        return x
+            return x
+
+        return recall(self._expm, t, EXPM_MEMO, make)
+
+
+def recall(memo, key, bound, make):
+    """``memo[key]``, or ``make()`` kept there if ``key`` is missing: the one
+    policy of every bounded memo.  ``memo`` is a dict in the order of last
+    use; ``key`` becomes its most recently used entry, and the least
+    recently used beyond ``bound`` goes."""
+    value = memo.pop(key) if key in memo else make()
+    memo[key] = value
+    if len(memo) > bound:
+        del memo[next(iter(memo))]
+    return value
 
 
 def _form(a, name):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import DimensionError, NonFiniteError, ValidationError
+from .errors import DimensionError, NonFiniteError, NumericalError, ValidationError
 from .signals import SignalExpr
 
 #: Sentinel for an unbounded right endpoint of a :class:`TimeInterval`.
@@ -67,25 +67,25 @@ class LqoSystem:
     ``M_i`` with ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)`` is stored as
     ``(M_i + M_i^T) / 2``; any other ``M_i`` is kept as given.
 
-    The real Schur form of ``A`` (``schur``) is factored at most once, on
-    first use, and the form of ``A^T`` (``schur_t``) is a view of the same
-    factors.  The system's own Gramians P and Q are likewise solved at most
-    once per horizon and kept in ``gramian_memo`` for the
-    :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons, as
-    read-only arrays.  So the matrices must not be modified after
-    construction.
-    :func:`~lqomor.sysio.load_system` hands the same instance to every load
-    of the same bytes, and makes the matrices of the systems it loads
-    read-only.
+    A system owns its matrices: ``A``, ``B``, ``C`` and each ``M_i`` are
+    read-only copies of the arrays given, so every fact cached about them
+    holds for the system's life.  The real Schur form of ``A`` (``schur``)
+    is factored at most once, on first use, and the form of ``A^T``
+    (``schur_t``) is a view of the same factors.  The system's own Gramians
+    P and Q are likewise solved at most once per horizon and kept in
+    ``gramian_memo`` for the :data:`~lqomor.matfun.GRAMIAN_MEMO` most
+    recently used horizons, as read-only arrays.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        c = np.atleast_2d(np.asarray(c, dtype=float))
+        # copies that keep the memory order of the arrays given, on which
+        # the rounding of BLAS products depends
+        a = np.array(a, dtype=float, ndmin=2)
+        b = np.array(b, dtype=float, ndmin=2)
+        c = np.array(c, dtype=float, ndmin=2)
         if isinstance(m, np.ndarray) and m.ndim == 2:
             m = [m]
-        m = tuple(np.atleast_2d(np.asarray(mi, dtype=float)) for mi in m)
+        m = tuple(np.array(mi, dtype=float, ndmin=2) for mi in m)
 
         n = a.shape[0]
         if a.shape != (n, n):
@@ -118,6 +118,8 @@ class LqoSystem:
             else mi
             for mi in m
         )
+        for mat in (a, b, c, *m):
+            mat.flags.writeable = False
 
         self.A = a
         self.B = b
@@ -164,14 +166,17 @@ class LqoSystem:
 
 
 def validate(system):
-    """Re-run all construction checks, including the Hurwitz requirement.
+    """``system`` itself, once it is an :class:`LqoSystem` with a Hurwitz A.
 
-    Returns the validated system; raises on dimension mismatch, non-finite
-    entries or a non-Hurwitz A.
+    Construction checked the dimensions and entries of the read-only
+    matrices, so only the Hurwitz requirement is left to test; raises
+    :class:`ValidationError` for any other type and :class:`HurwitzError`
+    for a non-Hurwitz A.
     """
     if not isinstance(system, LqoSystem):
         raise ValidationError(f"expected LqoSystem, got {type(system).__name__}")
-    return LqoSystem(system.A, system.B, system.C, system.M, check_hurwitz=True)
+    matfun.require_hurwitz(system.schur, "A")
+    return system
 
 
 @dataclass(frozen=True)
@@ -421,6 +426,12 @@ def simulate(system, u, grid, x0=None, substeps=1):
     Returns
     -------
     Trajectory
+
+    Raises
+    ------
+    NumericalError
+        If an output is not finite (the response overflowed); ``context.t``
+        is the first grid time with such an output.
     """
     t = np.asarray(grid, dtype=float).reshape(-1)
     if t.size == 0:
@@ -460,8 +471,12 @@ def simulate(system, u, grid, x0=None, substeps=1):
         _run_steps(psi, states[lo:hi + 1])
     if substeps > 1:
         states = states[::substeps].copy()
-
-    return Trajectory(times=t, states=states, outputs=_output_trajectory(system, states))
+    outputs = _output_trajectory(system, states)
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        tk = float(t[np.argmin(finite)])
+        raise NumericalError(f"output not finite at t={tk:g}: the response overflowed", t=tk)
+    return Trajectory(times=t, states=states, outputs=outputs)
 
 
 def require_same_io(system, rom):

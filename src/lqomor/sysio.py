@@ -173,6 +173,7 @@ def _parse(text, base_dir):
     external = any(
         isinstance(value, str) for value in [doc["A"], doc["B"], doc["C"], *doc["M"]]
     )
+    del doc, text  # freed before the system copies the arrays
     return LqoSystem(a, b, c, mats, check_hurwitz=False), external
 
 
@@ -185,8 +186,7 @@ def load_system(path, require_hurwitz=True, name="A"):
     by the SHA-256 of their bytes, so a file rewritten in place is parsed
     again whatever its size and time stamps.  A document that references
     Matrix Market files is not kept, since its bytes do not cover theirs.
-    Loaded systems are shared, so their ``A``, ``B``, ``C`` and ``M_i`` are
-    read-only.  A file that fails to parse leaves nothing behind, and a
+    A file that fails to parse leaves nothing behind, and a
     factorization that fails is tried again on the next load.  ``name`` is
     the name the Hurwitz test gives the file's A in its error, so that a
     caller reading several files can say which one failed.
@@ -194,16 +194,11 @@ def load_system(path, require_hurwitz=True, name="A"):
     with open(path, "rb") as fh:
         data = fh.read()
     key = hashlib.sha256(data).digest()
-    system, external = _loaded.pop(key, None), False
+    system, external = _loaded.get(key), False
     if system is None:
         system, external = _parse(data, os.path.dirname(os.path.abspath(path)))
-        # the view of A^T was taken while A was writeable
-        for mat in (system.A, system.schur_t.a, system.B, system.C, *system.M):
-            mat.flags.writeable = False
     if not external:
-        _loaded[key] = system
-        if len(_loaded) > LOADED_SYSTEMS:
-            del _loaded[next(iter(_loaded))]
+        matfun.recall(_loaded, key, LOADED_SYSTEMS, lambda: system)
     if require_hurwitz:
         matfun.require_hurwitz(system.schur, name)
     return system

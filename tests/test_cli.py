@@ -400,6 +400,26 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["code"] == "signal_eval"
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_simulate_overflow_is_numerical_failure(self, capsys, tmp_path, to_file):
+        # x' = 40 x + 1 grows by e^40 per second: the reduced model's output
+        # overflows at t = 17.84, where every later row would read inf or nan
+        doc = json.loads(Path(SCALAR).read_text())
+        doc["A"] = [[40.0]]
+        rom, csv = tmp_path / "rom.json", tmp_path / "sim.csv"
+        rom.write_text(json.dumps(doc))
+        out_flag = ["--out", str(csv)] if to_file else []
+        code, out, err = run(
+            capsys, "simulate", "--system", SCALAR, "--rom", str(rom), "--input", "1",
+            "--t1", "20", "--step", "0.01", *out_flag,
+        )
+        assert code == 4 and out == ""
+        assert not csv.exists()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["code"] == "numerical"
+        assert error["context"] == {"t": 17.84}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqomor.errors import DimensionError, HurwitzError, ValidationError
+from lqomor.errors import DimensionError, HurwitzError, NumericalError, ValidationError
 from lqomor.matfun import expm
 from lqomor.model import (
     LqoSystem,
@@ -55,12 +55,20 @@ class TestTimeInterval:
 class TestValidate:
     def test_accepts_bundled_benchmark(self):
         sys6 = demo_system()
-        out = validate(sys6)
-        assert out.order == 6 and out.n_inputs == 1 and out.n_outputs == 1
+        assert validate(sys6) is sys6
 
     def test_rejects_unstable_scalar(self):
         with pytest.raises(HurwitzError):
             LqoSystem([[1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))])
+
+    def test_rejects_unstable_system_built_without_the_test(self):
+        unchecked = LqoSystem(
+            [[1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False
+        )
+        with pytest.raises(HurwitzError):
+            validate(unchecked)
+        with pytest.raises(ValidationError):
+            validate("not a system")
 
     def test_rejects_m_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -90,6 +98,35 @@ class TestValidate:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             LqoSystem([[-1.0]], [[np.inf]], [[1.0]], [np.zeros((1, 1))])
+
+
+class TestOwnedMatrices:
+    def test_caller_arrays_do_not_reach_the_cached_facts(self):
+        # the Schur form and the Gramians were cached from A = -I; a system
+        # that shared the caller's array would answer for A = -I after
+        # A *= 2 from its stale caches
+        a, b, c, m = -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(2)
+        system = LqoSystem(a, b, c, [m])
+        iv = TimeInterval(0.0, 1.0)
+        before = h2tau_norm(system, iv).value
+        a *= 2.0
+        assert h2tau_norm(system, iv).value == before
+        assert np.array_equal(system.A, -np.eye(2))
+        fresh = LqoSystem(-np.eye(2), b, c, [m])
+        assert h2tau_norm(fresh, iv).value == before
+        assert h2tau_norm(LqoSystem(a, b, c, [m]), iv).value != before
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "M_0", "M_1", "schur_t.a"])
+    def test_constructed_matrices_are_read_only(self, name):
+        # M_0 is stored as its symmetric part, M_1 as given
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        system = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((2, 2)), [m, m.T @ m])
+        mat = {
+            "A": system.A, "B": system.B, "C": system.C, "M_0": system.M[0],
+            "M_1": system.M[1], "schur_t.a": system.schur_t.a,
+        }[name]
+        with pytest.raises(ValueError):
+            mat[0, 0] = 5.0
 
 
 class TestEvalOutput:
@@ -253,6 +290,14 @@ class TestSimulate:
         sys1 = rand_system(np.random.default_rng(4), 3)
         with pytest.raises(ValidationError):
             simulate(sys1, lambda t: 0.0, [])
+
+    def test_overflowing_output_is_numerical_error(self):
+        # the states stay finite, near 1e159 at t = 0.1; their square does not
+        sys1 = LqoSystem([[-1.0]], [[1e160]], [[1.0]], [[[1.0]]])
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NumericalError) as info:
+            simulate(sys1, parse_signal("1"), grid)
+        assert info.value.context["t"] == grid[1]
 
     def test_rejects_nonfinite_signal(self):
         sys1 = rand_system(np.random.default_rng(5), 3)
