@@ -14,7 +14,7 @@ import numpy as np
 
 from . import demo as demo_mod
 from .errors import HurwitzError, LqoError, ValidationError
-from .gramians import gramian_pair, hankel_singular_values
+from .gramians import balancing
 from .model import TimeInterval, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
 from .optimality import h2_residuals, tl_residuals
@@ -192,7 +192,7 @@ def _cmd_residuals(args):
 
 def _cmd_hsv(args):
     system = load_system(args.system)
-    spectrum = hankel_singular_values(*gramian_pair(system, _interval(args)))
+    spectrum = balancing(system, _interval(args))
     _json_out(
         {
             "sigma": [float(s) for s in spectrum.sigma],

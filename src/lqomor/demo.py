@@ -61,11 +61,19 @@ def demo_initial_guess():
     return LqoSystem(a, b, c, [m1])
 
 
+def _row_norms(y):
+    """2-norm of each row of ``y``, taken with its largest entry scaled into
+    [0.5, 1) by a power of two, so that no square overflows or underflows;
+    summed down the contiguous columns of ``y^T``, the fast layout."""
+    cols = np.ascontiguousarray(y.T)
+    e = np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(cols, -e), axis=0), e)
+
+
 def relative_output_error(full_traj, rom_traj, eps=1e-12):
     """Pointwise ``||y - y_r||_2 / max(||y||_2, eps)`` along two trajectories."""
-    diff = np.linalg.norm(full_traj.outputs - rom_traj.outputs, axis=1)
-    ref = np.maximum(np.linalg.norm(full_traj.outputs, axis=1), eps)
-    return diff / ref
+    diff = _row_norms(full_traj.outputs - rom_traj.outputs)
+    return diff / np.maximum(_row_norms(full_traj.outputs), eps)
 
 
 def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):

@@ -23,13 +23,14 @@ G = Y + 2 Z of the optimality conditions from :func:`adjoint_block`.
 A system's own P and Q are facts of the system: :func:`controllability_block`
 of a system with itself and the Q of :func:`gramian_pair` are solved at most
 once per horizon and kept, read-only, in the system's ``gramian_memo`` for
-the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons.  So
-``h2tau_norm``, ``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
+the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons, with
+their :func:`balancing`: 4 N^2 + N floats per horizon.  So ``h2tau_norm``,
+``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
 :func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
-each.  Mixed blocks, Y and Z apart, and every :func:`adjoint_block` are
-solved on each call.  A kept Gramian passed the same checks on the same
-matrices (see :class:`~lqomor.model.LqoSystem`); a solve that raises keeps
-nothing.
+each, and ``bt``, ``tlbt`` and ``hsv`` one balancing.  Mixed blocks, Y and Z
+apart, and every :func:`adjoint_block` are solved on each call.  A kept
+Gramian passed the same checks on the same matrices (see
+:class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing.
 """
 
 from dataclasses import dataclass
@@ -124,6 +125,18 @@ class HankelSpectrum:
     clamp_magnitude: float = 0.0
 
 
+@dataclass(frozen=True)
+class Balancing:
+    """Hankel spectrum of a system's own P and Q with the full, unscaled
+    bases ``W = Lq U`` and ``V = Lp V`` of :func:`balancing_svd`, whose
+    first n columns times ``sigma[:n]^(-1/2)`` balance to order n."""
+
+    sigma: np.ndarray
+    clamp_magnitude: float
+    W: np.ndarray
+    V: np.ndarray
+
+
 def require_pair(system, rom, interval):
     """Preconditions of every pair quantity, or of a system with itself:
     equal input and output counts and, on an infinite horizon, Hurwitz A on
@@ -183,7 +196,8 @@ def _memo(system, interval, name, solve):
     x = system.gramian_memo.get(interval, {}).get(name)
     if x is None:
         x = solve()
-        x.flags.writeable = False
+        for a in (x,) if isinstance(x, np.ndarray) else (x.sigma, x.W, x.V):
+            a.flags.writeable = False
     matfun.recall(system.gramian_memo, interval, matfun.GRAMIAN_MEMO, dict)[name] = x
     return x
 
@@ -326,6 +340,18 @@ def balancing_svd(p, q):
     lq, clip_q = _psd_factor(q, "Q")
     u, s, vt = sla.svd(lq.T @ lp)
     return lp, lq, u, s, vt, max(clip_p, clip_q)
+
+
+def balancing(system, interval):
+    """Read-only :class:`Balancing` of the :func:`gramian_pair` of ``system``
+    on ``interval``, kept in its memo beside P and Q and evicted with them."""
+    p, q = gramian_pair(system, interval)
+
+    def factor():
+        lp, lq, u, sigma, vt, clipped = balancing_svd(p, q)
+        return Balancing(sigma, clipped, lq @ u, lp @ vt.T)
+
+    return _memo(system, interval, "balancing", factor)
 
 
 def hankel_singular_values(p, q):

@@ -50,11 +50,11 @@ HURWITZ_RTOL = 1e-12
 #: horizons (a loaded system reused by several commands) stays this size.
 EXPM_MEMO = 2
 
-#: Horizons whose controllability Gramian P and total observability Gramian
-#: Q a :class:`~lqomor.model.LqoSystem` keeps (see
-#: :mod:`lqomor.gramians`): the two most recently used, one finite horizon
-#: and [0, inf), which is what a ``bt``/``tlbt`` comparison reads.  At
-#: N = 150 that is four N x N arrays, about 0.7 MiB per system.
+#: Horizons whose Gramians P and Q and their balancing (sigma, W, V) a
+#: :class:`~lqomor.model.LqoSystem` keeps (see :mod:`lqomor.gramians`): the
+#: two most recently used, one finite horizon and [0, inf), which is what a
+#: ``bt``/``tlbt`` comparison reads.  That is 4 N^2 + N floats per horizon:
+#: at N = 150, about 1.4 MiB per system for the two.
 GRAMIAN_MEMO = 2
 
 #: Largest number of rows or columns of a quasi-triangular Sylvester block

@@ -72,9 +72,10 @@ class LqoSystem:
     holds for the system's life.  The real Schur form of ``A`` (``schur``)
     is factored at most once, on first use, and the form of ``A^T``
     (``schur_t``) is a view of the same factors.  The system's own Gramians
-    P and Q are likewise solved at most once per horizon and kept in
-    ``gramian_memo`` for the :data:`~lqomor.matfun.GRAMIAN_MEMO` most
-    recently used horizons, as read-only arrays.
+    P and Q, and their balancing, are likewise computed at most once per
+    horizon and kept in ``gramian_memo`` for the
+    :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons,
+    read-only: 4 N^2 + N floats per horizon.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -110,14 +111,7 @@ class LqoSystem:
             if not np.isfinite(mat).all():
                 raise NonFiniteError(f"{name} contains non-finite entries", name=name)
 
-        # the bar spares the rounding-level asymmetry of projected models:
-        # symmetrizing it too changes the path of the fixed-point reductors
-        m = tuple(
-            (mi + mi.T) / 2.0
-            if matfun.fro_norm(mi - mi.T) > 1e-12 * max(matfun.fro_norm(mi), 1.0)
-            else mi
-            for mi in m
-        )
+        m = tuple(_symmetrized(mi) for mi in m)
         for mat in (a, b, c, *m):
             mat.flags.writeable = False
 
@@ -132,8 +126,8 @@ class LqoSystem:
         #: factors, held for the system's life so that every solve reads the
         #: same view (a form holds its view only weakly).
         self.schur_t = self.schur.transposed
-        #: ``{TimeInterval: {"P": P, "Q": Q}}``, least recently used first:
-        #: the Gramians of this system that :mod:`lqomor.gramians` solved.
+        #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing}}``, least
+        #: recently used first: what :mod:`lqomor.gramians` kept of this system.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")
@@ -163,6 +157,23 @@ class LqoSystem:
             f"LqoSystem(order={self.order}, n_inputs={self.n_inputs}, "
             f"n_outputs={self.n_outputs})"
         )
+
+
+def _symmetrized(mi):
+    """``(M_i + M_i^T) / 2`` if ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)``,
+    else ``M_i``; of ``M_i`` scaled by a power of two if a norm overflows."""
+    # the bar spares the rounding-level asymmetry of projected models:
+    # symmetrizing it too changes the path of the fixed-point reductors
+    try:
+        skew, size = matfun.fro_norm(mi - mi.T), matfun.fro_norm(mi)
+    except RuntimeWarning:
+        skew = size = math.inf
+    if max(skew, size) == math.inf:
+        scale = 2.0 ** (1 - math.frexp(np.abs(mi).max())[1])
+        scaled = mi * scale
+        part = _symmetrized(scaled)
+        return mi if part is scaled else part / scale
+    return (mi + mi.T) / 2.0 if skew > 1e-12 * max(size, 1.0) else mi
 
 
 def validate(system):

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import matfun, optimality
 from .errors import DimensionError, NumericalError, RankError, ValidationError
-from .gramians import (
-    adjoint_block,
-    balancing_svd,
-    controllability_block,
-    gramian_pair,
-)
+from .gramians import adjoint_block, balancing, controllability_block
 from .model import LqoSystem, TimeInterval, require_same_io
 
 
@@ -42,6 +37,8 @@ class ReductionReport:
     ``pole_history`` has one sorted eigenvalue list per iterate including
     the starting point, so its length is ``iterations + 1``;
     ``convergence_metric`` holds the relative pole change per iteration.
+    The ``sigma`` of ``bt`` and ``tlbt`` is the system's kept, read-only
+    Hankel spectrum (see :func:`lqomor.gramians.balancing`).
     """
 
     method: str
@@ -138,21 +135,6 @@ def _project(system, v, w):
     )
 
 
-def _square_root_balance(p, q, n):
-    """Square-root balanced projection of order ``n`` from Gramians P and Q."""
-    fp, fq, u, s, vt, _ = balancing_svd(p, q)
-    if n > s.size or s[n - 1] <= 1e-12 * s[0]:
-        raise RankError(
-            f"requested order {n} exceeds the numerical rank of the balancing "
-            f"problem (sigma_n = {s[n - 1] if n <= s.size else 0.0:.3e})",
-            order=n,
-        )
-    scale = 1.0 / np.sqrt(s[:n])
-    w = fq @ u[:, :n] * scale
-    v = fp @ vt[:n].T * scale
-    return v, w, s
-
-
 def _report(method, rom, pole_history, metric, converged, notes, **extra):
     """The report of a run whose ``metric`` has one entry per iteration."""
     return ReductionReport(
@@ -164,7 +146,16 @@ def _report(method, rom, pole_history, metric, converged, notes, **extra):
 def _balanced_truncation(method, system, n, interval):
     if not 0 < n <= system.order:
         raise ValidationError(f"order n must satisfy 0 < n <= {system.order}, got {n}")
-    v, w, sigma = _square_root_balance(*gramian_pair(system, interval), n)
+    bal = balancing(system, interval)
+    s = bal.sigma
+    if s[n - 1] <= 1e-12 * s[0]:
+        raise RankError(
+            f"requested order {n} exceeds the numerical rank of the balancing "
+            f"problem (sigma_n = {s[n - 1]:.3e})",
+            order=n,
+        )
+    scale = 1.0 / np.sqrt(s[:n])
+    v, w = bal.V[:, :n] * scale, bal.W[:, :n] * scale
     rom = _project(system, v, w)
     notes = []
     if not rom.is_hurwitz:
@@ -174,7 +165,7 @@ def _balanced_truncation(method, system, n, interval):
         )
     return _report(
         method, rom, [rom.poles()], [], True, notes,
-        projection=ProjectionPair(V=v, W=w), sigma=sigma,
+        projection=ProjectionPair(V=v, W=w), sigma=bal.sigma,
     )
 
 

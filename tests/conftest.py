@@ -20,13 +20,16 @@ def empty_load_cache():
 class LapackCalls:
     """The dense kernels the library ran: the matrix of each Schur
     factorization (a ``dgees`` call that is not a workspace query) and of
-    each eigenvalue call (``eigvals`` or ``eig`` of numpy or scipy), and the
-    right-hand-side shape of each ``dtrsyl`` call."""
+    each eigenvalue call (``eigvals`` or ``eig`` of numpy or scipy), the
+    right-hand-side shape of each ``dtrsyl`` call, and the matrix shape of
+    each ``np.linalg.eigh`` and ``scipy.linalg.svd`` call."""
 
     def __init__(self):
         self.schur = []
         self.eigvals = []
         self.trsyl = []
+        self.eigh = []
+        self.svd = []
 
     def factored(self, a):
         """How often a Schur factorization ran on a matrix equal to ``a``."""
@@ -61,6 +64,10 @@ def lapack_calls(monkeypatch):
     monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", recording(
         matfun.sla.lapack.dtrsyl, calls.trsyl, lambda args: np.shape(args[2])
     ))
+    for module, name, log in ((np.linalg, "eigh", calls.eigh), (scipy.linalg, "svd", calls.svd)):
+        monkeypatch.setattr(module, name, recording(
+            getattr(module, name), log, lambda args: np.shape(args[0])
+        ))
     return calls
 
 _ACCEPTANCE_RESULTS = {}

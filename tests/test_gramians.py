@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from lqomor import gramians, matfun
-from lqomor.errors import DimensionError, HurwitzError, NonFiniteError, SolverError
+from lqomor.errors import (
+    DimensionError, HurwitzError, NonFiniteError, RankError, SolverError,
+)
 from lqomor.demo import demo_system
 from lqomor.gramians import (
     adjoint_block,
+    balancing,
     controllability_block,
     cross_gramians,
     gramian_blocks,
@@ -440,8 +443,8 @@ class TestFactoredControllability:
 
 
 class TestGramianMemo:
-    """A system's own P and Q are solved once per horizon and kept for the
-    GRAMIAN_MEMO most recently used horizons."""
+    """A system's own P and Q, and their balancing, are computed once per
+    horizon and kept for the GRAMIAN_MEMO most recently used horizons."""
 
     N = LEAF
     IV = TimeInterval(0.1, 0.5)
@@ -452,6 +455,16 @@ class TestGramianMemo:
     def full_solves(self, lapack_calls):
         """(N, N) trsyl calls since the log was last cleared."""
         return lapack_calls.trsyl.count((self.N, self.N))
+
+    def balancings(self, lapack_calls):
+        """(N, N) ``(eigh, svd)`` calls since the logs were last cleared."""
+        full = (self.N, self.N)
+        return lapack_calls.eigh.count(full), lapack_calls.svd.count(full)
+
+    @staticmethod
+    def clear(lapack_calls):
+        for log in (lapack_calls.trsyl, lapack_calls.eigh, lapack_calls.svd):
+            log.clear()
 
     @pytest.mark.parametrize("quantity", ["norm", "error", "hsv"])
     def test_second_call_makes_no_full_order_solve(self, lapack_calls, quantity):
@@ -468,11 +481,68 @@ class TestGramianMemo:
         run()
         assert self.full_solves(lapack_calls) == 0
 
+    @pytest.mark.parametrize("quantity", ["hsv", "bt", "tlbt"])
+    def test_second_call_balances_no_more(self, lapack_calls, quantity):
+        system = self.fresh()
+        run = {
+            "hsv": lambda: balancing(system, self.IV),
+            "bt": lambda: bt(system, 3),
+            "tlbt": lambda: tlbt(system, 3, self.IV),
+        }[quantity]
+        run()
+        assert self.balancings(lapack_calls) == (2, 1)
+        self.clear(lapack_calls)
+        run()
+        assert not lapack_calls.eigh and not lapack_calls.svd
+        assert self.full_solves(lapack_calls) == 0
+
     def test_tlbt_at_several_orders_solves_p_and_q_once(self, lapack_calls):
         system = self.fresh()
         for n in range(2, 6):
             tlbt(system, n, self.IV)
         assert self.full_solves(lapack_calls) == 2
+        assert self.balancings(lapack_calls) == (2, 1)
+
+    def test_warm_hsv_is_the_sigma_of_tlbt(self):
+        system = self.fresh()
+        sigma = tlbt(system, 3, self.IV).sigma
+        assert np.array_equal(balancing(system, self.IV).sigma, sigma)
+        fresh = hankel_singular_values(*gramian_pair(self.fresh(), self.IV))
+        assert np.array_equal(fresh.sigma, sigma)
+
+    def test_rank_error_leaves_the_memo_usable(self, lapack_calls):
+        # the second state is unreachable and unobservable: numerical rank 1
+        def make():
+            return LqoSystem(
+                np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[1.0, 0.0]], [np.zeros((2, 2))]
+            )
+
+        system = make()
+        for _ in range(2):
+            with pytest.raises(RankError):
+                tlbt(system, 2, self.IV)
+        kept = system.gramian_memo[self.IV]["balancing"]
+        rom = tlbt(system, 1, self.IV).rom
+        assert system.gramian_memo[self.IV]["balancing"] is kept
+        assert len(lapack_calls.svd) == 1
+        assert np.array_equal(rom.A, tlbt(make(), 1, self.IV).rom.A)
+
+    def test_failed_factorization_keeps_no_balancing(self, monkeypatch):
+        system = self.fresh()
+        p, q = gramian_pair(system, self.IV)
+        factor = gramians._psd_factor
+
+        def failing(x, name):
+            raise SolverError(f"{name} failed")
+
+        monkeypatch.setattr(gramians, "_psd_factor", failing)
+        with pytest.raises(SolverError):
+            balancing(system, self.IV)
+        assert set(system.gramian_memo[self.IV]) == {"P", "Q"}
+        monkeypatch.setattr(gramians, "_psd_factor", factor)
+        bal = balancing(system, self.IV)
+        assert system.gramian_memo[self.IV]["balancing"] is bal
+        assert gramian_pair(system, self.IV) == (p, q)
 
     def test_results_equal_those_of_a_fresh_system(self):
         system = self.fresh()
@@ -486,6 +556,8 @@ class TestGramianMemo:
                 *hankel_singular_values(*gramian_pair(full, self.IV)).sigma,
                 *tlbt(full, 3, self.IV).rom.A.ravel(),
                 *bt(full, 3).rom.C.ravel(),
+                *bt(full, 5).rom.A.ravel(),
+                *balancing(full, self.IV).sigma,
             ]
 
         first = results(system, rom)
@@ -505,6 +577,18 @@ class TestGramianMemo:
                 x[0, 0] = 0.0
         assert system.gramian_memo[iv]["P"] is p and system.gramian_memo[iv]["Q"] is q
 
+    @pytest.mark.parametrize("iv", [IV, TimeInterval(0.0, INFINITE)], ids=str)
+    def test_kept_balancing_is_read_only(self, iv):
+        system = self.fresh()
+        report = bt(system, 3) if iv.is_infinite else tlbt(system, 3, iv)
+        bal = balancing(system, iv)
+        assert system.gramian_memo[iv]["balancing"] is bal and report.sigma is bal.sigma
+        assert bal.W.shape == bal.V.shape == (self.N, self.N)
+        for x in (bal.sigma, bal.W, bal.V):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
     def test_third_horizon_evicts_the_least_recently_used(self, lapack_calls):
         assert matfun.GRAMIAN_MEMO == 2
         system = self.fresh()
@@ -519,6 +603,19 @@ class TestGramianMemo:
         h2tau_norm(system, second)
         assert self.full_solves(lapack_calls) == 1
         assert list(system.gramian_memo) == [third, second]
+
+    def test_third_horizon_evicts_the_balancing_with_p_and_q(self, lapack_calls):
+        system = self.fresh()
+        first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
+        for iv in (first, second, third):
+            balancing(system, iv)
+        assert list(system.gramian_memo) == [second, third]
+        assert all(set(kept) == {"P", "Q", "balancing"} for kept in system.gramian_memo.values())
+        self.clear(lapack_calls)
+        balancing(system, first)
+        assert self.full_solves(lapack_calls) == 2
+        assert self.balancings(lapack_calls) == (2, 1)
+        assert list(system.gramian_memo) == [third, first]
 
     @pytest.mark.parametrize("iv", HORIZONS, ids=str)
     def test_failed_solve_keeps_nothing(self, iv):

@@ -9,6 +9,7 @@ from lqomor.matfun import expm
 from lqomor.model import (
     LqoSystem,
     TimeInterval,
+    Trajectory,
     error_system,
     eval_output,
     simulate,
@@ -17,7 +18,9 @@ from lqomor.model import (
     _block_jump,
     _rk4_step_matrices,
 )
-from lqomor.demo import DEMO_INPUT, DEMO_INTERVAL, DEMO_STEP, demo_system
+from lqomor.demo import (
+    DEMO_INPUT, DEMO_INTERVAL, DEMO_STEP, demo_system, relative_output_error,
+)
 from lqomor.norms import h2tau_norm
 from lqomor.signals import parse_signal
 
@@ -95,6 +98,16 @@ class TestValidate:
         sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
         assert np.array_equal(sys2.M[0], m)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("skew", [1e200, 1e185], ids=["asymmetric", "rounding-level"])
+    def test_overflowing_norms_decide_on_a_scaled_copy(self, skew):
+        # ||M||^2 overflows; the bar is scale-invariant, so a skew of 1e-15
+        # times the largest entry is still kept as given
+        m = np.array([[0.0, 1e200], [1e200 - skew, 0.0]])
+        sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
+        expected = (m + m.T) / 2.0 if skew == 1e200 else m
+        assert np.array_equal(sys2.M[0], expected)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             LqoSystem([[-1.0]], [[np.inf]], [[1.0]], [np.zeros((1, 1))])
@@ -127,6 +140,29 @@ class TestOwnedMatrices:
         }[name]
         with pytest.raises(ValueError):
             mat[0, 0] = 5.0
+
+
+class TestRelativeOutputError:
+    def test_outputs_near_overflow_give_the_same_ratio(self):
+        rng = np.random.default_rng(170)
+        y = rng.normal(size=(40, 3))
+        y[0] = 0.0
+        yr = y + 1e-2 * rng.normal(size=y.shape)
+        yr[0] = 0.0
+
+        def rel(scale):
+            return relative_output_error(
+                Trajectory(None, None, y * scale), Trajectory(None, None, yr * scale)
+            )
+
+        with np.errstate(all="raise"):
+            assert np.allclose(rel(1e170), rel(1.0), rtol=1e-12, atol=0.0)
+
+    def test_one_output_is_the_absolute_ratio(self):
+        y = np.random.default_rng(1).normal(size=(40, 1))
+        full, rom = Trajectory(None, None, y), Trajectory(None, None, y / 3.0)
+        expected = np.abs(y - y / 3.0)[:, 0] / np.maximum(np.abs(y)[:, 0], 1e-12)
+        assert np.array_equal(relative_output_error(full, rom), expected)
 
 
 class TestEvalOutput:
