@@ -70,10 +70,11 @@ def _row_norms(y):
     return np.ldexp(np.linalg.norm(np.ldexp(cols, -e), axis=0), e)
 
 
-def relative_output_error(full_traj, rom_traj, eps=1e-12):
-    """Pointwise ``||y - y_r||_2 / max(||y||_2, eps)`` along two trajectories."""
+def relative_output_error(full_traj, rom_traj):
+    """Pointwise ``||y - y_r||_2 / max(||y||_2, 1e-12)`` along two
+    trajectories; the floor keeps the ratio finite where ``y`` vanishes."""
     diff = _row_norms(full_traj.outputs - rom_traj.outputs)
-    return diff / np.maximum(_row_norms(full_traj.outputs), eps)
+    return diff / np.maximum(_row_norms(full_traj.outputs), 1e-12)
 
 
 def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):

@@ -33,7 +33,6 @@ eigenvalues agree with T's to rounding.
 """
 
 import functools
-import math
 import weakref
 
 import numpy as np
@@ -74,11 +73,12 @@ def _as_matrix(a, name):
 
 
 def fro_norm(a):
-    """Frobenius norm of the float array ``a``: the square root of the sum of
-    squares in memory order, which is what ``np.linalg.norm(a)`` and
-    ``scipy.linalg.norm(a, "fro")`` compute, to the last bit."""
+    """Frobenius norm of the float array ``a`` from BLAS ``dnrm2`` in memory
+    order, which scales as it sums and so is finite whenever the norm is;
+    it may differ from ``np.linalg.norm(a)`` in the last bits, so it serves
+    threshold tests only, never a value that reaches an output."""
     x = a.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    return sla.blas.dnrm2(x) if x.size else 0.0
 
 
 def _as_square(a, name):
@@ -328,7 +328,7 @@ def expm_frechet(a, v, t=1.0):
 def _require_unique_solution(fa, fb, message, **context):
     # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
     s = fa.min_eig_sum(fb)
-    if s <= 1e-13 * max(fa.radius, fb.radius, 1.0):
+    if s <= 1e-13 * max(fa.radius, fb.radius):
         raise SolverError(message, min_eig_sum=float(s), **context)
 
 

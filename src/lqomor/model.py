@@ -64,8 +64,9 @@ class LqoSystem:
     is then reported rather than enforced.
 
     Only the symmetric part of each ``M_i`` reaches the output, so an
-    ``M_i`` with ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)`` is stored as
-    ``(M_i + M_i^T) / 2``; any other ``M_i`` is kept as given.
+    ``M_i`` with ``||M_i - M_i^T|| > 1e-12 ||M_i||`` is stored as
+    ``(M_i + M_i^T) / 2``; any other ``M_i`` is kept as given.  The bar is
+    relative, so it does not depend on the units of the output.
 
     A system owns its matrices: ``A``, ``B``, ``C`` and each ``M_i`` are
     read-only copies of the arrays given, so every fact cached about them
@@ -160,34 +161,13 @@ class LqoSystem:
 
 
 def _symmetrized(mi):
-    """``(M_i + M_i^T) / 2`` if ``||M_i - M_i^T|| > 1e-12 max(||M_i||, 1)``,
-    else ``M_i``; of ``M_i`` scaled by a power of two if a norm overflows."""
+    """``(M_i + M_i^T) / 2`` if ``||M_i - M_i^T|| > 1e-12 ||M_i||``, else
+    ``M_i``; formed from the exact halves, so that no sum overflows."""
     # the bar spares the rounding-level asymmetry of projected models:
     # symmetrizing it too changes the path of the fixed-point reductors
-    try:
-        skew, size = matfun.fro_norm(mi - mi.T), matfun.fro_norm(mi)
-    except RuntimeWarning:
-        skew = size = math.inf
-    if max(skew, size) == math.inf:
-        scale = 2.0 ** (1 - math.frexp(np.abs(mi).max())[1])
-        scaled = mi * scale
-        part = _symmetrized(scaled)
-        return mi if part is scaled else part / scale
-    return (mi + mi.T) / 2.0 if skew > 1e-12 * max(size, 1.0) else mi
-
-
-def validate(system):
-    """``system`` itself, once it is an :class:`LqoSystem` with a Hurwitz A.
-
-    Construction checked the dimensions and entries of the read-only
-    matrices, so only the Hurwitz requirement is left to test; raises
-    :class:`ValidationError` for any other type and :class:`HurwitzError`
-    for a non-Hurwitz A.
-    """
-    if not isinstance(system, LqoSystem):
-        raise ValidationError(f"expected LqoSystem, got {type(system).__name__}")
-    matfun.require_hurwitz(system.schur, "A")
-    return system
+    half = 0.5 * mi
+    skew = matfun.fro_norm(half - half.T)
+    return half + half.T if skew > 1e-12 * matfun.fro_norm(half) else mi
 
 
 @dataclass(frozen=True)
@@ -197,17 +177,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     outputs: np.ndarray
-
-
-def eval_output(system, x):
-    """Output vector ``C x + [x^T M_i x]_i`` for a single state ``x``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != system.order:
-        raise DimensionError(
-            f"state length {x.size} != system order {system.order}"
-        )
-    quad = np.array([x @ mi @ x for mi in system.M])
-    return system.C @ x + quad
 
 
 #: Floats per block of quadratic samples (outputs along a trajectory, the
@@ -391,7 +360,7 @@ def time_grid(t0, t1, step, states):
     return t0 + step * np.arange(n_steps + 1)
 
 
-def simulate(system, u, grid, x0=None, substeps=1):
+def simulate(system, u, grid, x0=None):
     """Integrate the forced response with the classical fixed-step RK4 scheme.
 
     For a step of length ``h`` RK4 is the linear recurrence
@@ -427,12 +396,11 @@ def simulate(system, u, grid, x0=None, substeps=1):
         sampled on all stage times in one call, any other callable point
         by point.
     grid : array_like
-        Strictly increasing output times; integration takes ``substeps``
-        RK4 steps between consecutive grid points.
+        Strictly increasing output times; integration takes one RK4 step
+        between consecutive grid points, so a finer grid is how to take
+        smaller steps.
     x0 : array_like, optional
         Initial state, zero by default.
-    substeps : int
-        Number of RK4 substeps per grid interval (default 1).
 
     Returns
     -------
@@ -449,23 +417,19 @@ def simulate(system, u, grid, x0=None, substeps=1):
         raise ValidationError("empty time grid")
     if t.size > 1 and not (np.diff(t) > 0).all():
         raise ValidationError("time grid must be strictly increasing")
-    if substeps < 1:
-        raise ValidationError(f"substeps must be >= 1, got {substeps}")
     n = system.order
     m = system.n_inputs
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n:
         raise DimensionError(f"x0 length {x.size} != system order {n}")
 
-    # step j starts at starts[j] and has length steps[j]; its stages sample
-    # u at times[2j], times[2j + 1] (midpoint) and times[2j + 2]
-    steps = np.repeat(np.diff(t) / substeps, substeps)
-    starts = np.repeat(t[:-1], substeps) + np.tile(np.arange(substeps), t.size - 1) * steps
+    # step j runs from t[j] to t[j + 1]; its stages sample u at times[2j],
+    # times[2j + 1] (midpoint) and times[2j + 2]
+    steps = np.diff(t)
     n_steps = steps.size
     times = np.empty(2 * n_steps + 1)
-    times[0:-1:2] = starts
-    times[1::2] = starts + 0.5 * steps
-    times[-1] = t[-1]
+    times[0::2] = t
+    times[1::2] = t[:-1] + 0.5 * steps
     samples = _sample_input(u, times, m)
     stages = np.hstack([samples[0:-1:2], samples[1::2], samples[2::2]])
 
@@ -480,8 +444,6 @@ def simulate(system, u, grid, x0=None, substeps=1):
         psi, gamma = _rk4_step_matrices(system.A, system.B, lengths[labels[lo]])
         np.matmul(stages[lo:hi], gamma.T, out=states[lo + 1:hi + 1])
         _run_steps(psi, states[lo:hi + 1])
-    if substeps > 1:
-        states = states[::substeps].copy()
     outputs = _output_trajectory(system, states)
     finite = np.isfinite(outputs).all(axis=1)
     if not finite.all():

@@ -108,7 +108,7 @@ def biorthogonalize(v, w):
             wc -= w[:, j] * v[:, j].dot(wc)
         nv = math.sqrt(vc.dot(vc))
         nw = math.sqrt(wc.dot(wc))
-        if nv <= 1e-13 * max(v0, 1.0) or nw <= 1e-13 * max(w0, 1.0):
+        if nv <= 1e-13 * v0 or nw <= 1e-13 * w0:
             raise RankError(
                 f"column {col} collapsed during deflation", column=col
             )

@@ -233,11 +233,6 @@ def write_json(doc, path):
         fh.write(json_text(doc).encode("utf-8"))
 
 
-def serialize_system(system):
-    """Encode a system as UTF-8 JSON bytes; inverse of :func:`parse_system`."""
-    return json_text(system_document(system)).encode("utf-8")
-
-
 def save_system(system, path):
     write_json(system_document(system), path)
 
@@ -280,11 +275,6 @@ def report_document(report, fields=tuple(_REPORT_FIELDS)):
     the named ``fields`` in the given order, by default the whole document;
     only the named fields are converted."""
     return {key: _REPORT_FIELDS[key](report) for key in fields}
-
-
-def serialize_report(report):
-    """Encode a reduction report as UTF-8 JSON bytes."""
-    return json_text(report_document(report)).encode("utf-8")
 
 
 def save_report(report, path):

@@ -59,6 +59,20 @@ class TestNormCommand:
         assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-10)
 
 
+    def test_huge_stable_a(self, capsys, tmp_path):
+        # A = -1e200 I: ||A||_F^2 overflows, so only an overflow-safe norm
+        # lets the Hurwitz test pass; the norm is sqrt((C B)^2 / 2e200)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "version": 1, "n_states": 2, "n_inputs": 1, "n_outputs": 1,
+            "A": [[-1e200, 0.0], [0.0, -1e200]], "B": [[1.0], [1.0]],
+            "C": [[1.0, 1.0]], "M": [[[1.0, 0.0], [0.0, 1.0]]],
+        }))
+        code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12)
+
+
 class TestReduceCommand:
     def test_tlhnoia_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "rom.json"

@@ -1,21 +1,21 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from lqomor.errors import DimensionError, HurwitzError, NumericalError, ValidationError
-from lqomor.matfun import expm
+from lqomor.matfun import expm, require_hurwitz
 from lqomor.model import (
     LqoSystem,
     TimeInterval,
     Trajectory,
     error_system,
-    eval_output,
     simulate,
     time_grid,
-    validate,
     _block_jump,
+    _output_trajectory,
     _rk4_step_matrices,
 )
 from lqomor.demo import (
@@ -25,6 +25,11 @@ from lqomor.norms import h2tau_norm
 from lqomor.signals import parse_signal
 
 from util import rand_lti, rand_system, rk4_reference
+
+
+def _output(system, x):
+    """Output vector of the single state ``x``, as ``simulate`` forms it."""
+    return _output_trajectory(system, np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 def _assert_matches_reference(system, u, grid, **kwargs):
@@ -58,7 +63,8 @@ class TestTimeInterval:
 class TestValidate:
     def test_accepts_bundled_benchmark(self):
         sys6 = demo_system()
-        assert validate(sys6) is sys6
+        require_hurwitz(sys6.schur, "A")
+        assert sys6.is_hurwitz
 
     def test_rejects_unstable_scalar(self):
         with pytest.raises(HurwitzError):
@@ -68,10 +74,19 @@ class TestValidate:
         unchecked = LqoSystem(
             [[1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False
         )
+        assert not unchecked.is_hurwitz
         with pytest.raises(HurwitzError):
-            validate(unchecked)
-        with pytest.raises(ValidationError):
-            validate("not a system")
+            require_hurwitz(unchecked.schur, "A")
+
+    def test_huge_stable_a_is_hurwitz(self):
+        # ||A||_F^2 overflows, ||A||_F does not: the Hurwitz bar reads it
+        sys2 = LqoSystem(-1e200 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [np.eye(2)])
+        assert sys2.is_hurwitz
+
+    def test_order_zero_is_a_dimension_error(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(DimensionError):
+            LqoSystem(empty, np.zeros((0, 1)), np.zeros((1, 0)), [empty])
 
     def test_rejects_m_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -100,13 +115,44 @@ class TestValidate:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("skew", [1e200, 1e185], ids=["asymmetric", "rounding-level"])
-    def test_overflowing_norms_decide_on_a_scaled_copy(self, skew):
-        # ||M||^2 overflows; the bar is scale-invariant, so a skew of 1e-15
-        # times the largest entry is still kept as given
+    def test_norms_whose_squares_overflow_decide_as_finite_ones(self, skew):
+        # ||M||^2 overflows but ||M|| does not; the bar is relative, so a
+        # skew of 1e-15 times the largest entry is still kept as given
         m = np.array([[0.0, 1e200], [1e200 - skew, 0.0]])
         sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
         expected = (m + m.T) / 2.0 if skew == 1e200 else m
         assert np.array_equal(sys2.M[0], expected)
+
+    def test_overflowing_norm_prints_no_warning(self):
+        # a warning that is recorded, not raised, must not happen either:
+        # under the default filter it is printed
+        m = np.array([[0.0, 1e200], [0.0, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
+        assert caught == []
+        assert np.array_equal(sys2.M[0], (m + m.T) / 2.0)
+
+    def test_symmetric_part_whose_sum_overflows_is_formed_from_halves(self):
+        # ||M|| and M + M^T overflow, the halves and their norms do not
+        m = np.array([[0.0, 1.5e308], [1e308, 0.0]])
+        with np.errstate(all="raise"):
+            sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
+        assert np.array_equal(sys2.M[0], [[0.0, 1.25e308], [1.25e308, 0.0]])
+
+    def test_tiny_asymmetric_m_acts_as_its_symmetric_part(self):
+        # the bar is relative, so M = k [[0, 1], [0, 0]] is symmetrized at
+        # any k, and the norm, quadratic in x and linear in M, scales by k
+        k = 1e-13
+        a, b, c = [[-1.0, 0.3], [0.0, -2.0]], [[1.0], [1.0]], [[0.0, 0.0]]
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        iv = TimeInterval(0.0, 1.0)
+        unit = LqoSystem(a, b, c, [m])
+        tiny = LqoSystem(a, b, c, [k * m])
+        assert np.array_equal(tiny.M[0], tiny.M[0].T)
+        assert h2tau_norm(tiny, iv).value / k == pytest.approx(
+            h2tau_norm(unit, iv).value, rel=1e-12
+        )
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -168,29 +214,29 @@ class TestRelativeOutputError:
 class TestEvalOutput:
     def test_zero_state(self):
         sys1 = rand_system(np.random.default_rng(0), 4, 2, 2)
-        assert np.array_equal(eval_output(sys1, np.zeros(4)), np.zeros(2))
+        assert np.array_equal(_output(sys1, np.zeros(4)), np.zeros(2))
 
     def test_pure_quadratic_form(self):
         sys1 = LqoSystem([[-1.0]], [[1.0]], [[0.0]], [np.array([[1.0]])])
-        assert eval_output(sys1, [2.0])[0] == pytest.approx(4.0)
+        assert _output(sys1, [2.0])[0] == pytest.approx(4.0)
 
     def test_benchmark_first_unit_vector(self):
         # first C column is 2, first quadratic form entry is 0.5
-        y = eval_output(demo_system(), np.eye(6)[0])
+        y = _output(demo_system(), np.eye(6)[0])
         assert y[0] == pytest.approx(2.5, rel=1e-14)
 
     def test_quadratic_part_scales_quadratically(self):
         rng = np.random.default_rng(1)
         sys1 = rand_system(rng, 5, 1, 2)
         x = rng.normal(size=5)
-        base_quad = eval_output(sys1, x) - sys1.C @ x
+        base_quad = _output(sys1, x) - sys1.C @ x
         for alpha in (2.0, 3.0):
-            quad = eval_output(sys1, alpha * x) - sys1.C @ (alpha * x)
+            quad = _output(sys1, alpha * x) - sys1.C @ (alpha * x)
             assert np.allclose(quad, alpha**2 * base_quad, rtol=1e-12)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError):
-            eval_output(demo_system(), np.zeros(5))
+            simulate(demo_system(), lambda t: 0.0, [0.0, 0.1], x0=np.zeros(5))
 
 
 class TestSimulate:
@@ -218,7 +264,8 @@ class TestSimulate:
         sys1 = rand_lti(rng, 4, 1, 1)
         u = lambda t: math.sin(1.3 * t) + 0.5
         grid = np.linspace(0.0, 2.0, 201)
-        traj = simulate(sys1, u, grid, substeps=4)
+        # four RK4 steps per grid interval: every fourth state of a finer grid
+        states = simulate(sys1, u, np.linspace(0.0, 2.0, 801)).states[::4]
         # independent oracle: x(t+h) = e^(A h) x + int_0^h e^(A (h-s)) B u(t+s) ds
         # with the convolution integral done by composite Simpson on a fine grid
         h = grid[1] - grid[0]
@@ -238,7 +285,7 @@ class TestSimulate:
                 for w, pr, s in zip(weights, props, s_nodes)
             )
             x = step @ x + forced
-            err = np.linalg.norm(traj.states[k + 1] - x)
+            err = np.linalg.norm(states[k + 1] - x)
             worst = max(worst, err / max(np.linalg.norm(x), 1e-12))
         assert worst <= 1e-6
 
@@ -251,8 +298,10 @@ class TestSimulate:
     def test_recurrence_matches_stages_on_geometric_grid_with_substeps(self):
         sys1 = rand_system(np.random.default_rng(9), 5, 1, 2)
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 60)])
+        # three steps per interval: runs of three equal step lengths
+        fine = np.append(grid[:-1, None] + np.arange(3) * np.diff(grid)[:, None] / 3, grid[-1])
         u = parse_signal("sin(3*t) + 0.5")
-        _assert_matches_reference(sys1, u, grid, x0=np.ones(5), substeps=3)
+        _assert_matches_reference(sys1, u, fine, x0=np.ones(5))
 
     def test_recurrence_matches_stages_with_scalar_signal_on_two_inputs(self):
         sys1 = rand_system(np.random.default_rng(10), 4, 2, 2)

@@ -59,6 +59,17 @@ class TestGramianNorm:
         sys1 = LqoSystem([[-1.0]], [[0.0]], [[1.0]], [np.array([[1.0]])])
         assert h2tau_norm(sys1, UNIT_INTERVAL).value == 0.0
 
+    @pytest.mark.parametrize("k", [1e-13, 1e-14])
+    def test_time_rescaled_benchmark_keeps_its_infinite_horizon_norm(self, k):
+        # A -> k A, B -> sqrt(k) B leaves P, so the [0, inf) norm, as it is;
+        # the solvability test is relative to the spectral radius
+        sys6 = demo_system()
+        slow = LqoSystem(k * sys6.A, math.sqrt(k) * sys6.B, sys6.C, sys6.M)
+        iv = TimeInterval(0.0, INFINITE)
+        assert h2tau_norm(slow, iv).value == pytest.approx(
+            h2tau_norm(sys6, iv).value, rel=1e-12
+        )
+
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(40)
         sys1 = rand_system(rng, 5, 2, 2)

@@ -82,6 +82,16 @@ class TestBiorthogonalize:
         with pytest.raises(DimensionError):
             biorthogonalize(np.ones((2, 3)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_collapse_test_is_relative_to_the_column(self, scale):
+        # a column is measured against its own norm, so its units do not
+        # decide whether it collapsed, and the normalized pair is the same
+        rng = np.random.default_rng(83)
+        v, w = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        pair, ref = biorthogonalize(scale * v, w), biorthogonalize(v, w)
+        assert np.allclose(pair.V, ref.V, rtol=1e-12, atol=1e-14)
+        assert np.allclose(pair.W, ref.W, rtol=1e-12, atol=1e-14)
+
     @pytest.mark.parametrize("n, r", [(1, 1), (6, 3), (40, 7), (150, 10)])
     def test_equals_the_reference_sweep(self, n, r):
         rng = np.random.default_rng(82 + n)
@@ -117,6 +127,15 @@ class TestBalancedTruncation:
         assert np.linalg.norm(w.T @ g.P @ w - diag) <= 1e-8 * scale
         assert np.linalg.norm(v.T @ g.Q @ v - diag) <= 1e-8 * scale
         assert_projection_consistent(sys1, report)
+
+    @pytest.mark.parametrize("k", [1e-13, 1e-14])
+    def test_time_rescaled_benchmark(self, k):
+        # A -> k A, B -> sqrt(k) B leaves P and Q as they are, so the poles
+        # scale by k; the solvability test is relative to the spectral radius
+        sys6 = demo_system()
+        slow = LqoSystem(k * sys6.A, np.sqrt(k) * sys6.B, sys6.C, sys6.M)
+        poles, ref = bt(slow, 3).rom.poles() / k, bt(sys6, 3).rom.poles()
+        assert np.abs(poles - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_report_shape_for_direct_method(self):
         rng = np.random.default_rng(84)
@@ -262,6 +281,21 @@ class TestTlhnoia:
         rep_b = tlhnoia(sys1, rom0_t, iv, tol=1e-9, max_iter=300)
         assert rep_a.converged and rep_b.converged
         assert pole_change(rep_a.rom.poles(), rep_b.rom.poles()) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8])
+    def test_small_input_scale_converges(self, scale):
+        # B of the system and of the start scaled down: the sweep's collapse
+        # test is relative, so no column of V collapses; the quadratic part
+        # fades, and the poles stay near those of the unscaled run
+        def scaled(system):
+            return LqoSystem(system.A, scale * system.B, system.C, system.M)
+
+        iv = TimeInterval(0.0, 0.5)
+        ref = tlhnoia(demo_system(), demo_initial_guess(), iv)
+        report = tlhnoia(scaled(demo_system()), scaled(demo_initial_guess()), iv)
+        assert report.converged and report.iterations > 0
+        poles, ref_poles = report.rom.poles(), ref.rom.poles()
+        assert (np.abs(poles - ref_poles) <= 1e-4 * np.abs(ref_poles)).all()
 
     def test_determinism(self):
         iv = TimeInterval(0.0, 0.5)

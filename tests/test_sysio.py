@@ -16,16 +16,19 @@ from lqomor.sysio import (
     parse_system,
     report_document,
     save_system,
-    serialize_report,
-    serialize_system,
+    system_document,
 )
 from lqomor.demo import demo_initial_guess, demo_system
 
 from util import rand_system, reference_report_document
 
 
+def text_of(system):
+    return json_text(system_document(system))
+
+
 def doc_of(system):
-    return json.loads(serialize_system(system).decode())
+    return json.loads(text_of(system))
 
 
 class TestParseSystem:
@@ -40,13 +43,13 @@ class TestParseSystem:
     def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(100)
         sys1 = rand_system(rng, 5, 2, 2)
-        again = parse_system(serialize_system(sys1))
+        again = parse_system(text_of(sys1).encode())
         assert np.array_equal(again.A, sys1.A)
         assert np.array_equal(again.B, sys1.B)
         assert np.array_equal(again.C, sys1.C)
         for a, b in zip(again.M, sys1.M):
             assert np.array_equal(a, b)
-        assert serialize_system(again) == serialize_system(sys1)
+        assert text_of(again) == text_of(sys1)
 
     def test_m_length_error_message(self):
         doc = doc_of(demo_system())
@@ -119,7 +122,7 @@ class TestSerializeReport:
         report = tlhnoia(
             demo_system(), demo_initial_guess(), TimeInterval(0.0, 0.5)
         )
-        doc = json.loads(serialize_report(report).decode())
+        doc = json.loads(json_text(report_document(report)))
         assert doc["method"] == "tlhnoia"
         assert doc["iterations"] == report.iterations
         assert len(doc["pole_history"]) == report.iterations + 1

@@ -208,7 +208,7 @@ def residual_budget(x, rhs, *coefficients):
     return 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(rhs))
 
 
-def rk4_reference(system, u, grid, x0=None, substeps=1):
+def rk4_reference(system, u, grid, x0=None):
     """Stage-by-stage classical RK4, sampling ``u`` at every stage time.
 
     Reference for ``simulate``: returns the states on ``grid``.
@@ -224,15 +224,12 @@ def rk4_reference(system, u, grid, x0=None, substeps=1):
     states = np.empty((t.size, system.order))
     states[0] = x
     for k in range(t.size - 1):
-        h = (t[k + 1] - t[k]) / substeps
-        tk = t[k]
-        for _ in range(substeps):
-            f1 = a @ x + forcing(tk)
-            f2 = a @ (x + 0.5 * h * f1) + forcing(tk + 0.5 * h)
-            f3 = a @ (x + 0.5 * h * f2) + forcing(tk + 0.5 * h)
-            f4 = a @ (x + h * f3) + forcing(tk + h)
-            x = x + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            tk += h
+        h, tk = t[k + 1] - t[k], t[k]
+        f1 = a @ x + forcing(tk)
+        f2 = a @ (x + 0.5 * h * f1) + forcing(tk + 0.5 * h)
+        f3 = a @ (x + 0.5 * h * f2) + forcing(tk + 0.5 * h)
+        f4 = a @ (x + h * f3) + forcing(tk + h)
+        x = x + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         states[k + 1] = x
     return states
 
