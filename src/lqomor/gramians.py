@@ -24,11 +24,13 @@ A system's own P and Q are facts of the system: :func:`controllability_block`
 of a system with itself and the Q of :func:`gramian_pair` are solved at most
 once per horizon and kept, read-only, in the system's ``gramian_memo`` for
 the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons, with
-their :func:`balancing`: 4 N^2 + N floats per horizon.  So ``h2tau_norm``,
+their :func:`balancing` and the system's output energy ``||H||^2`` of
+:mod:`lqomor.norms`: 4 N^2 + N + 1 floats per horizon.  So ``h2tau_norm``,
 ``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
 :func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
-each, and ``bt``, ``tlbt`` and ``hsv`` one balancing.  Mixed blocks, Y and Z
-apart, and every :func:`adjoint_block` are solved on each call.  A kept
+each, ``bt``, ``tlbt`` and ``hsv`` one balancing, and ``h2tau_norm`` and
+``h2tau_error`` one ``||H||^2``.  Mixed blocks, Y and Z apart, and every
+:func:`adjoint_block` are solved on each call.  A kept
 Gramian passed the same checks on the same matrices (see
 :class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing.
 """
@@ -189,15 +191,17 @@ def _controllability(left, right, interval):
 
 
 def _memo(system, interval, name, solve):
-    """Gramian ``name`` of ``system`` on ``interval`` from its memo, or from
-    ``solve()`` and then kept read-only, under the policy of
+    """Fact ``name`` of ``system`` on ``interval`` (a Gramian, its balancing
+    or the system's output energy) from its memo, or from ``solve()`` and
+    then kept, its arrays read-only, under the policy of
     :func:`~lqomor.matfun.recall` with :data:`~lqomor.matfun.GRAMIAN_MEMO`
     horizons.  The solve comes first, so one that raises keeps nothing."""
     x = system.gramian_memo.get(interval, {}).get(name)
     if x is None:
         x = solve()
-        for a in (x,) if isinstance(x, np.ndarray) else (x.sigma, x.W, x.V):
-            a.flags.writeable = False
+        for a in (x.sigma, x.W, x.V) if isinstance(x, Balancing) else (x,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
     matfun.recall(system.gramian_memo, interval, matfun.GRAMIAN_MEMO, dict)[name] = x
     return x
 

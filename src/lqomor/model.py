@@ -73,10 +73,10 @@ class LqoSystem:
     holds for the system's life.  The real Schur form of ``A`` (``schur``)
     is factored at most once, on first use, and the form of ``A^T``
     (``schur_t``) is a view of the same factors.  The system's own Gramians
-    P and Q, and their balancing, are likewise computed at most once per
-    horizon and kept in ``gramian_memo`` for the
+    P and Q, their balancing and the system's ``||H||^2`` are likewise
+    computed at most once per horizon and kept in ``gramian_memo`` for the
     :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons,
-    read-only: 4 N^2 + N floats per horizon.
+    read-only: 4 N^2 + N + 1 floats per horizon.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -127,8 +127,9 @@ class LqoSystem:
         #: factors, held for the system's life so that every solve reads the
         #: same view (a form holds its view only weakly).
         self.schur_t = self.schur.transposed
-        #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing}}``, least
-        #: recently used first: what :mod:`lqomor.gramians` kept of this system.
+        #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
+        #: "energy": float}}``, least recently used first: what
+        #: :mod:`lqomor.gramians` and :mod:`lqomor.norms` kept of this system.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

@@ -14,12 +14,11 @@ resolved relative to the system file's directory.  Serialization writes
 floats through their shortest round-tripping representation, so values
 survive a parse/serialize cycle bit for bit.
 
-:func:`load_system` keeps the systems it parsed, keyed by the SHA-256 of
-the file's bytes, so loading the same bytes again in one process returns
+:func:`load_system` keeps the systems it parsed, keyed by the file's
+bytes themselves, so loading the same bytes again in one process returns
 the same object with its Schur form already factored.
 """
 
-import hashlib
 import json
 import os
 
@@ -36,8 +35,10 @@ FORMAT_VERSION = 1
 #: a session that reduces one model and evaluates the results reads a few.
 LOADED_SYSTEMS = 8
 
-#: System of each loaded document by the SHA-256 of its bytes, least
-#: recently loaded first.
+#: System of each loaded document by its bytes, least recently loaded
+#: first.  A load finds its key by comparing bytes, which checks the length
+#: first and stops at the first differing byte; the key found carries its
+#: hash, so a load of kept bytes hashes nothing.
 _loaded = {}
 
 _COUNT_FIELDS = ("n_states", "n_inputs", "n_outputs")
@@ -183,8 +184,9 @@ def load_system(path, require_hurwitz=True, name="A"):
     Loading bytes that were loaded before in this process returns the same
     :class:`~lqomor.model.LqoSystem`, with its Schur form, Hurwitz result
     and exponential and Gramian memos: the last :data:`LOADED_SYSTEMS` documents are kept
-    by the SHA-256 of their bytes, so a file rewritten in place is parsed
-    again whatever its size and time stamps.  A document that references
+    by their bytes, and a load finds its entry by comparing bytes, so a file
+    rewritten in place is parsed again whatever its size and time stamps.
+    Each kept document's bytes stay in memory.  A document that references
     Matrix Market files is not kept, since its bytes do not cover theirs.
     A file that fails to parse leaves nothing behind, and a
     factorization that fails is tried again on the next load.  ``name`` is
@@ -193,7 +195,7 @@ def load_system(path, require_hurwitz=True, name="A"):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    key = hashlib.sha256(data).digest()
+    key = next((k for k in _loaded if k == data), data)
     system, external = _loaded.get(key), False
     if system is None:
         system, external = _parse(data, os.path.dirname(os.path.abspath(path)))

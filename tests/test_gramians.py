@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqomor import gramians, matfun
+from lqomor import gramians, matfun, norms
 from lqomor.errors import (
     DimensionError, HurwitzError, NonFiniteError, RankError, SolverError,
 )
@@ -616,6 +616,85 @@ class TestGramianMemo:
         assert self.full_solves(lapack_calls) == 2
         assert self.balancings(lapack_calls) == (2, 1)
         assert list(system.gramian_memo) == [third, first]
+
+    @pytest.fixture()
+    def energies(self, monkeypatch):
+        """The system of every output energy of a system with itself that
+        the norms evaluate from here on."""
+        calls = []
+        energy = norms.output_energy
+
+        def counting(left, right, p):
+            if left is right:
+                calls.append(left)
+            return energy(left, right, p)
+
+        monkeypatch.setattr(norms, "output_energy", counting)
+        return calls
+
+    def test_error_then_norm_evaluate_the_energy_once(self, energies):
+        system = self.fresh()
+        rom = rand_system(np.random.default_rng(64), 4, 2, 2)
+        for _ in range(2):
+            first = h2tau_error(system, rom, self.IV).decomposition[0]
+            value = h2tau_norm(system, self.IV).value
+        assert energies.count(system) == 1 and energies.count(rom) == 1
+        assert system.gramian_memo[self.IV]["energy"] == first and value == np.sqrt(first)
+        assert set(system.gramian_memo[self.IV]) == {"P", "energy"}
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    def test_kept_energy_equals_that_of_a_fresh_system(self, iv):
+        system = self.fresh()
+        rom = rand_system(np.random.default_rng(64), 4, 2, 2)
+        kept = h2tau_norm(system, iv).value
+        decomposition = h2tau_error(system, rom, iv).decomposition
+        fresh = self.fresh()
+        energy = output_energy(fresh, fresh, controllability_block(fresh, fresh, iv))
+        assert system.gramian_memo[iv]["energy"].hex() == energy.hex()
+        assert decomposition[0].hex() == energy.hex()
+        assert kept.hex() == h2tau_norm(self.fresh(), iv).value.hex()
+        assert decomposition == h2tau_error(self.fresh(), rom, iv).decomposition
+
+    def test_third_horizon_evicts_the_energy(self, energies):
+        system = self.fresh()
+        first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
+        for iv in (first, second, first, third):
+            h2tau_norm(system, iv)
+        assert list(system.gramian_memo) == [first, third]
+        assert all("energy" in kept for kept in system.gramian_memo.values())
+        energies.clear()
+        h2tau_norm(system, first)
+        h2tau_norm(system, third)
+        assert energies == []
+        h2tau_norm(system, second)
+        assert energies == [system]
+        assert list(system.gramian_memo) == [third, second]
+
+    def test_overflowing_energy_keeps_nothing(self):
+        # P is finite, but trace((M P)^2) overflows
+        system = scalar_system(-1.0, 1.0, 1.0, 1e200)
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(SolverError):
+                h2tau_norm(system, self.IV)
+            assert set(system.gramian_memo[self.IV]) == {"P"}
+
+    def test_non_hurwitz_system_raises_on_every_infinite_horizon_call(self):
+        # a kept energy does not skip the Hurwitz test of [0, inf)
+        system = LqoSystem(
+            np.diag([1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [np.eye(2)],
+            check_hurwitz=False,
+        )
+        rom = scalar_system(-1.0, 1.0, 1.0, 1.0)
+        infinite = TimeInterval(0.0, INFINITE)
+        finite = h2tau_norm(system, self.IV).value
+        norms._inner(system, system, infinite)
+        assert "energy" in system.gramian_memo[infinite]
+        for _ in range(2):
+            with pytest.raises(HurwitzError):
+                h2tau_norm(system, infinite)
+            with pytest.raises(HurwitzError):
+                h2tau_error(system, rom, infinite)
+        assert h2tau_norm(system, self.IV).value == finite
 
     @pytest.mark.parametrize("iv", HORIZONS, ids=str)
     def test_failed_solve_keeps_nothing(self, iv):

@@ -230,6 +230,36 @@ class TestLoadCache:
             2.0 * json.loads(before)["value"], rel=1e-14
         )
 
+    def test_rewrite_of_the_last_bytes_is_parsed_again(self, tmp_path, parses):
+        # same size and time stamps, and the bytes agree up to the last entry
+        path = tmp_path / "system.json"
+        save_system(rand_system(np.random.default_rng(114), 5, 1, 2), path)
+        stat = os.stat(path)
+        system = load_system(path)
+        data = path.read_bytes()
+        last = max(data.rfind(str(d).encode()) for d in range(10))
+        digit = b"1" if data[last:last + 1] == b"0" else b"0"
+        path.write_bytes(data[:last] + digit + data[last + 1:])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (
+            stat.st_size, stat.st_mtime_ns
+        )
+        rewritten = load_system(path)
+        assert rewritten is not system and len(parses) == 2
+        assert rewritten.M[-1][-1, -1] != system.M[-1][-1, -1]
+        assert np.array_equal(rewritten.A, system.A)
+
+    def test_extended_document_is_parsed_again(self, tmp_path, parses):
+        # the kept bytes are a prefix of the new ones
+        text = scalar_document(-1.0, 1.0)
+        (tmp_path / "kept.json").write_text(text)
+        (tmp_path / "longer.json").write_text(text + "  \n")
+        system = load_system(tmp_path / "kept.json")
+        longer = load_system(tmp_path / "longer.json")
+        assert longer is not system and len(parses) == 2
+        assert load_system(tmp_path / "longer.json") is longer
+        assert load_system(tmp_path / "kept.json") is system and len(parses) == 2
+
     def test_non_hurwitz_file_fails_on_every_load(self, capsys, tmp_path):
         path = tmp_path / "unstable.json"
         path.write_text(scalar_document(1.0, 1.0))
