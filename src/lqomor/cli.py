@@ -105,6 +105,10 @@ _REDUCE_SUMMARY = (
 
 
 def _cmd_reduce(args):
+    if args.method in ("bt", "homora") and (args.t0 != 0.0 or args.t1 != math.inf):
+        limited = "tlbt" if args.method == "bt" else "tlhnoia"
+        raise _UsageError(f"method {args.method} reduces on [0, inf); "
+                          f"use --method {limited} for a horizon")
     system = load_system(args.system)
     if args.method in ("bt", "tlbt"):
         if args.order is None:
@@ -173,11 +177,13 @@ def _cmd_error(args):
 
 
 def _cmd_residuals(args):
+    infinite = args.t1 == math.inf
+    if infinite and args.t0 != 0.0:
+        raise _UsageError("residuals with --t1 inf need --t0 0: the "
+                          "infinite-horizon conditions hold on [0, inf)")
     system = load_system(args.system)
-    rom = load_system(
-        args.rom, require_hurwitz=args.horizon == "infinite", name="reduced A (--rom)"
-    )
-    if args.horizon == "infinite":
+    rom = load_system(args.rom, require_hurwitz=infinite, name="reduced A (--rom)")
+    if infinite:
         rep = h2_residuals(system, rom)
     else:
         rep = tl_residuals(system, rom, _interval(args))
@@ -205,6 +211,10 @@ def _cmd_hsv(args):
 def _cmd_simulate(args):
     system = load_system(args.system)
     rom = load_system(args.rom, require_hurwitz=False) if args.rom else None
+    if rom is not None and rom.n_outputs != system.n_outputs:
+        raise ValidationError(
+            f"rom has {rom.n_outputs} outputs, system has {system.n_outputs}"
+        )
     states = system.order + (rom.order if rom is not None else 0)
     grid = time_grid(args.t0, args.t1, args.step, states)
     u = parse_signal(args.input)
@@ -213,10 +223,6 @@ def _cmd_simulate(args):
     columns = [full.times] + list(full.outputs.T)
     comment = None
     if rom is not None:
-        if rom.n_outputs != system.n_outputs:
-            raise ValidationError(
-                f"rom has {rom.n_outputs} outputs, system has {system.n_outputs}"
-            )
         rtraj = simulate(rom, u, grid)
         rel = demo_mod.relative_output_error(full, rtraj)
         header += [f"y_rom_{i + 1}" for i in range(rom.n_outputs)] + ["rel_err"]
@@ -293,7 +299,6 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--rom", required=True)
     _add_interval_flags(p, t1_default="1.0")
-    p.add_argument("--horizon", choices=["limited", "infinite"], default="limited")
     p.set_defaults(func=_cmd_residuals)
 
     p = sub.add_parser("hsv", help="horizon-limited Hankel singular values")

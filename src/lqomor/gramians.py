@@ -23,16 +23,17 @@ G = Y + 2 Z of the optimality conditions from :func:`adjoint_block`.
 A system's own P and Q are facts of the system: :func:`controllability_block`
 of a system with itself and the Q of :func:`gramian_pair` are solved at most
 once per horizon and kept, read-only, in the system's ``gramian_memo`` for
-the :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons, with
-their :func:`balancing` and the system's output energy ``||H||^2`` of
-:mod:`lqomor.norms`: 4 N^2 + N + 1 floats per horizon.  So ``h2tau_norm``,
+the :data:`GRAMIAN_MEMO` most recently used horizons, with their
+:func:`balancing`, the system's ``||H||^2`` of :mod:`lqomor.norms` and its
+:func:`boundaries` ``e^(A t0)``, ``e^(A t1)``.  So ``h2tau_norm``,
 ``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
 :func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
-each, ``bt``, ``tlbt`` and ``hsv`` one balancing, and ``h2tau_norm`` and
-``h2tau_error`` one ``||H||^2``.  Mixed blocks, Y and Z apart, and every
-:func:`adjoint_block` are solved on each call.  A kept
-Gramian passed the same checks on the same matrices (see
-:class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing.
+each, ``bt``, ``tlbt`` and ``hsv`` one balancing, ``h2tau_norm`` and
+``h2tau_error`` one ``||H||^2``, and every block and condition one pair of
+exponentials.  Mixed blocks, Y and Z apart, and every :func:`adjoint_block`
+are solved on each call.  A kept Gramian passed the same checks on the same
+matrices (see :class:`~lqomor.model.LqoSystem`); a solve that raises keeps
+no Gramian, though the exponentials it read stay.
 """
 
 from dataclasses import dataclass
@@ -44,24 +45,34 @@ from . import matfun
 from .errors import DimensionError, NonFiniteError, SolverError
 from .model import TimeInterval, require_same_io
 
+#: Horizons a system keeps P, Q, their balancing, ``||H||^2`` and the
+#: boundary exponentials for: the two most recently used, as a ``bt``/``tlbt``
+#: comparison reads.  4 N^2 + N + 1 floats per horizon, plus N^2 per nonzero
+#: finite end: at N = 150, 1.4 MiB for two horizons and 0.17 MiB per end.
+GRAMIAN_MEMO = 2
 
-def _boundaries(form, interval):
-    """Exponentials ``(e^(a t0), e^(a t1))`` from the memo of the Schur form
-    of ``a``, None for ``t0 = 0`` (the identity) and for an infinite end; the
-    transposed view of a form gives their transposes."""
-    return (None if interval.t_start == 0.0 else form.expm(interval.t_start),
-            None if interval.is_infinite else form.expm(interval.t_end))
+
+def boundaries(system, interval):
+    """``(e^(A t0), e^(A t1))`` of ``system`` on ``interval``, None for
+    ``t0 = 0`` (the identity) and for an infinite end: the one test of which
+    ends carry a term.  Each is kept read-only in the system's memo under
+    its horizon, and evicted with P and Q."""
+    def at(name, t):
+        return _memo(system, interval, name, lambda: matfun.expm(system.A, t))
+
+    return (at("expm_t0", interval.t_start) if interval.t_start else None,
+            None if interval.is_infinite else at("expm_t1", interval.t_end))
 
 
 def _weighted(kern, left, right):
-    """Two-point weighted right-hand side ``L0 K R0^T - L1 K R1^T``, where a
-    None first pair is the identity and a None second pair drops its term.
-    The only writer of a weighted kernel, and only of the observability
-    kernels, which have full rank."""
+    """Two-point weighted right-hand side ``L0^T K R0 - L1^T K R1`` of the
+    :func:`boundaries` ``(L0, L1)`` and ``(R0, R1)``, a None first pair the
+    identity and a None second pair no term.  The only writer of a weighted
+    kernel, and only of the observability kernels, which have full rank."""
     (l0, l1), (r0, r1) = left, right
-    rhs = kern if l0 is None else l0 @ kern @ r0.T
+    rhs = kern if l0 is None else l0.T @ kern @ r0
     if l1 is not None:
-        rhs = rhs - l1 @ kern @ r1.T
+        rhs = rhs - l1.T @ kern @ r1
     return rhs
 
 
@@ -153,7 +164,7 @@ def _boundary_factor(system, interval, negate):
     """``[e^(A t0) B, e^(A t1) B]``, its second block negated if ``negate``:
     the identity stands in for ``t0 = 0`` and an infinite horizon drops the
     second block."""
-    e0, e1 = _boundaries(system.schur, interval)
+    e0, e1 = boundaries(system, interval)
     head = system.B if e0 is None else e0 @ system.B
     if e1 is None:
         return head
@@ -191,18 +202,18 @@ def _controllability(left, right, interval):
 
 
 def _memo(system, interval, name, solve):
-    """Fact ``name`` of ``system`` on ``interval`` (a Gramian, its balancing
-    or the system's output energy) from its memo, or from ``solve()`` and
+    """Fact ``name`` of ``system`` on ``interval`` (a Gramian, its balancing,
+    ``||H||^2`` or an exponential) from its memo, or from ``solve()`` and
     then kept, its arrays read-only, under the policy of
-    :func:`~lqomor.matfun.recall` with :data:`~lqomor.matfun.GRAMIAN_MEMO`
-    horizons.  The solve comes first, so one that raises keeps nothing."""
+    :func:`~lqomor.matfun.recall` with :data:`GRAMIAN_MEMO` horizons.  The
+    solve comes first, so one that raises keeps nothing of its own."""
     x = system.gramian_memo.get(interval, {}).get(name)
     if x is None:
         x = solve()
         for a in (x.sigma, x.W, x.V) if isinstance(x, Balancing) else (x,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-    matfun.recall(system.gramian_memo, interval, matfun.GRAMIAN_MEMO, dict)[name] = x
+    matfun.recall(system.gramian_memo, interval, GRAMIAN_MEMO, dict)[name] = x
     return x
 
 
@@ -227,9 +238,8 @@ def observability_block(left, right, interval, kern):
     -------
     (left.order, right.order) ndarray
     """
-    st = _boundaries(left.schur_t, interval)
-    srt = _boundaries(right.schur_t, interval)
-    return _solve(left, right, "observability", _weighted(kern, st, srt))
+    rhs = _weighted(kern, boundaries(left, interval), boundaries(right, interval))
+    return _solve(left, right, "observability", rhs)
 
 
 def adjoint_block(left, right, interval, p):

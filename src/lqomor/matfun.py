@@ -11,8 +11,8 @@ matrix used in many equations is factored once.  The
 form of ``A^T`` is a view of A's form, ``A^T = U T^T U^T``, so one
 factorization serves both sides of every equation: the solve applies the
 transpose to T.  The Hurwitz and solvability tests read their eigenvalues
-from the same form.  The matrix exponential uses scaling and squaring with a
-fixed-order Pade approximant.
+from the same form.  The matrix exponential is ``scipy.linalg.expm`` of
+the matrix itself, read from no form and kept by no memo here.
 
 The quasi-triangular solve is recursive and blocked (Jonsson and Kagstrom,
 ACM TOMS 2002).  It splits the factors at a 1x1/2x2 block boundary and
@@ -43,19 +43,6 @@ from .errors import DimensionError, HurwitzError, NonFiniteError, SolverError
 #: Relative tolerance of the Hurwitz test: max Re(eig(A)) must be below
 #: ``-HURWITZ_RTOL * ||A||_F``.
 HURWITZ_RTOL = 1e-12
-
-#: Exponentials ``e^(a t)`` a :class:`SchurForm` keeps: the two most recently
-#: used ``t``, one horizon's start and end.  A form held across many
-#: horizons (a loaded system reused by several commands) stays this size.
-EXPM_MEMO = 2
-
-#: Horizons whose Gramians P and Q, their balancing (sigma, W, V) and
-#: ``||H||^2`` a :class:`~lqomor.model.LqoSystem` keeps (see
-#: :mod:`lqomor.gramians`): the two most recently used, one finite horizon
-#: and [0, inf), which is what a ``bt``/``tlbt`` comparison reads.  That is
-#: 4 N^2 + N + 1 floats per horizon:
-#: at N = 150, about 1.4 MiB per system for the two.
-GRAMIAN_MEMO = 2
 
 #: Largest number of rows or columns of a quasi-triangular Sylvester block
 #: that one unblocked LAPACK ``trsyl`` call solves; larger blocks are split
@@ -100,9 +87,8 @@ class SchurForm:
 
     Holds the spectral facts the solvers need about ``a``: the factors and
     the eigenvalues of one ``dgees`` call, the spectral radius and the
-    eigenvalue sums with other forms that the solvability test reads, the
-    rightmost eigenvalue of the Hurwitz test, and a memo of ``e^(a t)`` for
-    the last :data:`EXPM_MEMO` values of ``t``.
+    eigenvalue sums with other forms that the solvability test reads, and
+    the rightmost eigenvalue of the Hurwitz test.
     The eigenvalues are ``dgees``'s ``wr + i wi``, in the order of T's
     diagonal blocks: bit for bit the ``x +- i sqrt(|b|) sqrt(|c|)`` of T's
     standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
@@ -124,7 +110,6 @@ class SchurForm:
         # form is freed by reference counting, not by the cycle collector.
         self._form = transposed
         self._view = None
-        self._expm = {}
 
     @property
     def transposed(self):
@@ -204,21 +189,6 @@ class SchurForm:
             return self._form.rightmost
         top = self.eigvals[self.eigvals.real.argmax()]
         return top, bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
-
-    def expm(self, t):
-        """``e^(a t)`` as :func:`expm` returns it, read-only.  The memo keeps
-        the :data:`EXPM_MEMO` most recently used ``t`` and recomputes any
-        other; the transposed view returns the transpose of the same entry."""
-        if self.trans:
-            return self.transposed.expm(t).T
-        t = float(t)
-
-        def make():
-            x = expm(self.a, t)
-            x.flags.writeable = False
-            return x
-
-        return recall(self._expm, t, EXPM_MEMO, make)
 
 
 def recall(memo, key, bound, make):

@@ -73,10 +73,10 @@ class LqoSystem:
     holds for the system's life.  The real Schur form of ``A`` (``schur``)
     is factored at most once, on first use, and the form of ``A^T``
     (``schur_t``) is a view of the same factors.  The system's own Gramians
-    P and Q, their balancing and the system's ``||H||^2`` are likewise
-    computed at most once per horizon and kept in ``gramian_memo`` for the
-    :data:`~lqomor.matfun.GRAMIAN_MEMO` most recently used horizons,
-    read-only: 4 N^2 + N + 1 floats per horizon.
+    P and Q, their balancing, ``||H||^2`` and ``e^(A t0)``, ``e^(A t1)`` are
+    likewise computed at most once per horizon and kept in ``gramian_memo``
+    for the :data:`~lqomor.gramians.GRAMIAN_MEMO` most recently used
+    horizons, read-only: 4 N^2 + N + 1 floats, plus N^2 per nonzero finite end.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -121,15 +121,15 @@ class LqoSystem:
         self.C = c
         self.M = m
         #: Real Schur form of A, factored on first use and shared by every
-        #: solve, Hurwitz test and boundary exponential of this system.
+        #: solve and Hurwitz test of this system.
         self.schur = matfun.SchurForm(a)
         #: Real Schur form of A^T: the view of ``schur`` that shares its
         #: factors, held for the system's life so that every solve reads the
         #: same view (a form holds its view only weakly).
         self.schur_t = self.schur.transposed
         #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
-        #: "energy": float}}``, least recently used first: what
-        #: :mod:`lqomor.gramians` and :mod:`lqomor.norms` kept of this system.
+        #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1)}}``, least
+        #: recently used first: what gramians and norms kept of this system.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

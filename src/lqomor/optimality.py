@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matfun
 from .errors import SolverError, ValidationError
-from .gramians import adjoint_block, controllability_block, require_pair
+from .gramians import adjoint_block, boundaries, controllability_block, require_pair
 from .model import TimeInterval
 from .norms import output_energy
 
@@ -141,11 +141,11 @@ def _stationarity(system, rom, interval, pt, ph):
     xt = adjoint_block(system, rom, inf, pt)
     xh = adjoint_block(rom, rom, inf, ph)
     w = np.zeros_like(pg)
-    for sign, t in ((1.0, interval.t_start), (-1.0, interval.t_end)):
-        if t == 0.0:
-            continue
-        v = xh @ rom.schur.expm(t) @ rom.B - xt.T @ (system.schur.expm(t) @ system.B)
-        w = w + sign * matfun.expm_frechet(rom.A.T, v @ rom.B.T, t)
+    for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
+                              boundaries(system, interval), boundaries(rom, interval)):
+        if s is not None:
+            v = xh @ sh @ rom.B - xt.T @ (s @ system.B)
+            w = w + sign * matfun.expm_frechet(rom.A.T, v @ rom.B.T, t)
     tail_t, tail_h = xt - gt, xh - gh
     l_mat = -tail_t.T @ pt + tail_h @ ph + w
     op1 = pg + l_mat
@@ -251,13 +251,10 @@ def theorem2_check(system, rom, pair, interval):
     v, w = pair.V, pair.W
     b, c = system.B, system.C
     bh, ch = rom.B, rom.C
-    times = [interval.t_end]
-    if interval.t_start > 0.0:
-        times.append(interval.t_start)
     dev_in = dev_out = dev_quad = 0.0
-    for t in times:
-        s = system.schur.expm(t)
-        sh = rom.schur.expm(t)
+    for s, sh in zip(boundaries(system, interval), boundaries(rom, interval)):
+        if s is None:
+            continue
         dev_in = max(dev_in, float(np.linalg.norm(w.T @ s @ b - sh @ bh, 2)))
         dev_out = max(dev_out, float(np.linalg.norm(c @ s @ v - ch @ sh, 2)))
         for mi, mhi in zip(system.M, rom.M):

@@ -126,6 +126,35 @@ class TestReduceCommand:
         assert code == 2
         assert json.loads(err)["code"] == "usage"
 
+    @pytest.mark.parametrize(
+        "method, horizon, limited",
+        [
+            ("bt", ["--t1", "0.5"], "tlbt"),
+            ("bt", ["--t0", "0.1"], "tlbt"),
+            ("homora", ["--t0", "0.1", "--t1", "0.5"], "tlhnoia"),
+        ],
+    )
+    def test_infinite_horizon_method_rejects_a_horizon(
+        self, capsys, tmp_path, method, horizon, limited
+    ):
+        out_path = tmp_path / "rom.json"
+        code, out, err = run(
+            capsys, "reduce", "--method", method, "--order", "3", "--system", BENCH,
+            "--init", INIT, *horizon, "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        doc = json.loads(err)
+        assert doc["code"] == "usage" and f"--method {limited}" in doc["message"]
+
+    @pytest.mark.parametrize("method", ["bt", "homora"])
+    def test_infinite_horizon_method_accepts_zero_to_inf(self, capsys, method):
+        argv = ["reduce", "--method", method, "--order", "3", "--system", BENCH,
+                "--init", INIT, "--tol", "0", "--max-iter", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        explicit = run(capsys, *argv, "--t0", "0", "--t1", "inf")
+        assert explicit == (0, out, "")
+
     def test_iterative_requires_init(self, capsys):
         code, _, err = run(
             capsys, "reduce", "--method", "homora", "--system", BENCH
@@ -182,7 +211,7 @@ class TestErrorAndResiduals:
     def test_residuals_limited(self, capsys, rom_file):
         code, out, _ = run(
             capsys, "residuals", "--system", BENCH, "--rom", rom_file,
-            "--t0", "0", "--t1", "0.5", "--horizon", "limited",
+            "--t0", "0", "--t1", "0.5",
         )
         assert code == 0
         doc = json.loads(out)
@@ -198,11 +227,19 @@ class TestErrorAndResiduals:
 
     def test_residuals_infinite(self, capsys):
         code, out, _ = run(
-            capsys, "residuals", "--system", BENCH, "--rom", INIT,
-            "--horizon", "infinite",
+            capsys, "residuals", "--system", BENCH, "--rom", INIT, "--t1", "inf",
         )
         assert code == 0
         assert json.loads(out)["horizon"] == "infinite"
+
+    @pytest.mark.parametrize(
+        "flags", [["--t0", "0.3", "--t1", "inf"], ["--horizon", "infinite"]],
+        ids=["infinite-from-t0", "no-horizon-flag"],
+    )
+    def test_residuals_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "residuals", "--system", BENCH, "--rom", INIT, *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
 
 
 class TestHsvCommand:
@@ -245,6 +282,22 @@ class TestSimulateCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("# rel_err")
         assert lines[1] == "t,y_full_1,y_rom_1,rel_err"
+
+    def test_output_count_is_checked_before_simulating(self, capsys, tmp_path, monkeypatch):
+        doc = json.loads(Path(SCALAR).read_text())
+        doc.update(n_outputs=2, C=[[1.0], [2.0]], M=[[[1.0]], [[0.5]]])
+        rom = tmp_path / "rom.json"
+        rom.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        code, out, err = run(
+            capsys, "simulate", "--system", SCALAR, "--rom", str(rom), "--input", "1",
+            "--t1", "1", "--step", "0.1",
+        )
+        assert code == 3 and out == "" and calls == []
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert doc["message"] == "rom has 2 outputs, system has 1"
 
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -350,7 +403,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["error", "--t1", "inf"], ["residuals", "--horizon", "infinite"]],
+        [["error", "--t1", "inf"], ["residuals", "--t1", "inf"]],
         ids=["error", "residuals"],
     )
     def test_validation_error_non_hurwitz_rom_on_infinite_horizon(

@@ -23,7 +23,8 @@ from lqomor.gramians import (
 from lqomor.matfun import LEAF, expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import h2tau_error, h2tau_norm, output_energy
-from lqomor.reductors import bt, tlbt
+from lqomor.optimality import tl_residuals
+from lqomor.reductors import bt, tlbt, tlhnoia
 
 from util import dense_controllability_block, rand_lti, rand_system, shifted_to
 
@@ -443,8 +444,9 @@ class TestFactoredControllability:
 
 
 class TestGramianMemo:
-    """A system's own P and Q, and their balancing, are computed once per
-    horizon and kept for the GRAMIAN_MEMO most recently used horizons."""
+    """A system's own P and Q, their balancing, its ||H||^2 and its boundary
+    exponentials are computed once per horizon and kept for the
+    GRAMIAN_MEMO most recently used horizons."""
 
     N = LEAF
     IV = TimeInterval(0.1, 0.5)
@@ -538,7 +540,7 @@ class TestGramianMemo:
         monkeypatch.setattr(gramians, "_psd_factor", failing)
         with pytest.raises(SolverError):
             balancing(system, self.IV)
-        assert set(system.gramian_memo[self.IV]) == {"P", "Q"}
+        assert set(system.gramian_memo[self.IV]) == {"P", "Q", "expm_t0", "expm_t1"}
         monkeypatch.setattr(gramians, "_psd_factor", factor)
         bal = balancing(system, self.IV)
         assert system.gramian_memo[self.IV]["balancing"] is bal
@@ -590,7 +592,7 @@ class TestGramianMemo:
                 x[0] = 0.0
 
     def test_third_horizon_evicts_the_least_recently_used(self, lapack_calls):
-        assert matfun.GRAMIAN_MEMO == 2
+        assert gramians.GRAMIAN_MEMO == 2
         system = self.fresh()
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, first, third):
@@ -610,7 +612,10 @@ class TestGramianMemo:
         for iv in (first, second, third):
             balancing(system, iv)
         assert list(system.gramian_memo) == [second, third]
-        assert all(set(kept) == {"P", "Q", "balancing"} for kept in system.gramian_memo.values())
+        assert all(
+            set(kept) == {"P", "Q", "balancing", "expm_t1"}
+            for kept in system.gramian_memo.values()
+        )
         self.clear(lapack_calls)
         balancing(system, first)
         assert self.full_solves(lapack_calls) == 2
@@ -640,7 +645,7 @@ class TestGramianMemo:
             value = h2tau_norm(system, self.IV).value
         assert energies.count(system) == 1 and energies.count(rom) == 1
         assert system.gramian_memo[self.IV]["energy"] == first and value == np.sqrt(first)
-        assert set(system.gramian_memo[self.IV]) == {"P", "energy"}
+        assert set(system.gramian_memo[self.IV]) == {"P", "energy", "expm_t0", "expm_t1"}
 
     @pytest.mark.parametrize("iv", HORIZONS, ids=str)
     def test_kept_energy_equals_that_of_a_fresh_system(self, iv):
@@ -676,7 +681,7 @@ class TestGramianMemo:
         for _ in range(2):
             with np.errstate(all="ignore"), pytest.raises(SolverError):
                 h2tau_norm(system, self.IV)
-            assert set(system.gramian_memo[self.IV]) == {"P"}
+            assert set(system.gramian_memo[self.IV]) == {"P", "expm_t0", "expm_t1"}
 
     def test_non_hurwitz_system_raises_on_every_infinite_horizon_call(self):
         # a kept energy does not skip the Hurwitz test of [0, inf)
@@ -709,7 +714,9 @@ class TestGramianMemo:
         for _ in range(2):
             with np.errstate(all="ignore"), pytest.raises(SolverError):
                 controllability_block(system, system, iv)
-            assert list(system.gramian_memo) == [kept]
+            # no Gramian of iv is kept; the exponentials it read stay
+            assert [k for k, facts in system.gramian_memo.items() if "P" in facts] == [kept]
+            assert set(system.gramian_memo.get(iv, {})) <= {"expm_t0", "expm_t1"}
         assert controllability_block(system, system, kept) is p
 
     def test_mixed_blocks_are_not_kept(self):
@@ -718,4 +725,71 @@ class TestGramianMemo:
         a = controllability_block(system, twin, self.IV)
         b = controllability_block(system, twin, self.IV)
         assert a is not b and a.flags.writeable
-        assert not system.gramian_memo and not twin.gramian_memo
+        # each side keeps its boundary exponentials and no block
+        for side in (system, twin):
+            assert list(side.gramian_memo) == [self.IV]
+            assert set(side.gramian_memo[self.IV]) == {"expm_t0", "expm_t1"}
+
+    @pytest.fixture()
+    def exponentials(self, monkeypatch):
+        """The ``(a, t)`` of every :func:`matfun.expm` call from here on."""
+        calls = []
+
+        def counting(a, t=1.0):
+            calls.append((a, t))
+            return expm(a, t)
+
+        monkeypatch.setattr(matfun, "expm", counting)
+        return calls
+
+    @staticmethod
+    def own(exponentials, system):
+        """Times of the exponentials of ``system``'s own A among ``exponentials``."""
+        return [t for a, t in exponentials if a is system.A]
+
+    @pytest.mark.parametrize("iv", [IV, TimeInterval(0.0, 0.5)], ids=str)
+    def test_each_nonzero_end_is_exponentiated_once(self, exponentials, iv):
+        system = self.fresh()
+        rom = rand_system(np.random.default_rng(64), 4, 2, 2)
+        tlbt(system, 3, iv)
+        h2tau_norm(system, iv)
+        h2tau_error(system, rom, iv)
+        tl_residuals(system, rom, iv)
+        balancing(system, iv)
+        ends = [t for t in (iv.t_start, iv.t_end) if t != 0.0]
+        assert self.own(exponentials, system) == ends
+        report = tlhnoia(system, bt(system, 3).rom, iv, tol=0.0, max_iter=3)
+        assert report.iterations == 3
+        assert self.own(exponentials, system) == ends
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    def test_kept_exponentials_are_read_only_and_exact(self, iv):
+        system = self.fresh()
+        h2tau_norm(system, iv)
+        kept = system.gramian_memo[iv]
+        ends = gramians.boundaries(system, iv)
+        for x, name, t in zip(ends, ("expm_t0", "expm_t1"), (iv.t_start, iv.t_end)):
+            if t == 0.0 or t == INFINITE:
+                assert x is None and name not in kept
+                continue
+            assert kept[name] is x and not x.flags.writeable
+            assert x.tobytes() == expm(system.A, t).tobytes()
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.0
+
+    def test_third_horizon_evicts_the_exponentials_with_p_and_q(self, exponentials):
+        system = self.fresh()
+        first, second, third = (TimeInterval(0.1, t) for t in (0.3, 0.5, 0.7))
+        for iv in (first, second, third):
+            gramian_pair(system, iv)
+        assert list(system.gramian_memo) == [second, third]
+        assert all(
+            set(kept) == {"P", "Q", "expm_t0", "expm_t1"}
+            for kept in system.gramian_memo.values()
+        )
+        exponentials.clear()
+        gramian_pair(system, second)
+        assert exponentials == []
+        gramian_pair(system, first)
+        assert self.own(exponentials, system) == [0.1, 0.3]
+        assert list(system.gramian_memo) == [second, first]

@@ -351,7 +351,6 @@ class TestSchurForm:
         assert view.eigvals is fa.eigvals
         assert view.rightmost is fa.rightmost
         assert view.radius == fa.radius == np.abs(fa.eigvals).max()
-        assert np.array_equal(view.expm(0.4), fa.expm(0.4).T)
         q = a @ a.T
         for side in ("controllability", "observability"):
             solve_lyapunov(fa, q, side=side)
@@ -425,28 +424,6 @@ class TestSchurForm:
             require_hurwitz(form, "A")
         assert err.value.context["eigenvalue"] == pytest.approx([0.5, 2.0], rel=1e-15)
         assert is_hurwitz(SchurForm(np.array([[-0.5, 2.0], [-2.0, -0.5]])))
-
-    def test_expm_memo(self):
-        _, a, _, fa, _ = self.pair(42, 5, 2)
-        x = fa.expm(0.3)
-        assert fa.expm(0.3) is x
-        assert np.array_equal(x, expm(a, 0.3))
-        assert not x.flags.writeable
-        assert np.array_equal(fa.expm(0.0), np.eye(5))
-
-    def test_expm_memo_keeps_the_two_latest_times(self, monkeypatch):
-        _, a, _, fa, _ = self.pair(43, 4, 2)
-        computed = []
-        monkeypatch.setattr(matfun, "expm", lambda a, t: computed.append(t) or expm(a, t))
-        x1, x2 = fa.expm(0.1), fa.expm(0.2)
-        assert fa.transposed.expm(0.2).base is x2
-        assert fa.expm(0.1) is x1
-        x3 = fa.expm(0.3)
-        assert len(fa._expm) == matfun.EXPM_MEMO == 2
-        assert fa.expm(0.1) is x1 and fa.expm(0.3) is x3
-        assert fa.expm(0.2) is not x2
-        assert np.array_equal(fa.expm(0.2), x2)
-        assert computed == [0.1, 0.2, 0.3, 0.2]
 
     def test_singular_sylvester_through_forms(self):
         with pytest.raises(SolverError):
