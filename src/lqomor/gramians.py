@@ -30,12 +30,21 @@ the :data:`GRAMIAN_MEMO` most recently used horizons, with their
 :func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
 each, ``bt``, ``tlbt`` and ``hsv`` one balancing, ``h2tau_norm`` and
 ``h2tau_error`` one ``||H||^2``, and every block and condition one pair of
-exponentials.  Mixed blocks, Y and Z apart, and every :func:`adjoint_block`
-are solved on each call.  A kept Gramian passed the same checks on the same
+exponentials.  Every :func:`adjoint_block` is kept the same way, and so
+are the blocks of a (system, reduced model) pair, which are facts of the
+pair: its controllability block and adjoint blocks are kept in the memo
+of the pair's lower-order member (the right-hand one on a tie) beside a
+weak reference to its partner.  Each member keeps the blocks of one
+partner per horizon, and a second partner replaces the first.  So the
+stationarity conditions, the error norm and a reductor's first sweep on
+one pair share one solve of each block; the blocks of the iterates a
+reductor makes are not kept (:func:`sweep_blocks`).  Y and Z apart are
+solved on each call.  A kept block passed the same checks on the same
 matrices (see :class:`~lqomor.model.LqoSystem`); a solve that raises keeps
-no Gramian, though the exponentials it read stay.
+no block, though the exponentials it read stay.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +54,13 @@ from . import matfun
 from .errors import DimensionError, NonFiniteError, SolverError
 from .model import TimeInterval, require_same_io
 
-#: Horizons a system keeps P, Q, their balancing, ``||H||^2`` and the
-#: boundary exponentials for: the two most recently used, as a ``bt``/``tlbt``
-#: comparison reads.  4 N^2 + N + 1 floats per horizon, plus N^2 per nonzero
-#: finite end: at N = 150, 1.4 MiB for two horizons and 0.17 MiB per end.
+#: Horizons a system keeps P, Q, their balancing, ``||H||^2``, the
+#: boundary exponentials and the blocks of one partner for: the two most
+#: recently used, as a ``bt``/``tlbt`` comparison reads.  4 N^2 + N + 1
+#: floats per horizon, plus N^2 per nonzero finite end: at N = 150, 1.4 MiB
+#: for two horizons and 0.17 MiB per end.  The lower-order member of a pair
+#: of orders N and r keeps 3 N r floats per horizon for its partner (Pt, Gt
+#: and the [0, inf) tail Xt): 36 KB at N = 150, r = 10.
 GRAMIAN_MEMO = 2
 
 
@@ -182,16 +194,16 @@ def controllability_block(left, right, interval):
     ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, handed to the solver as
     factors, so no N x N kernel is formed and no N^3 product weights it.
     This needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
-    system with itself (``left is right``) is its controllability Gramian,
-    kept read-only in the system's memo.
+    system with itself (``left is right``) is its controllability Gramian.
+    Each block is kept read-only (see :func:`_pair_memo`).
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
-    if left is right:
-        return _memo(left, interval, "P", lambda: _controllability(left, left, interval))
-    return _controllability(left, right, interval)
+    return _pair_memo(
+        left, right, interval, "P", lambda: _controllability(left, right, interval)
+    )
 
 
 def _controllability(left, right, interval):
@@ -201,20 +213,43 @@ def _controllability(left, right, interval):
     return _solve(left, right, "controllability", factors)
 
 
-def _memo(system, interval, name, solve):
+def _memo(system, interval, name, solve, partner=None):
     """Fact ``name`` of ``system`` on ``interval`` (a Gramian, its balancing,
-    ``||H||^2`` or an exponential) from its memo, or from ``solve()`` and
-    then kept, its arrays read-only, under the policy of
-    :func:`~lqomor.matfun.recall` with :data:`GRAMIAN_MEMO` horizons.  The
-    solve comes first, so one that raises keeps nothing of its own."""
-    x = system.gramian_memo.get(interval, {}).get(name)
+    ``||H||^2``, an exponential or, with ``partner``, a block of a pair) from
+    its memo, or from ``solve()`` and then kept, its arrays read-only, under
+    the policy of :func:`~lqomor.matfun.recall` with :data:`GRAMIAN_MEMO`
+    horizons.  The solve comes first, so one that raises keeps nothing of
+    its own.  ``partner`` is ``(weak reference, side)`` of the pair's other
+    member; a horizon keeps the blocks of one partner, under ``"pair"``."""
+    facts = system.gramian_memo.get(interval, {})
+    if partner is not None:
+        kept = facts.get("pair")
+        facts = kept[1] if kept is not None and kept[0] == partner else {}
+    x = facts.get(name)
     if x is None:
         x = solve()
         for a in (x.sigma, x.W, x.V) if isinstance(x, Balancing) else (x,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-    matfun.recall(system.gramian_memo, interval, GRAMIAN_MEMO, dict)[name] = x
+    facts = matfun.recall(system.gramian_memo, interval, GRAMIAN_MEMO, dict)
+    if partner is not None:
+        kept = facts.get("pair")
+        if kept is None or kept[0] != partner:
+            kept = facts["pair"] = (partner, {})
+        facts = kept[1]
+    facts[name] = x
     return x
+
+
+def _pair_memo(left, right, interval, name, solve):
+    """Block ``name`` of the pair ``(left, right)`` on ``interval`` by
+    :func:`_memo`: a fact of a system with itself, else kept by the pair's
+    lower-order member (the right-hand one on a tie) for its partner."""
+    if left is right:
+        return _memo(left, interval, name, solve)
+    if right.order <= left.order:
+        return _memo(right, interval, name, solve, (weakref.ref(left), "left"))
+    return _memo(left, interval, name, solve, (weakref.ref(right), "right"))
 
 
 def quadratic_kernel(left, right, p):
@@ -242,13 +277,42 @@ def observability_block(left, right, interval, kern):
     return _solve(left, right, "observability", rhs)
 
 
-def adjoint_block(left, right, interval, p):
-    """``G = Y + 2 Z`` of the pair ``(left, right)`` on ``interval`` for its
-    controllability block ``p``: one :func:`observability_block` solve with
-    kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i``.  The fixed-point sweep and
-    the optimality conditions read G in place of Y and Z."""
+def adjoint_block(left, right, interval, solve_on=None):
+    """``G = Y + 2 Z`` of the pair ``(left, right)`` for its
+    :func:`controllability_block` P on ``interval``: one
+    :func:`observability_block` solve on ``solve_on`` (by default
+    ``interval`` itself) with kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i``.
+    The fixed-point sweep and the optimality conditions read G in place of
+    Y and Z, and the conditions of a finite horizon also the [0, inf) tail
+    X of the same kernel.  Each is kept read-only beside P (see
+    :func:`_pair_memo`)."""
+    solve_on = interval if solve_on is None else solve_on
+
+    def solve():
+        return _adjoint(left, right, solve_on, controllability_block(left, right, interval))
+
+    return _pair_memo(left, right, interval, ("G", solve_on), solve)
+
+
+def _adjoint(left, right, interval, p):
     kern = left.C.T @ right.C + 2.0 * quadratic_kernel(left, right, p)
     return observability_block(left, right, interval, kern)
+
+
+def sweep_blocks(system, rom, interval, keep):
+    """``(Pt, Gt)`` of the pair ``(system, rom)`` on ``interval``, the blocks
+    a fixed-point sweep reads: kept as :func:`controllability_block` and
+    :func:`adjoint_block` keep them if ``keep``, else solved by the same
+    builders and not kept.  A reductor keeps the blocks of the model it
+    starts from, which outlives the run, but not those of the iterates it
+    makes: one sweep reads each, and only the residuals of a ``homora``
+    result read its blocks again (two small solves).  Keeping them cost
+    about 12 us of Python a sweep, a tenth of a ``homora`` run of 200
+    sweeps on the bundled benchmark."""
+    if keep:
+        return controllability_block(system, rom, interval), adjoint_block(system, rom, interval)
+    pt = _controllability(system, rom, interval)
+    return pt, _adjoint(system, rom, interval, pt)
 
 
 def gramian_blocks(left, right, interval):

@@ -28,7 +28,10 @@ MAX_SAMPLE_FLOATS = 2**27
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """Time horizon ``[t_start, t_end]`` in seconds; ``t_end`` may be infinite."""
+    """Time horizon ``[t_start, t_end]`` in seconds; ``t_end`` may be infinite.
+
+    Its hash is computed once, on construction: every memo lookup of a
+    horizon's facts hashes it."""
 
     t_start: float = 0.0
     t_end: float = INFINITE
@@ -44,6 +47,10 @@ class TimeInterval:
             raise ValidationError(
                 f"t_end must exceed t_start={self.t_start}, got {self.t_end}"
             )
+        object.__setattr__(self, "_hash", hash((self.t_start, self.t_end)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_infinite(self):
@@ -76,7 +83,10 @@ class LqoSystem:
     P and Q, their balancing, ``||H||^2`` and ``e^(A t0)``, ``e^(A t1)`` are
     likewise computed at most once per horizon and kept in ``gramian_memo``
     for the :data:`~lqomor.gramians.GRAMIAN_MEMO` most recently used
-    horizons, read-only: 4 N^2 + N + 1 floats, plus N^2 per nonzero finite end.
+    horizons, read-only: 4 N^2 + N + 1 floats, plus N^2 per nonzero finite
+    end.  So are the blocks Pt, Gt and Xt of one pair with a system of
+    order N >= its own order r (see :mod:`lqomor.gramians`): 3 N r floats
+    per horizon, 36 KB at N = 150, r = 10.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
@@ -128,8 +138,10 @@ class LqoSystem:
         #: same view (a form holds its view only weakly).
         self.schur_t = self.schur.transposed
         #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
-        #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1)}}``, least
-        #: recently used first: what gramians and norms kept of this system.
+        #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1),
+        #: ("G", horizon): G, "pair": (partner, {"P": Pt, ("G", horizon):
+        #: Gt})}}``, least recently used first: what gramians and norms kept
+        #: of this system and of its pair with one partner.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

@@ -129,8 +129,8 @@ def _stationarity(system, rom, interval, pt, ph):
     holds the parts of ``L``: ``tail_t = Xt - Gt``, ``tail_h = Xh - Gh``
     and ``W``.  On the infinite horizon ``L`` is zero and ``splits`` is None.
     """
-    gt = adjoint_block(system, rom, interval, pt)
-    gh = adjoint_block(rom, rom, interval, ph)
+    gt = adjoint_block(system, rom, interval)
+    gh = adjoint_block(rom, rom, interval)
     op2 = [-pt.T @ mi @ pt + ph @ mhi @ ph for mi, mhi in zip(system.M, rom.M)]
     op3 = -gt.T @ system.B + gh @ rom.B
     op4 = -system.C @ pt + rom.C @ ph
@@ -138,8 +138,8 @@ def _stationarity(system, rom, interval, pt, ph):
     if interval.is_infinite:
         return pg, op2, op3, op4, pg, np.zeros_like(pg), None
     inf = TimeInterval(0.0, np.inf)
-    xt = adjoint_block(system, rom, inf, pt)
-    xh = adjoint_block(rom, rom, inf, ph)
+    xt = adjoint_block(system, rom, interval, inf)
+    xh = adjoint_block(rom, rom, interval, inf)
     w = np.zeros_like(pg)
     for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
                               boundaries(system, interval), boundaries(rom, interval)):
@@ -263,7 +263,7 @@ def theorem2_check(system, rom, pair, interval):
             )
     require_pair(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
-    gh = adjoint_block(rom, rom, interval, ph)
+    gh = adjoint_block(rom, rom, interval)
     eye = np.eye(rom.order)
     return Theorem2Report(
         premise_input=dev_in,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matfun, optimality
 from .errors import DimensionError, NumericalError, RankError, ValidationError
-from .gramians import adjoint_block, balancing, controllability_block
+from .gramians import balancing, sweep_blocks
 from .model import LqoSystem, TimeInterval, require_same_io
 
 
@@ -213,11 +213,12 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     """The Petrov-Galerkin fixed-point loop shared by both iterative methods.
 
     Per sweep: the controllability block Pt of the (system, model) pair,
-    its :func:`lqomor.gramians.adjoint_block` ``Gt = Yt + 2 Zt`` (one
-    observability solve), ``biorthogonalize(Pt, Gt)`` and the projection.
-    A Petrov-Galerkin model depends only on span(Pt) and span(Gt), so no
-    normalization factor is needed.  The mixed blocks are
-    Sylvester solves with no Hurwitz test, so unstable iterates pass.  The
+    its adjoint block ``Gt = Yt + 2 Zt`` (one observability solve), both
+    from :func:`lqomor.gramians.sweep_blocks`, ``biorthogonalize(Pt, Gt)``
+    and the projection.  A Petrov-Galerkin model depends only on span(Pt)
+    and span(Gt), so no normalization factor is needed.  The mixed blocks
+    are Sylvester solves with no Hurwitz test, so unstable iterates pass.
+    ``rom0`` keeps its blocks, the iterates made here do not.  The
     loop stops when the reduced poles stagnate (relative change ``<= tol``),
     after ``max_iter`` sweeps, or when a sweep raises a
     :class:`NumericalError` (an overflow included), which adds one note
@@ -238,8 +239,7 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     kept = (rom0, None, False)
     for it in range(1, max_iter + 1):
         try:
-            pt = controllability_block(system, rom, interval)
-            pair = biorthogonalize(pt, adjoint_block(system, rom, interval, pt))
+            pair = biorthogonalize(*sweep_blocks(system, rom, interval, rom is rom0))
             rom = _project(system, pair.V, pair.W)
         except NumericalError as exc:
             notes.append(f"sweep {it} broke down ({exc}); returning the kept iterate")

@@ -16,7 +16,10 @@ survive a parse/serialize cycle bit for bit.
 
 :func:`load_system` keeps the systems it parsed, keyed by the file's
 bytes themselves, so loading the same bytes again in one process returns
-the same object with its Schur form already factored.
+the same object with its Schur form already factored.  :func:`save_system`
+keeps the system it wrote under the bytes it wrote, so a file written in
+this process loads as the object that was saved, with the Gramians and
+pair blocks it already carries.
 """
 
 import json
@@ -35,10 +38,10 @@ FORMAT_VERSION = 1
 #: a session that reduces one model and evaluates the results reads a few.
 LOADED_SYSTEMS = 8
 
-#: System of each loaded document by its bytes, least recently loaded
-#: first.  A load finds its key by comparing bytes, which checks the length
-#: first and stops at the first differing byte; the key found carries its
-#: hash, so a load of kept bytes hashes nothing.
+#: System of each loaded or saved document by its bytes, least recently
+#: used first.  A load finds its key by comparing bytes, which checks the
+#: length first and stops at the first differing byte; the key found
+#: carries its hash, so a load of kept bytes hashes nothing.
 _loaded = {}
 
 _COUNT_FIELDS = ("n_states", "n_inputs", "n_outputs")
@@ -178,14 +181,20 @@ def _parse(text, base_dir):
     return LqoSystem(a, b, c, mats, check_hurwitz=False), external
 
 
+def _key(data):
+    """The kept document equal to the bytes ``data``, or ``data`` itself."""
+    return next((k for k in _loaded if k == data), data)
+
+
 def load_system(path, require_hurwitz=True, name="A"):
     """Read and parse a system file from disk, as :func:`parse_system` would.
 
-    Loading bytes that were loaded before in this process returns the same
-    :class:`~lqomor.model.LqoSystem`, with its Schur form, Hurwitz result
-    and exponential and Gramian memos: the last :data:`LOADED_SYSTEMS` documents are kept
-    by their bytes, and a load finds its entry by comparing bytes, so a file
-    rewritten in place is parsed again whatever its size and time stamps.
+    Loading bytes that were loaded or saved (:func:`save_system`) before in
+    this process returns the same :class:`~lqomor.model.LqoSystem`, with its
+    Schur form, Hurwitz result and Gramian memo: the last
+    :data:`LOADED_SYSTEMS` documents are kept by their bytes, and a load
+    finds its entry by comparing bytes, so a file rewritten in place is
+    parsed again whatever its size and time stamps.
     Each kept document's bytes stay in memory.  A document that references
     Matrix Market files is not kept, since its bytes do not cover theirs.
     A file that fails to parse leaves nothing behind, and a
@@ -195,7 +204,7 @@ def load_system(path, require_hurwitz=True, name="A"):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    key = next((k for k in _loaded if k == data), data)
+    key = _key(data)
     system, external = _loaded.get(key), False
     if system is None:
         system, external = _parse(data, os.path.dirname(os.path.abspath(path)))
@@ -230,13 +239,26 @@ def json_text(doc):
 
 
 def write_json(doc, path):
-    """Write a document to ``path`` as UTF-8 :func:`json_text`."""
+    """Write a document to ``path`` as UTF-8 :func:`json_text`; returns the
+    bytes written."""
+    data = json_text(doc).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(json_text(doc).encode("utf-8"))
+        fh.write(data)
+    return data
 
 
 def save_system(system, path):
-    write_json(system_document(system), path)
+    """Write ``system`` to ``path`` as a :func:`system_document` and keep it
+    for :func:`load_system` under the bytes written, as a load of them
+    would, so that a later load of the file in this process returns
+    ``system`` itself with what it already computed (or the system already
+    kept under equal bytes, whose facts are the same).  Only a system whose
+    arrays are all C-contiguous, the layout a parse gives, is kept: the
+    rounding of BLAS products depends on the layout, so one in another
+    layout could give results that a parse of its file would not."""
+    data = write_json(system_document(system), path)
+    if all(a.flags.c_contiguous for a in (system.A, system.B, system.C, *system.M)):
+        matfun.recall(_loaded, _key(data), LOADED_SYSTEMS, lambda: system)
 
 
 def residual_norms_document(residuals):

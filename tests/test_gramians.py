@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqomor import gramians, matfun, norms
+from lqomor import gramians, matfun, norms, reductors
 from lqomor.errors import (
     DimensionError, HurwitzError, NonFiniteError, RankError, SolverError,
 )
@@ -251,7 +251,7 @@ class TestGramianBlocks:
             for left in (full, r):
                 p, y, z = gramian_blocks(left, r, iv)
                 g = y + 2.0 * z
-                assert np.linalg.norm(adjoint_block(left, r, iv, p) - g) <= (
+                assert np.linalg.norm(adjoint_block(left, r, iv) - g) <= (
                     1e-12 * np.linalg.norm(g)
                 )
 
@@ -418,12 +418,13 @@ class TestFactoredControllability:
         monkeypatch.setattr(gramians, "_weighted", weighing)
         monkeypatch.setattr(matfun, "solve_sylvester", solving)
         iv = TimeInterval(0.1, 0.5)
-        # each run on a fresh pair, since a system keeps its own block; the
-        # count of controllability solves when the same run is repeated
+        # each run on a fresh pair, since a system keeps its own block and
+        # the model the block of the pair; the count of controllability
+        # solves when the same run is repeated
         runs = [
             (lambda full, rom: h2tau_norm(full, iv), 0),
-            (lambda full, rom: h2tau_error(full, rom, iv), 1),
-            (lambda full, rom: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)), 1),
+            (lambda full, rom: h2tau_error(full, rom, iv), 0),
+            (lambda full, rom: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)), 0),
             (lambda full, rom: bt(full, 4), 0),
             (lambda full, rom: tlbt(full, 4, iv), 0),
         ]
@@ -719,16 +720,24 @@ class TestGramianMemo:
             assert set(system.gramian_memo.get(iv, {})) <= {"expm_t0", "expm_t1"}
         assert controllability_block(system, system, kept) is p
 
-    def test_mixed_blocks_are_not_kept(self):
+    def test_mixed_blocks_are_kept_by_one_member(self):
         system = self.fresh()
         twin = self.fresh()
         a = controllability_block(system, twin, self.IV)
         b = controllability_block(system, twin, self.IV)
-        assert a is not b and a.flags.writeable
-        # each side keeps its boundary exponentials and no block
-        for side in (system, twin):
-            assert list(side.gramian_memo) == [self.IV]
-            assert set(side.gramian_memo[self.IV]) == {"expm_t0", "expm_t1"}
+        assert a is b and not a.flags.writeable
+        # Y and Z apart are solved on each call
+        y, z = gramian_blocks(system, twin, self.IV)[1:]
+        again = gramian_blocks(system, twin, self.IV)
+        assert again[0] is a and again[1] is not y and again[2] is not z
+        assert y.flags.writeable and z.flags.writeable
+        # on a tie in order the right-hand member keeps the block beside
+        # its exponentials; the left keeps its exponentials only
+        assert list(system.gramian_memo) == list(twin.gramian_memo) == [self.IV]
+        assert set(system.gramian_memo[self.IV]) == {"expm_t0", "expm_t1"}
+        assert set(twin.gramian_memo[self.IV]) == {"expm_t0", "expm_t1", "pair"}
+        partner, blocks = twin.gramian_memo[self.IV]["pair"]
+        assert partner[0]() is system and blocks == {"P": a}
 
     @pytest.fixture()
     def exponentials(self, monkeypatch):
@@ -793,3 +802,165 @@ class TestGramianMemo:
         gramian_pair(system, first)
         assert self.own(exponentials, system) == [0.1, 0.3]
         assert list(system.gramian_memo) == [second, first]
+
+
+class TestPairMemo:
+    """The blocks Pt, Gt and the [0, inf) tail Xt of a (system, reduced
+    model) pair are kept, read-only, by the pair's lower-order member for
+    one partner per horizon, and go with their horizon."""
+
+    N, R = LEAF, 4
+    IV = TimeInterval(0.1, 0.5)
+    INF = TimeInterval(0.0, INFINITE)
+
+    def pair(self, seed=65):
+        rng = np.random.default_rng(seed)
+        return rand_system(rng, self.N, 2, 2), rand_system(rng, self.R, 2, 2)
+
+    def blocks(self, full, rom, iv):
+        """``(Pt, Gt, Xt)`` of the pair on ``iv``."""
+        return (
+            controllability_block(full, rom, iv),
+            adjoint_block(full, rom, iv),
+            adjoint_block(full, rom, iv, self.INF),
+        )
+
+    def mixed_solves(self, lapack_calls):
+        return lapack_calls.trsyl.count((self.N, self.R))
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    def test_kept_blocks_equal_those_of_a_fresh_pair(self, lapack_calls, iv):
+        full, rom = self.pair()
+        kept = self.blocks(full, rom, iv)
+        lapack_calls.trsyl.clear()
+        assert all(a is b for a, b in zip(self.blocks(full, rom, iv), kept))
+        assert lapack_calls.trsyl == []
+        (partner, side), facts = rom.gramian_memo[iv]["pair"]
+        assert partner() is full and side == "left"
+        assert facts["P"] is kept[0] and facts[("G", iv)] is kept[1]
+        assert facts[("G", self.INF)] is kept[2]
+        assert "pair" not in full.gramian_memo.get(iv, {})
+        for x, y in zip(kept, self.blocks(*self.pair(), iv)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_kept_blocks_are_read_only(self):
+        full, rom = self.pair()
+        own = (adjoint_block(rom, rom, self.IV), adjoint_block(rom, rom, self.IV, self.INF))
+        for x in self.blocks(full, rom, self.IV) + own:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.0
+        assert rom.gramian_memo[self.IV][("G", self.IV)] is own[0]
+        assert rom.gramian_memo[self.IV][("G", self.INF)] is own[1]
+
+    def test_third_horizon_evicts_the_blocks(self, lapack_calls):
+        full, rom = self.pair()
+        first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
+        for iv in (first, second, third):
+            self.blocks(full, rom, iv)
+        assert list(rom.gramian_memo) == [second, third]
+        assert all("pair" in facts for facts in rom.gramian_memo.values())
+        lapack_calls.trsyl.clear()
+        self.blocks(full, rom, second)
+        self.blocks(full, rom, third)
+        assert self.mixed_solves(lapack_calls) == 0
+        self.blocks(full, rom, first)
+        assert self.mixed_solves(lapack_calls) == 3
+        assert list(rom.gramian_memo) == [third, first]
+
+    def test_second_partner_replaces_the_first(self, lapack_calls):
+        full, rom = self.pair()
+        other = self.pair(66)[0]
+        pt = controllability_block(full, rom, self.IV)
+        po = controllability_block(other, rom, self.IV)
+        (partner, side), facts = rom.gramian_memo[self.IV]["pair"]
+        assert partner() is other and side == "left" and facts == {"P": po}
+        lapack_calls.trsyl.clear()
+        again = controllability_block(full, rom, self.IV)
+        assert again is not pt and again.tobytes() == pt.tobytes()
+        assert self.mixed_solves(lapack_calls) == 1
+        # the same partner on the other side is another pair
+        swapped = controllability_block(rom, full, self.IV)
+        assert swapped.shape == (self.R, self.N)
+        (partner, side), facts = rom.gramian_memo[self.IV]["pair"]
+        assert partner() is full and side == "right" and facts == {"P": swapped}
+        # a tie in order: the right-hand member keeps the block
+        twin = rand_system(np.random.default_rng(67), self.R, 2, 2)
+        tied = controllability_block(twin, rom, self.IV)
+        assert rom.gramian_memo[self.IV]["pair"][1] == {"P": tied}
+        assert "pair" not in twin.gramian_memo[self.IV]
+
+    def test_failed_solve_keeps_nothing(self, monkeypatch):
+        full, rom = self.pair()
+        # B B_r^T overflows, though each factor of it is finite
+        big, huge = (LqoSystem(s.A, 1e160 * s.B, s.C, s.M) for s in (full, rom))
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(SolverError):
+                controllability_block(big, huge, self.IV)
+            assert "pair" not in huge.gramian_memo[self.IV]
+        pt = controllability_block(full, rom, self.IV)
+        solve = gramians.observability_block
+
+        def failing(left, right, interval, kern):
+            raise SolverError("observability solve failed")
+
+        monkeypatch.setattr(gramians, "observability_block", failing)
+        for _ in range(2):
+            with pytest.raises(SolverError):
+                adjoint_block(full, rom, self.IV)
+            assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt}
+        monkeypatch.setattr(gramians, "observability_block", solve)
+        gt = adjoint_block(full, rom, self.IV)
+        assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt, ("G", self.IV): gt}
+
+    def test_sweeps_keep_the_blocks_of_the_start_model_only(self, lapack_calls, monkeypatch):
+        full = self.pair()[0]
+        rom0 = bt(full, self.R).rom
+        iterates = []
+        project = reductors._project
+
+        def recording(system, v, w):
+            iterates.append(project(system, v, w))
+            return iterates[-1]
+
+        monkeypatch.setattr(reductors, "_project", recording)
+        lapack_calls.trsyl.clear()
+        report = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
+        # Pt and Gt per sweep, then Pt, Gt and Xt of the residual report
+        assert self.mixed_solves(lapack_calls) == 2 * 3 + 3
+        (partner, side), blocks = rom0.gramian_memo[self.IV]["pair"]
+        assert partner() is full and side == "left"
+        assert set(blocks) == {"P", ("G", self.IV)}
+        assert len(iterates) == 3 and iterates[-1] is report.rom
+        assert all("pair" not in rom.gramian_memo.get(self.IV, {}) for rom in iterates[:-1])
+        assert set(report.rom.gramian_memo[self.IV]["pair"][1]) == {
+            "P", ("G", self.IV), ("G", self.INF)
+        }
+        lapack_calls.trsyl.clear()
+        again = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
+        assert self.mixed_solves(lapack_calls) == 2 * 2 + 3
+        assert again.rom.A.tobytes() == report.rom.A.tobytes()
+
+    def test_error_and_residuals_of_a_reduction_solve_no_mixed_block(self, monkeypatch):
+        full = self.pair()[0]
+        report = tlhnoia(full, bt(full, self.R).rom, self.IV, tol=0.0, max_iter=2)
+        assert report.iterations == 2 and report.residuals is not None
+        shapes = []
+        solve = matfun.solve_sylvester
+
+        def counting(a, b, c):
+            shapes.append((a.a.shape[0], b.a.shape[0]))
+            return solve(a, b, c)
+
+        monkeypatch.setattr(matfun, "solve_sylvester", counting)
+        error = h2tau_error(full, report.rom, self.IV)
+        # the system's own P, which the reduction did not read, and nothing
+        # else: Pt, Ph, Gt, Gh, Xt and Xh are those of the residual report
+        assert shapes == [(self.N, self.N)]
+        residuals = tl_residuals(full, report.rom, self.IV)
+        assert shapes == [(self.N, self.N)]
+        assert residuals.op1_norm == report.residuals.op1_norm
+        rom = report.rom
+        copy = LqoSystem(rom.A, rom.B, rom.C, rom.M, check_hurwitz=False)
+        fresh = h2tau_error(self.pair()[0], copy, self.IV)
+        assert error.decomposition == fresh.decomposition

@@ -59,6 +59,22 @@ class TestTimeInterval:
         with pytest.raises(ValidationError):
             TimeInterval(-1.0, 1.0)
 
+    @pytest.mark.parametrize("ends", [(0.0, 0.5), (-0.0, 0.5), (0, 0.5), (0.1, math.inf)])
+    def test_hash_is_kept_and_equal_intervals_hash_alike(self, ends):
+        iv = TimeInterval(*ends)
+        twin = TimeInterval(abs(float(ends[0])), ends[1])
+        assert iv == twin and hash(iv) == hash(twin)
+        assert hash(iv) == iv._hash == hash((iv.t_start, iv.t_end))
+
+    def test_equal_intervals_share_kept_facts(self):
+        system = rand_system(np.random.default_rng(5), 4, 1, 1)
+        value = h2tau_norm(system, TimeInterval(0.0, 0.5)).value
+        assert list(system.gramian_memo) == [TimeInterval(-0.0, 0.5)]
+        kept = system.gramian_memo[TimeInterval(-0.0, 0.5)]["energy"]
+        assert h2tau_norm(system, TimeInterval(-0.0, 0.5)).value == value
+        assert len(system.gramian_memo) == 1
+        assert system.gramian_memo[TimeInterval(0, 0.5)]["energy"] is kept
+
 
 class TestValidate:
     def test_accepts_bundled_benchmark(self):

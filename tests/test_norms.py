@@ -298,7 +298,8 @@ class TestObservabilityRouteOracle:
 def test_norm_and_error_solve_only_controllability_blocks(lapack_calls):
     """h2tau_norm and h2tau_error factor A once, never A^T, and make one
     trsyl call per controllability block.  Each runs on a fresh pair, since
-    a system keeps its own block: called again, only Pt is solved."""
+    a system keeps its own block and the model keeps Pt: called again,
+    nothing is solved."""
     n, r = 20, 4
     horizon = TimeInterval(0.0, 0.8)
 
@@ -324,5 +325,5 @@ def test_norm_and_error_solve_only_controllability_blocks(lapack_calls):
     h2tau_norm(system, horizon)
     assert lapack_calls.trsyl == []
     h2tau_error(system, rom, horizon)
-    assert lapack_calls.trsyl == [(n, r)]
+    assert lapack_calls.trsyl == []
     assert lapack_calls.factored(system.A) == 1

@@ -10,7 +10,7 @@ from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
 from lqomor import reductors
 from lqomor.demo import demo_initial_guess, demo_system
-from lqomor.sysio import save_system
+from lqomor.sysio import save_system, system_document, write_json
 
 from util import rand_system, reference_biorthogonalize, reference_fixed_point
 
@@ -411,7 +411,7 @@ def test_full_order_a_is_factored_once(lapack_calls, tmp_path):
     assert not any(a.shape == (n, n) for a in lapack_calls.eigvals)
 
     path = tmp_path / "system.json"
-    save_system(system, path)
+    write_json(system_document(system), path)
     lapack_calls.schur.clear()
     assert run_command(["hsv", "--system", str(path), "--t0", "0", "--t1", "0.8"]) == 0
     assert [a.shape for a in lapack_calls.schur].count((n, n)) == 1

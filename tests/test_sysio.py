@@ -17,6 +17,7 @@ from lqomor.sysio import (
     report_document,
     save_system,
     system_document,
+    write_json,
 )
 from lqomor.demo import demo_initial_guess, demo_system
 
@@ -197,7 +198,7 @@ class TestLoadCache:
     ):
         n = 20
         path = tmp_path / "system.json"
-        save_system(rand_system(np.random.default_rng(110), n, 2, 2), path)
+        write_json(system_document(rand_system(np.random.default_rng(110), n, 2, 2)), path)
         lapack_calls.schur.clear()
         first = self.norm(capsys, path)
         assert first[0] == 0 and len(parses) == 1
@@ -233,7 +234,7 @@ class TestLoadCache:
     def test_rewrite_of_the_last_bytes_is_parsed_again(self, tmp_path, parses):
         # same size and time stamps, and the bytes agree up to the last entry
         path = tmp_path / "system.json"
-        save_system(rand_system(np.random.default_rng(114), 5, 1, 2), path)
+        write_json(system_document(rand_system(np.random.default_rng(114), 5, 1, 2)), path)
         stat = os.stat(path)
         system = load_system(path)
         data = path.read_bytes()
@@ -287,7 +288,7 @@ class TestLoadCache:
 
     def test_failed_factorization_is_tried_again(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "system.json"
-        save_system(rand_system(np.random.default_rng(113), 4, 1, 1), path)
+        write_json(system_document(rand_system(np.random.default_rng(113), 4, 1, 1)), path)
         gees = matfun.sla.lapack.dgees
 
         def fail(*args, **kwargs):
@@ -299,6 +300,58 @@ class TestLoadCache:
         assert code == 4 and json.loads(err)["code"] == "solver"
         monkeypatch.undo()
         assert self.norm(capsys, path)[0] == 0
+
+    def test_saved_system_is_loaded_as_itself(self, tmp_path, parses, lapack_calls):
+        system = rand_system(np.random.default_rng(115), 20, 2, 2)
+        iv = TimeInterval(0.0, 0.7)
+        value = h2tau_norm(system, iv).value
+        path = tmp_path / "system.json"
+        save_system(system, path)
+        lapack_calls.schur.clear()
+        lapack_calls.trsyl.clear()
+        assert load_system(path) is system
+        assert load_system(path, require_hurwitz=False) is system
+        assert h2tau_norm(load_system(path), iv).value == value
+        assert parses == [] and lapack_calls.schur == [] and lapack_calls.trsyl == []
+        # a parse of the same bytes gives the same facts
+        parsed = parse_system(path.read_bytes())
+        assert parsed is not system
+        assert h2tau_norm(parsed, iv).value.hex() == value.hex()
+
+    def test_saved_file_rewritten_by_one_byte_is_parsed_again(self, tmp_path, parses):
+        system = rand_system(np.random.default_rng(116), 5, 1, 2)
+        path = tmp_path / "system.json"
+        save_system(system, path)
+        assert load_system(path) is system and parses == []
+        data = path.read_bytes()
+        last = max(data.rfind(str(d).encode()) for d in range(10))
+        digit = b"1" if data[last:last + 1] == b"0" else b"0"
+        path.write_bytes(data[:last] + digit + data[last + 1:])
+        rewritten = load_system(path)
+        assert rewritten is not system and len(parses) == 1
+        assert rewritten.M[-1][-1, -1] != system.M[-1][-1, -1]
+        path.write_bytes(data)
+        assert load_system(path) is system and len(parses) == 1
+
+    def test_only_c_ordered_systems_are_kept_on_save(self, tmp_path, parses):
+        base = rand_system(np.random.default_rng(117), 5, 2, 2)
+        f_ordered = LqoSystem(
+            np.asfortranarray(base.A), np.asfortranarray(base.B), base.C, base.M
+        )
+        assert not f_ordered.A.flags.c_contiguous
+        c_ordered = LqoSystem(base.A, base.B, base.C, base.M)
+        paths = [tmp_path / "f.json", tmp_path / "c.json"]
+        save_system(f_ordered, paths[0])
+        save_system(c_ordered, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(sysio._loaded) == 1
+        assert load_system(paths[0]) is c_ordered and parses == []
+        sysio._loaded.clear()
+        save_system(f_ordered, paths[0])
+        assert sysio._loaded == {}
+        loaded = load_system(paths[0])
+        assert loaded is not f_ordered and len(parses) == 1
+        assert loaded.A.flags.c_contiguous and np.array_equal(loaded.A, f_ordered.A)
 
     def test_loaded_matrices_are_read_only(self, tmp_path):
         path = tmp_path / "system.json"

@@ -149,8 +149,8 @@ def reference_op1(system, rom, interval):
     inf = TimeInterval(0.0, np.inf)
     pt = controllability_block(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
-    gt = adjoint_block(system, rom, interval, pt)
-    gh = adjoint_block(rom, rom, interval, ph)
+    gt = adjoint_block(system, rom, interval)
+    gh = adjoint_block(rom, rom, interval)
     kt = quadratic_kernel(system, rom, pt)
     kh = quadratic_kernel(rom, rom, ph)
     zt = observability_block(system, rom, interval, kt)
