@@ -233,7 +233,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_demo(args):
-    result = demo_mod.run_demo(tol=args.tol, max_iter=args.max_iter, step=args.step)
+    result = demo_mod.run_demo(step=args.step)
     reports = result["reports"]
     res = reports["tlhnoia"].residuals
     norms_doc = residual_norms_document(res)
@@ -317,8 +317,6 @@ def build_parser():
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demo", help="run the bundled benchmark end to end")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--step", type=float, default=demo_mod.DEMO_STEP)
     p.add_argument("--out", default="demo_errors.csv", help="error CSV path")
     p.add_argument("--report", default="demo_report.json", help="report JSON path")

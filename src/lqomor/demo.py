@@ -77,8 +77,9 @@ def relative_output_error(full_traj, rom_traj):
     return diff / np.maximum(_row_norms(full_traj.outputs), 1e-12)
 
 
-def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):
-    """Run the full demonstration pipeline.
+def run_demo(step=DEMO_STEP):
+    """Run the full demonstration pipeline, the fixed-point reductions with
+    their default tolerance and sweep limit.
 
     ``step`` is the simulation grid step, checked by
     :func:`lqomor.model.time_grid` before any reduction runs.
@@ -99,8 +100,8 @@ def run_demo(tol=1e-6, max_iter=200, step=DEMO_STEP):
     reports = {
         "bt": bt(system, DEMO_ORDER),
         "tlbt": tlbt(system, DEMO_ORDER, DEMO_INTERVAL),
-        "homora": homora(system, rom0, tol=tol, max_iter=max_iter),
-        "tlhnoia": tlhnoia(system, rom0, DEMO_INTERVAL, tol=tol, max_iter=max_iter),
+        "homora": homora(system, rom0),
+        "tlhnoia": tlhnoia(system, rom0, DEMO_INTERVAL),
     }
 
     u = parse_signal(DEMO_INPUT)

@@ -20,28 +20,24 @@ G = Y + 2 Z of the optimality conditions from :func:`adjoint_block`.
 :func:`gramian_blocks`, :func:`timelimited_gramians` and
 :func:`cross_gramians` return Y and Z apart.
 
-A system's own P and Q are facts of the system: :func:`controllability_block`
-of a system with itself and the Q of :func:`gramian_pair` are solved at most
-once per horizon and kept, read-only, in the system's ``gramian_memo`` for
-the :data:`GRAMIAN_MEMO` most recently used horizons, with their
-:func:`balancing`, the system's ``||H||^2`` of :mod:`lqomor.norms` and its
-:func:`boundaries` ``e^(A t0)``, ``e^(A t1)``.  So ``h2tau_norm``,
-``h2tau_error``, ``objective_J``, ``bt``, ``tlbt``, ``hsv``,
-:func:`timelimited_gramians` and :func:`cross_gramians` share one solve of
-each, ``bt``, ``tlbt`` and ``hsv`` one balancing, ``h2tau_norm`` and
-``h2tau_error`` one ``||H||^2``, and every block and condition one pair of
-exponentials.  Every :func:`adjoint_block` is kept the same way, and so
-are the blocks of a (system, reduced model) pair, which are facts of the
-pair: its controllability block and adjoint blocks are kept in the memo
-of the pair's lower-order member (the right-hand one on a tie) beside a
-weak reference to its partner.  Each member keeps the blocks of one
-partner per horizon, and a second partner replaces the first.  So the
-stationarity conditions, the error norm and a reductor's first sweep on
-one pair share one solve of each block; the blocks of the iterates a
-reductor makes are not kept (:func:`sweep_blocks`).  Y and Z apart are
-solved on each call.  A kept block passed the same checks on the same
-matrices (see :class:`~lqomor.model.LqoSystem`); a solve that raises keeps
-no block, though the exponentials it read stay.
+Every kept fact is a fact of a pair ``(left, right)`` on one horizon and
+lives with the right-hand member: :func:`_kept` stores it, read-only, in
+``right``'s ``gramian_memo`` for the :data:`GRAMIAN_MEMO` most recently
+used horizons.  A fact of a system with itself (``left is right``) is kept
+under the horizon: P and Q (:func:`gramian_pair`), their
+:func:`balancing`, ``||H||^2`` of :mod:`lqomor.norms`, the
+:func:`boundaries` and the :func:`adjoint_block`.  Any other is kept under
+``"pair"`` beside a weak reference to ``left``, for one partner per horizon
+(a second replaces the first): Pt, Gt, Xt and ``<H, Hr>``.  Every library
+and CLI path puts the reduced model on the right, so a reduced model keeps
+the facts of its pair with the system.  So the norms, reductors, Gramian
+sets and stationarity conditions of one pair and horizon share one solve
+of each block, one balancing, one evaluation of each inner product and one
+pair of exponentials; the blocks of the iterates a reductor makes are not
+kept (:func:`sweep_blocks`).  Y and Z apart are solved on each call.  A
+kept fact passed the same checks on the same matrices (see
+:class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing,
+though the exponentials it read stay.
 """
 
 import weakref
@@ -54,13 +50,13 @@ from . import matfun
 from .errors import DimensionError, NonFiniteError, SolverError
 from .model import TimeInterval, require_same_io
 
-#: Horizons a system keeps P, Q, their balancing, ``||H||^2``, the
-#: boundary exponentials and the blocks of one partner for: the two most
-#: recently used, as a ``bt``/``tlbt`` comparison reads.  4 N^2 + N + 1
-#: floats per horizon, plus N^2 per nonzero finite end: at N = 150, 1.4 MiB
-#: for two horizons and 0.17 MiB per end.  The lower-order member of a pair
-#: of orders N and r keeps 3 N r floats per horizon for its partner (Pt, Gt
-#: and the [0, inf) tail Xt): 36 KB at N = 150, r = 10.
+#: Horizons a system keeps the facts of its pairs for (:func:`_kept`): the
+#: two most recently used, as a ``bt``/``tlbt`` comparison reads.  Its own
+#: P, Q, balancing and ``||H||^2`` take 4 N^2 + N + 1 floats per horizon,
+#: plus N^2 per nonzero finite end: at N = 150, 1.4 MiB for two horizons and
+#: 0.17 MiB per end.  A reduced model of order r keeps 3 N r + 1 floats per
+#: horizon for its partner of order N (Pt, Gt, the [0, inf) tail Xt and
+#: ``<H, Hr>``): 36 KB at N = 150, r = 10.
 GRAMIAN_MEMO = 2
 
 
@@ -70,7 +66,7 @@ def boundaries(system, interval):
     ends carry a term.  Each is kept read-only in the system's memo under
     its horizon, and evicted with P and Q."""
     def at(name, t):
-        return _memo(system, interval, name, lambda: matfun.expm(system.A, t))
+        return _kept(system, system, interval, name, lambda: matfun.expm(system.A, t))
 
     return (at("expm_t0", interval.t_start) if interval.t_start else None,
             None if interval.is_infinite else at("expm_t1", interval.t_end))
@@ -195,13 +191,13 @@ def controllability_block(left, right, interval):
     factors, so no N x N kernel is formed and no N^3 product weights it.
     This needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
     system with itself (``left is right``) is its controllability Gramian.
-    Each block is kept read-only (see :func:`_pair_memo`).
+    Each block is kept read-only by ``right`` (see :func:`_kept`).
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
-    return _pair_memo(
+    return _kept(
         left, right, interval, "P", lambda: _controllability(left, right, interval)
     )
 
@@ -213,25 +209,27 @@ def _controllability(left, right, interval):
     return _solve(left, right, "controllability", factors)
 
 
-def _memo(system, interval, name, solve, partner=None):
-    """Fact ``name`` of ``system`` on ``interval`` (a Gramian, its balancing,
-    ``||H||^2``, an exponential or, with ``partner``, a block of a pair) from
-    its memo, or from ``solve()`` and then kept, its arrays read-only, under
-    the policy of :func:`~lqomor.matfun.recall` with :data:`GRAMIAN_MEMO`
-    horizons.  The solve comes first, so one that raises keeps nothing of
-    its own.  ``partner`` is ``(weak reference, side)`` of the pair's other
-    member; a horizon keeps the blocks of one partner, under ``"pair"``."""
-    facts = system.gramian_memo.get(interval, {})
+def _kept(left, right, interval, name, solve):
+    """Fact ``name`` of the pair ``(left, right)`` on ``interval`` (a block,
+    a Gramian, its balancing, an inner product or an exponential) from
+    ``right``'s memo, or from ``solve()`` and then kept there, its array
+    read-only, under the policy of :func:`~lqomor.matfun.recall` with
+    :data:`GRAMIAN_MEMO` horizons.  A fact of a system with itself
+    (``left is right``) is kept under the horizon, any other under
+    ``"pair"`` beside a weak reference to ``left``: one partner per horizon,
+    and a second replaces the first.  The solve comes first, so one that
+    raises keeps nothing of its own."""
+    partner = None if left is right else weakref.ref(left)
+    facts = right.gramian_memo.get(interval, {})
     if partner is not None:
         kept = facts.get("pair")
         facts = kept[1] if kept is not None and kept[0] == partner else {}
     x = facts.get(name)
     if x is None:
         x = solve()
-        for a in (x.sigma, x.W, x.V) if isinstance(x, Balancing) else (x,):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
-    facts = matfun.recall(system.gramian_memo, interval, GRAMIAN_MEMO, dict)
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    facts = matfun.recall(right.gramian_memo, interval, GRAMIAN_MEMO, dict)
     if partner is not None:
         kept = facts.get("pair")
         if kept is None or kept[0] != partner:
@@ -239,17 +237,6 @@ def _memo(system, interval, name, solve, partner=None):
         facts = kept[1]
     facts[name] = x
     return x
-
-
-def _pair_memo(left, right, interval, name, solve):
-    """Block ``name`` of the pair ``(left, right)`` on ``interval`` by
-    :func:`_memo`: a fact of a system with itself, else kept by the pair's
-    lower-order member (the right-hand one on a tie) for its partner."""
-    if left is right:
-        return _memo(left, interval, name, solve)
-    if right.order <= left.order:
-        return _memo(right, interval, name, solve, (weakref.ref(left), "left"))
-    return _memo(left, interval, name, solve, (weakref.ref(right), "right"))
 
 
 def quadratic_kernel(left, right, p):
@@ -285,13 +272,13 @@ def adjoint_block(left, right, interval, solve_on=None):
     The fixed-point sweep and the optimality conditions read G in place of
     Y and Z, and the conditions of a finite horizon also the [0, inf) tail
     X of the same kernel.  Each is kept read-only beside P (see
-    :func:`_pair_memo`)."""
+    :func:`_kept`)."""
     solve_on = interval if solve_on is None else solve_on
 
     def solve():
         return _adjoint(left, right, solve_on, controllability_block(left, right, interval))
 
-    return _pair_memo(left, right, interval, ("G", solve_on), solve)
+    return _kept(left, right, interval, ("G", solve_on), solve)
 
 
 def _adjoint(left, right, interval, p):
@@ -355,7 +342,7 @@ def gramian_pair(system, interval):
         kern = system.C.T @ system.C + quadratic_kernel(system, system, p)
         return observability_block(system, system, interval, kern)
 
-    return p, _memo(system, interval, "Q", solve_q)
+    return p, _kept(system, system, interval, "Q", solve_q)
 
 
 def timelimited_gramians(system, interval):
@@ -427,9 +414,12 @@ def balancing(system, interval):
 
     def factor():
         lp, lq, u, sigma, vt, clipped = balancing_svd(p, q)
-        return Balancing(sigma, clipped, lq @ u, lp @ vt.T)
+        w, v = lq @ u, lp @ vt.T
+        for a in (sigma, w, v):
+            a.flags.writeable = False
+        return Balancing(sigma, clipped, w, v)
 
-    return _memo(system, interval, "balancing", factor)
+    return _kept(system, system, interval, "balancing", factor)
 
 
 def hankel_singular_values(p, q):

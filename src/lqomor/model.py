@@ -76,28 +76,28 @@ class LqoSystem:
     relative, so it does not depend on the units of the output.
 
     A system owns its matrices: ``A``, ``B``, ``C`` and each ``M_i`` are
-    read-only copies of the arrays given, so every fact cached about them
-    holds for the system's life.  The real Schur form of ``A`` (``schur``)
-    is factored at most once, on first use, and the form of ``A^T``
-    (``schur_t``) is a view of the same factors.  The system's own Gramians
-    P and Q, their balancing, ``||H||^2`` and ``e^(A t0)``, ``e^(A t1)`` are
-    likewise computed at most once per horizon and kept in ``gramian_memo``
-    for the :data:`~lqomor.gramians.GRAMIAN_MEMO` most recently used
-    horizons, read-only: 4 N^2 + N + 1 floats, plus N^2 per nonzero finite
-    end.  So are the blocks Pt, Gt and Xt of one pair with a system of
-    order N >= its own order r (see :mod:`lqomor.gramians`): 3 N r floats
-    per horizon, 36 KB at N = 150, r = 10.
+    read-only, C-ordered copies of the arrays given, so every fact cached
+    about them holds for the system's life, and a system gives the same
+    bits as a parse of its file, whatever the memory order of its inputs.
+    The real Schur form of ``A`` (``schur``) is factored at most once, on
+    first use, and the form of ``A^T`` (``schur_t``) is a view of the same
+    factors.  Every fact of a pair with this system on the right is
+    computed at most once per horizon and kept in ``gramian_memo`` for the
+    :data:`~lqomor.gramians.GRAMIAN_MEMO` most recently used horizons,
+    read-only (see :mod:`lqomor.gramians`): its own Gramians P and Q, their
+    balancing, ``||H||^2`` and ``e^(A t0)``, ``e^(A t1)``, and the blocks
+    Pt, Gt, Xt and ``<H, Hr>`` of its pair with one partner.
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
-        # copies that keep the memory order of the arrays given, on which
-        # the rounding of BLAS products depends
-        a = np.array(a, dtype=float, ndmin=2)
-        b = np.array(b, dtype=float, ndmin=2)
-        c = np.array(c, dtype=float, ndmin=2)
+        # C-ordered copies, the order a parse gives: the rounding of BLAS
+        # products depends on it
+        a = np.array(a, dtype=float, order="C", ndmin=2)
+        b = np.array(b, dtype=float, order="C", ndmin=2)
+        c = np.array(c, dtype=float, order="C", ndmin=2)
         if isinstance(m, np.ndarray) and m.ndim == 2:
             m = [m]
-        m = tuple(np.array(mi, dtype=float, ndmin=2) for mi in m)
+        m = tuple(np.array(mi, dtype=float, order="C", ndmin=2) for mi in m)
 
         n = a.shape[0]
         if a.shape != (n, n):
@@ -139,9 +139,9 @@ class LqoSystem:
         self.schur_t = self.schur.transposed
         #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
         #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1),
-        #: ("G", horizon): G, "pair": (partner, {"P": Pt, ("G", horizon):
-        #: Gt})}}``, least recently used first: what gramians and norms kept
-        #: of this system and of its pair with one partner.
+        #: ("G", horizon): G, "pair": (weakref to partner, {"P": Pt,
+        #: ("G", horizon): Gt, "energy": <H, Hr>})}}``, least recently used
+        #: first: the facts of the pairs with this system on the right.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

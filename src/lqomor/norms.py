@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matfun
 from .errors import SolverError, ValidationError
-from .gramians import _memo, controllability_block, quadratic_kernel, require_pair
+from .gramians import _kept, controllability_block, quadratic_kernel, require_pair
 from .model import BLOCK_FLOATS, MAX_SAMPLE_FLOATS, TimeInterval, error_system
 
 
@@ -70,12 +70,13 @@ def output_energy(left, right, p):
 
 
 def _inner(left, right, interval):
-    """:func:`output_energy` of the pair on ``interval``; a system's own
-    ``||H||^2`` is kept in its Gramian memo beside P."""
+    """:func:`output_energy` of the pair on ``interval``, kept beside its
+    controllability block (see :func:`lqomor.gramians.controllability_block`):
+    a system's own ``||H||^2``, or a pair's ``<H, Hr>``."""
     def energy():
         return output_energy(left, right, controllability_block(left, right, interval))
 
-    return _memo(left, interval, "energy", energy) if left is right else energy()
+    return _kept(left, right, interval, "energy", energy)
 
 
 def h2tau_norm(system, interval):

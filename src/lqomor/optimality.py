@@ -6,7 +6,8 @@ depends on the reduced model,
     J = trace(-2 B^T Qt Br + Br^T Qh Br) = -2 <H, Hr> + ||Hr||^2,
 
 so that ``||H - Hr||^2 = ||H||^2 + J``; it is evaluated from the
-controllability blocks Pt and Ph alone (:func:`lqomor.norms.output_energy`).  First-order stationarity of J
+controllability blocks Pt and Ph alone, as the kept inner products of
+:func:`lqomor.norms.h2tau_error`.  First-order stationarity of J
 yields four matrix conditions, each residual half the gradient of J with
 respect to the matching reduced matrix.  Three of them, and the
 Petrov-Galerkin part of the condition on the reduced A, read only the
@@ -33,7 +34,7 @@ from . import matfun
 from .errors import SolverError, ValidationError
 from .gramians import adjoint_block, boundaries, controllability_block, require_pair
 from .model import TimeInterval
-from .norms import output_energy
+from .norms import _inner
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,6 @@ class Theorem2Report:
     conclusion_observability: float
 
 
-def _objective(system, rom, pt, ph):
-    """J from the controllability blocks Pt and Ph: ``-2 <H, Hr> + ||Hr||^2``."""
-    return -2.0 * output_energy(system, rom, pt) + output_energy(rom, rom, ph)
-
-
 def _controllability_blocks(system, rom, interval):
     """Pt and Ph of the pair on ``interval``, after :func:`require_pair`."""
     require_pair(system, rom, interval)
@@ -109,9 +105,11 @@ def objective_J(system, rom, interval):
     """Reduced-model-dependent part of the squared error norm.
 
     Satisfies ``h2tau_error(system, rom)^2 = h2tau_norm(system)^2 + J``;
-    needs only the controllability blocks Pt and Ph.
+    reads the inner products that ``h2tau_error`` keeps, from the
+    controllability blocks Pt and Ph alone.
     """
-    return _objective(system, rom, *_controllability_blocks(system, rom, interval))
+    require_pair(system, rom, interval)
+    return -2.0 * _inner(system, rom, interval) + _inner(rom, rom, interval)
 
 
 def _stationarity(system, rom, interval, pt, ph):
@@ -171,7 +169,7 @@ def gradients(system, rom, interval):
     pt, ph = _controllability_blocks(system, rom, interval)
     op1, op2, op3, op4 = _stationarity(system, rom, interval, pt, ph)[:4]
     return GradientReport(
-        J=_objective(system, rom, pt, ph),
+        J=objective_J(system, rom, interval),
         grad_A=2.0 * op1,
         grad_B=2.0 * op3,
         grad_C=2.0 * op4,

@@ -229,8 +229,14 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     (``rom0`` if there is none).  ``converged`` is true only if the poles
     stagnated on the returned iterate.  Its residuals are computed under the
     same guard: if they raise a :class:`NumericalError` (an overflow), the
-    model is still returned, with ``residuals`` None and a note.
+    model is still returned, with ``residuals`` None and a note.  A negative
+    ``max_iter`` or a NaN or negative ``tol`` raises ``ValidationError``
+    before any check or solve.
     """
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be nonnegative, got {max_iter}")
+    if not tol >= 0.0:
+        raise ValidationError(f"tol must be a nonnegative number, got {tol}")
     _check_start(system, rom0)
     rom = rom0
     pole_history = [rom.poles()]

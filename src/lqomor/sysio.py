@@ -17,9 +17,10 @@ survive a parse/serialize cycle bit for bit.
 :func:`load_system` keeps the systems it parsed, keyed by the file's
 bytes themselves, so loading the same bytes again in one process returns
 the same object with its Schur form already factored.  :func:`save_system`
-keeps the system it wrote under the bytes it wrote, so a file written in
-this process loads as the object that was saved, with the Gramians and
-pair blocks it already carries.
+keeps every system it writes under the bytes it wrote, so a file written in
+this process loads as the object that was saved, with the facts it already
+keeps; a system's matrices are C-ordered, as a parse gives them, so it
+gives the bits a parse of its file would.
 """
 
 import json
@@ -252,13 +253,9 @@ def save_system(system, path):
     for :func:`load_system` under the bytes written, as a load of them
     would, so that a later load of the file in this process returns
     ``system`` itself with what it already computed (or the system already
-    kept under equal bytes, whose facts are the same).  Only a system whose
-    arrays are all C-contiguous, the layout a parse gives, is kept: the
-    rounding of BLAS products depends on the layout, so one in another
-    layout could give results that a parse of its file would not."""
+    kept under equal bytes, whose facts are the same)."""
     data = write_json(system_document(system), path)
-    if all(a.flags.c_contiguous for a in (system.A, system.B, system.C, *system.M)):
-        matfun.recall(_loaded, _key(data), LOADED_SYSTEMS, lambda: system)
+    matfun.recall(_loaded, _key(data), LOADED_SYSTEMS, lambda: system)
 
 
 def residual_norms_document(residuals):

@@ -155,6 +155,18 @@ class TestReduceCommand:
         explicit = run(capsys, *argv, "--t0", "0", "--t1", "inf")
         assert explicit == (0, out, "")
 
+    @pytest.mark.parametrize(
+        "option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol=-1e-6"]], ids=str
+    )
+    def test_invalid_loop_option_is_a_validation_error(self, capsys, tmp_path, option):
+        out_path = tmp_path / "rom.json"
+        code, out, err = run(
+            capsys, "reduce", "--method", "tlhnoia", "--t1", "0.5", "--system", BENCH,
+            "--init", INIT, *option, "--out", str(out_path),
+        )
+        assert code == 3 and out == "" and not out_path.exists()
+        assert json.loads(err)["code"] == "validation"
+
     def test_iterative_requires_init(self, capsys):
         code, _, err = run(
             capsys, "reduce", "--method", "homora", "--system", BENCH

@@ -22,8 +22,8 @@ from lqomor.gramians import (
 )
 from lqomor.matfun import LEAF, expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
-from lqomor.norms import h2tau_error, h2tau_norm, output_energy
-from lqomor.optimality import tl_residuals
+from lqomor.norms import h2tau_error, h2tau_inner, h2tau_norm, output_energy
+from lqomor.optimality import objective_J, tl_residuals
 from lqomor.reductors import bt, tlbt, tlhnoia
 
 from util import dense_controllability_block, rand_lti, rand_system, shifted_to
@@ -731,13 +731,13 @@ class TestGramianMemo:
         again = gramian_blocks(system, twin, self.IV)
         assert again[0] is a and again[1] is not y and again[2] is not z
         assert y.flags.writeable and z.flags.writeable
-        # on a tie in order the right-hand member keeps the block beside
-        # its exponentials; the left keeps its exponentials only
+        # the right-hand member keeps the block beside its exponentials;
+        # the left keeps its exponentials only
         assert list(system.gramian_memo) == list(twin.gramian_memo) == [self.IV]
         assert set(system.gramian_memo[self.IV]) == {"expm_t0", "expm_t1"}
         assert set(twin.gramian_memo[self.IV]) == {"expm_t0", "expm_t1", "pair"}
         partner, blocks = twin.gramian_memo[self.IV]["pair"]
-        assert partner[0]() is system and blocks == {"P": a}
+        assert partner() is system and blocks == {"P": a}
 
     @pytest.fixture()
     def exponentials(self, monkeypatch):
@@ -805,9 +805,9 @@ class TestGramianMemo:
 
 
 class TestPairMemo:
-    """The blocks Pt, Gt and the [0, inf) tail Xt of a (system, reduced
-    model) pair are kept, read-only, by the pair's lower-order member for
-    one partner per horizon, and go with their horizon."""
+    """The blocks Pt, Gt, the [0, inf) tail Xt and the inner product
+    <H, Hr> of a pair are kept, read-only, by its right-hand member for one
+    partner per horizon, and go with their horizon."""
 
     N, R = LEAF, 4
     IV = TimeInterval(0.1, 0.5)
@@ -835,8 +835,8 @@ class TestPairMemo:
         lapack_calls.trsyl.clear()
         assert all(a is b for a, b in zip(self.blocks(full, rom, iv), kept))
         assert lapack_calls.trsyl == []
-        (partner, side), facts = rom.gramian_memo[iv]["pair"]
-        assert partner() is full and side == "left"
+        partner, facts = rom.gramian_memo[iv]["pair"]
+        assert partner() is full
         assert facts["P"] is kept[0] and facts[("G", iv)] is kept[1]
         assert facts[("G", self.INF)] is kept[2]
         assert "pair" not in full.gramian_memo.get(iv, {})
@@ -873,22 +873,89 @@ class TestPairMemo:
         other = self.pair(66)[0]
         pt = controllability_block(full, rom, self.IV)
         po = controllability_block(other, rom, self.IV)
-        (partner, side), facts = rom.gramian_memo[self.IV]["pair"]
-        assert partner() is other and side == "left" and facts == {"P": po}
+        partner, facts = rom.gramian_memo[self.IV]["pair"]
+        assert partner() is other and facts == {"P": po}
         lapack_calls.trsyl.clear()
         again = controllability_block(full, rom, self.IV)
         assert again is not pt and again.tobytes() == pt.tobytes()
         assert self.mixed_solves(lapack_calls) == 1
-        # the same partner on the other side is another pair
+        partner, facts = rom.gramian_memo[self.IV]["pair"]
+        assert partner() is full and facts == {"P": again}
+        # the same partner on the other side is another pair, kept by its
+        # right-hand member whatever the orders
         swapped = controllability_block(rom, full, self.IV)
         assert swapped.shape == (self.R, self.N)
-        (partner, side), facts = rom.gramian_memo[self.IV]["pair"]
-        assert partner() is full and side == "right" and facts == {"P": swapped}
-        # a tie in order: the right-hand member keeps the block
+        partner, facts = full.gramian_memo[self.IV]["pair"]
+        assert partner() is rom and facts == {"P": swapped}
+        assert rom.gramian_memo[self.IV]["pair"][1] == {"P": again}
         twin = rand_system(np.random.default_rng(67), self.R, 2, 2)
         tied = controllability_block(twin, rom, self.IV)
         assert rom.gramian_memo[self.IV]["pair"][1] == {"P": tied}
         assert "pair" not in twin.gramian_memo[self.IV]
+
+    def test_each_side_of_a_pair_is_kept_by_its_right_hand_member(self, lapack_calls):
+        full, rom = self.pair()
+        swapped = controllability_block(rom, full, self.IV)
+        pt = controllability_block(full, rom, self.IV)
+        assert swapped.shape == (self.R, self.N) and pt.shape == (self.N, self.R)
+        partner, facts = full.gramian_memo[self.IV]["pair"]
+        assert partner() is rom and facts == {"P": swapped}
+        partner, facts = rom.gramian_memo[self.IV]["pair"]
+        assert partner() is full and facts == {"P": pt}
+        lapack_calls.trsyl.clear()
+        for _ in range(2):
+            assert controllability_block(rom, full, self.IV) is swapped
+            assert controllability_block(full, rom, self.IV) is pt
+        assert lapack_calls.trsyl == []
+
+    @pytest.fixture()
+    def energies(self, monkeypatch):
+        """The ``(left, right)`` of every output energy the norms evaluate
+        from here on."""
+        calls = []
+        energy = norms.output_energy
+
+        def counting(left, right, p):
+            calls.append((left, right))
+            return energy(left, right, p)
+
+        monkeypatch.setattr(norms, "output_energy", counting)
+        return calls
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    def test_error_and_objective_read_the_kept_inner_products(self, energies, iv):
+        full, rom = self.pair()
+        first, second, third = h2tau_error(full, rom, iv).decomposition
+        assert energies == [(full, full), (full, rom), (rom, rom)]
+        assert rom.gramian_memo[iv]["pair"][1]["energy"] == second
+        energies.clear()
+        assert h2tau_error(full, rom, iv).decomposition == (first, second, third)
+        assert objective_J(full, rom, iv) == -2.0 * second + third
+        assert energies == []
+        fresh = self.pair()
+        assert h2tau_error(*fresh, iv).decomposition == (first, second, third)
+
+    def test_kept_inner_product_goes_with_its_horizon_and_partner(self, energies):
+        full, rom = self.pair()
+        other = self.pair(66)[0]
+        first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
+        values = {iv: h2tau_inner(full, rom, iv) for iv in (first, second, third)}
+        assert list(rom.gramian_memo) == [second, third]
+        assert all(
+            facts["pair"][1]["energy"] == values[iv]
+            for iv, facts in rom.gramian_memo.items()
+        )
+        energies.clear()
+        h2tau_inner(full, rom, third)
+        assert energies == []
+        assert h2tau_inner(full, rom, first) == values[first]
+        assert energies == [(full, rom)]
+        h2tau_inner(other, rom, first)
+        partner, facts = rom.gramian_memo[first]["pair"]
+        assert partner() is other and set(facts) == {"P", "energy"}
+        energies.clear()
+        assert h2tau_inner(full, rom, first) == values[first]
+        assert energies == [(full, rom)]
 
     def test_failed_solve_keeps_nothing(self, monkeypatch):
         full, rom = self.pair()
@@ -928,8 +995,8 @@ class TestPairMemo:
         report = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
         # Pt and Gt per sweep, then Pt, Gt and Xt of the residual report
         assert self.mixed_solves(lapack_calls) == 2 * 3 + 3
-        (partner, side), blocks = rom0.gramian_memo[self.IV]["pair"]
-        assert partner() is full and side == "left"
+        partner, blocks = rom0.gramian_memo[self.IV]["pair"]
+        assert partner() is full
         assert set(blocks) == {"P", ("G", self.IV)}
         assert len(iterates) == 3 and iterates[-1] is report.rom
         assert all("pair" not in rom.gramian_memo.get(self.IV, {}) for rom in iterates[:-1])

@@ -320,6 +320,26 @@ def run_fixed_point(method, system, rom0, interval, **kwargs):
     return tlhnoia(system, rom0, interval, **kwargs)
 
 
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+@pytest.mark.parametrize(
+    "options", [{"max_iter": -3}, {"tol": float("nan")}, {"tol": -1e-6}], ids=str
+)
+def test_invalid_loop_options_raise_before_any_solve(lapack_calls, method, options):
+    system, rom0 = demo_system(), demo_initial_guess()
+    lapack_calls.schur.clear()
+    with pytest.raises(ValidationError):
+        run_fixed_point(method, system, rom0, TimeInterval(0.0, 0.5), **options)
+    assert lapack_calls.trsyl == [] and lapack_calls.schur == []
+
+
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+def test_zero_sweeps_and_zero_tolerance_are_valid(method):
+    iv = TimeInterval(0.0, 0.5)
+    rom0 = demo_initial_guess()
+    report = run_fixed_point(method, demo_system(), rom0, iv, tol=0.0, max_iter=0)
+    assert report.iterations == 0 and not report.converged and report.rom is rom0
+
+
 @pytest.mark.parametrize(
     "method, interval",
     [("homora", TimeInterval(0.0, INFINITE)), ("tlhnoia", TimeInterval(0.0, 1.0))],

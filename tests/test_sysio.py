@@ -333,25 +333,26 @@ class TestLoadCache:
         path.write_bytes(data)
         assert load_system(path) is system and len(parses) == 1
 
-    def test_only_c_ordered_systems_are_kept_on_save(self, tmp_path, parses):
+    def test_every_saved_system_is_kept(self, tmp_path, parses):
         base = rand_system(np.random.default_rng(117), 5, 2, 2)
         f_ordered = LqoSystem(
-            np.asfortranarray(base.A), np.asfortranarray(base.B), base.C, base.M
+            np.asfortranarray(base.A), np.asfortranarray(base.B),
+            np.asfortranarray(base.C), [np.asfortranarray(mi) for mi in base.M],
         )
-        assert not f_ordered.A.flags.c_contiguous
+        # stored C-ordered, the order a parse gives
+        for x in (f_ordered.A, f_ordered.B, f_ordered.C, *f_ordered.M):
+            assert x.flags.c_contiguous and not x.flags.writeable
         c_ordered = LqoSystem(base.A, base.B, base.C, base.M)
         paths = [tmp_path / "f.json", tmp_path / "c.json"]
         save_system(f_ordered, paths[0])
+        assert load_system(paths[0]) is f_ordered and parses == []
+        sysio._loaded.clear()
         save_system(c_ordered, paths[1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert len(sysio._loaded) == 1
-        assert load_system(paths[0]) is c_ordered and parses == []
-        sysio._loaded.clear()
-        save_system(f_ordered, paths[0])
-        assert sysio._loaded == {}
-        loaded = load_system(paths[0])
-        assert loaded is not f_ordered and len(parses) == 1
-        assert loaded.A.flags.c_contiguous and np.array_equal(loaded.A, f_ordered.A)
+        assert load_system(paths[1]) is c_ordered and parses == []
+        iv = TimeInterval(0.1, 0.7)
+        assert (h2tau_norm(f_ordered, iv).value.hex()
+                == h2tau_norm(c_ordered, iv).value.hex())
 
     def test_loaded_matrices_are_read_only(self, tmp_path):
         path = tmp_path / "system.json"
