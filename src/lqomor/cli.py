@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 input validation failure,
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,6 +41,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a dash and a float literal (-1e-6, -inf) is a negative number, not a
+        # flag; argparse's own pattern takes only forms like -1 and -0.5
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I
+        )
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -51,18 +60,6 @@ def _emit_error(code, message, context=None):
 
 def _json_out(doc):
     sys.stdout.write(json_text(doc))
-
-
-def _parse_t1(text):
-    """``--t1`` value: a number, or ``inf``/``infinite`` for no end."""
-    if text.strip().lower() in ("inf", "infinite"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'inf', got {text!r}"
-        ) from None
 
 
 def _interval(args):
@@ -79,7 +76,7 @@ def _interval_fields(interval):
 def _add_interval_flags(p, t1_default="inf"):
     p.add_argument("--t0", type=float, default=0.0, help="horizon start in seconds")
     p.add_argument(
-        "--t1", type=_parse_t1, default=t1_default,
+        "--t1", type=float, default=t1_default,
         help="horizon end in seconds, or 'inf'",
     )
 
@@ -311,7 +308,7 @@ def build_parser():
     p.add_argument("--rom", default=None)
     p.add_argument("--input", required=True, help="signal expression in t")
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=_parse_t1, required=True)
+    p.add_argument("--t1", type=float, required=True)
     p.add_argument("--step", type=float, required=True, help="grid step in seconds")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_simulate)

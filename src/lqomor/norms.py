@@ -114,7 +114,8 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     + 1) m`` sample rows for m inputs give ``rows x N`` state samples and
     ``rows x rows`` kernel samples per ``M_i``; the larger count must be
     within :data:`lqomor.model.MAX_SAMPLE_FLOATS`, else ``ValidationError``
-    before anything is allocated.
+    before anything is allocated.  A sum that is not finite (a horizon too
+    long for the samples to resolve) raises ``SolverError``.
 
     Returns
     -------
@@ -147,7 +148,8 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
 
     w = _simpson_weights(r)
     k1 = np.einsum("pn,jnm->jpm", system.C, ub)
-    total = (h / 3.0) * float(w @ np.einsum("jpm,jpm->j", k1, k1))
+    weight = h / 3.0
+    total = weight * float(w @ np.einsum("jpm,jpm->j", k1, k1))
 
     # Row (j, a) of f is sqrt(w_j) (e^(A t_j) B)[:, a]^T, so the entries of
     # f M_i f^T are the kernel samples k2_i(t_j, t_k)[a, b] scaled by
@@ -160,7 +162,9 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
         fm = f @ mi
         for lo in range(0, rows, step):
             cross = fm[lo:lo + step] @ f.T
-            total += (h / 3.0) ** 2 * float(np.vdot(cross, cross))
+            total += weight * weight * float(np.vdot(cross, cross))
+    if not np.isfinite(total):
+        raise SolverError(f"quadrature sum is not finite ({total})")
 
     return NormReport(
         value=np.sqrt(max(total, 0.0)), method="quadrature", interval=interval

@@ -9,7 +9,8 @@ so that ``||H - Hr||^2 = ||H||^2 + J``; it is evaluated from the
 controllability blocks Pt and Ph alone, as the kept inner products of
 :func:`lqomor.norms.h2tau_error`.  First-order stationarity of J
 yields four matrix conditions, each residual half the gradient of J with
-respect to the matching reduced matrix.  Three of them, and the
+respect to the matching reduced matrix, all built by one assembly that
+the residual reports and :func:`gradients` read.  Three of them, and the
 Petrov-Galerkin part of the condition on the reduced A, read only the
 horizon-limited controllability blocks Pt, Ph and the adjoint blocks
 ``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one solve each
@@ -19,7 +20,8 @@ carries a deviation term ``L``, which only a finite horizon needs: the
 (one more solve each) minus Gt and Gh, and a Frechet-derivative term of
 the matrix exponential at the horizon boundaries.  All four exist for
 every uniquely solvable pair, Hurwitz or not: one whose Gramian equations
-have no two eigenvalues summing to zero (else ``SolverError``).
+have no two eigenvalues summing to zero (else ``SolverError``), and a
+condition that overflowed raises ``SolverError``.
 
 All gradients follow the entrywise convention ``dJ = sum_ij G_ij dX_ij``
 and are validated against central finite differences of :func:`objective_J`
@@ -92,15 +94,6 @@ class Theorem2Report:
     conclusion_observability: float
 
 
-def _controllability_blocks(system, rom, interval):
-    """Pt and Ph of the pair on ``interval``, after :func:`require_pair`."""
-    require_pair(system, rom, interval)
-    return (
-        controllability_block(system, rom, interval),
-        controllability_block(rom, rom, interval),
-    )
-
-
 def objective_J(system, rom, interval):
     """Reduced-model-dependent part of the squared error norm.
 
@@ -112,11 +105,19 @@ def objective_J(system, rom, interval):
     return -2.0 * _inner(system, rom, interval) + _inner(rom, rom, interval)
 
 
-def _stationarity(system, rom, interval, pt, ph):
-    """The four stationarity blocks, each half the gradient of J, from the
-    controllability blocks Pt and Ph of the pair.
+def _norm2(mat, name):
+    """Spectral norm of ``mat``; one that overflowed raises ``SolverError``."""
+    if not np.isfinite(mat).all():
+        raise SolverError(f"{name} overflowed")
+    return float(np.linalg.norm(mat, 2))
 
-    Returns ``(op1, op2, op3, op4, pg, L, splits)`` with ``op1 = pg + L``.
+
+def _conditions(system, rom, interval):
+    """The one assembly of the four stationarity conditions of the pair, each
+    residual half the gradient of J, from the kept blocks Pt, Ph, Gt and Gh:
+    :func:`tl_residuals` and :func:`h2_residuals` return it, :func:`gradients`
+    doubles its blocks.
+
     On a finite horizon the gradient of J tests ``dPt`` and ``dPh`` against
     the [0, inf) adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
     ``op1 = -Xt^T Pt + Xh Ph + W``.  The boundary term is
@@ -126,7 +127,11 @@ def _stationarity(system, rom, interval, pt, ph):
     ``s = +1`` at t0 (no term for t0 = 0) and ``s = -1`` at t1.  ``splits``
     holds the parts of ``L``: ``tail_t = Xt - Gt``, ``tail_h = Xh - Gh``
     and ``W``.  On the infinite horizon ``L`` is zero and ``splits`` is None.
+    A Frechet direction or a residual that overflowed raises ``SolverError``.
     """
+    require_pair(system, rom, interval)
+    pt = controllability_block(system, rom, interval)
+    ph = controllability_block(rom, rom, interval)
     gt = adjoint_block(system, rom, interval)
     gh = adjoint_block(rom, rom, interval)
     op2 = [-pt.T @ mi @ pt + ph @ mhi @ ph for mi, mhi in zip(system.M, rom.M)]
@@ -134,23 +139,37 @@ def _stationarity(system, rom, interval, pt, ph):
     op4 = -system.C @ pt + rom.C @ ph
     pg = -gt.T @ pt + gh @ ph
     if interval.is_infinite:
-        return pg, op2, op3, op4, pg, np.zeros_like(pg), None
-    inf = TimeInterval(0.0, np.inf)
-    xt = adjoint_block(system, rom, interval, inf)
-    xh = adjoint_block(rom, rom, interval, inf)
-    w = np.zeros_like(pg)
-    for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
-                              boundaries(system, interval), boundaries(rom, interval)):
-        if s is not None:
-            v = xh @ sh @ rom.B - xt.T @ (s @ system.B)
-            w = w + sign * matfun.expm_frechet(rom.A.T, v @ rom.B.T, t)
-    tail_t, tail_h = xt - gt, xh - gh
-    l_mat = -tail_t.T @ pt + tail_h @ ph + w
-    op1 = pg + l_mat
-    if not np.isfinite(op1).all():
-        raise SolverError("first stationarity residual overflowed")
-    splits = {"tail_t": tail_t, "tail_h": tail_h, "W": w}
-    return op1, op2, op3, op4, pg, l_mat, splits
+        op1, l_mat, splits = pg, np.zeros_like(pg), None
+    else:
+        inf = TimeInterval(0.0, np.inf)
+        xt = adjoint_block(system, rom, interval, inf)
+        xh = adjoint_block(rom, rom, interval, inf)
+        w = np.zeros_like(pg)
+        for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
+                                  boundaries(system, interval), boundaries(rom, interval)):
+            if s is not None:
+                v = (xh @ sh @ rom.B - xt.T @ (s @ system.B)) @ rom.B.T
+                if not np.isfinite(v).all():
+                    raise SolverError("first stationarity residual overflowed")
+                w = w + sign * matfun.expm_frechet(rom.A.T, v, t)
+        tail_t, tail_h = xt - gt, xh - gh
+        l_mat = -tail_t.T @ pt + tail_h @ ph + w
+        op1 = pg + l_mat
+        splits = {"tail_t": tail_t, "tail_h": tail_h, "W": w}
+    return OptimalityReport(
+        op1_residual=op1,
+        op1_norm=_norm2(op1, "first stationarity residual"),
+        op2_residuals=op2,
+        op2_norms=[_norm2(r, "second stationarity residual") for r in op2],
+        op3_residual=op3,
+        op3_norm=_norm2(op3, "third stationarity residual"),
+        op4_residual=op4,
+        op4_norm=_norm2(op4, "fourth stationarity residual"),
+        L=l_mat,
+        petrov_galerkin_term=pg,
+        horizon="infinite" if interval.is_infinite else "limited",
+        splits=splits,
+    )
 
 
 def gradients(system, rom, interval):
@@ -166,37 +185,13 @@ def gradients(system, rom, interval):
     """
     if interval.is_infinite:
         raise ValidationError("gradients require a finite horizon")
-    pt, ph = _controllability_blocks(system, rom, interval)
-    op1, op2, op3, op4 = _stationarity(system, rom, interval, pt, ph)[:4]
+    rep = _conditions(system, rom, interval)
     return GradientReport(
         J=objective_J(system, rom, interval),
-        grad_A=2.0 * op1,
-        grad_B=2.0 * op3,
-        grad_C=2.0 * op4,
-        grad_M=[2.0 * r for r in op2],
-    )
-
-
-def _norm2(mat):
-    return float(np.linalg.norm(mat, 2))
-
-
-def _report(system, rom, interval):
-    pt, ph = _controllability_blocks(system, rom, interval)
-    op1, op2, op3, op4, pg, l_mat, splits = _stationarity(system, rom, interval, pt, ph)
-    return OptimalityReport(
-        op1_residual=op1,
-        op1_norm=_norm2(op1),
-        op2_residuals=op2,
-        op2_norms=[_norm2(r) for r in op2],
-        op3_residual=op3,
-        op3_norm=_norm2(op3),
-        op4_residual=op4,
-        op4_norm=_norm2(op4),
-        L=l_mat,
-        petrov_galerkin_term=pg,
-        horizon="infinite" if interval.is_infinite else "limited",
-        splits=splits,
+        grad_A=2.0 * rep.op1_residual,
+        grad_B=2.0 * rep.op3_residual,
+        grad_C=2.0 * rep.op4_residual,
+        grad_M=[2.0 * r for r in rep.op2_residuals],
     )
 
 
@@ -215,7 +210,7 @@ def tl_residuals(system, rom, interval):
     """
     if interval.is_infinite:
         raise ValidationError("horizon-limited residuals require a finite horizon")
-    return _report(system, rom, interval)
+    return _conditions(system, rom, interval)
 
 
 def h2_residuals(system, rom):
@@ -229,7 +224,7 @@ def h2_residuals(system, rom):
     -------
     OptimalityReport
     """
-    return _report(system, rom, TimeInterval(0.0, np.inf))
+    return _conditions(system, rom, TimeInterval(0.0, np.inf))
 
 
 def theorem2_check(system, rom, pair, interval):
@@ -253,12 +248,11 @@ def theorem2_check(system, rom, pair, interval):
     for s, sh in zip(boundaries(system, interval), boundaries(rom, interval)):
         if s is None:
             continue
-        dev_in = max(dev_in, float(np.linalg.norm(w.T @ s @ b - sh @ bh, 2)))
-        dev_out = max(dev_out, float(np.linalg.norm(c @ s @ v - ch @ sh, 2)))
+        dev_in = max(dev_in, _norm2(w.T @ s @ b - sh @ bh, "premise deviation"))
+        dev_out = max(dev_out, _norm2(c @ s @ v - ch @ sh, "premise deviation"))
         for mi, mhi in zip(system.M, rom.M):
-            dev_quad = max(
-                dev_quad, float(np.linalg.norm(v.T @ mi @ s @ v - mhi @ sh, 2))
-            )
+            quad = v.T @ mi @ s @ v - mhi @ sh
+            dev_quad = max(dev_quad, _norm2(quad, "premise deviation"))
     require_pair(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
     gh = adjoint_block(rom, rom, interval)
@@ -267,6 +261,6 @@ def theorem2_check(system, rom, pair, interval):
         premise_input=dev_in,
         premise_output=dev_out,
         premise_quadratic=dev_quad,
-        conclusion_controllability=float(np.linalg.norm(ph - eye, 2)),
-        conclusion_observability=float(np.linalg.norm(gh - eye, 2)),
+        conclusion_controllability=_norm2(ph - eye, "conclusion deviation"),
+        conclusion_observability=_norm2(gh - eye, "conclusion deviation"),
     )

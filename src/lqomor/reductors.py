@@ -227,9 +227,10 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     The returned model is the last iterate whose horizon norm exists: on a
     finite horizon the last iterate, on [0, inf) the last Hurwitz iterate
     (``rom0`` if there is none).  ``converged`` is true only if the poles
-    stagnated on the returned iterate.  Its residuals are computed under the
-    same guard: if they raise a :class:`NumericalError` (an overflow), the
-    model is still returned, with ``residuals`` None and a note.  A negative
+    stagnated on the returned iterate.  Its residuals, the one assembly of
+    the four stationarity conditions, are computed under the same guard: if
+    any overflows (a ``SolverError``), the model is still returned, with
+    ``residuals`` None and a note.  A negative
     ``max_iter`` or a NaN or negative ``tol`` raises ``ValidationError``
     before any check or solve.
     """

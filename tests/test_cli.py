@@ -245,8 +245,9 @@ class TestErrorAndResiduals:
         assert json.loads(out)["horizon"] == "infinite"
 
     @pytest.mark.parametrize(
-        "flags", [["--t0", "0.3", "--t1", "inf"], ["--horizon", "infinite"]],
-        ids=["infinite-from-t0", "no-horizon-flag"],
+        "flags",
+        [["--t0", "0.3", "--t1", "inf"], ["--horizon", "infinite"], ["--t1", "infinite"]],
+        ids=["infinite-from-t0", "no-horizon-flag", "t1-not-a-float"],
     )
     def test_residuals_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "residuals", "--system", BENCH, "--rom", INIT, *flags)
@@ -615,6 +616,76 @@ class TestExitCodes:
         rom = load_system(rom_path, require_hurwitz=False)
         assert rom.order == 3 and not rom.is_hurwitz
         assert report["rom"]["A"] == rom.A.tolist()
+
+    @pytest.fixture()
+    def scaled_b(self, tmp_path):
+        """The bundled benchmark and its initial guess with every entry of B
+        scaled by 1e80, whose quadratic outputs overflow."""
+        paths = []
+        for path in (BENCH, INIT):
+            doc = json.loads(Path(path).read_text())
+            doc["B"] = [[1e80 * v for v in row] for row in doc["B"]]
+            paths.append(tmp_path / Path(path).name)
+            paths[-1].write_text(json.dumps(doc))
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("t1", ["inf", "0.5"])
+    def test_overflowing_stationarity_residual_is_solver_error(self, capsys, scaled_b, t1):
+        system, rom = scaled_b
+        code, out, err = run(capsys, "residuals", "--system", system, "--rom", rom, "--t1", t1)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "code": "solver",
+            "message": "first stationarity residual overflowed",
+            "context": {},
+        }
+
+    @pytest.mark.parametrize(
+        "method", [["homora"], ["tlhnoia", "--t1", "0.5"]], ids=["homora", "tlhnoia"]
+    )
+    def test_overflowing_residuals_of_the_start_keep_it(self, capsys, scaled_b, method):
+        system, init = scaled_b
+        code, out, err = run(
+            capsys, "reduce", "--method", *method, "--max-iter", "3",
+            "--system", system, "--init", init,
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["residual_norms"] is None and doc["iterations"] == 0
+        assert doc["warnings"][-1] == (
+            "residuals of the returned model broke down "
+            "(first stationarity residual overflowed)"
+        )
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [["--t1", "1e40"], ["--t1", "1e200"], ["--t0", "1e307", "--t1", "1.7e308"]],
+        ids=["1e40", "1e200", "1.7e308"],
+    )
+    def test_quadrature_on_a_long_horizon_is_solver_error(self, capsys, horizon):
+        code, out, err = run(
+            capsys, "norm", "--system", BENCH, "--quadrature", "4", *horizon
+        )
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "solver"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--method", "tlhnoia", "--t1", "0.5", "--init", INIT, "--tol", "-1e-6"],
+            ["norm", "--t0", "-1e-3"],
+            ["norm", "--t0", "-inf"],
+        ],
+        ids=["tol", "t0", "t0-inf"],
+    )
+    def test_negative_scientific_value_reaches_validation(self, capsys, argv):
+        # a dash and a float literal is a value, not a flag
+        code, out, err = run(capsys, *argv, "--system", BENCH)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "validation"
 
     @pytest.mark.parametrize(
         "doc",

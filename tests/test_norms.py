@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lqomor.errors import ValidationError
+from lqomor.errors import SolverError, ValidationError
 from lqomor.model import INFINITE, LqoSystem, TimeInterval, error_system
 from lqomor.norms import (
     h2tau_error,
@@ -162,6 +162,15 @@ class TestQuadratureOracle:
             with pytest.raises(ValidationError) as err:
                 h2tau_norm_quadrature(sys1, UNIT_INTERVAL, resolution=resolution)
             assert err.value.context["rows"] == 11586
+
+    @pytest.mark.parametrize(
+        "t0, t1", [(0.0, 1e40), (0.0, 1e200), (1e307, 1.7e308)], ids=str
+    )
+    def test_long_horizon_sum_is_solver_error(self, t0, t1):
+        # the samples of so long a horizon are not finite (or the squared
+        # weight overflows): a numerical failure, never a NaN value
+        with np.errstate(all="ignore"), pytest.raises(SolverError):
+            h2tau_norm_quadrature(demo_system(), TimeInterval(t0, t1), resolution=4)
 
     def test_rejects_infinite_horizon(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lqomor.errors import ValidationError
+from lqomor.demo import demo_initial_guess, demo_system
+from lqomor.errors import SolverError, ValidationError
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import h2tau_error, h2tau_norm
 from lqomor.optimality import (
@@ -269,8 +270,42 @@ class TestTlResiduals:
         rep = tl_residuals(full, rom, iv)
         assert np.isfinite(rep.op1_residual).all() and np.isfinite(rep.op1_norm)
         assert np.array_equal(rep.op1_residual, rep.petrov_galerkin_term + rep.L)
-        assert np.array_equal(rep.op1_residual, gradients(full, rom, iv).grad_A / 2.0)
+        grad = gradients(full, rom, iv)
+        assert np.array_equal(rep.op1_residual, grad.grad_A / 2.0)
+        assert np.array_equal(rep.op3_residual, grad.grad_B / 2.0)
+        assert np.array_equal(rep.op4_residual, grad.grad_C / 2.0)
+        for op2, g_m in zip(rep.op2_residuals, grad.grad_M):
+            assert np.array_equal(op2, g_m / 2.0)
         assert np.isfinite(rep.op3_norm) and np.isfinite(rep.op4_norm)
+
+
+def scaled_b_pair(scale=1e80):
+    """The bundled benchmark and its initial guess with B scaled: at 1e80
+    the quadratic outputs, and with them the stationarity residuals,
+    overflow."""
+    return tuple(
+        LqoSystem(s.A, scale * s.B, s.C, s.M)
+        for s in (demo_system(), demo_initial_guess())
+    )
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda full, rom: h2_residuals(full, rom),
+        lambda full, rom: tl_residuals(full, rom, TimeInterval(0.0, 0.5)),
+        lambda full, rom: gradients(full, rom, TimeInterval(0.0, 0.5)),
+        lambda full, rom: gradients(full, rom, TimeInterval(0.2, 0.5)),
+    ],
+    ids=["h2_residuals", "tl_residuals", "gradients", "gradients-from-t0"],
+)
+def test_overflowing_condition_is_solver_error(quantity):
+    # on [0, inf) op1 itself overflows; on a finite horizon the Frechet
+    # direction of the boundary term already does
+    full, rom = scaled_b_pair()
+    with np.errstate(all="ignore"), pytest.raises(SolverError) as err:
+        quantity(full, rom)
+    assert str(err.value) == "first stationarity residual overflowed"
 
 
 class TestH2Residuals:

@@ -376,6 +376,25 @@ def test_breakdown_returns_the_initial_model(method):
     assert len(report.warnings) == 1 and "sweep 1 " in report.warnings[0]
 
 
+@pytest.mark.parametrize("method", ["homora", "tlhnoia"])
+def test_overflowing_residuals_return_the_model(method):
+    # B scaled by 1e80: the first sweep breaks down, and the residuals of
+    # the initial model it returns overflow
+    def scaled(system):
+        return LqoSystem(system.A, 1e80 * system.B, system.C, system.M)
+
+    rom0 = scaled(demo_initial_guess())
+    with np.errstate(all="ignore"):
+        report = run_fixed_point(
+            method, scaled(demo_system()), rom0, TimeInterval(0.0, 0.5), max_iter=3
+        )
+    assert report.rom is rom0 and report.residuals is None
+    assert report.warnings[-1] == (
+        "residuals of the returned model broke down "
+        "(first stationarity residual overflowed)"
+    )
+
+
 def _criterion_6_cases():
     rng = np.random.default_rng(606)
     return [(rand_system(rng, 6, 1, 1), rand_system(rng, 2, 1, 1)) for _ in range(5)]

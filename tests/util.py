@@ -144,7 +144,7 @@ def reference_op1(system, rom, interval):
     and ``sum_i Mr_i Ph Mr_i`` on [0, inf) and on the horizon, and a
     boundary Frechet direction built from all four [0, inf) blocks.
 
-    Oracle for the two-adjoint assembly in ``optimality._stationarity``.
+    Oracle for the two-adjoint assembly in ``optimality._conditions``.
     """
     inf = TimeInterval(0.0, np.inf)
     pt = controllability_block(system, rom, interval)
