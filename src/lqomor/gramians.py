@@ -292,10 +292,10 @@ def sweep_blocks(system, rom, interval, keep):
     :func:`adjoint_block` keep them if ``keep``, else solved by the same
     builders and not kept.  A reductor keeps the blocks of the model it
     starts from, which outlives the run, but not those of the iterates it
-    makes: one sweep reads each, and only the residuals of a ``homora``
-    result read its blocks again (two small solves).  Keeping them cost
-    about 12 us of Python a sweep, a tenth of a ``homora`` run of 200
-    sweeps on the bundled benchmark."""
+    makes: one sweep reads each, and the residuals of the returned one
+    solve its blocks again only if a sweep read it (two small solves).
+    Keeping them cost about 12 us of Python a sweep, some 4% of a sweep on
+    the bundled benchmark."""
     if keep:
         return controllability_block(system, rom, interval), adjoint_block(system, rom, interval)
     pt = _controllability(system, rom, interval)

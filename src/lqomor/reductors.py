@@ -8,7 +8,8 @@ with ``W^T V = I``.  The balancing methods (``bt``, ``tlbt``) pick the
 projection from a square-root balancing of the controllability and total
 observability Gramians; the fixed-point methods (``homora``, ``tlhnoia``)
 share one Petrov-Galerkin loop that projects onto the spans of the coupled
-Gramian blocks of the (system, model) pair until the reduced poles stagnate.
+Gramian blocks of the (system, model) pair, mixing the bases of slow sweeps,
+until the reduced poles stagnate.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun, optimality
-from .errors import DimensionError, NumericalError, RankError, ValidationError
+from .errors import DimensionError, NumericalError, RankError, SolverError, ValidationError
 from .gramians import balancing, sweep_blocks
 from .model import LqoSystem, TimeInterval, require_same_io
 
@@ -37,6 +38,7 @@ class ReductionReport:
     ``pole_history`` has one sorted eigenvalue list per iterate including
     the starting point, so its length is ``iterations + 1``;
     ``convergence_metric`` holds the relative pole change per iteration.
+    An iterate of ``homora`` and ``tlhnoia`` is the plain image of a sweep.
     The ``sigma`` of ``bt`` and ``tlbt`` is the system's kept, read-only
     Hankel spectrum (see :func:`lqomor.gramians.balancing`).
     """
@@ -82,6 +84,9 @@ def biorthogonalize(v, w):
 
     Raises
     ------
+    SolverError
+        If a column's 2-norm before or after deflation is not finite (an
+        overflow), reported with the column index.
     RankError
         If a column collapses under deflation or the normalization pivot
         ``|w^T v|`` falls below 1e-13, reported with the column index.
@@ -108,6 +113,8 @@ def biorthogonalize(v, w):
             wc -= w[:, j] * v[:, j].dot(wc)
         nv = math.sqrt(vc.dot(vc))
         nw = math.sqrt(wc.dot(wc))
+        if not all(map(math.isfinite, (v0, w0, nv, nw))):
+            raise SolverError(f"column {col} overflowed: its 2-norm is not finite", column=col)
         if nv <= 1e-13 * v0 or nw <= 1e-13 * w0:
             raise RankError(
                 f"column {col} collapsed during deflation", column=col
@@ -197,6 +204,47 @@ def tlbt(system, n, interval):
     return _balanced_truncation("tlbt", system, n, interval)
 
 
+def _anderson(system, interval, pair, last, history):
+    """One step of depth-2 Anderson type-II mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 2011) of the stacked bases ``X = [V; W]`` of the model just
+    swept (``pair``, each column pair scaled to equal norms), whose sweep
+    gave the plain image and its bases ``(V', W')``, ``last``.
+
+    Each half of X is aligned by least squares to the span of its block,
+    ``V' (V'^T V')^-1 V'^T V`` with span(V') = span(Pt) (the bi-orthogonal
+    bases are far better conditioned than Pt and Gt), so that
+    ``f = aligned - X`` measures the change of the spans, not of their
+    coordinates.  ``history`` holds the last three ``(X, f)`` pairs; when
+    ``f`` grows, only the previous pair is kept.  Returns the next model to
+    sweep, its bases and the history: the model of the mixed bases, or
+    ``last`` if there is one pair only, or with an empty history if the
+    mixed model breaks down or, on [0, inf), is not Hurwitz.
+    """
+    scale = np.linalg.norm(pair.V, axis=0) ** -0.5  # the columns of W are unit
+    x = np.vstack((pair.V * scale, pair.W / scale))
+    f = np.vstack([
+        k @ np.linalg.solve(k.T @ k, k.T @ b)
+        for k, b in zip((last[1].V, last[1].W), np.split(x, 2))
+    ]) - x
+    if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
+        history = history[-1:]
+    history = (history + [(x, f)])[-3:]
+    if len(history) > 1:
+        dx, df = (np.diff(np.array(h), axis=0).reshape(len(history) - 1, -1).T
+                  for h in zip(*history))
+        gamma = np.linalg.lstsq(df, f.ravel(), rcond=None)[0]
+        mixed = x + f - ((dx + df) @ gamma).reshape(x.shape)
+        try:
+            pair = biorthogonalize(*np.split(mixed, 2))
+            rom = _project(system, pair.V, pair.W)
+            if not interval.is_infinite or rom.is_hurwitz:
+                return rom, pair, history
+        except NumericalError:
+            pass
+        history = []
+    return (*last, history)
+
+
 def _check_start(system, rom0):
     """Start checks of the fixed-point methods: Hurwitz A, Hurwitz initial
     model, ``0 < n <= N`` and equal input/output counts, in this order."""
@@ -215,17 +263,23 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     Per sweep: the controllability block Pt of the (system, model) pair,
     its adjoint block ``Gt = Yt + 2 Zt`` (one observability solve), both
     from :func:`lqomor.gramians.sweep_blocks`, ``biorthogonalize(Pt, Gt)``
-    and the projection.  A Petrov-Galerkin model depends only on span(Pt)
-    and span(Gt), so no normalization factor is needed.  The mixed blocks
-    are Sylvester solves with no Hurwitz test, so unstable iterates pass.
-    ``rom0`` keeps its blocks, the iterates made here do not.  The
-    loop stops when the reduced poles stagnate (relative change ``<= tol``),
-    after ``max_iter`` sweeps, or when a sweep raises a
-    :class:`NumericalError` (an overflow included), which adds one note
-    naming the sweep.
+    and the projection, the sweep's plain image.  A Petrov-Galerkin model
+    depends only on span(Pt) and span(Gt), so no normalization factor is
+    needed.  The coupled blocks are Sylvester solves with no Hurwitz test,
+    so unstable iterates pass.  ``rom0`` keeps its blocks, the iterates
+    made here do not.  The loop stops when the poles of consecutive plain
+    images stagnate (relative change ``<= tol``), after ``max_iter``
+    sweeps, or when a sweep raises a :class:`NumericalError` (an overflow
+    included), which adds one note naming the sweep.
 
-    The returned model is the last iterate whose horizon norm exists: on a
-    finite horizon the last iterate, on [0, inf) the last Hurwitz iterate
+    The next model swept is the plain image while the pole change falls at
+    least tenfold per sweep.  From the first sweep where it does not on, it
+    is the mixed model of :func:`_anderson`, except after the last sweep
+    ``max_iter`` allows.  A mixed model whose sweep breaks down adds no
+    iterate: the loop goes on from the last plain image.
+
+    The returned model is the last plain image whose horizon norm exists:
+    on a finite horizon the last one, on [0, inf) the last Hurwitz one
     (``rom0`` if there is none).  ``converged`` is true only if the poles
     stagnated on the returned iterate.  Its residuals, the one assembly of
     the four stationarity conditions, are computed under the same guard: if
@@ -244,23 +298,34 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     metric = []
     notes = []
     kept = (rom0, None, False)
+    pair = last = None
+    mixing, history = False, []
     for it in range(1, max_iter + 1):
         try:
-            pair = biorthogonalize(*sweep_blocks(system, rom, interval, rom is rom0))
-            rom = _project(system, pair.V, pair.W)
+            new = biorthogonalize(*sweep_blocks(system, rom, interval, rom is rom0))
+            image = _project(system, new.V, new.W)
         except NumericalError as exc:
-            notes.append(f"sweep {it} broke down ({exc}); returning the kept iterate")
-            break
-        poles = rom.poles()
+            if last is None or rom is last[0]:
+                notes.append(f"sweep {it} broke down ({exc}); returning the kept iterate")
+                break
+            (rom, pair), history = last, []
+            continue
+        poles = image.poles()
         metric.append(pole_change(pole_history[-1], poles))
         pole_history.append(poles)
         stagnated = metric[-1] <= tol
-        if not interval.is_infinite or rom.is_hurwitz:
-            kept = (rom, pair, stagnated)
+        if not interval.is_infinite or image.is_hurwitz:
+            kept = (image, new, stagnated)
         if stagnated:
-            if kept[0] is not rom:
+            if kept[0] is not image:
                 notes.append("poles stagnated on a non-Hurwitz iterate")
             break
+        last = (image, new)
+        mixing = mixing or len(metric) > 1 and metric[-1] > metric[-2] / 10.0
+        if mixing and it < max_iter:
+            rom, pair, history = _anderson(system, interval, pair, last, history)
+        else:
+            rom, pair = last
     else:
         notes.append(f"no pole stagnation within {max_iter} iterations")
     rom, pair, converged = kept
@@ -285,7 +350,8 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
 
     The shared Petrov-Galerkin loop of :func:`tlhnoia` on [0, inf): each
     sweep projects onto the spans of the infinite-horizon blocks Pt and
-    ``Gt = Yt + 2 Zt`` of the pair, until the reduced poles stagnate.
+    ``Gt = Yt + 2 Zt`` of the pair, mixing the bases once the reduced poles
+    settle slowly, until they stagnate.
     Unstable iterates are passed through, but the returned model is the
     last Hurwitz iterate (``rom0`` if there is none), and ``converged`` is
     true only if the poles stagnated on it.  A breakdown ends the run with a
@@ -307,11 +373,12 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
 
     The shared Petrov-Galerkin loop of :func:`homora` on a finite horizon:
     each sweep projects onto the spans of the horizon-limited blocks Pt and
-    ``Gt = Yt + 2 Zt`` of the pair, until the reduced poles stagnate.  The
-    finite-horizon equations stay well posed for unstable iterates, so the
-    returned model is the last iterate; it may legitimately be non-Hurwitz
-    (it is then flagged in the warnings, not rejected).  A breakdown ends
-    the run with a note and returns the iterate before it.
+    ``Gt = Yt + 2 Zt`` of the pair, mixing the bases once the reduced poles
+    settle slowly, until they stagnate.  The finite-horizon equations stay
+    well posed for unstable iterates, so the returned model is the last
+    iterate; it may legitimately be non-Hurwitz (it is then flagged in the
+    warnings, not rejected).  A breakdown ends the run with a note and
+    returns the iterate before it.
 
     Returns
     -------

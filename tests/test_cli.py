@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,9 +120,24 @@ class TestReduceCommand:
         assert code == 0
         summary = json.loads(out)
         assert summary["rom_hurwitz"] is True
-        assert summary["converged"] is False
-        assert summary["iterations"] == 200
-        assert len(summary["warnings"]) <= 2
+        assert summary["converged"] is True
+        assert summary["iterations"] < 200
+        assert summary["warnings"] == []
+
+    def test_homora_in_a_fresh_process(self):
+        # the whole CLI path through main(), with every warning an error
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+        )
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lqomor.cli", "reduce",
+             "--method", "homora", "--system", BENCH, "--init", INIT],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0 and run.stderr == ""
+        summary = json.loads(run.stdout)
+        assert summary["converged"] is True and summary["rom_hurwitz"] is True
 
     def test_bt_requires_order(self, capsys):
         code, _, err = run(capsys, "reduce", "--method", "bt", "--system", BENCH)

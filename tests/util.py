@@ -116,12 +116,13 @@ def reference_fixed_point(system, rom0, interval, tol, max_iter):
     ``gramian_blocks``, and no Hurwitz test.
 
     Oracle for the shared Petrov-Galerkin loop, which projects onto the same
-    two spans.  Unlike ``V = Pt``, whose scale drifts from sweep to sweep,
-    the orthonormal V keeps the reduced coordinates well scaled.  Returns
-    the last model and whether its poles stagnated.
+    two spans, and for the sweep count of its plain, unmixed form.  Unlike
+    ``V = Pt``, whose scale drifts from sweep to sweep, the orthonormal V
+    keeps the reduced coordinates well scaled.  Returns the last model,
+    whether its poles stagnated and the number of sweeps.
     """
     rom = rom0
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         pt, yt, zt = gramian_blocks(system, rom, interval)
         gt = yt + 2.0 * zt
         v = np.linalg.qr(pt)[0]
@@ -133,8 +134,8 @@ def reference_fixed_point(system, rom0, interval, tol, max_iter):
         stagnated = pole_change(rom.poles(), new.poles()) <= tol
         rom = new
         if stagnated:
-            return rom, True
-    return rom, False
+            return rom, True, sweep
+    return rom, False, max_iter
 
 
 def reference_op1(system, rom, interval):
