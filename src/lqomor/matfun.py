@@ -393,10 +393,10 @@ def _trsyl(fa, fb, q):
     for bit.  A larger F is solved by recursive blocking (Jonsson and
     Kagstrom, ACM TOMS 28, 2002): the factors are split at a 1x1/2x2 block boundary, each half is
     solved in turn, and the coupling is a matrix product, down to ``trsyl``
-    leaves of at most ``LEAF`` rows and columns.  A Lyapunov equation with
-    a symmetric F (to ``1e-12`` relative, the test of
-    :func:`solve_lyapunov`) takes the symmetric recursion: three block
-    solves per split, not four.  ``trsyl`` returns the solution of
+    leaves of at most ``LEAF`` rows and columns.  A Lyapunov equation whose
+    transformed right-hand side F is symmetric (``||F - F^T|| <= 1e-12
+    ||F||``, tested on F itself, not on Q) takes the symmetric recursion:
+    three block solves per split, not four.  ``trsyl`` returns the solution of
     ``scale * F``, scaled down to avoid overflow, and every leaf divides
     by that scale, so a solution that overflows is non-finite and raises
     :class:`SolverError`, never a finite wrong answer.

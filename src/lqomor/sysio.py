@@ -198,7 +198,8 @@ def load_system(path, require_hurwitz=True, name="A"):
     parsed again whatever its size and time stamps.
     Each kept document's bytes stay in memory.  A document that references
     Matrix Market files is not kept, since its bytes do not cover theirs.
-    A file that fails to parse leaves nothing behind, and a
+    A file that fails to parse leaves nothing behind, and its
+    :class:`~lqomor.errors.SchemaError` names it in ``context["path"]``; a
     factorization that fails is tried again on the next load.  ``name`` is
     the name the Hurwitz test gives the file's A in its error, so that a
     caller reading several files can say which one failed.
@@ -208,7 +209,11 @@ def load_system(path, require_hurwitz=True, name="A"):
     key = _key(data)
     system, external = _loaded.get(key), False
     if system is None:
-        system, external = _parse(data, os.path.dirname(os.path.abspath(path)))
+        try:
+            system, external = _parse(data, os.path.dirname(os.path.abspath(path)))
+        except SchemaError as exc:
+            exc.context["path"] = str(path)
+            raise
     if not external:
         matfun.recall(_loaded, key, LOADED_SYSTEMS, lambda: system)
     if require_hurwitz:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,25 +10,48 @@ import pytest
 
 from lqomor import cli
 from lqomor.cli import run_command
-from lqomor.model import TimeInterval
+from lqomor.model import LqoSystem, TimeInterval
 from lqomor.optimality import tl_residuals
-from lqomor.sysio import load_system, save_system
+from lqomor.sysio import load_system, system_document, write_json
 
-from util import rand_system, reference_csv
+from util import reference_csv
 
 from pathlib import Path
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 BENCH = str(DATA / "benchmark6.json")
 INIT = str(DATA / "benchmark6_init.json")
 SCALAR = str(DATA / "scalar.json")
 SCALAR_QUAD = str(DATA / "scalar_quadratic.json")
 
 
-def run(capsys, *argv):
+def run(capsys, *argv, fresh=False):
+    """``(exit code, stdout, stderr)`` of one command line, run through
+    :func:`run_command` in this process or, if ``fresh``, through ``main()``
+    in a new interpreter with every warning an error."""
+    if fresh:
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lqomor.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        return proc.returncode, proc.stdout, proc.stderr
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def scaled_b(tmp_path, factor):
+    """The bundled benchmark and its initial guess with every entry of B
+    scaled by ``factor``, written under ``tmp_path``."""
+    paths = []
+    for path in (BENCH, INIT):
+        doc = json.loads(Path(path).read_text())
+        doc["B"] = [[factor * v for v in row] for row in doc["B"]]
+        paths.append(tmp_path / Path(path).name)
+        paths[-1].write_text(json.dumps(doc))
+    return [str(p) for p in paths]
 
 
 class TestNormCommand:
@@ -61,8 +85,8 @@ class TestNormCommand:
         expected = (1.0 - math.exp(-2.0)) / 2.0
         assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-10)
 
-
-    def test_huge_stable_a(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    def test_huge_stable_a(self, capsys, tmp_path, fresh):
         # A = -1e200 I: ||A||_F^2 overflows, so only an overflow-safe norm
         # lets the Hurwitz test pass; the norm is sqrt((C B)^2 / 2e200)
         path = tmp_path / "huge.json"
@@ -71,7 +95,7 @@ class TestNormCommand:
             "A": [[-1e200, 0.0], [0.0, -1e200]], "B": [[1.0], [1.0]],
             "C": [[1.0, 1.0]], "M": [[[1.0, 0.0], [0.0, 1.0]]],
         }))
-        code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "1")
+        code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "1", fresh=fresh)
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12)
 
@@ -124,20 +148,26 @@ class TestReduceCommand:
         assert summary["iterations"] < 200
         assert summary["warnings"] == []
 
-    def test_homora_in_a_fresh_process(self):
+    def test_homora_in_a_fresh_process(self, capsys):
         # the whole CLI path through main(), with every warning an error
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+        code, out, err = run(
+            capsys, "reduce", "--method", "homora", "--system", BENCH, "--init", INIT,
+            fresh=True,
         )
-        run = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "lqomor.cli", "reduce",
-             "--method", "homora", "--system", BENCH, "--init", INIT],
-            capture_output=True, text=True, env=env,
-        )
-        assert run.returncode == 0 and run.stderr == ""
-        summary = json.loads(run.stdout)
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
         assert summary["converged"] is True and summary["rom_hurwitz"] is True
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    def test_tlhnoia_converges_on_a_small_b(self, capsys, tmp_path, fresh):
+        # the stop test does not depend on the units of the input
+        system, init = scaled_b(tmp_path, 1e-6)
+        code, out, err = run(
+            capsys, "reduce", "--method", "tlhnoia", "--t1", "0.5", "--system", system,
+            "--init", init, fresh=fresh,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["converged"] is True
 
     def test_bt_requires_order(self, capsys):
         code, _, err = run(capsys, "reduce", "--method", "bt", "--system", BENCH)
@@ -145,20 +175,22 @@ class TestReduceCommand:
         assert json.loads(err)["code"] == "usage"
 
     @pytest.mark.parametrize(
-        "method, horizon, limited",
+        "method, horizon, limited, fresh",
         [
-            ("bt", ["--t1", "0.5"], "tlbt"),
-            ("bt", ["--t0", "0.1"], "tlbt"),
-            ("homora", ["--t0", "0.1", "--t1", "0.5"], "tlhnoia"),
+            pytest.param("bt", ["--t1", "0.5"], "tlbt", False, id="bt-horizon0-tlbt"),
+            pytest.param("bt", ["--t0", "0.1"], "tlbt", False, id="bt-horizon1-tlbt"),
+            pytest.param("homora", ["--t0", "0.1", "--t1", "0.5"], "tlhnoia", False,
+                         id="homora-horizon2-tlhnoia"),
+            pytest.param("bt", ["--t1", "0.5"], "tlbt", True, id="bt-horizon0-tlbt-fresh"),
         ],
     )
     def test_infinite_horizon_method_rejects_a_horizon(
-        self, capsys, tmp_path, method, horizon, limited
+        self, capsys, tmp_path, method, horizon, limited, fresh
     ):
         out_path = tmp_path / "rom.json"
         code, out, err = run(
             capsys, "reduce", "--method", method, "--order", "3", "--system", BENCH,
-            "--init", INIT, *horizon, "--out", str(out_path),
+            "--init", INIT, *horizon, "--out", str(out_path), fresh=fresh,
         )
         assert code == 2 and out == "" and not out_path.exists()
         doc = json.loads(err)
@@ -283,6 +315,17 @@ class TestHsvCommand:
 
 
 class TestSimulateCommand:
+    def test_benchmark_with_rom_in_a_fresh_process(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "simulate", "--system", BENCH, "--rom", INIT, "--input", "0.01*cos(2*t)",
+            "--t1", "0.5", "--step", "1e-4", "--out", str(path), fresh=True,
+        )
+        assert (code, out, err) == (0, "", "")
+        lines = path.read_text().splitlines()
+        assert lines[1] == "t,y_full_1,y_rom_1,rel_err" and len(lines) == 5003
+        assert float(lines[-1].split(",")[0]) == pytest.approx(0.5)
+
     def test_csv_shape_and_values(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, _, _ = run(
@@ -408,15 +451,16 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["code"] == "schema"
 
-    def test_validation_error_non_hurwitz_input(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    def test_validation_error_non_hurwitz_input(self, capsys, tmp_path, fresh):
         doc = {
             "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
             "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "M": [[[0.0]]],
         }
         bad = tmp_path / "unstable.json"
         bad.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "norm", "--system", str(bad), "--t1", "1")
-        assert code == 3
+        code, out, err = run(capsys, "norm", "--system", str(bad), "--t1", "1", fresh=fresh)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "not_hurwitz"
         assert json.loads(err)["context"]["name"] == "A"
 
@@ -498,8 +542,11 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["code"] == "signal_eval"
 
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_simulate_overflow_is_numerical_failure(self, capsys, tmp_path, to_file):
+    @pytest.mark.parametrize(
+        "to_file, fresh", [(False, False), (True, False), (False, True)],
+        ids=["stdout", "out", "stdout-fresh"],
+    )
+    def test_simulate_overflow_is_numerical_failure(self, capsys, tmp_path, to_file, fresh):
         # x' = 40 x + 1 grows by e^40 per second: the reduced model's output
         # overflows at t = 17.84, where every later row would read inf or nan
         doc = json.loads(Path(SCALAR).read_text())
@@ -509,7 +556,7 @@ class TestExitCodes:
         out_flag = ["--out", str(csv)] if to_file else []
         code, out, err = run(
             capsys, "simulate", "--system", SCALAR, "--rom", str(rom), "--input", "1",
-            "--t1", "20", "--step", "0.01", *out_flag,
+            "--t1", "20", "--step", "0.01", *out_flag, fresh=fresh,
         )
         assert code == 4 and out == ""
         assert not csv.exists()
@@ -635,22 +682,18 @@ class TestExitCodes:
         assert rom.order == 3 and not rom.is_hurwitz
         assert report["rom"]["A"] == rom.A.tolist()
 
-    @pytest.fixture()
-    def scaled_b(self, tmp_path):
-        """The bundled benchmark and its initial guess with every entry of B
-        scaled by 1e80, whose quadratic outputs overflow."""
-        paths = []
-        for path in (BENCH, INIT):
-            doc = json.loads(Path(path).read_text())
-            doc["B"] = [[1e80 * v for v in row] for row in doc["B"]]
-            paths.append(tmp_path / Path(path).name)
-            paths[-1].write_text(json.dumps(doc))
-        return [str(p) for p in paths]
-
-    @pytest.mark.parametrize("t1", ["inf", "0.5"])
-    def test_overflowing_stationarity_residual_is_solver_error(self, capsys, scaled_b, t1):
-        system, rom = scaled_b
-        code, out, err = run(capsys, "residuals", "--system", system, "--rom", rom, "--t1", t1)
+    @pytest.mark.parametrize(
+        "t1, fresh", [("inf", False), ("0.5", False), ("inf", True)],
+        ids=["inf", "0.5", "inf-fresh"],
+    )
+    def test_overflowing_stationarity_residual_is_solver_error(
+        self, capsys, tmp_path, t1, fresh
+    ):
+        # B scaled by 1e80: the quadratic outputs overflow
+        system, rom = scaled_b(tmp_path, 1e80)
+        code, out, err = run(
+            capsys, "residuals", "--system", system, "--rom", rom, "--t1", t1, fresh=fresh
+        )
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {
@@ -662,8 +705,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "method", [["homora"], ["tlhnoia", "--t1", "0.5"]], ids=["homora", "tlhnoia"]
     )
-    def test_overflowing_residuals_of_the_start_keep_it(self, capsys, scaled_b, method):
-        system, init = scaled_b
+    def test_overflowing_residuals_of_the_start_keep_it(self, capsys, tmp_path, method):
+        system, init = scaled_b(tmp_path, 1e80)
         code, out, err = run(
             capsys, "reduce", "--method", *method, "--max-iter", "3",
             "--system", system, "--init", init,
@@ -677,30 +720,38 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "horizon",
-        [["--t1", "1e40"], ["--t1", "1e200"], ["--t0", "1e307", "--t1", "1.7e308"]],
-        ids=["1e40", "1e200", "1.7e308"],
+        "horizon, fresh",
+        [
+            (["--t1", "1e40"], False), (["--t1", "1e200"], False),
+            (["--t0", "1e307", "--t1", "1.7e308"], False),
+            (["--t1", "1e40"], True), (["--t1", "1e200"], True),
+        ],
+        ids=["1e40", "1e200", "1.7e308", "1e40-fresh", "1e200-fresh"],
     )
-    def test_quadrature_on_a_long_horizon_is_solver_error(self, capsys, horizon):
+    def test_quadrature_on_a_long_horizon_is_solver_error(self, capsys, horizon, fresh):
         code, out, err = run(
-            capsys, "norm", "--system", BENCH, "--quadrature", "4", *horizon
+            capsys, "norm", "--system", BENCH, "--quadrature", "4", *horizon, fresh=fresh
         )
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "solver"
 
+    NEGATIVE_TOL = ["reduce", "--method", "tlhnoia", "--t1", "0.5", "--init", INIT,
+                    "--tol", "-1e-6"]
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, fresh",
         [
-            ["reduce", "--method", "tlhnoia", "--t1", "0.5", "--init", INIT, "--tol", "-1e-6"],
-            ["norm", "--t0", "-1e-3"],
-            ["norm", "--t0", "-inf"],
+            (NEGATIVE_TOL, False),
+            (["norm", "--t0", "-1e-3"], False),
+            (["norm", "--t0", "-inf"], False),
+            (NEGATIVE_TOL, True),
         ],
-        ids=["tol", "t0", "t0-inf"],
+        ids=["tol", "t0", "t0-inf", "tol-fresh"],
     )
-    def test_negative_scientific_value_reaches_validation(self, capsys, argv):
+    def test_negative_scientific_value_reaches_validation(self, capsys, argv, fresh):
         # a dash and a float literal is a value, not a flag
-        code, out, err = run(capsys, *argv, "--system", BENCH)
+        code, out, err = run(capsys, *argv, "--system", BENCH, fresh=fresh)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "validation"
@@ -788,6 +839,18 @@ class TestExitCodes:
         assert error["context"]["field"] == "B"
         assert "complex" in error["message"]
 
+    def test_schema_error_names_its_file(self, capsys, tmp_path):
+        paths = {flag: tmp_path / f"{flag[2:]}.json" for flag in ("--system", "--rom")}
+        for flag, path in paths.items():
+            path.write_text(json.dumps({"version": 1}))
+            files = {"--system": BENCH, "--rom": BENCH, flag: str(path)}
+            code, out, err = run(capsys, "error", *[x for kv in files.items() for x in kv])
+            assert code == 3 and out == ""
+            assert json.loads(err) == {
+                "code": "schema", "message": "n_states: missing required field",
+                "context": {"field": "n_states", "path": str(path)},
+            }
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "norm", "--system", "no/such/file.json", "--t1", "1")
         assert code == 3
@@ -822,3 +885,92 @@ class TestDemoCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "validation"
         assert not csv_path.exists()
+
+
+def warm_equals_fresh(capsys, commands):
+    """Run the command lines ``commands`` in turn, each in a fresh process,
+    then twice in this process (cold, then warm on what the cold pass
+    kept); assert that every run exits 0 with nothing on stderr and that
+    the three passes print the same and write the same ``--out`` bytes.
+    Returns what each command printed."""
+    passes = []
+    for fresh in (True, False, False):
+        outputs = []
+        for argv in commands:
+            code, out, err = run(capsys, *argv, fresh=fresh)
+            assert (code, err) == (0, ""), argv
+            written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+            outputs.append((out, written))
+        passes.append(outputs)
+    fresh, cold, warm = passes
+    assert fresh == cold == warm
+    return [out for out, _ in fresh]
+
+
+class TestWarmEqualsFresh:
+    """Commands that reuse what an earlier command in the process kept (a
+    loaded system, its Gramians, balancing and exponentials, a saved model
+    and the blocks Pt, Gt and Xt of its pair) print what a fresh process
+    prints."""
+
+    def test_dense_order_200(self, capsys, tmp_path):
+        rng = np.random.default_rng(200)
+        n = 200
+        a = rng.normal(size=(n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+        m = rng.normal(size=(n, n)) / n
+        b, c = rng.normal(size=(n, 2)), rng.normal(size=(2, n))
+        sysf = tmp_path / "dense200.json"
+        write_json(system_document(LqoSystem(a, b, c, [m + m.T, m @ m.T])), sysf)
+        horizon = ["--system", str(sysf), "--t1", "0.5"]
+        tlbt, bt8, bt10 = (str(tmp_path / f"{name}.json") for name in ("tlbt", "bt8", "bt10"))
+        norm = ["norm", *horizon]
+        outputs = warm_equals_fresh(capsys, [
+            norm,
+            ["hsv", *horizon, "--t0", "0.1"],
+            ["reduce", "--method", "tlbt", "--order", "10", *horizon, "--out", tlbt],
+            ["error", "--rom", tlbt, *horizon],
+            ["residuals", "--rom", tlbt, *horizon],
+            ["hsv", *horizon],
+            ["reduce", "--method", "bt", "--order", "8", "--system", str(sysf), "--out", bt8],
+            ["reduce", "--method", "bt", "--order", "10", "--system", str(sysf), "--out", bt10],
+            ["residuals", "--system", str(sysf), "--rom", bt8, "--t1", "inf"],
+        ])
+        # a rewrite in place of one digit of the last entry, with the size
+        # and time stamps kept, is parsed again
+        stat = os.stat(sysf)
+        data = sysf.read_bytes()
+        last = re.findall(rb"-?[0-9][0-9.e+-]*", data)[-1]
+        at = data.rindex(last) + re.search(rb"[1-9]", last).start()
+        sysf.write_bytes(data[:at] + b"%d" % ((data[at] - ord("0")) % 9 + 1) + data[at + 1:])
+        os.utime(sysf, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        kept = os.stat(sysf)
+        assert (kept.st_size, kept.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        code, out, _ = run(capsys, *norm)
+        assert code == 0 and out != outputs[0]
+        assert (code, out, "") == run(capsys, *norm, fresh=True)
+
+    def test_bench6_tlhnoia_error_and_residuals(self, capsys, tmp_path):
+        rom, bt = str(tmp_path / "tlhnoia.json"), str(tmp_path / "bt.json")
+        horizon = ["--system", BENCH, "--t1", "0.5"]
+        # the error of the bt model twice each way round, the swapped pair
+        # (the model as --system) first
+        errors = [
+            ["error", "--system", bt, "--rom", BENCH, "--t1", "0.5"],
+            ["error", "--rom", bt, *horizon],
+        ]
+        warm_equals_fresh(capsys, [
+            ["reduce", "--method", "tlhnoia", "--init", INIT, "--out", rom, *horizon],
+            ["error", "--rom", rom, *horizon],
+            ["residuals", "--rom", rom, *horizon],
+            ["reduce", "--method", "bt", "--order", "3", "--system", BENCH, "--out", bt],
+            *errors, *errors,
+        ])
+
+
+def test_workflow_runs_no_inline_scripts():
+    """The CLI contract lives in these tests: CI steps run commands, not
+    heredoc or ``python -c`` scripts."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    inline = [line for line in text.splitlines()
+              if "<<" in line or re.search(r"\bpython3?\b[^|;&]*\s-c\b", line)]
+    assert inline == []
