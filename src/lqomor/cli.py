@@ -18,7 +18,7 @@ from .errors import HurwitzError, LqoError, ValidationError
 from .gramians import balancing
 from .model import TimeInterval, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
-from .optimality import h2_residuals, tl_residuals
+from .optimality import tl_residuals
 from .reductors import bt, homora, tlbt, tlhnoia
 from .signals import parse_signal
 from .sysio import (
@@ -174,19 +174,14 @@ def _cmd_error(args):
 
 
 def _cmd_residuals(args):
-    infinite = args.t1 == math.inf
-    if infinite and args.t0 != 0.0:
-        raise _UsageError("residuals with --t1 inf need --t0 0: the "
-                          "infinite-horizon conditions hold on [0, inf)")
+    interval = _interval(args)
     system = load_system(args.system)
-    rom = load_system(args.rom, require_hurwitz=infinite, name="reduced A (--rom)")
-    if infinite:
-        rep = h2_residuals(system, rom)
-    else:
-        rep = tl_residuals(system, rom, _interval(args))
+    rom = load_system(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
+    rep = tl_residuals(system, rom, interval)
     _json_out(
         {
             "horizon": rep.horizon,
+            **_interval_fields(interval),
             "residual_norms": residual_norms_document(rep),
         }
     )
@@ -208,10 +203,11 @@ def _cmd_hsv(args):
 def _cmd_simulate(args):
     system = load_system(args.system)
     rom = load_system(args.rom, require_hurwitz=False) if args.rom else None
-    if rom is not None and rom.n_outputs != system.n_outputs:
-        raise ValidationError(
-            f"rom has {rom.n_outputs} outputs, system has {system.n_outputs}"
-        )
+    if rom is not None:
+        for what, ours, theirs in (("inputs", rom.n_inputs, system.n_inputs),
+                                   ("outputs", rom.n_outputs, system.n_outputs)):
+            if ours != theirs:
+                raise ValidationError(f"rom has {ours} {what}, system has {theirs}")
     states = system.order + (rom.order if rom is not None else 0)
     grid = time_grid(args.t0, args.t1, args.step, states)
     u = parse_signal(args.input)

@@ -270,8 +270,8 @@ def adjoint_block(left, right, interval, solve_on=None):
     :func:`observability_block` solve on ``solve_on`` (by default
     ``interval`` itself) with kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i``.
     The fixed-point sweep and the optimality conditions read G in place of
-    Y and Z, and the conditions of a finite horizon also the [0, inf) tail
-    X of the same kernel.  Each is kept read-only beside P (see
+    Y and Z, and the conditions also the [0, inf) tail X of the same kernel
+    (on [0, inf) itself, G).  Each is kept read-only beside P (see
     :func:`_kept`)."""
     solve_on = interval if solve_on is None else solve_on
 

@@ -15,13 +15,17 @@ Petrov-Galerkin part of the condition on the reduced A, read only the
 horizon-limited controllability blocks Pt, Ph and the adjoint blocks
 ``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one solve each
 (:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
-carries a deviation term ``L``, which only a finite horizon needs: the
-[0, inf) adjoint blocks ``Xt`` and ``Xh`` of the same kernels as Gt and Gh
-(one more solve each) minus Gt and Gh, and a Frechet-derivative term of
-the matrix exponential at the horizon boundaries.  All four exist for
-every uniquely solvable pair, Hurwitz or not: one whose Gramian equations
-have no two eigenvalues summing to zero (else ``SolverError``), and a
-condition that overflowed raises ``SolverError``.
+carries a deviation term ``L``: the [0, inf) adjoint blocks ``Xt`` and
+``Xh`` of the same kernels as Gt and Gh (one more solve each on a horizon
+other than [0, inf), where they are Gt and Gh) minus Gt and Gh, and a
+Frechet-derivative term of the matrix exponential at the horizon
+boundaries t0 > 0 and t1 < inf.  On [0, inf) both parts, and with them
+``L``, are exactly zero.  One assembly serves every horizon, [0, inf)
+and [t0, inf) included.  On a finite horizon all four exist for every
+uniquely solvable pair, Hurwitz or not: one whose Gramian equations have
+no two eigenvalues summing to zero (else ``SolverError``); an infinite
+horizon needs both A Hurwitz.  A condition that overflowed raises
+``SolverError``.
 
 All gradients follow the entrywise convention ``dJ = sum_ij G_ij dX_ij``
 and are validated against central finite differences of :func:`objective_J`
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import SolverError, ValidationError
+from .errors import SolverError
 from .gramians import adjoint_block, boundaries, controllability_block, require_pair
 from .model import TimeInterval
 from .norms import _inner
@@ -55,10 +59,10 @@ class OptimalityReport:
     """Residual matrices and norms of the four stationarity conditions.
 
     ``op1_residual = petrov_galerkin_term + L`` holds exactly as assembled.
-    On a finite horizon ``splits`` holds the parts of ``L``: the tails
-    ``tail_t = Xt - Gt`` and ``tail_h = Xh - Gh`` of the adjoint blocks
-    beyond the horizon and the boundary Frechet term ``W``, with
-    ``L = -tail_t^T Pt + tail_h Ph + W``; on [0, inf) it is None.
+    ``splits`` holds the parts of ``L``: the tails ``tail_t = Xt - Gt`` and
+    ``tail_h = Xh - Gh`` of the adjoint blocks beyond the horizon and the
+    boundary Frechet term ``W``, with ``L = -tail_t^T Pt + tail_h Ph + W``;
+    on [0, inf) all three are exactly zero.
     """
 
     op1_residual: np.ndarray
@@ -72,14 +76,15 @@ class OptimalityReport:
     L: np.ndarray
     petrov_galerkin_term: np.ndarray
     horizon: str
-    splits: dict = None
+    splits: dict
 
 
 @dataclass(frozen=True)
 class Theorem2Report:
     """Premise and conclusion deviations of the identity-Gramian projection test.
 
-    Premise deviations measure, at each finite horizon boundary tau,
+    Premise deviations measure, at each horizon boundary tau other than
+    t0 = 0 and t1 = inf (so they are 0 on [0, inf)),
     ``||W^T e^(A tau) B - e^(Ar tau) Br||``, ``||C e^(A tau) V - Cr e^(Ar tau)||``
     and ``max_i ||V^T M_i e^(A tau) V - Mr_i e^(Ar tau)||`` (maximum over the
     boundaries).  Conclusion deviations measure how far the reduced blocks are
@@ -118,15 +123,17 @@ def _conditions(system, rom, interval):
     :func:`tl_residuals` and :func:`h2_residuals` return it, :func:`gradients`
     doubles its blocks.
 
-    On a finite horizon the gradient of J tests ``dPt`` and ``dPh`` against
-    the [0, inf) adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
+    The gradient of J tests ``dPt`` and ``dPh`` against the [0, inf)
+    adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
     ``op1 = -Xt^T Pt + Xh Ph + W``.  The boundary term is
     ``W = sum_k s_k L_exp(Ar^T, V_k Br^T, t_k)`` with
     ``V_k = Xh e^(Ar t_k) Br - Xt^T e^(A t_k) B``, where ``L_exp`` is the
     Frechet derivative of the exponential (:func:`lqomor.matfun.expm_frechet`),
-    ``s = +1`` at t0 (no term for t0 = 0) and ``s = -1`` at t1.  ``splits``
-    holds the parts of ``L``: ``tail_t = Xt - Gt``, ``tail_h = Xh - Gh``
-    and ``W``.  On the infinite horizon ``L`` is zero and ``splits`` is None.
+    ``s = +1`` at t0 and ``s = -1`` at t1 (no term for t0 = 0 or t1 = inf).
+    ``splits`` holds the parts of ``L``: ``tail_t = Xt - Gt``,
+    ``tail_h = Xh - Gh`` and ``W``.  On [0, inf) ``Xt`` and ``Xh`` are the
+    kept Gt and Gh, so the tails, ``W`` and ``L`` are exactly zero and
+    ``op1`` is the Petrov-Galerkin term, from the same four solves.
     A Frechet direction or a residual that overflowed raises ``SolverError``.
     """
     require_pair(system, rom, interval)
@@ -138,24 +145,20 @@ def _conditions(system, rom, interval):
     op3 = -gt.T @ system.B + gh @ rom.B
     op4 = -system.C @ pt + rom.C @ ph
     pg = -gt.T @ pt + gh @ ph
-    if interval.is_infinite:
-        op1, l_mat, splits = pg, np.zeros_like(pg), None
-    else:
-        inf = TimeInterval(0.0, np.inf)
-        xt = adjoint_block(system, rom, interval, inf)
-        xh = adjoint_block(rom, rom, interval, inf)
-        w = np.zeros_like(pg)
-        for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
-                                  boundaries(system, interval), boundaries(rom, interval)):
-            if s is not None:
-                v = (xh @ sh @ rom.B - xt.T @ (s @ system.B)) @ rom.B.T
-                if not np.isfinite(v).all():
-                    raise SolverError("first stationarity residual overflowed")
-                w = w + sign * matfun.expm_frechet(rom.A.T, v, t)
-        tail_t, tail_h = xt - gt, xh - gh
-        l_mat = -tail_t.T @ pt + tail_h @ ph + w
-        op1 = pg + l_mat
-        splits = {"tail_t": tail_t, "tail_h": tail_h, "W": w}
+    inf = TimeInterval(0.0, np.inf)
+    xt = adjoint_block(system, rom, interval, inf)
+    xh = adjoint_block(rom, rom, interval, inf)
+    w = np.zeros_like(pg)
+    for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
+                              boundaries(system, interval), boundaries(rom, interval)):
+        if s is not None:
+            v = (xh @ sh @ rom.B - xt.T @ (s @ system.B)) @ rom.B.T
+            if not np.isfinite(v).all():
+                raise SolverError("first stationarity residual overflowed")
+            w = w + sign * matfun.expm_frechet(rom.A.T, v, t)
+    tail_t, tail_h = xt - gt, xh - gh
+    l_mat = -tail_t.T @ pt + tail_h @ ph + w
+    op1 = pg + l_mat
     return OptimalityReport(
         op1_residual=op1,
         op1_norm=_norm2(op1, "first stationarity residual"),
@@ -168,23 +171,22 @@ def _conditions(system, rom, interval):
         L=l_mat,
         petrov_galerkin_term=pg,
         horizon="infinite" if interval.is_infinite else "limited",
-        splits=splits,
+        splits={"tail_t": tail_t, "tail_h": tail_h, "W": w},
     )
 
 
 def gradients(system, rom, interval):
     """Analytic gradients of the objective with respect to (Ar, Br, Cr, Mr_i).
 
-    Requires a finite horizon and a uniquely solvable pair, Hurwitz or not.
-    Each block is exactly twice the matching :func:`tl_residuals` block, and
-    every block matches a central finite difference of :func:`objective_J`.
+    Takes every horizon and a uniquely solvable pair, Hurwitz or not on a
+    finite horizon, Hurwitz on an infinite one.  Each block is exactly
+    twice the matching :func:`tl_residuals` block, and every block matches
+    a central finite difference of :func:`objective_J`.
 
     Returns
     -------
     GradientReport
     """
-    if interval.is_infinite:
-        raise ValidationError("gradients require a finite horizon")
     rep = _conditions(system, rom, interval)
     return GradientReport(
         J=objective_J(system, rom, interval),
@@ -196,25 +198,24 @@ def gradients(system, rom, interval):
 
 
 def tl_residuals(system, rom, interval):
-    """Residuals of the four horizon-limited stationarity conditions.
+    """Residuals of the four stationarity conditions on ``interval``.
 
     The first condition reads ``petrov_galerkin_term + L = 0`` where L
     collects the tails of the adjoint blocks beyond the horizon and the
     boundary Frechet term; conditions two to four use horizon-limited
-    blocks only.  All four exist for every uniquely solvable pair, Hurwitz
-    or not.
+    blocks only.  On a finite horizon all four exist for every uniquely
+    solvable pair, Hurwitz or not; an infinite one needs both Hurwitz.
 
     Returns
     -------
     OptimalityReport
     """
-    if interval.is_infinite:
-        raise ValidationError("horizon-limited residuals require a finite horizon")
     return _conditions(system, rom, interval)
 
 
 def h2_residuals(system, rom):
-    """Residuals of the four infinite-horizon stationarity conditions.
+    """Residuals of the four infinite-horizon stationarity conditions:
+    :func:`tl_residuals` on [0, inf).
 
     Both systems must be Hurwitz.  Here the first condition has no
     deviation term, so ``op1_residual`` equals the Petrov-Galerkin term and
@@ -233,14 +234,13 @@ def theorem2_check(system, rom, pair, interval):
     For the projection choice whose reduced Gramian blocks would collapse to
     the identity, the property requires the projected propagator to commute
     with reduction at the horizon boundaries.  This diagnostic reports the
-    deviations without asserting any threshold.
+    deviations without asserting any threshold; on [0, inf) there is no
+    such boundary, and the premise deviations are 0.
 
     Returns
     -------
     Theorem2Report
     """
-    if interval.is_infinite:
-        raise ValidationError("the identity-Gramian diagnostic requires a finite horizon")
     v, w = pair.V, pair.W
     b, c = system.B, system.C
     bh, ch = rom.B, rom.C

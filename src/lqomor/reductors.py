@@ -218,7 +218,7 @@ def _anderson(system, interval, pair, last, history):
     ``f`` grows, only the previous pair is kept.  Returns the next model to
     sweep, its bases and the history: the model of the mixed bases, or
     ``last`` if there is one pair only, or with an empty history if the
-    mixed model breaks down or, on [0, inf), is not Hurwitz.
+    mixed model breaks down or, on an infinite horizon, is not Hurwitz.
     """
     scale = np.linalg.norm(pair.V, axis=0) ** -0.5  # the columns of W are unit
     x = np.vstack((pair.V * scale, pair.W / scale))
@@ -279,10 +279,11 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     iterate: the loop goes on from the last plain image.
 
     The returned model is the last plain image whose horizon norm exists:
-    on a finite horizon the last one, on [0, inf) the last Hurwitz one
-    (``rom0`` if there is none).  ``converged`` is true only if the poles
-    stagnated on the returned iterate.  Its residuals, the one assembly of
-    the four stationarity conditions, are computed under the same guard: if
+    on a finite horizon the last one, on an infinite one the last Hurwitz
+    one (``rom0`` if there is none).  ``converged`` is true only if the poles
+    stagnated on the returned iterate.  Its residuals,
+    :func:`lqomor.optimality.tl_residuals` on ``interval`` whatever the
+    horizon, are computed under the same guard: if
     any overflows (a ``SolverError``), the model is still returned, with
     ``residuals`` None and a note.  A negative
     ``max_iter`` or a NaN or negative ``tol`` raises ``ValidationError``
@@ -332,10 +333,7 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     if not rom.is_hurwitz:
         notes.append("returned reduced model is not Hurwitz")
     try:
-        residuals = (
-            optimality.h2_residuals(system, rom) if interval.is_infinite
-            else optimality.tl_residuals(system, rom, interval)
-        )
+        residuals = optimality.tl_residuals(system, rom, interval)
     except NumericalError as exc:
         residuals = None
         notes.append(f"residuals of the returned model broke down ({exc})")
@@ -360,8 +358,8 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
     Returns
     -------
     ReductionReport
-        With ``residuals`` populated by :func:`lqomor.optimality.h2_residuals`,
-        or None with a note if they broke down.
+        With ``residuals`` populated by :func:`lqomor.optimality.tl_residuals`
+        on [0, inf), or None with a note if they broke down.
     """
     return _fixed_point(
         "homora", system, rom0, TimeInterval(0.0, np.inf), tol, max_iter
@@ -371,22 +369,22 @@ def homora(system, rom0, tol=1e-6, max_iter=200):
 def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     """Fixed-point iteration for the horizon-limited near-optimality conditions.
 
-    The shared Petrov-Galerkin loop of :func:`homora` on a finite horizon:
-    each sweep projects onto the spans of the horizon-limited blocks Pt and
+    The shared Petrov-Galerkin loop of :func:`homora` on ``interval``: each
+    sweep projects onto the spans of the horizon-limited blocks Pt and
     ``Gt = Yt + 2 Zt`` of the pair, mixing the bases once the reduced poles
     settle slowly, until they stagnate.  The finite-horizon equations stay
-    well posed for unstable iterates, so the returned model is the last
-    iterate; it may legitimately be non-Hurwitz (it is then flagged in the
-    warnings, not rejected).  A breakdown ends the run with a note and
-    returns the iterate before it.
+    well posed for unstable iterates, so on a finite horizon the returned
+    model is the last iterate; it may legitimately be non-Hurwitz (it is
+    then flagged in the warnings, not rejected).  On an infinite horizon it
+    is the last Hurwitz iterate, as for :func:`homora`, which is this loop
+    on [0, inf).  A breakdown ends the run with a note and returns the
+    iterate before it.
 
     Returns
     -------
     ReductionReport
         With ``residuals`` populated by :func:`lqomor.optimality.tl_residuals`,
-        all four conditions also for a non-Hurwitz result, or None with a
-        note if they overflowed.
+        all four conditions also for a non-Hurwitz result on a finite
+        horizon, or None with a note if they overflowed.
     """
-    if interval.is_infinite:
-        raise ValidationError("this reductor requires a finite horizon")
     return _fixed_point("tlhnoia", system, rom0, interval, tol, max_iter)

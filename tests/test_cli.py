@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -205,6 +207,18 @@ class TestReduceCommand:
         explicit = run(capsys, *argv, "--t0", "0", "--t1", "inf")
         assert explicit == (0, out, "")
 
+    def test_tlhnoia_on_zero_to_inf_writes_the_homora_model(self, capsys, tmp_path):
+        paths = {}
+        for method in ("homora", "tlhnoia"):
+            paths[method] = tmp_path / f"{method}.json"
+            code, out, err = run(
+                capsys, "reduce", "--method", method, "--t1", "inf", "--system", BENCH,
+                "--init", INIT, "--out", str(paths[method]),
+            )
+            assert (code, err) == (0, "")
+            assert json.loads(out)["iterations"] == 19
+        assert paths["tlhnoia"].read_bytes() == paths["homora"].read_bytes()
+
     @pytest.mark.parametrize(
         "option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol=-1e-6"]], ids=str
     )
@@ -278,7 +292,8 @@ class TestErrorAndResiduals:
         assert code == 0
         doc = json.loads(out)
         assert doc["horizon"] == "limited"
-        assert set(doc) == {"horizon", "residual_norms"}
+        assert list(doc) == ["horizon", "t0", "t1", "residual_norms"]
+        assert (doc["t0"], doc["t1"]) == (0.0, 0.5)
         assert doc["residual_norms"]["op2"] <= 1e-6
         # the tlhnoia model is not Hurwitz, yet op1 is reported
         rom = load_system(rom_file, require_hurwitz=False)
@@ -292,12 +307,35 @@ class TestErrorAndResiduals:
             capsys, "residuals", "--system", BENCH, "--rom", INIT, "--t1", "inf",
         )
         assert code == 0
-        assert json.loads(out)["horizon"] == "infinite"
+        doc = json.loads(out)
+        assert (doc["horizon"], doc["t0"], doc["t1"]) == ("infinite", 0.0, "inf")
+
+    def test_residuals_infinite_from_t0(self, capsys, tmp_path):
+        # [0.3, inf) is an infinite horizon with a boundary term at t0, so
+        # its op1 differs from that of [0, inf)
+        bt = str(tmp_path / "bt.json")
+        assert run(capsys, "reduce", "--method", "bt", "--order", "3", "--system", BENCH,
+                   "--out", bt)[0] == 0
+        docs = {}
+        for t0 in (0.0, 0.3):
+            code, out, err = run(
+                capsys, "residuals", "--system", BENCH, "--rom", bt, "--t0", str(t0),
+                "--t1", "inf",
+            )
+            assert (code, err) == (0, "")
+            docs[t0] = json.loads(out)
+            assert (docs[t0]["horizon"], docs[t0]["t0"], docs[t0]["t1"]) == (
+                "infinite", t0, "inf")
+            expected = tl_residuals(load_system(BENCH), load_system(bt),
+                                    TimeInterval(t0, math.inf))
+            assert docs[t0]["residual_norms"]["op1"] == expected.op1_norm
+        assert docs[0.0]["residual_norms"]["op1"] == pytest.approx(1.04696, abs=1e-5)
+        assert docs[0.3]["residual_norms"]["op1"] == pytest.approx(1.04781, abs=1e-5)
 
     @pytest.mark.parametrize(
         "flags",
-        [["--t0", "0.3", "--t1", "inf"], ["--horizon", "infinite"], ["--t1", "infinite"]],
-        ids=["infinite-from-t0", "no-horizon-flag", "t1-not-a-float"],
+        [["--horizon", "infinite"], ["--t1", "infinite"]],
+        ids=["no-horizon-flag", "t1-not-a-float"],
     )
     def test_residuals_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "residuals", "--system", BENCH, "--rom", INIT, *flags)
@@ -372,6 +410,18 @@ class TestSimulateCommand:
         doc = json.loads(err)
         assert doc["code"] == "validation"
         assert doc["message"] == "rom has 2 outputs, system has 1"
+        # a second input would be driven by the one signal
+        doc = json.loads(Path(SCALAR).read_text())
+        doc.update(n_inputs=2, B=[[1.0, 2.0]])
+        rom.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "simulate", "--system", SCALAR, "--rom", str(rom), "--input", "1",
+            "--t1", "1", "--step", "0.1",
+        )
+        assert code == 3 and out == "" and calls == []
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert doc["message"] == "rom has 2 inputs, system has 1"
 
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -974,3 +1024,21 @@ def test_workflow_runs_no_inline_scripts():
     inline = [line for line in text.splitlines()
               if "<<" in line or re.search(r"\bpython3?\b[^|;&]*\s-c\b", line)]
     assert inline == []
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    """Every command of README's shell block of ``lqomor`` lines runs, in
+    order, with its ``\\`` continuations joined and comments dropped, from
+    a directory holding the bundled ``data/``, and exits 0 with nothing on
+    stderr."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    block = next(b for b in blocks if re.search(r"^lqomor ", b, re.M))
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    assert commands and all(argv[0] == "lqomor" for argv in commands)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv

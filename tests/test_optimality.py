@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lqomor.demo import demo_initial_guess, demo_system
-from lqomor.errors import SolverError, ValidationError
+from lqomor.errors import HurwitzError, SolverError
+from lqomor.gramians import adjoint_block, controllability_block
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import h2tau_error, h2tau_norm
 from lqomor.optimality import (
@@ -79,6 +80,8 @@ class TestGradients:
             pytest.param(0.0, 1.0, False, id="0.0-1.0"),
             pytest.param(0.3, 2.0, False, id="0.3-2.0"),
             pytest.param(0.3, 2.0, True, id="0.3-2.0-unstable"),
+            pytest.param(0.0, INFINITE, False, id="0.0-inf"),
+            pytest.param(0.3, INFINITE, False, id="0.3-inf"),
         ],
     )
     def test_matches_central_finite_differences(self, t0, t1, unstable):
@@ -156,7 +159,7 @@ class TestGradients:
         ):
             assert np.linalg.norm(grad) <= 1e-4 * max(np.linalg.norm(base), 1.0)
 
-    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (0.3, 2.0)])
+    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (0.3, 2.0), (0.0, INFINITE), (0.3, INFINITE)])
     def test_blocks_are_twice_tl_residuals(self, t0, t1):
         rng = np.random.default_rng(71)
         full = rand_system(rng, 4, 1, 2)
@@ -172,14 +175,14 @@ class TestGradients:
             assert np.array_equal(g_m, 2.0 * op2)
         assert grad.J == objective_J(full, rom, iv)
 
-    def test_requires_finite_horizon(self):
+    def test_infinite_horizon_needs_only_a_hurwitz_pair(self):
         rng = np.random.default_rng(66)
-        with pytest.raises(ValidationError):
-            gradients(
-                rand_system(rng, 4, 1, 1),
-                rand_system(rng, 2, 1, 1),
-                TimeInterval(0.0, INFINITE),
-            )
+        full, rom = rand_system(rng, 4, 1, 1), rand_system(rng, 2, 1, 1)
+        iv = TimeInterval(0.0, INFINITE)
+        grad = gradients(full, rom, iv)
+        assert np.array_equal(grad.grad_A, 2.0 * h2_residuals(full, rom).op1_residual)
+        with pytest.raises(HurwitzError):
+            gradients(full, shifted_to(rom, 0.8), iv)
 
 
 class TestTlResiduals:
@@ -243,6 +246,45 @@ class TestTlResiduals:
         assert np.linalg.norm(rep_t.L) <= 1e-6 * max(scale, 1.0)
         for name in ("tail_t", "tail_h"):
             assert np.linalg.norm(rep_t.splits[name]) <= 1e-6
+
+    def test_large_horizon_from_t0_approaches_t0_to_inf(self):
+        # [0.3, inf) has a boundary term at t0 that the Petrov-Galerkin term
+        # alone misses; op1 on [0.3, tau] must approach the assembly there
+        rng = np.random.default_rng(69)
+        full = rand_system(rng, 5, 1, 1)
+        rom = rand_system(rng, 2, 1, 1)
+        tau = 100.0 / abs(np.linalg.eigvals(full.A).real.max())
+        rep_t = tl_residuals(full, rom, TimeInterval(0.3, tau))
+        rep_i = tl_residuals(full, rom, TimeInterval(0.3, INFINITE))
+        assert rep_i.horizon == "infinite"
+        pairs = [
+            (rep_t.op1_residual, rep_i.op1_residual),
+            (rep_t.op2_residuals[0], rep_i.op2_residuals[0]),
+            (rep_t.op3_residual, rep_i.op3_residual),
+            (rep_t.op4_residual, rep_i.op4_residual),
+        ]
+        for lim, inf in pairs:
+            assert np.linalg.norm(lim - inf) <= 1e-6 * max(np.linalg.norm(inf), 1e-30)
+        assert np.linalg.norm(rep_i.L) > 1e-3 * np.linalg.norm(rep_i.op1_residual)
+
+    def test_zero_to_inf_is_the_petrov_galerkin_term(self):
+        rng = np.random.default_rng(79)
+        full = rand_system(rng, 5, 2, 2)
+        rom = rand_system(rng, 2, 2, 2)
+        iv = TimeInterval(0.0, INFINITE)
+        rep = tl_residuals(full, rom, iv)
+        pt, ph = controllability_block(full, rom, iv), controllability_block(rom, rom, iv)
+        gt, gh = adjoint_block(full, rom, iv), adjoint_block(rom, rom, iv)
+        assert np.array_equal(rep.op1_residual, -gt.T @ pt + gh @ ph)
+        assert np.array_equal(rep.op1_residual, rep.petrov_galerkin_term)
+        assert not rep.L.any()
+        assert not any(part.any() for part in rep.splits.values())
+        fresh = h2_residuals(*(LqoSystem(s.A, s.B, s.C, s.M) for s in (full, rom)))
+        assert np.array_equal(rep.op1_residual, fresh.op1_residual)
+        assert np.array_equal(rep.op3_residual, fresh.op3_residual)
+        assert np.array_equal(rep.op4_residual, fresh.op4_residual)
+        for op2, fresh_op2 in zip(rep.op2_residuals, fresh.op2_residuals):
+            assert np.array_equal(op2, fresh_op2)
 
     @pytest.mark.parametrize(
         "t0,t1,unstable", [(0.0, 0.9, False), (0.3, 1.7, False),
@@ -417,10 +459,25 @@ class TestTheorem2:
         rep = theorem2_check(full, rom, pair, TimeInterval(0.0, 1.0))
         assert rep.premise_input == 0.0
 
+    def test_zero_to_inf_has_no_premise_to_break(self):
+        # no horizon boundary carries a term on [0, inf): only the
+        # conclusions remain
+        full = demo_system()
+        report = homora(full, demo_initial_guess())
+        iv = TimeInterval(0.0, INFINITE)
+        rep = theorem2_check(full, report.rom, report.projection, iv)
+        assert (rep.premise_input, rep.premise_output, rep.premise_quadratic) == (0.0, 0.0, 0.0)
+        eye = np.eye(report.rom.order)
+        ph = controllability_block(report.rom, report.rom, iv)
+        gh = adjoint_block(report.rom, report.rom, iv)
+        assert rep.conclusion_controllability == np.linalg.norm(ph - eye, 2)
+        assert rep.conclusion_observability == np.linalg.norm(gh - eye, 2)
+
 
 def test_each_quantity_solves_only_the_blocks_it_reads(lapack_calls):
     # Pt, Ph and G = Y + 2 Z one solve each; the [0, inf) adjoints Xt, Xh
-    # only for the deviation term L of a finite horizon
+    # only for the deviation term L of a horizon other than [0, inf), where
+    # they are Gt and Gh
     # Each quantity runs on a fresh pair, since the model keeps its own Ph,
     # Gh and Xh and the Pt, Gt and Xt of its pair: a second call on the same
     # pair solves nothing.
@@ -442,6 +499,10 @@ def test_each_quantity_solves_only_the_blocks_it_reads(lapack_calls):
         return theorem2_check(full, rom, pair, iv)
 
     assert solves(h2_residuals) == [(r, r)] * 2 + [(n, r)] * 2
+    for fun in (tl_residuals, gradients):
+        assert solves(lambda full, rom: fun(full, rom, TimeInterval(0.0, INFINITE))) == (
+            [(r, r)] * 2 + [(n, r)] * 2
+        )
     assert solves(theorem2) == [(r, r)] * 2
     for fun in (tl_residuals, gradients):
         assert solves(lambda full, rom: fun(full, rom, iv)) == [(r, r)] * 3 + [(n, r)] * 3

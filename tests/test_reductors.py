@@ -320,14 +320,16 @@ class TestTlhnoia:
         assert np.array_equal(rep1.rom.A, rep2.rom.A)
         assert rep1.convergence_metric == rep2.convergence_metric
 
-    def test_requires_finite_horizon(self):
+    def test_infinite_horizon_is_homora(self):
         rng = np.random.default_rng(92)
-        with pytest.raises(ValidationError):
-            tlhnoia(
-                rand_system(rng, 4, 1, 1),
-                rand_system(rng, 2, 1, 1),
-                TimeInterval(0.0, INFINITE),
-            )
+        system, rom0 = rand_system(rng, 4, 1, 1), rand_system(rng, 2, 1, 1)
+        mine = tlhnoia(system, rom0, TimeInterval(0.0, INFINITE))
+        ref = homora(system, rom0)
+        assert mine.method == "tlhnoia" and mine.iterations == ref.iterations
+        for a, b in zip((mine.rom.A, mine.rom.B, mine.rom.C, *mine.rom.M),
+                        (ref.rom.A, ref.rom.B, ref.rom.C, *ref.rom.M)):
+            assert np.array_equal(a, b)
+        assert mine.residuals.op1_norm == ref.residuals.op1_norm
 
 
 def run_fixed_point(method, system, rom0, interval, **kwargs):
