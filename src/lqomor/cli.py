@@ -16,7 +16,7 @@ import numpy as np
 from . import demo as demo_mod
 from .errors import HurwitzError, LqoError, ValidationError
 from .gramians import balancing
-from .model import TimeInterval, simulate, time_grid
+from .model import TimeInterval, require_same_io, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
 from .optimality import tl_residuals
 from .reductors import bt, homora, tlbt, tlhnoia
@@ -117,7 +117,7 @@ def _cmd_reduce(args):
     else:
         if args.init is None:
             raise _UsageError(f"--init is required for method {args.method}")
-        rom0 = load_system(args.init, name="initial reduced A (--init)")
+        rom0 = load_system(args.init)
         if args.order is not None and args.order != rom0.order:
             raise ValidationError(
                 f"--order {args.order} contradicts initial guess order {rom0.order}"
@@ -156,7 +156,7 @@ def _cmd_norm(args):
 def _cmd_error(args):
     interval = _interval(args)
     system = load_system(args.system)
-    rom = load_system(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
+    rom = load_system(args.rom)
     rep = h2tau_error(system, rom, interval)
     first, second, third = rep.decomposition
     _json_out(
@@ -176,7 +176,7 @@ def _cmd_error(args):
 def _cmd_residuals(args):
     interval = _interval(args)
     system = load_system(args.system)
-    rom = load_system(args.rom, require_hurwitz=interval.is_infinite, name="reduced A (--rom)")
+    rom = load_system(args.rom)
     rep = tl_residuals(system, rom, interval)
     _json_out(
         {
@@ -202,12 +202,9 @@ def _cmd_hsv(args):
 
 def _cmd_simulate(args):
     system = load_system(args.system)
-    rom = load_system(args.rom, require_hurwitz=False) if args.rom else None
+    rom = load_system(args.rom) if args.rom else None
     if rom is not None:
-        for what, ours, theirs in (("inputs", rom.n_inputs, system.n_inputs),
-                                   ("outputs", rom.n_outputs, system.n_outputs)):
-            if ours != theirs:
-                raise ValidationError(f"rom has {ours} {what}, system has {theirs}")
+        require_same_io(system, rom)
     states = system.order + (rom.order if rom is not None else 0)
     grid = time_grid(args.t0, args.t1, args.step, states)
     u = parse_signal(args.input)
@@ -339,8 +336,8 @@ def run_command(argv):
         _emit_error("usage", str(exc))
         return EXIT_USAGE
     except (ValidationError, HurwitzError) as exc:
-        # a Hurwitz error is a file's A failing the test of its load, where
-        # the command needs a Hurwitz A: invalid input
+        # a Hurwitz error is a file's A asked for a quantity on an infinite
+        # horizon, which needs a Hurwitz A: invalid input
         _emit_error(exc.code, str(exc), exc.context)
         return EXIT_VALIDATION
     except LqoError as exc:

@@ -161,7 +161,9 @@ class Balancing:
 def require_pair(system, rom, interval):
     """Preconditions of every pair quantity, or of a system with itself:
     equal input and output counts and, on an infinite horizon, Hurwitz A on
-    both sides.  The one Hurwitz test of the Gramians and norms."""
+    both sides.  The one Hurwitz test of the library's quantities, the
+    fixed-point start included: a load tests no spectrum, and a finite
+    horizon takes any A."""
     require_same_io(system, rom)
     if interval.is_infinite:
         matfun.require_hurwitz(system.schur, "A")

@@ -65,10 +65,12 @@ class LqoSystem:
     """Realization ``(A, B, C, M_1..M_p)`` of a quadratic-output system.
 
     Dimensions and finiteness are always validated on construction.  The
-    stability requirement (``A`` Hurwitz) is enforced by default; reduction
-    algorithms that legitimately produce or pass through unstable iterates
-    construct instances with ``check_hurwitz=False`` and the stability flag
-    is then reported rather than enforced.
+    stability requirement (``A`` Hurwitz) is enforced by default; file
+    loads and the reduction algorithms, which legitimately read unstable
+    systems or pass through unstable iterates, construct instances with
+    ``check_hurwitz=False``, and the stability flag is then reported, and
+    tested only by a quantity on an infinite horizon
+    (:func:`lqomor.gramians.require_pair`).
 
     Only the symmetric part of each ``M_i`` reaches the output, so an
     ``M_i`` with ``||M_i - M_i^T|| > 1e-12 ||M_i||`` is stored as

@@ -9,12 +9,12 @@ so that ``||H - Hr||^2 = ||H||^2 + J``; it is evaluated from the
 controllability blocks Pt and Ph alone, as the kept inner products of
 :func:`lqomor.norms.h2tau_error`.  First-order stationarity of J
 yields four matrix conditions, each residual half the gradient of J with
-respect to the matching reduced matrix, all built by one assembly that
-the residual reports and :func:`gradients` read.  Three of them, and the
-Petrov-Galerkin part of the condition on the reduced A, read only the
-horizon-limited controllability blocks Pt, Ph and the adjoint blocks
-``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one solve each
-(:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
+respect to the matching reduced matrix, all built by one assembly,
+:func:`tl_residuals`, that :func:`h2_residuals` and :func:`gradients`
+read.  Three of them, and the Petrov-Galerkin part of the condition on
+the reduced A, read only the horizon-limited controllability blocks Pt,
+Ph and the adjoint blocks ``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one
+solve each (:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
 carries a deviation term ``L``: the [0, inf) adjoint blocks ``Xt`` and
 ``Xh`` of the same kernels as Gt and Gh (one more solve each on a horizon
 other than [0, inf), where they are Gt and Gh) minus Gt and Gh, and a
@@ -117,11 +117,17 @@ def _norm2(mat, name):
     return float(np.linalg.norm(mat, 2))
 
 
-def _conditions(system, rom, interval):
-    """The one assembly of the four stationarity conditions of the pair, each
-    residual half the gradient of J, from the kept blocks Pt, Ph, Gt and Gh:
-    :func:`tl_residuals` and :func:`h2_residuals` return it, :func:`gradients`
-    doubles its blocks.
+def tl_residuals(system, rom, interval):
+    """Residuals of the four stationarity conditions on ``interval``: the
+    one assembly of them, each residual half the gradient of J, from the
+    kept blocks Pt, Ph, Gt and Gh.  :func:`h2_residuals` returns it on
+    [0, inf), :func:`gradients` doubles its blocks.
+
+    The first condition reads ``petrov_galerkin_term + L = 0`` where L
+    collects the tails of the adjoint blocks beyond the horizon and the
+    boundary Frechet term; conditions two to four use horizon-limited
+    blocks only.  On a finite horizon all four exist for every uniquely
+    solvable pair, Hurwitz or not; an infinite one needs both Hurwitz.
 
     The gradient of J tests ``dPt`` and ``dPh`` against the [0, inf)
     adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
@@ -135,6 +141,10 @@ def _conditions(system, rom, interval):
     kept Gt and Gh, so the tails, ``W`` and ``L`` are exactly zero and
     ``op1`` is the Petrov-Galerkin term, from the same four solves.
     A Frechet direction or a residual that overflowed raises ``SolverError``.
+
+    Returns
+    -------
+    OptimalityReport
     """
     require_pair(system, rom, interval)
     pt = controllability_block(system, rom, interval)
@@ -187,7 +197,7 @@ def gradients(system, rom, interval):
     -------
     GradientReport
     """
-    rep = _conditions(system, rom, interval)
+    rep = tl_residuals(system, rom, interval)
     return GradientReport(
         J=objective_J(system, rom, interval),
         grad_A=2.0 * rep.op1_residual,
@@ -195,22 +205,6 @@ def gradients(system, rom, interval):
         grad_C=2.0 * rep.op4_residual,
         grad_M=[2.0 * r for r in rep.op2_residuals],
     )
-
-
-def tl_residuals(system, rom, interval):
-    """Residuals of the four stationarity conditions on ``interval``.
-
-    The first condition reads ``petrov_galerkin_term + L = 0`` where L
-    collects the tails of the adjoint blocks beyond the horizon and the
-    boundary Frechet term; conditions two to four use horizon-limited
-    blocks only.  On a finite horizon all four exist for every uniquely
-    solvable pair, Hurwitz or not; an infinite one needs both Hurwitz.
-
-    Returns
-    -------
-    OptimalityReport
-    """
-    return _conditions(system, rom, interval)
 
 
 def h2_residuals(system, rom):
@@ -225,7 +219,7 @@ def h2_residuals(system, rom):
     -------
     OptimalityReport
     """
-    return _conditions(system, rom, TimeInterval(0.0, np.inf))
+    return tl_residuals(system, rom, TimeInterval(0.0, np.inf))
 
 
 def theorem2_check(system, rom, pair, interval):
@@ -235,12 +229,14 @@ def theorem2_check(system, rom, pair, interval):
     the identity, the property requires the projected propagator to commute
     with reduction at the horizon boundaries.  This diagnostic reports the
     deviations without asserting any threshold; on [0, inf) there is no
-    such boundary, and the premise deviations are 0.
+    such boundary, and the premise deviations are 0.  The pair's
+    preconditions (:func:`lqomor.gramians.require_pair`) come first.
 
     Returns
     -------
     Theorem2Report
     """
+    require_pair(system, rom, interval)
     v, w = pair.V, pair.W
     b, c = system.B, system.C
     bh, ch = rom.B, rom.C
@@ -253,7 +249,6 @@ def theorem2_check(system, rom, pair, interval):
         for mi, mhi in zip(system.M, rom.M):
             quad = v.T @ mi @ s @ v - mhi @ sh
             dev_quad = max(dev_quad, _norm2(quad, "premise deviation"))
-    require_pair(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
     gh = adjoint_block(rom, rom, interval)
     eye = np.eye(rom.order)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matfun, optimality
+from . import optimality
 from .errors import DimensionError, NumericalError, RankError, SolverError, ValidationError
-from .gramians import balancing, sweep_blocks
-from .model import LqoSystem, TimeInterval, require_same_io
+from .gramians import balancing, require_pair, sweep_blocks
+from .model import LqoSystem, TimeInterval
 
 
 @dataclass(frozen=True)
@@ -245,18 +245,6 @@ def _anderson(system, interval, pair, last, history):
     return (*last, history)
 
 
-def _check_start(system, rom0):
-    """Start checks of the fixed-point methods: Hurwitz A, Hurwitz initial
-    model, ``0 < n <= N`` and equal input/output counts, in this order."""
-    matfun.require_hurwitz(system.schur, "A")
-    matfun.require_hurwitz(rom0.schur, "initial reduced A")
-    if not 0 < rom0.order <= system.order:
-        raise ValidationError(
-            f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
-        )
-    require_same_io(system, rom0)
-
-
 def _fixed_point(method, system, rom0, interval, tol, max_iter):
     """The Petrov-Galerkin fixed-point loop shared by both iterative methods.
 
@@ -287,13 +275,20 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     any overflows (a ``SolverError``), the model is still returned, with
     ``residuals`` None and a note.  A negative
     ``max_iter`` or a NaN or negative ``tol`` raises ``ValidationError``
-    before any check or solve.
+    before any check or solve.  The start is checked by
+    :func:`lqomor.gramians.require_pair` on ``interval``, so a Hurwitz A
+    and ``rom0`` are needed on an infinite horizon only, then for
+    ``0 < n <= N``.
     """
     if max_iter < 0:
         raise ValidationError(f"max_iter must be nonnegative, got {max_iter}")
     if not tol >= 0.0:
         raise ValidationError(f"tol must be a nonnegative number, got {tol}")
-    _check_start(system, rom0)
+    require_pair(system, rom0, interval)
+    if not 0 < rom0.order <= system.order:
+        raise ValidationError(
+            f"initial order must satisfy 0 < n <= {system.order}, got {rom0.order}"
+        )
     rom = rom0
     pole_history = [rom.poles()]
     metric = []
@@ -373,7 +368,8 @@ def tlhnoia(system, rom0, interval, tol=1e-6, max_iter=200):
     sweep projects onto the spans of the horizon-limited blocks Pt and
     ``Gt = Yt + 2 Zt`` of the pair, mixing the bases once the reduced poles
     settle slowly, until they stagnate.  The finite-horizon equations stay
-    well posed for unstable iterates, so on a finite horizon the returned
+    well posed for an unstable system, start or iterate, so on a finite
+    horizon the returned
     model is the last iterate; it may legitimately be non-Hurwitz (it is
     then flagged in the warnings, not rejected).  On an infinite horizon it
     is the last Hurwitz iterate, as for :func:`homora`, which is this loop

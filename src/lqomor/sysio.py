@@ -113,7 +113,7 @@ def _as_array(value, shape, path, base_dir):
     return arr
 
 
-def parse_system(text, base_dir=None, require_hurwitz=True):
+def parse_system(text, base_dir=None):
     """Parse a system file into a validated :class:`~lqomor.model.LqoSystem`.
 
     Parameters
@@ -122,19 +122,17 @@ def parse_system(text, base_dir=None, require_hurwitz=True):
         UTF-8 JSON document.
     base_dir : str, optional
         Directory against which Matrix Market references are resolved.
-    require_hurwitz : bool
-        Reduced models produced by horizon-limited methods may be unstable;
-        pass False to admit them.  Full-order inputs keep the default.
+
+    The file's A may have any spectrum: a quantity that needs a Hurwitz A
+    (one on an infinite horizon) tests it when it is computed
+    (:func:`lqomor.gramians.require_pair`).
     """
-    system, _ = _parse(text, base_dir)
-    if require_hurwitz:
-        matfun.require_hurwitz(system.schur, "A")
-    return system
+    return _parse(text, base_dir)[0]
 
 
 def _parse(text, base_dir):
-    """``(system, external)``: the system of a document, built without the
-    Hurwitz test, and whether any of its matrices is a Matrix Market file."""
+    """``(system, external)``: the system of a document and whether any of
+    its matrices is a Matrix Market file."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -187,12 +185,12 @@ def _key(data):
     return next((k for k in _loaded if k == data), data)
 
 
-def load_system(path, require_hurwitz=True, name="A"):
+def load_system(path):
     """Read and parse a system file from disk, as :func:`parse_system` would.
 
     Loading bytes that were loaded or saved (:func:`save_system`) before in
     this process returns the same :class:`~lqomor.model.LqoSystem`, with its
-    Schur form, Hurwitz result and Gramian memo: the last
+    Schur form and Gramian memo: the last
     :data:`LOADED_SYSTEMS` documents are kept by their bytes, and a load
     finds its entry by comparing bytes, so a file rewritten in place is
     parsed again whatever its size and time stamps.
@@ -200,9 +198,7 @@ def load_system(path, require_hurwitz=True, name="A"):
     Matrix Market files is not kept, since its bytes do not cover theirs.
     A file that fails to parse leaves nothing behind, and its
     :class:`~lqomor.errors.SchemaError` names it in ``context["path"]``; a
-    factorization that fails is tried again on the next load.  ``name`` is
-    the name the Hurwitz test gives the file's A in its error, so that a
-    caller reading several files can say which one failed.
+    Schur factorization that fails is tried again on its next use.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -216,8 +212,6 @@ def load_system(path, require_hurwitz=True, name="A"):
             raise
     if not external:
         matfun.recall(_loaded, key, LOADED_SYSTEMS, lambda: system)
-    if require_hurwitz:
-        matfun.require_hurwitz(system.schur, name)
     return system
 
 

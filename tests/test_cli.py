@@ -12,7 +12,8 @@ import pytest
 
 from lqomor import cli
 from lqomor.cli import run_command
-from lqomor.model import LqoSystem, TimeInterval
+from lqomor.model import LqoSystem, TimeInterval, error_system
+from lqomor.norms import h2tau_norm_quadrature
 from lqomor.optimality import tl_residuals
 from lqomor.sysio import load_system, system_document, write_json
 
@@ -44,16 +45,32 @@ def run(capsys, *argv, fresh=False):
     return code, captured.out, captured.err
 
 
-def scaled_b(tmp_path, factor):
-    """The bundled benchmark and its initial guess with every entry of B
-    scaled by ``factor``, written under ``tmp_path``."""
+def edited_benchmark(tmp_path, edit):
+    """The bundled benchmark and its initial guess, each document changed
+    in place by ``edit``, written under ``tmp_path``."""
     paths = []
     for path in (BENCH, INIT):
         doc = json.loads(Path(path).read_text())
-        doc["B"] = [[factor * v for v in row] for row in doc["B"]]
+        edit(doc)
         paths.append(tmp_path / Path(path).name)
         paths[-1].write_text(json.dumps(doc))
     return [str(p) for p in paths]
+
+
+def scaled_b(tmp_path, factor):
+    """:func:`edited_benchmark` with every entry of B scaled by ``factor``."""
+    return edited_benchmark(
+        tmp_path, lambda doc: doc.update(B=[[factor * v for v in row] for row in doc["B"]])
+    )
+
+
+def shifted_a(tmp_path, shift):
+    """:func:`edited_benchmark` with ``shift * I`` added to A."""
+    def edit(doc):
+        a = np.array(doc["A"])
+        doc["A"] = (a + shift * np.eye(len(a))).tolist()
+
+    return edited_benchmark(tmp_path, edit)
 
 
 class TestNormCommand:
@@ -90,16 +107,31 @@ class TestNormCommand:
     @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
     def test_huge_stable_a(self, capsys, tmp_path, fresh):
         # A = -1e200 I: ||A||_F^2 overflows, so only an overflow-safe norm
-        # lets the Hurwitz test pass; the norm is sqrt((C B)^2 / 2e200)
+        # lets the Hurwitz test of [0, inf) pass; the norm is
+        # sqrt((C B)^2 / 2e200) on [0, 1] and on [0, inf) alike
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
             "version": 1, "n_states": 2, "n_inputs": 1, "n_outputs": 1,
             "A": [[-1e200, 0.0], [0.0, -1e200]], "B": [[1.0], [1.0]],
             "C": [[1.0, 1.0]], "M": [[[1.0, 0.0], [0.0, 1.0]]],
         }))
+        for t1 in ("1", "inf"):
+            code, out, err = run(capsys, "norm", "--system", str(path), "--t1", t1, fresh=fresh)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12)
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    def test_unstable_scalar_on_a_finite_horizon(self, capsys, tmp_path, fresh):
+        # A = 1: y = e^t on [0, 1], so the norm is sqrt((e^2 - 1) / 2); on
+        # [0, inf) the same file exits 3 (test_validation_error_non_hurwitz_input)
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({
+            "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
+            "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "M": [[[0.0]]],
+        }))
         code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "1", fresh=fresh)
         assert (code, err) == (0, "")
-        assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12)
+        assert json.loads(out)["value"] == math.sqrt((math.e ** 2 - 1) / 2)
 
 
 class TestReduceCommand:
@@ -116,7 +148,7 @@ class TestReduceCommand:
         assert summary["converged"] is True
         report = json.loads(rep_path.read_text())
         assert len(report["pole_history"]) == report["iterations"] + 1
-        rom = load_system(out_path, require_hurwitz=False)
+        rom = load_system(out_path)
         assert rom.order == 3
 
     @pytest.mark.parametrize(
@@ -296,7 +328,7 @@ class TestErrorAndResiduals:
         assert (doc["t0"], doc["t1"]) == (0.0, 0.5)
         assert doc["residual_norms"]["op2"] <= 1e-6
         # the tlhnoia model is not Hurwitz, yet op1 is reported
-        rom = load_system(rom_file, require_hurwitz=False)
+        rom = load_system(rom_file)
         assert not rom.is_hurwitz
         expected = tl_residuals(load_system(BENCH), rom, TimeInterval(0.0, 0.5))
         assert math.isfinite(doc["residual_norms"]["op1"])
@@ -408,8 +440,8 @@ class TestSimulateCommand:
         )
         assert code == 3 and out == "" and calls == []
         doc = json.loads(err)
-        assert doc["code"] == "validation"
-        assert doc["message"] == "rom has 2 outputs, system has 1"
+        assert doc["code"] == "dimension"
+        assert doc["message"] == "input/output dimensions differ: (1, 1) vs (1, 2)"
         # a second input would be driven by the one signal
         doc = json.loads(Path(SCALAR).read_text())
         doc.update(n_inputs=2, B=[[1.0, 2.0]])
@@ -420,8 +452,8 @@ class TestSimulateCommand:
         )
         assert code == 3 and out == "" and calls == []
         doc = json.loads(err)
-        assert doc["code"] == "validation"
-        assert doc["message"] == "rom has 2 inputs, system has 1"
+        assert doc["code"] == "dimension"
+        assert doc["message"] == "input/output dimensions differ: (1, 1) vs (2, 1)"
 
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -503,13 +535,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
     def test_validation_error_non_hurwitz_input(self, capsys, tmp_path, fresh):
+        # a norm on [0, inf) needs a Hurwitz A
         doc = {
             "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
             "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "M": [[[0.0]]],
         }
         bad = tmp_path / "unstable.json"
         bad.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "norm", "--system", str(bad), "--t1", "1", fresh=fresh)
+        code, out, err = run(capsys, "norm", "--system", str(bad), "--t1", "inf", fresh=fresh)
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "not_hurwitz"
         assert json.loads(err)["context"]["name"] == "A"
@@ -523,7 +556,7 @@ class TestExitCodes:
             capsys, "reduce", "--method", "tlbt", "--order", "3", "--system", BENCH,
             "--t1", "0.5", "--out", str(path),
         )
-        assert code == 0 and not load_system(path, require_hurwitz=False).is_hurwitz
+        assert code == 0 and not load_system(path).is_hurwitz
         return str(path)
 
     @pytest.mark.parametrize(
@@ -541,14 +574,14 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["code"] == "not_hurwitz"
         assert doc["context"]["eigenvalue"][0] > 0.0
-        assert doc["context"]["name"] == "reduced A (--rom)"
-        assert doc["message"].startswith("reduced A (--rom) is not Hurwitz")
+        assert doc["context"]["name"] == "reduced A"
+        assert doc["message"].startswith("reduced A is not Hurwitz")
 
     @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
     def test_validation_error_non_hurwitz_initial_guess(
         self, capsys, unstable_rom, method
     ):
-        # the message names the --init file's A, not the system's
+        # the message names the --init file's A by its role, not the system's
         code, out, err = run(
             capsys, "reduce", "--method", method, "--system", BENCH, "--init", unstable_rom,
         )
@@ -557,8 +590,8 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["code"] == "not_hurwitz"
         assert doc["context"]["eigenvalue"][0] > 0.0
-        assert doc["context"]["name"] == "initial reduced A (--init)"
-        assert doc["message"].startswith("initial reduced A (--init) is not Hurwitz")
+        assert doc["context"]["name"] == "reduced A"
+        assert doc["message"].startswith("reduced A is not Hurwitz")
 
     @pytest.mark.parametrize(
         "argv",
@@ -728,7 +761,7 @@ class TestExitCodes:
         )
         report = json.loads(rep_path.read_text())
         assert report["residual_norms"] is None
-        rom = load_system(rom_path, require_hurwitz=False)
+        rom = load_system(rom_path)
         assert rom.order == 3 and not rom.is_hurwitz
         assert report["rom"]["A"] == rom.A.tolist()
 
@@ -906,6 +939,59 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestUnstableSystem:
+    """The bundled benchmark with A + 0.5 I, every pole in the right
+    half-plane: every finite horizon takes it, [0, inf) refuses it."""
+
+    def test_finite_horizon_matches_quadrature(self, capsys, tmp_path):
+        system, init = shifted_a(tmp_path, 0.5)
+        horizon = ["--system", system, "--t1", "1"]
+
+        def value(*argv):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            return json.loads(out)["value"]
+
+        simpson = value("norm", *horizon, "--quadrature", "4000")
+        assert value("norm", *horizon) == pytest.approx(simpson, rel=1e-10)
+        for method, flags in (("tlbt", ["--order", "3"]), ("tlhnoia", ["--init", init])):
+            rom = str(tmp_path / f"{method}.json")
+            code, out, err = run(capsys, "reduce", "--method", method, *flags, *horizon, "--out", rom)
+            assert (code, err) == (0, "") and json.loads(out)["converged"]
+            error = error_system(load_system(system), load_system(rom))
+            simpson = h2tau_norm_quadrature(error, TimeInterval(0.0, 1.0), 4000).value
+            assert value("error", "--rom", rom, *horizon) == pytest.approx(simpson, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm"], ["hsv"], ["error", "--rom", INIT], ["residuals", "--rom", INIT],
+            ["reduce", "--method", "bt", "--order", "3"],
+            ["reduce", "--method", "homora", "--init", INIT],
+            ["reduce", "--method", "tlhnoia", "--init", INIT],
+        ],
+        ids=["norm", "hsv", "error", "residuals", "bt", "homora", "tlhnoia"],
+    )
+    def test_infinite_horizon_is_not_hurwitz(self, capsys, tmp_path, argv):
+        system, _ = shifted_a(tmp_path, 0.5)
+        code, out, err = run(capsys, *argv, "--system", system, "--t1", "inf")
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == "not_hurwitz" and doc["context"]["name"] == "A"
+
+    def test_imaginary_axis_pole(self, capsys, tmp_path):
+        # the rightmost pole pair on the imaginary axis makes the Lyapunov
+        # equation singular, a numerical failure; quadrature still integrates
+        a = np.array(json.loads(Path(BENCH).read_text())["A"])
+        system, _ = shifted_a(tmp_path, -np.linalg.eigvals(a).real.max())
+        code, out, err = run(capsys, "norm", "--system", system, "--t1", "1")
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "solver"
+        code, out, err = run(capsys, "norm", "--system", system, "--t1", "1", "--quadrature", "4000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(0.27735885733, abs=1e-10)
+
+
 class TestDemoCommand:
     def test_demo_end_to_end(self, capsys, tmp_path):
         csv_path = tmp_path / "demo.csv"
@@ -1014,6 +1100,23 @@ class TestWarmEqualsFresh:
             ["residuals", "--rom", rom, *horizon],
             ["reduce", "--method", "bt", "--order", "3", "--system", BENCH, "--out", bt],
             *errors, *errors,
+        ])
+
+
+    def test_bench6_shifted_to_the_right(self, capsys, tmp_path):
+        # A + 0.5 I has no [0, inf) norm; every command here reads [0, 1]
+        system, init = shifted_a(tmp_path, 0.5)
+        horizon = ["--system", system, "--t1", "1"]
+        tlbt, rom, csv = (str(tmp_path / name) for name in ("tlbt.json", "tlhnoia.json", "y.csv"))
+        warm_equals_fresh(capsys, [
+            ["norm", *horizon],
+            ["reduce", "--method", "tlbt", "--order", "3", *horizon, "--out", tlbt],
+            ["reduce", "--method", "tlhnoia", "--init", init, *horizon, "--out", rom],
+            ["error", "--rom", rom, *horizon],
+            ["residuals", "--rom", rom, *horizon],
+            ["hsv", *horizon],
+            ["simulate", "--system", system, "--rom", tlbt, "--input", "0.01*cos(2*t)",
+             "--t1", "1", "--step", "0.01", "--out", csv],
         ])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqomor.demo import demo_initial_guess, demo_system
-from lqomor.errors import HurwitzError, SolverError
+from lqomor.errors import DimensionError, HurwitzError, SolverError
 from lqomor.gramians import adjoint_block, controllability_block
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.norms import h2tau_error, h2tau_norm
@@ -77,19 +77,25 @@ class TestGradients:
     @pytest.mark.parametrize(
         "t0,t1,unstable",
         [
-            pytest.param(0.0, 1.0, False, id="0.0-1.0"),
-            pytest.param(0.3, 2.0, False, id="0.3-2.0"),
-            pytest.param(0.3, 2.0, True, id="0.3-2.0-unstable"),
-            pytest.param(0.0, INFINITE, False, id="0.0-inf"),
-            pytest.param(0.3, INFINITE, False, id="0.3-inf"),
+            pytest.param(0.0, 1.0, None, id="0.0-1.0"),
+            pytest.param(0.3, 2.0, None, id="0.3-2.0"),
+            pytest.param(0.3, 2.0, "rom", id="0.3-2.0-unstable"),
+            pytest.param(0.0, 1.0, "full", id="0.0-1.0-unstable-full"),
+            pytest.param(0.3, 2.0, "full", id="0.3-2.0-unstable-full"),
+            pytest.param(0.0, INFINITE, None, id="0.0-inf"),
+            pytest.param(0.3, INFINITE, None, id="0.3-inf"),
         ],
     )
     def test_matches_central_finite_differences(self, t0, t1, unstable):
+        # ``unstable`` names the side whose rightmost pole is moved to the
+        # right half-plane
         rng = np.random.default_rng(63)
         full = rand_system(rng, 5, 2, 2)
         rom = rand_system(rng, 2, 2, 2)
-        if unstable:
+        if unstable == "rom":
             rom = shifted_to(rom, 0.8)
+        elif unstable == "full":
+            full = shifted_to(full, 0.5)
         iv = TimeInterval(t0, t1)
         rep = gradients(full, rom, iv)
 
@@ -458,6 +464,16 @@ class TestTheorem2:
         pair = ProjectionPair(V=np.eye(3)[:, :2], W=np.eye(3)[:, :2])
         rep = theorem2_check(full, rom, pair, TimeInterval(0.0, 1.0))
         assert rep.premise_input == 0.0
+
+    @pytest.mark.parametrize("t0", [0.0, 0.2])
+    def test_output_count_mismatch_is_dimension_error(self, t0):
+        # checked before any premise product is formed
+        rng = np.random.default_rng(78)
+        full = rand_system(rng, 4, 1, 2)
+        rom = rand_system(rng, 2, 1, 3)
+        pair = ProjectionPair(V=np.eye(4)[:, :2], W=np.eye(4)[:, :2])
+        with pytest.raises(DimensionError, match="input/output dimensions differ"):
+            theorem2_check(full, rom, pair, TimeInterval(t0, 1.0))
 
     def test_zero_to_inf_has_no_premise_to_break(self):
         # no horizon boundary carries a term on [0, inf): only the

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -59,6 +60,7 @@ class TestParseSystem:
             parse_system(json.dumps(doc))
 
     def test_non_hurwitz_rejected(self):
+        # the parse takes any A; a norm on [0, inf) rejects this one
         doc = {
             "version": 1,
             "n_states": 2, "n_inputs": 1, "n_outputs": 1,
@@ -67,10 +69,10 @@ class TestParseSystem:
             "C": [[1.0, 0.0]],
             "M": [[[0.0, 0.0], [0.0, 0.0]]],
         }
-        with pytest.raises(HurwitzError):
-            parse_system(json.dumps(doc))
-        rom = parse_system(json.dumps(doc), require_hurwitz=False)
-        assert not rom.is_hurwitz
+        system = parse_system(json.dumps(doc))
+        assert not system.is_hurwitz
+        with pytest.raises(HurwitzError, match="^A is not Hurwitz"):
+            h2tau_norm(system, TimeInterval(0.0, np.inf))
 
     def test_ragged_rows_rejected_with_path(self):
         doc = doc_of(demo_system())
@@ -154,7 +156,7 @@ class TestSerializeReport:
             demo_system(), demo_initial_guess(), TimeInterval(0.0, 0.5)
         )
         doc = report_document(report)
-        rom = parse_system(json.dumps(doc["rom"]), require_hurwitz=False)
+        rom = parse_system(json.dumps(doc["rom"]))
         assert np.array_equal(rom.A, report.rom.A)
 
     def test_save_and_load(self, tmp_path):
@@ -188,8 +190,8 @@ class TestLoadCache:
         monkeypatch.setattr(sysio, "_parse", recording)
         return calls
 
-    def norm(self, capsys, path):
-        code = run_command(["norm", "--system", str(path), "--t1", "0.7"])
+    def norm(self, capsys, path, t1="0.7"):
+        code = run_command(["norm", "--system", str(path), "--t1", t1])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -214,7 +216,7 @@ class TestLoadCache:
         (tmp_path / "one.json").write_text(text)
         (tmp_path / "two.json").write_text(text)
         system = load_system(tmp_path / "one.json")
-        assert load_system(tmp_path / "two.json", require_hurwitz=False) is system
+        assert load_system(tmp_path / "two.json") is system
 
     def test_file_rewritten_in_place_is_parsed_again(self, capsys, tmp_path):
         path = tmp_path / "system.json"
@@ -262,23 +264,18 @@ class TestLoadCache:
         assert load_system(tmp_path / "kept.json") is system and len(parses) == 2
 
     def test_non_hurwitz_file_fails_on_every_load(self, capsys, tmp_path):
+        # a norm on [0, inf) of a loaded, kept system tests its A each time
         path = tmp_path / "unstable.json"
         path.write_text(scalar_document(1.0, 1.0))
-        first = self.norm(capsys, path)
+        first = self.norm(capsys, path, "inf")
         assert first[0] == 3 and json.loads(first[2])["code"] == "not_hurwitz"
-        assert self.norm(capsys, path) == first
-        assert not load_system(path, require_hurwitz=False).is_hurwitz
-        assert self.norm(capsys, path) == first
-
-    def test_hurwitz_error_names_the_callers_matrix(self, tmp_path):
-        # the cached system is checked again, under the name of each load
-        path = tmp_path / "unstable.json"
-        path.write_text(scalar_document(1.0, 1.0))
-        with pytest.raises(HurwitzError, match="^A is not Hurwitz"):
-            load_system(path)
-        with pytest.raises(HurwitzError, match=r"^reduced A \(--rom\) is not Hurwitz") as exc:
-            load_system(path, name="reduced A (--rom)")
-        assert exc.value.context["name"] == "reduced A (--rom)"
+        assert self.norm(capsys, path, "inf") == first
+        # the horizon of the others takes it
+        code, out, err = self.norm(capsys, path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(math.sqrt(math.expm1(1.4) / 2), rel=1e-14)
+        assert not load_system(path).is_hurwitz
+        assert self.norm(capsys, path, "inf") == first
 
     def test_failed_parse_leaves_nothing(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -310,7 +307,6 @@ class TestLoadCache:
         lapack_calls.schur.clear()
         lapack_calls.trsyl.clear()
         assert load_system(path) is system
-        assert load_system(path, require_hurwitz=False) is system
         assert h2tau_norm(load_system(path), iv).value == value
         assert parses == [] and lapack_calls.schur == [] and lapack_calls.trsyl == []
         # a parse of the same bytes gives the same facts
