@@ -275,7 +275,8 @@ def build_parser():
     _add_interval_flags(p)
     p.add_argument(
         "--quadrature", type=int, default=None, metavar="N",
-        help="use the Simpson quadrature oracle with N subintervals",
+        help="use the Simpson quadrature oracle with N subintervals "
+        "(rounded up to even)",
     )
     p.set_defaults(func=_cmd_norm)
 

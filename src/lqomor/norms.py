@@ -29,7 +29,9 @@ import numpy as np
 from . import matfun
 from .errors import SolverError, ValidationError
 from .gramians import _kept, controllability_block, quadratic_kernel, require_pair
-from .model import BLOCK_FLOATS, MAX_SAMPLE_FLOATS, TimeInterval, error_system
+from .model import (
+    BLOCK_FLOATS, MAX_SAMPLE_FLOATS, TimeInterval, _block_jump, error_system,
+)
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,14 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     before anything is allocated.  A sum that is not finite (a horizon too
     long for the samples to resolve) raises ``SolverError``.
 
+    The samples ``e^(A t_j) B`` are marched by the block rule of the RK4
+    recurrence (:func:`lqomor.model._block_jump`): the first L nodes by the
+    step ``e^(A h)``, then each run of L nodes from the run before it and
+    the jump ``e^(A L h) - I``, L the largest power of two with ``L^2 <=
+    R`` whose jump is finite.  For R subintervals that is about ``2 sqrt(R)
+    + log2(sqrt(R))`` matrix products, not R, within rounding of the
+    node-by-node march.  The samples are the columns of one N x rows array.
+
     Returns
     -------
     NormReport
@@ -138,30 +148,38 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
         )
     t0, t1 = interval.t_start, interval.t_end
     h = (t1 - t0) / r
+    n, m = system.order, system.n_inputs
 
-    # March e^(A t) B across the grid with one fixed step propagator.
+    # Column (j, a) of f is (e^(A t_j) B)[:, a].  The first L nodes after t0
+    # are stepped by the propagator; each later run of L nodes is the run
+    # before it plus the jump e^(A L h) - I times that run.
     prop = matfun.expm(system.A, h)
-    ub = np.empty((r + 1, system.order, system.n_inputs))
-    ub[0] = matfun.expm(system.A, t0) @ system.B
-    for j in range(r):
-        ub[j + 1] = prop @ ub[j]
+    block, jump = _block_jump(prop - np.eye(n), r)
+    f = np.empty((n, rows), order="F")
+    f[:, :m] = matfun.expm(system.A, t0) @ system.B
+    for lo in range(m, (block + 1) * m, m):
+        np.matmul(prop, f[:, lo - m:lo], out=f[:, lo:lo + m])
+    run = block * m
+    for lo in range(run + m, rows, run):
+        hi = min(lo + run, rows)
+        prev = f[:, lo - run:hi - run]
+        np.matmul(jump, prev, out=f[:, lo:hi])
+        f[:, lo:hi] += prev
 
-    w = _simpson_weights(r)
-    k1 = np.einsum("pn,jnm->jpm", system.C, ub)
+    # Scaled by sqrt(w_j), the columns give the linear energy as a sum of
+    # squares of C f, and the entries of f^T M_i f are the kernel samples
+    # k2_i(t_j, t_k)[a, b] scaled by sqrt(w_j w_k), whose sum of squares is
+    # the weighted double sum; it is summed over row blocks of BLOCK_FLOATS
+    # samples.
+    f *= np.sqrt(np.repeat(_simpson_weights(r), m))
     weight = h / 3.0
-    total = weight * float(w @ np.einsum("jpm,jpm->j", k1, k1))
-
-    # Row (j, a) of f is sqrt(w_j) (e^(A t_j) B)[:, a]^T, so the entries of
-    # f M_i f^T are the kernel samples k2_i(t_j, t_k)[a, b] scaled by
-    # sqrt(w_j w_k), and their sum of squares is the weighted double sum;
-    # it is summed over row blocks of BLOCK_FLOATS samples.
-    f = ub.transpose(0, 2, 1).reshape(-1, system.order)
-    f = f * np.sqrt(np.repeat(w, system.n_inputs))[:, None]
+    k1 = system.C @ f
+    total = weight * float(np.vdot(k1, k1))
     step = max(1, BLOCK_FLOATS // rows)
     for mi in system.M:
-        fm = f @ mi
+        fm = f.T @ mi
         for lo in range(0, rows, step):
-            cross = fm[lo:lo + step] @ f.T
+            cross = fm[lo:lo + step] @ f
             total += weight * weight * float(np.vdot(cross, cross))
     if not np.isfinite(total):
         raise SolverError(f"quadrature sum is not finite ({total})")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,14 +137,26 @@ class TestQuadratureOracle:
         assert q == pytest.approx(expected, rel=1e-7)
 
     def test_gemm_contraction_matches_einsum_reference(self):
+        # The march takes runs of L = 1, 2, 2, 4, 4, 4, 8, 8 and 16 nodes at
+        # these resolutions (61 and 201 round up to 62 and 202); 18, 62 and
+        # 202 end on a partial run, which L = 1 and 2 never leave on an even
+        # grid.  With m = 2, 124 sample rows fit one row block of the kernel
+        # sum; 406 rows take 11, the last partial.  A + 3 I is unstable.
         rng = np.random.default_rng(51)
-        sys1 = rand_system(rng, 6, 2, 2)
+        base = rand_system(rng, 6, 2, 2)
         iv = TimeInterval(0.1, 1.3)
-        # 124 sample rows fit one row block; 406 rows take 11, the last partial
-        for resolution in (61, 201):
-            gemm = h2tau_norm_quadrature(sys1, iv, resolution=resolution).value
-            reference = math.sqrt(einsum_quadrature_squared(sys1, iv, resolution))
-            assert gemm == pytest.approx(reference, rel=1e-13)
+        for shift in (0.0, 3.0):
+            for inputs in (1, 2):
+                sys1 = LqoSystem(
+                    base.A + shift * np.eye(6), base.B[:, :inputs], base.C,
+                    base.M, check_hurwitz=False,
+                )
+                for resolution in (2, 4, 6, 16, 18, 61, 64, 201, 400):
+                    gemm = h2tau_norm_quadrature(sys1, iv, resolution=resolution).value
+                    reference = math.sqrt(einsum_quadrature_squared(sys1, iv, resolution))
+                    assert gemm == pytest.approx(reference, rel=1e-13), (
+                        shift, inputs, resolution,
+                    )
 
     def test_sample_budget_is_checked_before_allocating(self, monkeypatch):
         # m = 2: resolution 5790 gives 11582^2 kernel samples, under 2**27;
@@ -164,13 +177,57 @@ class TestQuadratureOracle:
             assert err.value.context["rows"] == 11586
 
     @pytest.mark.parametrize(
-        "t0, t1", [(0.0, 1e40), (0.0, 1e200), (1e307, 1.7e308)], ids=str
+        "rightmost, t0, t1, resolution",
+        [
+            pytest.param(None, 0.0, 1e40, 4, id="0.0-1e+40"),
+            pytest.param(None, 0.0, 1e200, 4, id="0.0-1e+200"),
+            pytest.param(None, 1e307, 1.7e308, 4, id="1e+307-1.7e+308"),
+            pytest.param(None, 0.0, 1e200, 400, id="0.0-1e+200-400"),
+            pytest.param(None, 1e307, 1.7e308, 400, id="1e+307-1.7e+308-400"),
+            pytest.param(1.0, 0.0, 1000.0, 4, id="unstable-0.0-1000.0-4"),
+            pytest.param(1.0, 0.0, 1000.0, 400, id="unstable-0.0-1000.0-400"),
+        ],
     )
-    def test_long_horizon_sum_is_solver_error(self, t0, t1):
+    def test_long_horizon_sum_is_solver_error(self, rightmost, t0, t1, resolution):
         # the samples of so long a horizon are not finite (or the squared
-        # weight overflows): a numerical failure, never a NaN value
+        # weight overflows): a numerical failure, never a NaN value.  On
+        # [0, 1e40] at 400 nodes e^(A h) underflows to exact zeros instead,
+        # and the sum is a finite 0.0 (the benchmark's B reaches no output).
+        # Shifted to grow like e^t, the samples pass the largest float near
+        # t = 709, after the step and the jump e^(A L h) - I (at most e^500)
+        # were formed finite: the overflow happens inside a run of the march
+        system = demo_system()
+        if rightmost is not None:
+            system = shifted_to(system, rightmost)
         with np.errstate(all="ignore"), pytest.raises(SolverError):
-            h2tau_norm_quadrature(demo_system(), TimeInterval(t0, t1), resolution=4)
+            h2tau_norm_quadrature(system, TimeInterval(t0, t1), resolution=resolution)
+
+    def test_peak_memory_is_the_samples_and_one_row_block(self):
+        # 2001 sample rows of an order-6 system: the march writes each run
+        # in place and the kernel sum forms no rows x rows array, so the
+        # peak stays within 2% of one 2001^2 float array
+        system = demo_system()
+        tracemalloc.start()
+        try:
+            h2tau_norm_quadrature(system, UNIT_INTERVAL, resolution=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.02 * 2001**2 * 8
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-5, 1e-8], ids=str)
+    @pytest.mark.xfail(
+        strict=True,
+        reason="P(tau) = P_inf - e^(A tau) P_inf e^(A^T tau) rounds by about "
+        "eps ||P_inf||, which swamps an energy of order tau^3 when CB = 0: "
+        "the norm is 6.8e-4 off at 1e-4, 22% off at 1e-5 and 0.0 at 1e-8",
+    )
+    def test_short_horizon_norm_matches_quadrature(self, tau):
+        # the benchmark's B drives velocities and its C reads positions;
+        # quadrature at 400 and 800 nodes agree to ten digits here
+        iv = TimeInterval(0.0, tau)
+        oracle = h2tau_norm_quadrature(demo_system(), iv, resolution=400).value
+        assert h2tau_norm(demo_system(), iv).value == pytest.approx(oracle, rel=1e-6)
 
     def test_rejects_infinite_horizon(self):
         with pytest.raises(ValidationError):

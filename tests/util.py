@@ -85,8 +85,9 @@ def dense_controllability_block(left, right, interval):
 
 
 def einsum_quadrature_squared(system, interval, resolution):
-    """Squared Simpson quadrature norm with the quadratic kernel contracted
-    sample pair by sample pair; reference for the GEMM form in
+    """Squared Simpson quadrature norm from samples ``e^(A t_j) B`` marched
+    node by node, with the quadratic kernel contracted sample pair by sample
+    pair; reference for the block march and the GEMM form in
     ``h2tau_norm_quadrature``.  ``resolution`` is rounded up to even."""
     r = resolution + resolution % 2
     t0, t1 = interval.t_start, interval.t_end
