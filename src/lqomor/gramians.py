@@ -33,8 +33,9 @@ and CLI path puts the reduced model on the right, so a reduced model keeps
 the facts of its pair with the system.  So the norms, reductors, Gramian
 sets and stationarity conditions of one pair and horizon share one solve
 of each block, one balancing, one evaluation of each inner product and one
-pair of exponentials; the blocks of the iterates a reductor makes are not
-kept (:func:`sweep_blocks`).  Y and Z apart are solved on each call.  A
+pair of exponentials, and so do the sweeps of a reductor: every model it
+sweeps keeps its Pt and Gt, so the residuals of the one it returns solve
+no block that a sweep read.  Y and Z apart are solved on each call.  A
 kept fact passed the same checks on the same matrices (see
 :class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing,
 though the exponentials it read stay.
@@ -199,16 +200,13 @@ def controllability_block(left, right, interval):
     -------
     (left.order, right.order) ndarray
     """
-    return _kept(
-        left, right, interval, "P", lambda: _controllability(left, right, interval)
-    )
+    def solve():
+        factors = (
+            _boundary_factor(left, interval, False), _boundary_factor(right, interval, True)
+        )
+        return _solve(left, right, "controllability", factors)
 
-
-def _controllability(left, right, interval):
-    factors = (
-        _boundary_factor(left, interval, False), _boundary_factor(right, interval, True)
-    )
-    return _solve(left, right, "controllability", factors)
+    return _kept(left, right, interval, "P", solve)
 
 
 def _kept(left, right, interval, name, solve):
@@ -278,30 +276,11 @@ def adjoint_block(left, right, interval, solve_on=None):
     solve_on = interval if solve_on is None else solve_on
 
     def solve():
-        return _adjoint(left, right, solve_on, controllability_block(left, right, interval))
+        p = controllability_block(left, right, interval)
+        kern = left.C.T @ right.C + 2.0 * quadratic_kernel(left, right, p)
+        return observability_block(left, right, solve_on, kern)
 
     return _kept(left, right, interval, ("G", solve_on), solve)
-
-
-def _adjoint(left, right, interval, p):
-    kern = left.C.T @ right.C + 2.0 * quadratic_kernel(left, right, p)
-    return observability_block(left, right, interval, kern)
-
-
-def sweep_blocks(system, rom, interval, keep):
-    """``(Pt, Gt)`` of the pair ``(system, rom)`` on ``interval``, the blocks
-    a fixed-point sweep reads: kept as :func:`controllability_block` and
-    :func:`adjoint_block` keep them if ``keep``, else solved by the same
-    builders and not kept.  A reductor keeps the blocks of the model it
-    starts from, which outlives the run, but not those of the iterates it
-    makes: one sweep reads each, and the residuals of the returned one
-    solve its blocks again only if a sweep read it (two small solves).
-    Keeping them cost about 12 us of Python a sweep, some 4% of a sweep on
-    the bundled benchmark."""
-    if keep:
-        return controllability_block(system, rom, interval), adjoint_block(system, rom, interval)
-    pt = _controllability(system, rom, interval)
-    return pt, _adjoint(system, rom, interval, pt)
 
 
 def gramian_blocks(left, right, interval):

@@ -85,10 +85,10 @@ def _unsorted(*_):
 class SchurForm:
     """Real Schur form ``a = U T U^T`` of one square matrix, factored on first use.
 
-    Holds the spectral facts the solvers need about ``a``: the factors and
-    the eigenvalues of one ``dgees`` call, the spectral radius and the
-    eigenvalue sums with other forms that the solvability test reads, and
-    the rightmost eigenvalue of the Hurwitz test.
+    Holds the spectral facts the solvers need about ``a`` alone: the
+    factors and the eigenvalues of one ``dgees`` call, the spectral radius
+    that the solvability test reads, and the rightmost eigenvalue of the
+    Hurwitz test.
     The eigenvalues are ``dgees``'s ``wr + i wi``, in the order of T's
     diagonal blocks: bit for bit the ``x +- i sqrt(|b|) sqrt(|c|)`` of T's
     standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
@@ -162,24 +162,6 @@ class SchurForm:
         if self.trans:
             return self._form.radius
         return np.abs(self.eigvals).max()
-
-    @functools.cached_property
-    def _eig_sums(self):
-        """``min_eig_sum`` of this form with each form it has met, keyed
-        weakly, so the entry of a freed form goes with it."""
-        return weakref.WeakKeyDictionary()
-
-    def min_eig_sum(self, other):
-        """``min |lambda + mu|`` over the eigenvalues lambda of ``a`` and mu
-        of ``other.a``: computed once per pair of forms, a view counting as
-        the form it was made from, since a matrix and its transpose share
-        their eigenvalues."""
-        root = self._form if self.trans else self
-        key = other._form if other.trans else other
-        s = root._eig_sums.get(key)
-        if s is None:
-            s = root._eig_sums[key] = np.abs(self.eigvals[:, None] + other.eigvals[None, :]).min()
-        return s
 
     @functools.cached_property
     def rightmost(self):
@@ -298,7 +280,7 @@ def expm_frechet(a, v, t=1.0):
 
 def _require_unique_solution(fa, fb, message, **context):
     # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
-    s = fa.min_eig_sum(fb)
+    s = np.abs(fa.eigvals[:, None] + fb.eigvals[None, :]).min()
     if s <= 1e-13 * max(fa.radius, fb.radius):
         raise SolverError(message, min_eig_sum=float(s), **context)
 

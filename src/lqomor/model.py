@@ -143,7 +143,8 @@ class LqoSystem:
         #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1),
         #: ("G", horizon): G, "pair": (weakref to partner, {"P": Pt,
         #: ("G", horizon): Gt, "energy": <H, Hr>})}}``, least recently used
-        #: first: the facts of the pairs with this system on the right.
+        #: first: the facts of the pairs with this system on the right.  A
+        #: fixed-point iterate keeps the Pt and Gt of the sweep that read it.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

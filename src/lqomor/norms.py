@@ -116,8 +116,11 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     + 1) m`` sample rows for m inputs give ``rows x N`` state samples and
     ``rows x rows`` kernel samples per ``M_i``; the larger count must be
     within :data:`lqomor.model.MAX_SAMPLE_FLOATS`, else ``ValidationError``
-    before anything is allocated.  A sum that is not finite (a horizon too
-    long for the samples to resolve) raises ``SolverError``.
+    before anything is allocated.  A horizon too long for the samples to
+    resolve raises ``SolverError`` where it shows: a step propagator
+    ``e^(A h)`` with no nonzero entry, before the march, or a sum that is
+    not finite.  A step too long for A whose propagator keeps a nonzero
+    entry is not detected.
 
     The samples ``e^(A t_j) B`` are marched by the block rule of the RK4
     recurrence (:func:`lqomor.model._block_jump`): the first L nodes by the
@@ -154,6 +157,8 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     # are stepped by the propagator; each later run of L nodes is the run
     # before it plus the jump e^(A L h) - I times that run.
     prop = matfun.expm(system.A, h)
+    if not prop.any():
+        raise SolverError(f"step propagator e^(A h) is zero at h = {h:.6g}", step=h)
     block, jump = _block_jump(prop - np.eye(n), r)
     f = np.empty((n, rows), order="F")
     f[:, :m] = matfun.expm(system.A, t0) @ system.B
@@ -187,16 +192,6 @@ def h2tau_norm_quadrature(system, interval, resolution=400):
     return NormReport(
         value=np.sqrt(max(total, 0.0)), method="quadrature", interval=interval
     )
-
-
-def h2tau_inner(system, rom, interval):
-    """Inner product of two systems over a horizon.
-
-    ``trace(C Pt Cr^T) + sum_i trace(M_i Pt Mr_i Pt^T)`` with the
-    controllability block Pt of the pair, which equals ``trace(B^T Qt Br)``.
-    """
-    require_pair(system, rom, interval)
-    return _inner(system, rom, interval)
 
 
 def h2tau_error(system, rom, interval):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import optimality
 from .errors import DimensionError, NumericalError, RankError, SolverError, ValidationError
-from .gramians import balancing, require_pair, sweep_blocks
+from .gramians import adjoint_block, balancing, controllability_block, require_pair
 from .model import LqoSystem, TimeInterval
 
 
@@ -248,17 +248,20 @@ def _anderson(system, interval, pair, last, history):
 def _fixed_point(method, system, rom0, interval, tol, max_iter):
     """The Petrov-Galerkin fixed-point loop shared by both iterative methods.
 
-    Per sweep: the controllability block Pt of the (system, model) pair,
-    its adjoint block ``Gt = Yt + 2 Zt`` (one observability solve), both
-    from :func:`lqomor.gramians.sweep_blocks`, ``biorthogonalize(Pt, Gt)``
+    Per sweep: the controllability block Pt of the (system, model) pair
+    (:func:`lqomor.gramians.controllability_block`), its adjoint block
+    ``Gt = Yt + 2 Zt`` (one observability solve,
+    :func:`lqomor.gramians.adjoint_block`), ``biorthogonalize(Pt, Gt)``
     and the projection, the sweep's plain image.  A Petrov-Galerkin model
     depends only on span(Pt) and span(Gt), so no normalization factor is
     needed.  The coupled blocks are Sylvester solves with no Hurwitz test,
-    so unstable iterates pass.  ``rom0`` keeps its blocks, the iterates
-    made here do not.  The loop stops when the poles of consecutive plain
-    images stagnate (relative change ``<= tol``), after ``max_iter``
-    sweeps, or when a sweep raises a :class:`NumericalError` (an overflow
-    included), which adds one note naming the sweep.
+    so unstable iterates pass.  Every model swept, ``rom0`` included,
+    keeps its blocks, so the residuals of a returned model that a sweep
+    read do not solve its Pt and Gt again.  The loop stops when the poles
+    of consecutive plain images stagnate (relative change ``<= tol``),
+    after ``max_iter`` sweeps, or when a sweep raises a
+    :class:`NumericalError` (an overflow included), which adds one note
+    naming the sweep.
 
     The next model swept is the plain image while the pole change falls at
     least tenfold per sweep.  From the first sweep where it does not on, it
@@ -298,7 +301,8 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     mixing, history = False, []
     for it in range(1, max_iter + 1):
         try:
-            new = biorthogonalize(*sweep_blocks(system, rom, interval, rom is rom0))
+            pt = controllability_block(system, rom, interval)
+            new = biorthogonalize(pt, adjoint_block(system, rom, interval))
             image = _project(system, new.V, new.W)
         except NumericalError as exc:
             if last is None or rom is last[0]:

@@ -803,17 +803,22 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "horizon, fresh",
+        "horizon, fresh, resolution",
         [
-            (["--t1", "1e40"], False), (["--t1", "1e200"], False),
-            (["--t0", "1e307", "--t1", "1.7e308"], False),
-            (["--t1", "1e40"], True), (["--t1", "1e200"], True),
+            (["--t1", "1e40"], False, "4"), (["--t1", "1e200"], False, "4"),
+            (["--t0", "1e307", "--t1", "1.7e308"], False, "4"),
+            (["--t1", "1e40"], True, "4"), (["--t1", "1e200"], True, "4"),
+            # a step propagator e^(A h) that underflows to zero
+            (["--t1", "1e40"], False, "400"),
         ],
-        ids=["1e40", "1e200", "1.7e308", "1e40-fresh", "1e200-fresh"],
+        ids=["1e40", "1e200", "1.7e308", "1e40-fresh", "1e200-fresh", "1e40-400"],
     )
-    def test_quadrature_on_a_long_horizon_is_solver_error(self, capsys, horizon, fresh):
+    def test_quadrature_on_a_long_horizon_is_solver_error(
+        self, capsys, horizon, fresh, resolution
+    ):
         code, out, err = run(
-            capsys, "norm", "--system", BENCH, "--quadrature", "4", *horizon, fresh=fresh
+            capsys, "norm", "--system", BENCH, "--quadrature", resolution, *horizon,
+            fresh=fresh,
         )
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1

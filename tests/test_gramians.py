@@ -22,7 +22,7 @@ from lqomor.gramians import (
 )
 from lqomor.matfun import LEAF, expm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
-from lqomor.norms import h2tau_error, h2tau_inner, h2tau_norm, output_energy
+from lqomor.norms import h2tau_error, h2tau_norm, output_energy
 from lqomor.optimality import objective_J, tl_residuals
 from lqomor.reductors import bt, tlbt, tlhnoia
 
@@ -936,25 +936,29 @@ class TestPairMemo:
         assert h2tau_error(*fresh, iv).decomposition == (first, second, third)
 
     def test_kept_inner_product_goes_with_its_horizon_and_partner(self, energies):
+        def inner(left, right, iv):
+            gramians.require_pair(left, right, iv)
+            return norms._inner(left, right, iv)
+
         full, rom = self.pair()
         other = self.pair(66)[0]
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
-        values = {iv: h2tau_inner(full, rom, iv) for iv in (first, second, third)}
+        values = {iv: inner(full, rom, iv) for iv in (first, second, third)}
         assert list(rom.gramian_memo) == [second, third]
         assert all(
             facts["pair"][1]["energy"] == values[iv]
             for iv, facts in rom.gramian_memo.items()
         )
         energies.clear()
-        h2tau_inner(full, rom, third)
+        inner(full, rom, third)
         assert energies == []
-        assert h2tau_inner(full, rom, first) == values[first]
+        assert inner(full, rom, first) == values[first]
         assert energies == [(full, rom)]
-        h2tau_inner(other, rom, first)
+        inner(other, rom, first)
         partner, facts = rom.gramian_memo[first]["pair"]
         assert partner() is other and set(facts) == {"P", "energy"}
         energies.clear()
-        assert h2tau_inner(full, rom, first) == values[first]
+        assert inner(full, rom, first) == values[first]
         assert energies == [(full, rom)]
 
     def test_failed_solve_keeps_nothing(self, monkeypatch):
@@ -980,7 +984,7 @@ class TestPairMemo:
         gt = adjoint_block(full, rom, self.IV)
         assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt, ("G", self.IV): gt}
 
-    def test_sweeps_keep_the_blocks_of_the_start_model_only(self, lapack_calls, monkeypatch):
+    def test_sweeps_keep_the_blocks_of_every_swept_model(self, lapack_calls, monkeypatch):
         full = self.pair()[0]
         rom0 = bt(full, self.R).rom
         iterates = []
@@ -995,11 +999,11 @@ class TestPairMemo:
         report = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
         # Pt and Gt per sweep, then Pt, Gt and Xt of the residual report
         assert self.mixed_solves(lapack_calls) == 2 * 3 + 3
-        partner, blocks = rom0.gramian_memo[self.IV]["pair"]
-        assert partner() is full
-        assert set(blocks) == {"P", ("G", self.IV)}
         assert len(iterates) == 3 and iterates[-1] is report.rom
-        assert all("pair" not in rom.gramian_memo.get(self.IV, {}) for rom in iterates[:-1])
+        for rom in (rom0, *iterates[:-1]):
+            partner, blocks = rom.gramian_memo[self.IV]["pair"]
+            assert partner() is full
+            assert set(blocks) == {"P", ("G", self.IV)}
         assert set(report.rom.gramian_memo[self.IV]["pair"][1]) == {
             "P", ("G", self.IV), ("G", self.INF)
         }

@@ -334,14 +334,6 @@ class TestSchurForm:
             leaves.append(len(lapack_calls.trsyl))
         assert leaves[1] < leaves[0]
 
-    def test_eigenvalue_sum_is_kept_per_pair_of_forms(self):
-        _, _, _, fa, fb = self.pair(46, 5, 3)
-        s = fa.min_eig_sum(fb.transposed)
-        assert fa.transposed.min_eig_sum(fb) is s
-        assert len(fa._eig_sums) == 1
-        del fb  # its entry goes with it, so no later form can alias it
-        assert len(fa._eig_sums) == 0
-
     def test_transposed_shares_the_factorization(self, lapack_calls):
         _, a, b, fa, fb = self.pair(40, 6, 2)
         view = fa.transposed

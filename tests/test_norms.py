@@ -9,7 +9,6 @@ from lqomor.model import INFINITE, LqoSystem, TimeInterval, error_system
 from lqomor.norms import (
     h2tau_error,
     h2tau_error_blockwise,
-    h2tau_inner,
     h2tau_norm,
     h2tau_norm_quadrature,
 )
@@ -180,6 +179,7 @@ class TestQuadratureOracle:
         "rightmost, t0, t1, resolution",
         [
             pytest.param(None, 0.0, 1e40, 4, id="0.0-1e+40"),
+            pytest.param(None, 0.0, 1e40, 400, id="0.0-1e+40-400"),
             pytest.param(None, 0.0, 1e200, 4, id="0.0-1e+200"),
             pytest.param(None, 1e307, 1.7e308, 4, id="1e+307-1.7e+308"),
             pytest.param(None, 0.0, 1e200, 400, id="0.0-1e+200-400"),
@@ -190,12 +190,12 @@ class TestQuadratureOracle:
     )
     def test_long_horizon_sum_is_solver_error(self, rightmost, t0, t1, resolution):
         # the samples of so long a horizon are not finite (or the squared
-        # weight overflows): a numerical failure, never a NaN value.  On
-        # [0, 1e40] at 400 nodes e^(A h) underflows to exact zeros instead,
-        # and the sum is a finite 0.0 (the benchmark's B reaches no output).
-        # Shifted to grow like e^t, the samples pass the largest float near
-        # t = 709, after the step and the jump e^(A L h) - I (at most e^500)
-        # were formed finite: the overflow happens inside a run of the march
+        # weight overflows), or on [0, 1e40] at 400 nodes the step e^(A h)
+        # underflows to exact zeros: a numerical failure, never a NaN or a
+        # zero value.  Shifted to grow like e^t, the samples pass the
+        # largest float near t = 709, after the step and the jump
+        # e^(A L h) - I (at most e^500) were formed finite: the overflow
+        # happens inside a run of the march
         system = demo_system()
         if rightmost is not None:
             system = shifted_to(system, rightmost)
@@ -241,7 +241,7 @@ class TestInnerProduct:
         rng = np.random.default_rng(44)
         sys1 = rand_system(rng, 4, 2, 1)
         iv = TimeInterval(0.0, 1.5)
-        inner = h2tau_inner(sys1, sys1, iv)
+        inner = h2tau_error(sys1, sys1, iv).decomposition[1]
         norm = h2tau_norm(sys1, iv).value
         assert inner == pytest.approx(norm**2, rel=1e-12)
 
@@ -251,15 +251,15 @@ class TestInnerProduct:
             a = rand_system(rng, 5, 2, 2)
             b = rand_system(rng, 3, 2, 2)
             iv = TimeInterval(0.0, 1.0)
-            assert h2tau_inner(a, b, iv) == pytest.approx(
-                h2tau_inner(b, a, iv), rel=1e-10
+            assert h2tau_error(a, b, iv).decomposition[1] == pytest.approx(
+                h2tau_error(b, a, iv).decomposition[1], rel=1e-10
             )
 
     def test_zero_partner(self):
         rng = np.random.default_rng(46)
         a = rand_system(rng, 4, 1, 1)
         b = LqoSystem([[-1.0]], [[0.0]], [[1.0]], [np.array([[0.3]])])
-        assert h2tau_inner(a, b, TimeInterval(0.0, 2.0)) == 0.0
+        assert h2tau_error(a, b, TimeInterval(0.0, 2.0)).decomposition[1] == 0.0
 
 
 class TestErrorNorm:
@@ -343,9 +343,8 @@ class TestObservabilityRouteOracle:
     def test_inner_product(self, name):
         full, rom = q_route_pair(53)
         expected = q_route_error_triple(full, rom, HORIZONS[name])[1]
-        assert h2tau_inner(full, rom, HORIZONS[name]) == pytest.approx(
-            expected, rel=1e-12
-        )
+        second = h2tau_error(full, rom, HORIZONS[name]).decomposition[1]
+        assert second == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "name,unstable",

@@ -8,7 +8,7 @@ from lqomor.gramians import timelimited_gramians
 from lqomor.norms import h2tau_norm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
-from lqomor import reductors
+from lqomor import matfun, optimality, reductors
 from lqomor.demo import demo_initial_guess, demo_system
 from lqomor.sysio import save_system, system_document, write_json
 
@@ -549,16 +549,16 @@ def test_infinite_horizon_sweeps_no_mixed_model_that_is_not_hurwitz(monkeypatch)
 def test_mixed_sweep_that_breaks_down_restarts_from_the_plain_image(monkeypatch):
     steps = _recording_anderson(monkeypatch)
     swept = []
-    sweep = reductors.sweep_blocks
+    block = reductors.controllability_block
 
-    def failing(system, rom, interval, keep):
+    def failing(system, rom, interval):
         swept.append(rom)
         mixed = [r for _, image, r, _ in steps if r is not image]
         if mixed and rom is mixed[0]:
             raise SolverError("sweep of the first mixed model failed")
-        return sweep(system, rom, interval, keep)
+        return block(system, rom, interval)
 
-    monkeypatch.setattr(reductors, "sweep_blocks", failing)
+    monkeypatch.setattr(reductors, "controllability_block", failing)
     report = tlhnoia(demo_system(), demo_initial_guess(), TimeInterval(0.0, 2.0))
     first = next(k for k, (_, image, rom, _) in enumerate(steps) if rom is not image)
     k = swept.index(steps[first][2])
@@ -567,6 +567,35 @@ def test_mixed_sweep_that_breaks_down_restarts_from_the_plain_image(monkeypatch)
     assert report.converged and report.iterations == len(swept) - 1
     assert len(report.pole_history) == report.iterations + 1
     assert not any("broke down" in w for w in report.warnings)
+
+
+def test_returned_iterate_that_a_sweep_read_keeps_its_blocks(monkeypatch):
+    """Two homora sweeps on the bundled benchmark: the second image is not
+    Hurwitz, so the run returns the first, which sweep 2 read.  Its
+    residual report solves Ph and Gh only, not Pt and Gt again."""
+    solves = []
+    solve = matfun.solve_sylvester
+
+    def counting(a, b, c):
+        solves.append((a.a.shape[0], b.a.shape[0]))
+        return solve(a, b, c)
+
+    residual_solves = []
+    residuals = optimality.tl_residuals
+
+    def recording(system, rom, interval):
+        start = len(solves)
+        report = residuals(system, rom, interval)
+        residual_solves.extend(solves[start:])
+        return report
+
+    monkeypatch.setattr(matfun, "solve_sylvester", counting)
+    monkeypatch.setattr(optimality, "tl_residuals", recording)
+    report = homora(demo_system(), demo_initial_guess(), max_iter=2)
+    r = report.rom.order
+    assert report.iterations == 2 and report.residuals is not None
+    assert np.array_equal(report.rom.poles(), report.pole_history[1])
+    assert residual_solves == [(r, r), (r, r)]
 
 
 @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
