@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import demo as demo_mod
-from .errors import HurwitzError, LqoError, ValidationError
+from .errors import LqoError, ValidationError
 from .gramians import balancing
 from .model import TimeInterval, require_same_io, simulate, time_grid
 from .norms import h2tau_error, h2tau_norm, h2tau_norm_quadrature
@@ -336,9 +336,7 @@ def run_command(argv):
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE
-    except (ValidationError, HurwitzError) as exc:
-        # a Hurwitz error is a file's A asked for a quantity on an infinite
-        # horizon, which needs a Hurwitz A: invalid input
+    except ValidationError as exc:
         _emit_error(exc.code, str(exc), exc.context)
         return EXIT_VALIDATION
     except LqoError as exc:

@@ -47,7 +47,7 @@ class NumericalError(LqoError):
     code = "numerical"
 
 
-class HurwitzError(NumericalError):
+class HurwitzError(ValidationError):
     """A matrix required to be Hurwitz has an eigenvalue with Re >= 0."""
 
     code = "not_hurwitz"

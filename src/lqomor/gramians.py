@@ -1,18 +1,18 @@
 """Time-limited and infinite-horizon Gramians.
 
-For a horizon ``[t0, t1]`` every Gramian is the solution of a Lyapunov or
-Sylvester equation whose right-hand side carries the two-point exponential
-weighting ``e^(X t0) K e^(Y t0) - e^(X t1) K e^(Y t1)``; an infinite right
-endpoint drops the second term and ``t0 = 0`` drops the first factor pair
-(the identity), recovering the classical equations.
+For a horizon ``[t0, t1]`` every Gramian-type block is the [0, inf)
+solution X of its Lyapunov or Sylvester equation with kernel K weighted at
+the horizon ends, ``E_l(t0) X E_r(t0)^T - E_l(t1) X E_r(t1)^T`` with
+``E = e^(A t)`` on the controllability side and ``e^(A^T t)`` on the
+observability side (Gawronski and Juang, 1990): the solution for the kernel
+weighted alike, as the Sylvester operator commutes with ``E_l (.) E_r^T``.
+``t0 = 0`` takes the identity and an infinite ``t1`` no second term.
 
 The controllability Gramian P of one system, or the block of a
-system/reduced-model pair, comes from :func:`controllability_block`.  Its
-kernel ``B_l B_r^T`` has rank m, so its weighted right-hand side is handed
-to the solver as the factor pair ``L R^T`` with ``L = [e^(A_l t0) B_l,
-e^(A_l t1) B_l]`` and ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, at most 2m
-columns each, and is never formed as a matrix.  Every observability-type
-block comes from :func:`observability_block`, whose
+system/reduced-model pair, comes from :func:`controllability_block`: one
+[0, inf) solve for every horizon, its kernel ``B_l B_r^T`` handed to the
+solver as factors.  Every observability-type block comes from
+:func:`observability_block`, whose
 equation is linear in its kernel: ``C_l^T C_r`` gives the linear part Y and
 :func:`quadratic_kernel` the quadratic part Z.  So each combination a
 caller reads is one solve: Q = Y + Z from :func:`gramian_pair` and
@@ -31,14 +31,15 @@ under the horizon: P and Q (:func:`gramian_pair`), their
 (a second replaces the first): Pt, Gt, Xt and ``<H, Hr>``.  Every library
 and CLI path puts the reduced model on the right, so a reduced model keeps
 the facts of its pair with the system.  So the norms, reductors, Gramian
-sets and stationarity conditions of one pair and horizon share one solve
-of each block, one balancing, one evaluation of each inner product and one
-pair of exponentials, and so do the sweeps of a reductor: every model it
-sweeps keeps its Pt and Gt, so the residuals of the one it returns solve
-no block that a sweep read.  Y and Z apart are solved on each call.  A
-kept fact passed the same checks on the same matrices (see
+sets and stationarity conditions of one pair share one controllability
+solve for every horizon and, per horizon, one solve of each other block,
+one balancing, one evaluation of each inner product and one pair of
+exponentials, and so do the sweeps of a reductor: every model it sweeps
+keeps its blocks, so the residuals of the one it returns solve no block
+that a sweep read.  Y and Z apart are solved on each call.  A kept fact
+passed the same checks on the same matrices (see
 :class:`~lqomor.model.LqoSystem`); a solve that raises keeps nothing,
-though the exponentials it read stay.
+though the exponentials and [0, inf) solves it read stay.
 """
 
 import weakref
@@ -49,16 +50,21 @@ import scipy.linalg as sla
 
 from . import matfun
 from .errors import DimensionError, NonFiniteError, SolverError
-from .model import TimeInterval, require_same_io
+from .model import INFINITE, TimeInterval, require_same_io
 
 #: Horizons a system keeps the facts of its pairs for (:func:`_kept`): the
-#: two most recently used, as a ``bt``/``tlbt`` comparison reads.  Its own
-#: P, Q, balancing and ``||H||^2`` take 4 N^2 + N + 1 floats per horizon,
-#: plus N^2 per nonzero finite end: at N = 150, 1.4 MiB for two horizons and
-#: 0.17 MiB per end.  A reduced model of order r keeps 3 N r + 1 floats per
-#: horizon for its partner of order N (Pt, Gt, the [0, inf) tail Xt and
-#: ``<H, Hr>``): 36 KB at N = 150, r = 10.
+#: two most recently used.  A finite horizon uses [0, inf), whose P it
+#: weights, just before itself, so it keeps [0, inf) beside it, as a
+#: ``bt``/``tlbt`` comparison reads.  Its own P, Q, balancing and
+#: ``||H||^2`` take 4 N^2 + N + 1 floats per horizon, plus N^2 per nonzero
+#: finite end: at N = 150, 1.4 MiB for two horizons and 0.17 MiB per end.
+#: A reduced model of order r keeps 3 N r + 1 floats per horizon for its
+#: partner of order N (Pt, Gt, the [0, inf) tail Xt and ``<H, Hr>``): 36 KB
+#: at N = 150, r = 10.
 GRAMIAN_MEMO = 2
+
+#: The horizon [0, inf), whose controllability blocks every horizon weights.
+_INFINITE = TimeInterval(0.0, INFINITE)
 
 
 def boundaries(system, interval):
@@ -73,16 +79,26 @@ def boundaries(system, interval):
             None if interval.is_infinite else at("expm_t1", interval.t_end))
 
 
-def _weighted(kern, left, right):
-    """Two-point weighted right-hand side ``L0^T K R0 - L1^T K R1`` of the
-    :func:`boundaries` ``(L0, L1)`` and ``(R0, R1)``, a None first pair the
-    identity and a None second pair no term.  The only writer of a weighted
-    kernel, and only of the observability kernels, which have full rank."""
-    (l0, l1), (r0, r1) = left, right
-    rhs = kern if l0 is None else l0.T @ kern @ r0
+def _weighted(x, left, right, interval, side):
+    """Block of the pair on ``interval`` from the [0, inf) solution ``x`` of
+    its kernel, ``E_l(t0) X E_r(t0)^T - E_l(t1) X E_r(t1)^T`` of the
+    :func:`boundaries` (see the module docstring): the one function that
+    applies boundary exponentials to a block.  ``x`` itself on [0, inf),
+    else symmetrized for a system with itself; one that overflowed raises
+    the ``SolverError`` of an overflowed right-hand side."""
+    (l0, l1), (r0, r1) = boundaries(left, interval), boundaries(right, interval)
+
+    def term(el, er):
+        return el.T @ x @ er if side == "observability" else el @ x @ er.T
+
+    w = x if l0 is None else term(l0, r0)
     if l1 is not None:
-        rhs = rhs - l1.T @ kern @ r1
-    return rhs
+        w = w - term(l1, r1)
+    if w is x:
+        return x
+    if not np.isfinite(w).all():
+        raise SolverError(f"{side} Gramian right-hand side overflowed", side=side)
+    return (w + w.T) / 2.0 if left is right else w
 
 
 def _solve(left, right, side, q):
@@ -171,40 +187,25 @@ def require_pair(system, rom, interval):
         matfun.require_hurwitz(rom.schur, "reduced A")
 
 
-def _boundary_factor(system, interval, negate):
-    """``[e^(A t0) B, e^(A t1) B]``, its second block negated if ``negate``:
-    the identity stands in for ``t0 = 0`` and an infinite horizon drops the
-    second block."""
-    e0, e1 = boundaries(system, interval)
-    head = system.B if e0 is None else e0 @ system.B
-    if e1 is None:
-        return head
-    tail = e1 @ system.B
-    if negate:
-        np.negative(tail, out=tail)
-    return np.concatenate((head, tail), axis=1)
-
-
 def controllability_block(left, right, interval):
     """Controllability block P of the pair ``(left, right)`` on ``interval``.
 
-    Solves ``A_l P + P A_r^T + L R^T = 0`` with ``L R^T`` the weighted
-    ``B_l B_r^T``: ``L = [e^(A_l t0) B_l, e^(A_l t1) B_l]`` and
-    ``R = [e^(A_r t0) B_r, -e^(A_r t1) B_r]``, handed to the solver as
-    factors, so no N x N kernel is formed and no N^3 product weights it.
-    This needs only the Schur forms of ``A_l`` and ``A_r``.  The block of a
-    system with itself (``left is right``) is its controllability Gramian.
-    Each block is kept read-only by ``right`` (see :func:`_kept`).
+    One solve of ``A_l X + X A_r^T + B_l B_r^T = 0``, the kernel handed to
+    the solver as its factors ``(B_l, B_r)``, is the block of [0, inf),
+    which every other horizon reads :func:`_weighted`; this needs only the
+    Schur forms of ``A_l`` and ``A_r``.  The block of a system with itself
+    (``left is right``) is its controllability Gramian.  Each block is kept
+    read-only by ``right`` (see :func:`_kept`).
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
     def solve():
-        factors = (
-            _boundary_factor(left, interval, False), _boundary_factor(right, interval, True)
-        )
-        return _solve(left, right, "controllability", factors)
+        if interval == _INFINITE:
+            return _solve(left, right, "controllability", (left.B, right.B))
+        x = controllability_block(left, right, _INFINITE)
+        return _weighted(x, left, right, interval, "controllability")
 
     return _kept(left, right, interval, "P", solve)
 
@@ -248,39 +249,38 @@ def quadratic_kernel(left, right, p):
 def observability_block(left, right, interval, kern):
     """Observability block of the pair ``(left, right)`` on ``interval``.
 
-    Solves ``A_l^T X + X A_r + K = 0`` with K the weighted ``kern``; this
-    reads the Schur forms of ``A_l`` (transposed) and ``A_r``, the same
-    factorizations as :func:`controllability_block`.  Its kernel is weighted
-    as a matrix, by :func:`_weighted`: ``C_l^T C_r`` gives
-    the linear part Y, :func:`quadratic_kernel` the quadratic part Z, and by
-    linearity any combination of the two kernels gives the same combination
-    of Y and Z from one solve.
+    Solves ``A_l^T X + X A_r + K = 0`` for ``K = kern``, the [0, inf) form,
+    and returns X :func:`_weighted`; this reads the Schur forms of ``A_l``
+    (transposed) and ``A_r``, the same factorizations as
+    :func:`controllability_block`.  ``C_l^T C_r`` gives the linear part Y,
+    :func:`quadratic_kernel` the quadratic part Z, and by linearity any
+    combination of the two kernels gives the same combination of Y and Z
+    from one solve.
 
     Returns
     -------
     (left.order, right.order) ndarray
     """
-    rhs = _weighted(kern, boundaries(left, interval), boundaries(right, interval))
-    return _solve(left, right, "observability", rhs)
+    x = _solve(left, right, "observability", kern)
+    return _weighted(x, left, right, interval, "observability")
 
 
-def adjoint_block(left, right, interval, solve_on=None):
-    """``G = Y + 2 Z`` of the pair ``(left, right)`` for its
-    :func:`controllability_block` P on ``interval``: one
-    :func:`observability_block` solve on ``solve_on`` (by default
-    ``interval`` itself) with kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i``.
-    The fixed-point sweep and the optimality conditions read G in place of
-    Y and Z, and the conditions also the [0, inf) tail X of the same kernel
-    (on [0, inf) itself, G).  Each is kept read-only beside P (see
-    :func:`_kept`)."""
-    solve_on = interval if solve_on is None else solve_on
-
+def adjoint_block(left, right, interval):
+    """``(G, X)`` of the pair ``(left, right)`` for its
+    :func:`controllability_block` P on ``interval``: X is one observability
+    solve of the kernel ``C_l^T C_r + 2 sum_i M_l,i P M_r,i`` in [0, inf)
+    form and ``G = Y + 2 Z`` is X :func:`_weighted` (X itself on [0, inf)).
+    The fixed-point sweep reads G, the optimality conditions G and its
+    [0, inf) tail X.  Both are kept read-only beside P (see :func:`_kept`)."""
     def solve():
         p = controllability_block(left, right, interval)
         kern = left.C.T @ right.C + 2.0 * quadratic_kernel(left, right, p)
-        return observability_block(left, right, solve_on, kern)
+        return _solve(left, right, "observability", kern)
 
-    return _kept(left, right, interval, ("G", solve_on), solve)
+    x = _kept(left, right, interval, "X", solve)
+    g = _kept(left, right, interval, "G",
+              lambda: _weighted(x, left, right, interval, "observability"))
+    return g, x
 
 
 def gramian_blocks(left, right, interval):

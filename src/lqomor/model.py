@@ -141,10 +141,11 @@ class LqoSystem:
         self.schur_t = self.schur.transposed
         #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
         #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1),
-        #: ("G", horizon): G, "pair": (weakref to partner, {"P": Pt,
-        #: ("G", horizon): Gt, "energy": <H, Hr>})}}``, least recently used
-        #: first: the facts of the pairs with this system on the right.  A
-        #: fixed-point iterate keeps the Pt and Gt of the sweep that read it.
+        #: "G": G, "X": X, "pair": (weakref to partner, {"P": Pt, "G": Gt,
+        #: "X": Xt, "energy": <H, Hr>})}}``, least recently used first: the
+        #: facts of the pairs with this system on the right, [0, inf) also
+        #: holding the P and Pt that a finite horizon weights.  A fixed-point
+        #: iterate keeps the Pt, Gt and Xt of the sweep that read it.
         self.gramian_memo = {}
         if check_hurwitz:
             matfun.require_hurwitz(self.schur, "A")

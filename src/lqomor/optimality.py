@@ -16,8 +16,8 @@ the reduced A, read only the horizon-limited controllability blocks Pt,
 Ph and the adjoint blocks ``Gt = Yt + 2 Zt`` and ``Gh = Yh + 2 Zh``, one
 solve each (:func:`lqomor.gramians.adjoint_block`).  The condition on the reduced A
 carries a deviation term ``L``: the [0, inf) adjoint blocks ``Xt`` and
-``Xh`` of the same kernels as Gt and Gh (one more solve each on a horizon
-other than [0, inf), where they are Gt and Gh) minus Gt and Gh, and a
+``Xh`` of the same kernels as Gt and Gh (the solves that Gt and Gh weight,
+so Gt and Gh themselves on [0, inf)) minus Gt and Gh, and a
 Frechet-derivative term of the matrix exponential at the horizon
 boundaries t0 > 0 and t1 < inf.  On [0, inf) both parts, and with them
 ``L``, are exactly zero.  One assembly serves every horizon, [0, inf)
@@ -130,7 +130,8 @@ def tl_residuals(system, rom, interval):
     solvable pair, Hurwitz or not; an infinite one needs both Hurwitz.
 
     The gradient of J tests ``dPt`` and ``dPh`` against the [0, inf)
-    adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, so
+    adjoints ``Xt``, ``Xh`` of the kernels of Gt and Gh, the solves that
+    :func:`lqomor.gramians.adjoint_block` keeps beside them, so
     ``op1 = -Xt^T Pt + Xh Ph + W``.  The boundary term is
     ``W = sum_k s_k L_exp(Ar^T, V_k Br^T, t_k)`` with
     ``V_k = Xh e^(Ar t_k) Br - Xt^T e^(A t_k) B``, where ``L_exp`` is the
@@ -149,15 +150,12 @@ def tl_residuals(system, rom, interval):
     require_pair(system, rom, interval)
     pt = controllability_block(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
-    gt = adjoint_block(system, rom, interval)
-    gh = adjoint_block(rom, rom, interval)
+    gt, xt = adjoint_block(system, rom, interval)
+    gh, xh = adjoint_block(rom, rom, interval)
     op2 = [-pt.T @ mi @ pt + ph @ mhi @ ph for mi, mhi in zip(system.M, rom.M)]
     op3 = -gt.T @ system.B + gh @ rom.B
     op4 = -system.C @ pt + rom.C @ ph
     pg = -gt.T @ pt + gh @ ph
-    inf = TimeInterval(0.0, np.inf)
-    xt = adjoint_block(system, rom, interval, inf)
-    xh = adjoint_block(rom, rom, interval, inf)
     w = np.zeros_like(pg)
     for sign, t, s, sh in zip((1.0, -1.0), (interval.t_start, interval.t_end),
                               boundaries(system, interval), boundaries(rom, interval)):
@@ -250,7 +248,7 @@ def theorem2_check(system, rom, pair, interval):
             quad = v.T @ mi @ s @ v - mhi @ sh
             dev_quad = max(dev_quad, _norm2(quad, "premise deviation"))
     ph = controllability_block(rom, rom, interval)
-    gh = adjoint_block(rom, rom, interval)
+    gh = adjoint_block(rom, rom, interval)[0]
     eye = np.eye(rom.order)
     return Theorem2Report(
         premise_input=dev_in,

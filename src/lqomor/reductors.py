@@ -302,7 +302,7 @@ def _fixed_point(method, system, rom0, interval, tol, max_iter):
     for it in range(1, max_iter + 1):
         try:
             pt = controllability_block(system, rom, interval)
-            new = biorthogonalize(pt, adjoint_block(system, rom, interval))
+            new = biorthogonalize(pt, adjoint_block(system, rom, interval)[0])
             image = _project(system, new.V, new.W)
         except NumericalError as exc:
             if last is None or rom is last[0]:

@@ -133,6 +133,23 @@ class TestNormCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == math.sqrt((math.e ** 2 - 1) / 2)
 
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    def test_unstable_scalar_on_a_long_horizon_is_solver_error(self, capsys, tmp_path, fresh):
+        # A = 1 on [0, 400]: P = (e^800 - 1) / 2 overflows
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({
+            "version": 1, "n_states": 1, "n_inputs": 1, "n_outputs": 1,
+            "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "M": [[[0.0]]],
+        }))
+        code, out, err = run(capsys, "norm", "--system", str(path), "--t1", "400", fresh=fresh)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "code": "solver",
+            "message": "controllability Gramian right-hand side overflowed",
+            "context": {"side": "controllability"},
+        }
+
 
 class TestReduceCommand:
     def test_tlhnoia_writes_report(self, capsys, tmp_path):
@@ -1132,6 +1149,23 @@ def test_workflow_runs_no_inline_scripts():
     inline = [line for line in text.splitlines()
               if "<<" in line or re.search(r"\bpython3?\b[^|;&]*\s-c\b", line)]
     assert inline == []
+
+
+def test_cli_import_loads_scipy_linalg_only():
+    """A new interpreter with every warning an error that imports the CLI
+    loads ``scipy.linalg`` and none of the scipy subpackages every command
+    would pay for: a top-level ``scipy.optimize`` alone adds about 270 ms."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys, lqomor.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert "scipy.linalg" in loaded
+    heavy = {"scipy.optimize", "scipy.sparse", "scipy.io", "scipy.special"}
+    assert heavy.isdisjoint(loaded)
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):

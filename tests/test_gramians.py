@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -26,7 +25,9 @@ from lqomor.norms import h2tau_error, h2tau_norm, output_energy
 from lqomor.optimality import objective_J, tl_residuals
 from lqomor.reductors import bt, tlbt, tlhnoia
 
-from util import dense_controllability_block, rand_lti, rand_system, shifted_to
+from util import (
+    dense_controllability_block, dense_observability_block, rand_lti, rand_system, shifted_to,
+)
 
 
 def scalar_system(a, b, c, m):
@@ -251,7 +252,7 @@ class TestGramianBlocks:
             for left in (full, r):
                 p, y, z = gramian_blocks(left, r, iv)
                 g = y + 2.0 * z
-                assert np.linalg.norm(adjoint_block(left, r, iv) - g) <= (
+                assert np.linalg.norm(adjoint_block(left, r, iv)[0] - g) <= (
                     1e-12 * np.linalg.norm(g)
                 )
 
@@ -402,55 +403,109 @@ class TestFactoredControllability:
 
     def test_no_dense_controllability_kernel(self, monkeypatch):
         """norm, error, bt and tlbt hand every controllability solve the
-        factors of B_l B_r^T, and only observability kernels are weighted."""
-        weighted, controllability = [], []
-        weigh, solve = gramians._weighted, matfun.solve_sylvester
-
-        def weighing(kern, left, right):
-            weighted.append(sys._getframe(1).f_code.co_name)
-            return weigh(kern, left, right)
+        plain factors ``(B_l, B_r)``, one solve per pair on [0, inf) that
+        every horizon weights, so no horizon reaches a right-hand side."""
+        controllability = []
+        solve = matfun.solve_sylvester
 
         def solving(a, b, c):
             if not a.trans:
                 controllability.append(c)
             return solve(a, b, c)
 
-        monkeypatch.setattr(gramians, "_weighted", weighing)
         monkeypatch.setattr(matfun, "solve_sylvester", solving)
         iv = TimeInterval(0.1, 0.5)
         # each run on a fresh pair, since a system keeps its own block and
         # the model the block of the pair; the count of controllability
-        # solves when the same run is repeated
+        # solves of each run
         runs = [
-            (lambda full, rom: h2tau_norm(full, iv), 0),
-            (lambda full, rom: h2tau_error(full, rom, iv), 0),
-            (lambda full, rom: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)), 0),
-            (lambda full, rom: bt(full, 4), 0),
-            (lambda full, rom: tlbt(full, 4, iv), 0),
+            (lambda full, rom: h2tau_norm(full, iv), 1),
+            (lambda full, rom: h2tau_error(full, rom, iv), 3),
+            (lambda full, rom: h2tau_error(full, rom, TimeInterval(0.0, INFINITE)), 3),
+            (lambda full, rom: bt(full, 4), 1),
+            (lambda full, rom: tlbt(full, 4, iv), 1),
         ]
-        for run, repeated in runs:
+        for run, count in runs:
             rng = np.random.default_rng(62)
             full = rand_system(rng, 2 * LEAF, 2, 2)
             rom = rand_system(rng, 4, 2, 2)
             controllability.clear()
             run(full, rom)
-            assert controllability
-            for c in controllability:
-                assert isinstance(c, tuple) and len(c) == 2
-                assert all(f.ndim == 2 and f.shape[1] <= 2 * full.n_inputs for f in c)
+            assert len(controllability) == count
+            for left, right in controllability:
+                assert any(left is s.B for s in (full, rom))
+                assert any(right is s.B for s in (full, rom))
             controllability.clear()
             run(full, rom)
-            assert len(controllability) == repeated
-        assert weighted and set(weighted) == {"observability_block"}
+            assert controllability == []
+
+
+class TestHorizonRule:
+    """Every block of a horizon is the [0, inf) solve of its kernel weighted
+    at the horizon ends, and equals the solve of the weighted kernel."""
+
+    @staticmethod
+    def close(x, ref):
+        return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "iv, unstable",
+        [
+            (TimeInterval(0.0, 0.7), False), (TimeInterval(0.2, 1.1), False),
+            (TimeInterval(0.3, INFINITE), False),
+            # an infinite horizon needs a Hurwitz A, a finite one does not
+            (TimeInterval(0.0, 0.7), True), (TimeInterval(0.2, 1.1), True),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("n", [6, 2 * LEAF + 3])
+    def test_blocks_equal_the_weighted_kernel_solves(self, n, iv, unstable):
+        rng = np.random.default_rng(n)
+        full, rom = rand_system(rng, n, 2, 2), rand_system(rng, 3, 2, 2)
+        if unstable:
+            full, rom = shifted_to(full, 0.6), shifted_to(rom, 0.4)
+        p, q = gramian_pair(full, iv)
+        p_ref = dense_controllability_block(full, full, iv)
+        q_kern = full.C.T @ full.C + quadratic_kernel(full, full, p_ref)
+        assert self.close(p, p_ref) and np.array_equal(p, p.T)
+        assert self.close(q, dense_observability_block(full, full, iv, q_kern))
+        assert np.array_equal(q, q.T)
+        for left in (full, rom):
+            pt = controllability_block(left, rom, iv)
+            pt_ref = dense_controllability_block(left, rom, iv)
+            assert self.close(pt, pt_ref)
+            kern = left.C.T @ rom.C + 2.0 * quadratic_kernel(left, rom, pt_ref)
+            gt, xt = adjoint_block(left, rom, iv)
+            assert self.close(gt, dense_observability_block(left, rom, iv, kern))
+            inf = TimeInterval(0.0, INFINITE)
+            assert self.close(xt, dense_observability_block(left, rom, inf, kern))
+
+    def test_finite_horizons_weight_the_infinite_horizon_solve(self):
+        rng = np.random.default_rng(7)
+        full, rom = rand_system(rng, 6, 2, 2), rand_system(rng, 3, 2, 2)
+        iv = TimeInterval(0.2, 1.1)
+        e0, e1 = (expm(full.A, t) for t in (0.2, 1.1))
+        f0, f1 = (expm(rom.A, t) for t in (0.2, 1.1))
+        inf = TimeInterval(0.0, INFINITE)
+        x = controllability_block(full, rom, inf)
+        assert np.array_equal(
+            controllability_block(full, rom, iv), e0 @ x @ f0.T - e1 @ x @ f1.T
+        )
+        gt, xt = adjoint_block(full, rom, iv)
+        assert np.array_equal(gt, e0.T @ xt @ f0 - e1.T @ xt @ f1)
+        g, x = adjoint_block(full, rom, inf)
+        assert g is x
 
 
 class TestGramianMemo:
     """A system's own P and Q, their balancing, its ||H||^2 and its boundary
     exponentials are computed once per horizon and kept for the
-    GRAMIAN_MEMO most recently used horizons."""
+    GRAMIAN_MEMO most recently used horizons.  Every horizon weights the
+    [0, inf) P, so a finite horizon uses [0, inf) too, just before itself."""
 
     N = LEAF
     IV = TimeInterval(0.1, 0.5)
+    INF = TimeInterval(0.0, INFINITE)
 
     def fresh(self):
         return rand_system(np.random.default_rng(63), self.N, 2, 2)
@@ -505,6 +560,22 @@ class TestGramianMemo:
             tlbt(system, n, self.IV)
         assert self.full_solves(lapack_calls) == 2
         assert self.balancings(lapack_calls) == (2, 1)
+
+    @pytest.mark.parametrize("first", ["bt", "tlbt"])
+    def test_bt_and_tlbt_share_one_lyapunov_solve(self, lapack_calls, first):
+        # the P of tlbt weights the [0, inf) P of bt: P, Q of one method,
+        # then the Q of the other
+        system = self.fresh()
+        runs = [lambda: bt(system, 3), lambda: tlbt(system, 3, self.IV)]
+        if first == "tlbt":
+            runs.reverse()
+        runs[0]()
+        assert self.full_solves(lapack_calls) == 2
+        runs[1]()
+        assert self.full_solves(lapack_calls) == 3
+        assert list(system.gramian_memo) == (
+            [self.IV, self.INF] if first == "tlbt" else [self.INF, self.IV]
+        )
 
     def test_warm_hsv_is_the_sigma_of_tlbt(self):
         system = self.fresh()
@@ -598,30 +669,35 @@ class TestGramianMemo:
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, first, third):
             h2tau_norm(system, iv)
-        assert list(system.gramian_memo) == [first, third]
-        lapack_calls.trsyl.clear()
-        h2tau_norm(system, first)
-        h2tau_norm(system, third)
-        assert self.full_solves(lapack_calls) == 0
-        h2tau_norm(system, second)
+        # each finite horizon used [0, inf) just before itself
+        assert list(system.gramian_memo) == [self.INF, third]
+        assert set(system.gramian_memo[self.INF]) == {"P"}
         assert self.full_solves(lapack_calls) == 1
-        assert list(system.gramian_memo) == [third, second]
+        lapack_calls.trsyl.clear()
+        h2tau_norm(system, third)
+        assert system.gramian_memo[third]["P"] is controllability_block(system, system, third)
+        h2tau_norm(system, second)
+        assert self.full_solves(lapack_calls) == 0
+        assert list(system.gramian_memo) == [self.INF, second]
+        h2tau_norm(system, self.INF)
+        h2tau_norm(system, first)
+        assert list(system.gramian_memo) == [self.INF, first]
+        assert self.full_solves(lapack_calls) == 0
 
     def test_third_horizon_evicts_the_balancing_with_p_and_q(self, lapack_calls):
         system = self.fresh()
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, third):
             balancing(system, iv)
-        assert list(system.gramian_memo) == [second, third]
-        assert all(
-            set(kept) == {"P", "Q", "balancing", "expm_t1"}
-            for kept in system.gramian_memo.values()
-        )
+        assert list(system.gramian_memo) == [self.INF, third]
+        assert set(system.gramian_memo[self.INF]) == {"P"}
+        assert set(system.gramian_memo[third]) == {"P", "Q", "balancing", "expm_t1"}
         self.clear(lapack_calls)
+        # Q is solved again, P weighted from the kept [0, inf) P
         balancing(system, first)
-        assert self.full_solves(lapack_calls) == 2
+        assert self.full_solves(lapack_calls) == 1
         assert self.balancings(lapack_calls) == (2, 1)
-        assert list(system.gramian_memo) == [third, first]
+        assert list(system.gramian_memo) == [self.INF, first]
 
     @pytest.fixture()
     def energies(self, monkeypatch):
@@ -666,15 +742,14 @@ class TestGramianMemo:
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, first, third):
             h2tau_norm(system, iv)
-        assert list(system.gramian_memo) == [first, third]
-        assert all("energy" in kept for kept in system.gramian_memo.values())
+        assert list(system.gramian_memo) == [self.INF, third]
+        assert "energy" in system.gramian_memo[third]
         energies.clear()
-        h2tau_norm(system, first)
         h2tau_norm(system, third)
         assert energies == []
-        h2tau_norm(system, second)
+        h2tau_norm(system, first)
         assert energies == [system]
-        assert list(system.gramian_memo) == [third, second]
+        assert list(system.gramian_memo) == [self.INF, first]
 
     def test_overflowing_energy_keeps_nothing(self):
         # P is finite, but trace((M P)^2) overflows
@@ -704,21 +779,55 @@ class TestGramianMemo:
 
     @pytest.mark.parametrize("iv", HORIZONS, ids=str)
     def test_failed_solve_keeps_nothing(self, iv):
-        # the 1e11 transient of transient_system with a smaller B: P exists
-        # on [0, 0.001], but overflows on [0, inf) and the right-hand side
-        # overflows on the finite horizons
+        # the 1e11 transient of transient_system with a smaller B: P
+        # overflows on [0, inf), which every horizon weights
         system = LqoSystem(
             [[-1.0, 1e11], [0.0, -1.0]], [[0.0], [1e145]], [[1.0, 0.0]], [np.zeros((2, 2))]
         )
-        kept = TimeInterval(0.0, 0.001)
-        p = controllability_block(system, system, kept)
         for _ in range(2):
             with np.errstate(all="ignore"), pytest.raises(SolverError):
                 controllability_block(system, system, iv)
-            # no Gramian of iv is kept; the exponentials it read stay
-            assert [k for k, facts in system.gramian_memo.items() if "P" in facts] == [kept]
+            # no Gramian is kept; the exponentials the weights read stay
+            assert not any("P" in facts for facts in system.gramian_memo.values())
             assert set(system.gramian_memo.get(iv, {})) <= {"expm_t0", "expm_t1"}
-        assert controllability_block(system, system, kept) is p
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverError,
+        reason="P on [0, 0.001] is finite, but every horizon weights the [0, inf) "
+        "solve, which overflows; ROADMAP item 17's doubling forms P(tau) without it",
+    )
+    def test_finite_block_of_an_overflowing_infinite_horizon_solve(self):
+        system = LqoSystem(
+            [[-1.0, 1e11], [0.0, -1.0]], [[0.0], [1e145]], [[1.0, 0.0]], [np.zeros((2, 2))]
+        )
+        iv = TimeInterval(0.0, 0.001)
+        with np.errstate(all="ignore"):
+            p = controllability_block(system, system, iv)
+        assert np.allclose(p, dense_controllability_block(system, system, iv), rtol=1e-6, atol=0)
+        assert controllability_block(system, system, iv) is p
+
+    @pytest.mark.parametrize(
+        "iv", [TimeInterval(0.0, 400.0), TimeInterval(0.1, 400.0)], ids=str
+    )
+    def test_overflowing_weights_keep_the_infinite_horizon_solve(self, lapack_calls, iv):
+        # A = 1: the [0, inf) solve -1/2 and the block of [0, 1] are finite,
+        # but e^(A t) P e^(A t) overflows at t = 400
+        system = LqoSystem([[1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False)
+        short = TimeInterval(0.0, 1.0)
+        p = controllability_block(system, system, short)
+        inf = system.gramian_memo[self.INF]["P"]
+        assert inf.tolist() == [[-0.5]]
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(SolverError) as exc:
+                controllability_block(system, system, iv)
+            assert str(exc.value) == "controllability Gramian right-hand side overflowed"
+            assert exc.value.context == {"side": "controllability"}
+            assert list(system.gramian_memo) == [self.INF, iv]
+            assert set(system.gramian_memo[iv]) <= {"expm_t0", "expm_t1"}
+            assert system.gramian_memo[self.INF]["P"] is inf
+        assert controllability_block(system, system, short).tobytes() == p.tobytes()
+        assert lapack_calls.trsyl == [(1, 1)]
 
     def test_mixed_blocks_are_kept_by_one_member(self):
         system = self.fresh()
@@ -731,13 +840,17 @@ class TestGramianMemo:
         again = gramian_blocks(system, twin, self.IV)
         assert again[0] is a and again[1] is not y and again[2] is not z
         assert y.flags.writeable and z.flags.writeable
-        # the right-hand member keeps the block beside its exponentials;
-        # the left keeps its exponentials only
-        assert list(system.gramian_memo) == list(twin.gramian_memo) == [self.IV]
+        # the right-hand member keeps the block and the [0, inf) block it
+        # weights beside its exponentials; the left keeps its exponentials
+        assert list(system.gramian_memo) == [self.IV]
+        assert list(twin.gramian_memo) == [self.INF, self.IV]
         assert set(system.gramian_memo[self.IV]) == {"expm_t0", "expm_t1"}
         assert set(twin.gramian_memo[self.IV]) == {"expm_t0", "expm_t1", "pair"}
         partner, blocks = twin.gramian_memo[self.IV]["pair"]
         assert partner() is system and blocks == {"P": a}
+        partner, blocks = twin.gramian_memo[self.INF]["pair"]
+        assert partner() is system
+        assert blocks == {"P": controllability_block(system, twin, self.INF)}
 
     @pytest.fixture()
     def exponentials(self, monkeypatch):
@@ -791,23 +904,21 @@ class TestGramianMemo:
         first, second, third = (TimeInterval(0.1, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, third):
             gramian_pair(system, iv)
-        assert list(system.gramian_memo) == [second, third]
-        assert all(
-            set(kept) == {"P", "Q", "expm_t0", "expm_t1"}
-            for kept in system.gramian_memo.values()
-        )
+        assert list(system.gramian_memo) == [self.INF, third]
+        assert set(system.gramian_memo[third]) == {"P", "Q", "expm_t0", "expm_t1"}
         exponentials.clear()
-        gramian_pair(system, second)
+        gramian_pair(system, third)
         assert exponentials == []
         gramian_pair(system, first)
         assert self.own(exponentials, system) == [0.1, 0.3]
-        assert list(system.gramian_memo) == [second, first]
+        assert list(system.gramian_memo) == [self.INF, first]
 
 
 class TestPairMemo:
     """The blocks Pt, Gt, the [0, inf) tail Xt and the inner product
     <H, Hr> of a pair are kept, read-only, by its right-hand member for one
-    partner per horizon, and go with their horizon."""
+    partner per horizon, and go with their horizon; the [0, inf) Pt that
+    a finite horizon weights is kept under [0, inf)."""
 
     N, R = LEAF, 4
     IV = TimeInterval(0.1, 0.5)
@@ -819,11 +930,7 @@ class TestPairMemo:
 
     def blocks(self, full, rom, iv):
         """``(Pt, Gt, Xt)`` of the pair on ``iv``."""
-        return (
-            controllability_block(full, rom, iv),
-            adjoint_block(full, rom, iv),
-            adjoint_block(full, rom, iv, self.INF),
-        )
+        return (controllability_block(full, rom, iv), *adjoint_block(full, rom, iv))
 
     def mixed_solves(self, lapack_calls):
         return lapack_calls.trsyl.count((self.N, self.R))
@@ -837,36 +944,37 @@ class TestPairMemo:
         assert lapack_calls.trsyl == []
         partner, facts = rom.gramian_memo[iv]["pair"]
         assert partner() is full
-        assert facts["P"] is kept[0] and facts[("G", iv)] is kept[1]
-        assert facts[("G", self.INF)] is kept[2]
+        assert facts["P"] is kept[0] and facts["G"] is kept[1] and facts["X"] is kept[2]
+        assert (kept[1] is kept[2]) == (iv == self.INF)
         assert "pair" not in full.gramian_memo.get(iv, {})
         for x, y in zip(kept, self.blocks(*self.pair(), iv)):
             assert x.tobytes() == y.tobytes()
 
     def test_kept_blocks_are_read_only(self):
         full, rom = self.pair()
-        own = (adjoint_block(rom, rom, self.IV), adjoint_block(rom, rom, self.IV, self.INF))
+        own = adjoint_block(rom, rom, self.IV)
         for x in self.blocks(full, rom, self.IV) + own:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[0, 0] = 0.0
-        assert rom.gramian_memo[self.IV][("G", self.IV)] is own[0]
-        assert rom.gramian_memo[self.IV][("G", self.INF)] is own[1]
+        assert rom.gramian_memo[self.IV]["G"] is own[0]
+        assert rom.gramian_memo[self.IV]["X"] is own[1]
 
     def test_third_horizon_evicts_the_blocks(self, lapack_calls):
         full, rom = self.pair()
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         for iv in (first, second, third):
             self.blocks(full, rom, iv)
-        assert list(rom.gramian_memo) == [second, third]
-        assert all("pair" in facts for facts in rom.gramian_memo.values())
+        assert list(rom.gramian_memo) == [self.INF, third]
+        assert set(rom.gramian_memo[self.INF]["pair"][1]) == {"P"}
+        assert set(rom.gramian_memo[third]["pair"][1]) == {"P", "G", "X"}
         lapack_calls.trsyl.clear()
-        self.blocks(full, rom, second)
         self.blocks(full, rom, third)
         assert self.mixed_solves(lapack_calls) == 0
+        # Xt is solved again, Pt weighted from the kept [0, inf) Pt
         self.blocks(full, rom, first)
-        assert self.mixed_solves(lapack_calls) == 3
-        assert list(rom.gramian_memo) == [third, first]
+        assert self.mixed_solves(lapack_calls) == 1
+        assert list(rom.gramian_memo) == [self.INF, first]
 
     def test_second_partner_replaces_the_first(self, lapack_calls):
         full, rom = self.pair()
@@ -944,19 +1052,18 @@ class TestPairMemo:
         other = self.pair(66)[0]
         first, second, third = (TimeInterval(0.0, t) for t in (0.3, 0.5, 0.7))
         values = {iv: inner(full, rom, iv) for iv in (first, second, third)}
-        assert list(rom.gramian_memo) == [second, third]
-        assert all(
-            facts["pair"][1]["energy"] == values[iv]
-            for iv, facts in rom.gramian_memo.items()
-        )
+        assert list(rom.gramian_memo) == [self.INF, third]
+        assert rom.gramian_memo[third]["pair"][1]["energy"] == values[third]
         energies.clear()
         inner(full, rom, third)
         assert energies == []
         assert inner(full, rom, first) == values[first]
         assert energies == [(full, rom)]
         inner(other, rom, first)
-        partner, facts = rom.gramian_memo[first]["pair"]
-        assert partner() is other and set(facts) == {"P", "energy"}
+        for iv in (self.INF, first):
+            partner, facts = rom.gramian_memo[iv]["pair"]
+            assert partner() is other
+        assert set(rom.gramian_memo[first]["pair"][1]) == {"P", "energy"}
         energies.clear()
         assert inner(full, rom, first) == values[first]
         assert energies == [(full, rom)]
@@ -968,21 +1075,23 @@ class TestPairMemo:
         for _ in range(2):
             with np.errstate(all="ignore"), pytest.raises(SolverError):
                 controllability_block(big, huge, self.IV)
-            assert "pair" not in huge.gramian_memo[self.IV]
+            assert not any("pair" in facts for facts in huge.gramian_memo.values())
         pt = controllability_block(full, rom, self.IV)
-        solve = gramians.observability_block
+        solve = gramians._solve
 
-        def failing(left, right, interval, kern):
-            raise SolverError("observability solve failed")
+        def failing(left, right, side, q):
+            if side == "observability":
+                raise SolverError("observability solve failed")
+            return solve(left, right, side, q)
 
-        monkeypatch.setattr(gramians, "observability_block", failing)
+        monkeypatch.setattr(gramians, "_solve", failing)
         for _ in range(2):
             with pytest.raises(SolverError):
                 adjoint_block(full, rom, self.IV)
             assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt}
-        monkeypatch.setattr(gramians, "observability_block", solve)
-        gt = adjoint_block(full, rom, self.IV)
-        assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt, ("G", self.IV): gt}
+        monkeypatch.setattr(gramians, "_solve", solve)
+        gt, xt = adjoint_block(full, rom, self.IV)
+        assert rom.gramian_memo[self.IV]["pair"][1] == {"P": pt, "X": xt, "G": gt}
 
     def test_sweeps_keep_the_blocks_of_every_swept_model(self, lapack_calls, monkeypatch):
         full = self.pair()[0]
@@ -997,19 +1106,18 @@ class TestPairMemo:
         monkeypatch.setattr(reductors, "_project", recording)
         lapack_calls.trsyl.clear()
         report = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
-        # Pt and Gt per sweep, then Pt, Gt and Xt of the residual report
-        assert self.mixed_solves(lapack_calls) == 2 * 3 + 3
+        # the [0, inf) Pt and the Xt that Gt weights per sweep and for the
+        # residual report, which reads Xt as the tail of Gt
+        assert self.mixed_solves(lapack_calls) == 2 * 3 + 2
         assert len(iterates) == 3 and iterates[-1] is report.rom
-        for rom in (rom0, *iterates[:-1]):
+        for rom in (rom0, *iterates):
             partner, blocks = rom.gramian_memo[self.IV]["pair"]
             assert partner() is full
-            assert set(blocks) == {"P", ("G", self.IV)}
-        assert set(report.rom.gramian_memo[self.IV]["pair"][1]) == {
-            "P", ("G", self.IV), ("G", self.INF)
-        }
+            assert set(blocks) == {"P", "G", "X"}
+            assert set(rom.gramian_memo[self.INF]["pair"][1]) == {"P"}
         lapack_calls.trsyl.clear()
         again = tlhnoia(full, rom0, self.IV, tol=0.0, max_iter=3)
-        assert self.mixed_solves(lapack_calls) == 2 * 2 + 3
+        assert self.mixed_solves(lapack_calls) == 2 * 2 + 2
         assert again.rom.A.tobytes() == report.rom.A.tobytes()
 
     def test_error_and_residuals_of_a_reduction_solve_no_mixed_block(self, monkeypatch):
@@ -1025,11 +1133,11 @@ class TestPairMemo:
 
         monkeypatch.setattr(matfun, "solve_sylvester", counting)
         error = h2tau_error(full, report.rom, self.IV)
-        # the system's own P, which the reduction did not read, and nothing
-        # else: Pt, Ph, Gt, Gh, Xt and Xh are those of the residual report
-        assert shapes == [(self.N, self.N)]
+        # nothing: the system's own P weights the [0, inf) P that bt solved,
+        # and Pt, Ph, Gt, Gh, Xt and Xh are those of the residual report
+        assert shapes == []
         residuals = tl_residuals(full, report.rom, self.IV)
-        assert shapes == [(self.N, self.N)]
+        assert shapes == []
         assert residuals.op1_norm == report.residuals.op1_norm
         rom = report.rom
         copy = LqoSystem(rom.A, rom.B, rom.C, rom.M, check_hurwitz=False)

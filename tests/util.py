@@ -84,6 +84,24 @@ def dense_controllability_block(left, right, interval):
     return (x + x.T) / 2.0 if left is right else x
 
 
+def dense_observability_block(left, right, interval, kern):
+    """Observability block from the kernel ``kern`` weighted by
+    ``e^(A_l^T t) K e^(A_r t)`` at both horizon ends as a matrix, then one
+    ``solve_sylvester``, symmetrized for a system with itself: the twin of
+    :func:`dense_controllability_block`.
+
+    Oracle for the weighted solutions of ``gramians.observability_block``.
+    """
+    t0, t1 = interval.t_start, interval.t_end
+    rhs = kern if t0 == 0.0 else (
+        matfun.expm(left.A, t0).T @ kern @ matfun.expm(right.A, t0)
+    )
+    if not interval.is_infinite:
+        rhs = rhs - matfun.expm(left.A, t1).T @ kern @ matfun.expm(right.A, t1)
+    x = matfun.solve_sylvester(left.schur_t, right.schur, rhs)
+    return (x + x.T) / 2.0 if left is right else x
+
+
 def einsum_quadrature_squared(system, interval, resolution):
     """Squared Simpson quadrature norm from samples ``e^(A t_j) B`` marched
     node by node, with the quadratic kernel contracted sample pair by sample
@@ -146,13 +164,13 @@ def reference_op1(system, rom, interval):
     and ``sum_i Mr_i Ph Mr_i`` on [0, inf) and on the horizon, and a
     boundary Frechet direction built from all four [0, inf) blocks.
 
-    Oracle for the two-adjoint assembly in ``optimality._conditions``.
+    Oracle for the two-adjoint assembly in ``optimality.tl_residuals``.
     """
     inf = TimeInterval(0.0, np.inf)
     pt = controllability_block(system, rom, interval)
     ph = controllability_block(rom, rom, interval)
-    gt = adjoint_block(system, rom, interval)
-    gh = adjoint_block(rom, rom, interval)
+    gt = adjoint_block(system, rom, interval)[0]
+    gh = adjoint_block(rom, rom, interval)[0]
     kt = quadratic_kernel(system, rom, pt)
     kh = quadratic_kernel(rom, rom, ph)
     zt = observability_block(system, rom, interval, kt)
