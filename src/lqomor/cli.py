@@ -217,7 +217,7 @@ def _cmd_simulate(args):
         rel = demo_mod.relative_output_error(full, rtraj)
         header += [f"y_rom_{i + 1}" for i in range(rom.n_outputs)] + ["rel_err"]
         columns += list(rtraj.outputs.T) + [rel]
-        comment = "rel_err = ||y - y_rom||_2 / max(||y||_2, 1e-12)"
+        comment = demo_mod.REL_ERR_FORMULA
     _write_csv(args.out, comment, header, columns)
     return EXIT_OK
 
@@ -240,7 +240,7 @@ def _cmd_demo(args):
         print(f"  {name:8s} {result['mean_errors'][name]:.6e}")
     _write_csv(
         args.out,
-        "rel_err = ||y - y_rom||_2 / max(||y||_2, 1e-12)",
+        demo_mod.REL_ERR_FORMULA,
         ["t"] + [f"rel_err_{name}" for name in ("bt", "tlbt", "homora", "tlhnoia")],
         [result["grid"]]
         + [result["errors"][name] for name in ("bt", "tlbt", "homora", "tlhnoia")],

@@ -70,6 +70,10 @@ def _row_norms(y):
     return np.ldexp(np.linalg.norm(np.ldexp(cols, -e), axis=0), e)
 
 
+#: The formula of :func:`relative_output_error`, as the CSV comments state it.
+REL_ERR_FORMULA = "rel_err = ||y - y_rom||_2 / max(||y||_2, 1e-12)"
+
+
 def relative_output_error(full_traj, rom_traj):
     """Pointwise ``||y - y_r||_2 / max(||y||_2, 1e-12)`` along two
     trajectories; the floor keeps the ratio finite where ``y`` vanishes."""

@@ -189,7 +189,7 @@ def _symmetrized(mi):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled state and output response on a strictly increasing time grid."""
+    """Sampled state and output response on a uniform time grid."""
 
     times: np.ndarray
     states: np.ndarray
@@ -241,24 +241,6 @@ def _rk4_step_matrices(a, b, h):
         [b + hb + h2b / 2.0 + h3b / 4.0, 4.0 * b + 2.0 * hb + h2b / 2.0, b]
     )
     return psi, gamma
-
-
-def _step_lengths(steps, tol):
-    """Group step lengths that agree to within ``tol``.
-
-    Returns the group label of every step and one length per group: the
-    mean of its members, so the grouped steps still sum to the grid's span.
-    """
-    values, inverse = np.unique(steps, return_inverse=True)
-    group = np.empty(values.size, dtype=np.intp)
-    anchors = []
-    for i, v in enumerate(values):
-        if not anchors or v - anchors[-1] > tol:
-            anchors.append(v)
-        group[i] = len(anchors) - 1
-    labels = group[inverse]
-    lengths = np.bincount(labels, weights=steps) / np.bincount(labels)
-    return labels, lengths
 
 
 def _block_jump(psi, n_steps):
@@ -352,10 +334,11 @@ def _sample_input(u, times, m):
 
 
 def time_grid(t0, t1, step, states):
-    """Grid ``t0 + k step``, ``k = 0..round((t1 - t0) / step)``, on which
+    """Grid ``t0 + k step``, ``k = 0..S``, ``S = (t1 - t0) / step``, on which
     ``states`` states are simulated; ``ValidationError`` unless the bounds
-    and step are finite, the step positive, the span at least one step and
-    the ``(steps + 1) * states`` samples within :data:`MAX_SAMPLE_FLOATS`."""
+    and step are finite, the step positive, S a whole number (to 1e-9
+    relative) of at least one, and the ``(S + 1) * states`` samples within
+    :data:`MAX_SAMPLE_FLOATS`."""
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
             raise ValidationError(f"the time grid requires a finite {name}, got {value}")
@@ -367,6 +350,10 @@ def time_grid(t0, t1, step, states):
     n_steps = int(round(span))
     if n_steps < 1:
         raise ValidationError("time span shorter than one step")
+    if abs(span - n_steps) > 1e-9 * span:
+        raise ValidationError(
+            f"step {step} does not divide the span [{t0}, {t1}]: it gives {span} steps"
+        )
     if (n_steps + 1) * states > MAX_SAMPLE_FLOATS:
         raise ValidationError(
             f"step {step} gives {n_steps} steps; {n_steps + 1} samples of "
@@ -386,23 +373,13 @@ def simulate(system, u, grid, x0=None):
 
     with ``Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24`` and ``Gamma_*``
     polynomials in ``hA`` times ``B`` (see :func:`_rk4_step_matrices`).
+    Every step has the length ``h = (t_S - t_0) / S`` of the uniform grid,
+    so building ``(Phi, Gamma)`` costs three N x N matrix products once.
     The input is sampled once on all stage times and the forcing terms of
-    all steps are one matrix product.  Building ``(Phi, Gamma)`` costs three
-    N x N matrix products once per run of consecutive steps of one length;
-    lengths that agree to within the rounding of the grid count as one, so
-    uniform grids need a single set.
-
-    A run of S steps is cut into blocks of L steps, L the largest power of
-    two not above ``sqrt(S)`` (see :func:`_run_steps`): all blocks step
-    together as rows of one array, and the block starts follow from each
-    other by the jump ``Phi^L - I``.  A run then costs O(sqrt(S)) array
-    operations (about ``3 sqrt(S)`` steps and jumps), two N x N matrices
-    and ``O(sqrt(S) N)`` floats beside the states, not S operations.  The
-    jump comes from repeated squaring in increment form, which keeps the
-    states within a few units of rounding of the step-by-step recurrence.
-    Where the jump overflows (a model that grows by more than the float
-    range over one block), L is halved until it does not, so a zero
-    response stays exactly zero.
+    all steps are one matrix product.  The S steps advance in blocks of
+    about ``sqrt(S)`` steps (see :func:`_run_steps`): O(sqrt(S)) array
+    operations, two N x N matrices and ``O(sqrt(S) N)`` floats beside the
+    states, within a few units of rounding of the step-by-step recurrence.
 
     Parameters
     ----------
@@ -413,9 +390,9 @@ def simulate(system, u, grid, x0=None):
         sampled on all stage times in one call, any other callable point
         by point.
     grid : array_like
-        Strictly increasing output times; integration takes one RK4 step
-        between consecutive grid points, so a finer grid is how to take
-        smaller steps.
+        Uniform output times, as :func:`time_grid` builds them: increasing
+        steps within ``4 eps max(|t_0|, |t_S|)`` of each other, one RK4 step
+        each, so a finer grid is how to take smaller steps.
     x0 : array_like, optional
         Initial state, zero by default.
 
@@ -425,6 +402,9 @@ def simulate(system, u, grid, x0=None):
 
     Raises
     ------
+    ValidationError
+        If the grid is empty, not increasing or not uniform; the message of
+        a grid that is not uniform names its shortest and longest step.
     NumericalError
         If an output is not finite (the response overflowed); ``context.t``
         is the first grid time with such an output.
@@ -432,8 +412,15 @@ def simulate(system, u, grid, x0=None):
     t = np.asarray(grid, dtype=float).reshape(-1)
     if t.size == 0:
         raise ValidationError("empty time grid")
-    if t.size > 1 and not (np.diff(t) > 0).all():
+    steps = np.diff(t)
+    n_steps = steps.size
+    if not (steps > 0).all():
         raise ValidationError("time grid must be strictly increasing")
+    tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if n_steps and np.ptp(steps) > tol:
+        raise ValidationError(
+            f"time grid not uniform: its steps run from {steps.min()} to {steps.max()}"
+        )
     n = system.order
     m = system.n_inputs
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
@@ -442,8 +429,6 @@ def simulate(system, u, grid, x0=None):
 
     # step j runs from t[j] to t[j + 1]; its stages sample u at times[2j],
     # times[2j + 1] (midpoint) and times[2j + 2]
-    steps = np.diff(t)
-    n_steps = steps.size
     times = np.empty(2 * n_steps + 1)
     times[0::2] = t
     times[1::2] = t[:-1] + 0.5 * steps
@@ -452,15 +437,10 @@ def simulate(system, u, grid, x0=None):
 
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
-    labels, lengths = _step_lengths(steps, tol)
-    # one set per run of equal lengths: a non-uniform grid then holds one
-    # N x N matrix at a time, not one per distinct length
-    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        psi, gamma = _rk4_step_matrices(system.A, system.B, lengths[labels[lo]])
-        np.matmul(stages[lo:hi], gamma.T, out=states[lo + 1:hi + 1])
-        _run_steps(psi, states[lo:hi + 1])
+    if n_steps:
+        psi, gamma = _rk4_step_matrices(system.A, system.B, (t[-1] - t[0]) / n_steps)
+        np.matmul(stages, gamma.T, out=states[1:])
+        _run_steps(psi, states)
     outputs = _output_trajectory(system, states)
     finite = np.isfinite(outputs).all(axis=1)
     if not finite.all():

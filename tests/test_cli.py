@@ -482,6 +482,36 @@ class TestSimulateCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+    @pytest.mark.parametrize(
+        "argv, span, count",
+        [
+            (["simulate", "--system", BENCH, "--input", "1", "--t1", "1", "--step", "0.6"],
+             "[0.0, 1.0]", "1.6666666666666667"),
+            (["simulate", "--system", BENCH, "--input", "1", "--t1", "1", "--step", "0.3"],
+             "[0.0, 1.0]", "3.3333333333333335"),
+            (["simulate", "--system", BENCH, "--input", "1", "--t1", "1", "--step", "1.4"],
+             "[0.0, 1.0]", "0.7142857142857143"),
+            (["demo", "--step", "0.3"], "[0.0, 0.5]", "1.6666666666666667"),
+        ],
+        ids=["simulate-0.6", "simulate-0.3", "simulate-1.4", "demo-0.3"],
+    )
+    def test_step_that_does_not_divide_the_span_is_validation(
+        self, capsys, tmp_path, argv, span, count, fresh
+    ):
+        # a step count rounded to a whole number would simulate past t1 or
+        # stop short of it
+        outputs = ["--out", str(tmp_path / "out.csv")]
+        if argv[0] == "demo":
+            outputs += ["--report", str(tmp_path / "report.json")]
+        code, out, err = run(capsys, *argv, *outputs, fresh=fresh)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert f"does not divide the span {span}: it gives {count} steps" in doc["message"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCsvWriter:
     """The column-wise CSV writer against the row-wise oracle, byte for byte."""

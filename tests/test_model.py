@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lqomor import model
 from lqomor.errors import DimensionError, HurwitzError, NumericalError, ValidationError
 from lqomor.matfun import expm, require_hurwitz
 from lqomor.model import (
@@ -313,13 +314,50 @@ class TestSimulate:
         grid = DEMO_INTERVAL.t_start + DEMO_STEP * np.arange(n_steps + 1)
         _assert_matches_reference(demo_system(), parse_signal(DEMO_INPUT), grid)
 
-    def test_recurrence_matches_stages_on_geometric_grid_with_substeps(self):
+    def test_rejects_non_uniform_grid(self):
         sys1 = rand_system(np.random.default_rng(9), 5, 1, 2)
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 60)])
         # three steps per interval: runs of three equal step lengths
         fine = np.append(grid[:-1, None] + np.arange(3) * np.diff(grid)[:, None] / 3, grid[-1])
-        u = parse_signal("sin(3*t) + 0.5")
-        _assert_matches_reference(sys1, u, fine, x0=np.ones(5))
+        steps = np.diff(fine)
+        with pytest.raises(ValidationError, match="not uniform") as info:
+            simulate(sys1, parse_signal("sin(3*t) + 0.5"), fine, x0=np.ones(5))
+        assert f"from {steps.min()} to {steps.max()}" in str(info.value)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1], [0.0, math.nan]])
+    def test_rejects_grid_that_does_not_increase(self, grid):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            simulate(rand_system(np.random.default_rng(9), 2), lambda t: 0.0, grid)
+
+    def test_uniform_grid_far_from_zero_takes_its_mean_step(self):
+        # at t0 = 1e6 the steps of 1e-3 differ by 1.2e-10 in rounding, inside
+        # 4 eps max|t| = 8.9e-10: one grid of S steps of (t_S - t_0) / S
+        grid = time_grid(1e6, 1e6 + 1.0, 1e-3, 6)
+        steps = np.diff(grid)
+        assert 1e-10 < np.ptp(steps) < 4.0 * np.finfo(float).eps * grid[-1] < 1e-9
+        system, u = demo_system(), parse_signal(DEMO_INPUT)
+        traj = simulate(system, u, grid, x0=np.ones(6))
+        # the same steps from the origin, driven by the shifted input: a
+        # reference on the grid itself would step each rounded difference,
+        # and the response moves by x'(t) times the 5.8e-11 s rounding of t
+        h = (grid[-1] - grid[0]) / steps.size
+        ref = rk4_reference(
+            system, lambda s: u(np.array([s + grid[0]]))[0], h * np.arange(grid.size),
+            x0=np.ones(6),
+        )
+        assert np.abs(traj.states - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_set_of_step_matrices_per_call(self, monkeypatch):
+        lengths = []
+
+        def counted(a, b, h):
+            lengths.append(h)
+            return _rk4_step_matrices(a, b, h)
+
+        monkeypatch.setattr(model, "_rk4_step_matrices", counted)
+        grid = np.linspace(0.0, 0.5, 2001)
+        simulate(demo_system(), parse_signal(DEMO_INPUT), grid)
+        assert lengths == [0.5 / 2000]
 
     def test_recurrence_matches_stages_with_scalar_signal_on_two_inputs(self):
         sys1 = rand_system(np.random.default_rng(10), 4, 2, 2)
@@ -406,6 +444,36 @@ class TestSimulate:
         sys1 = rand_system(np.random.default_rng(5), 3)
         with pytest.raises(ValidationError):
             simulate(sys1, lambda t: math.inf, np.linspace(0, 1, 5))
+
+
+def _benchmark_grids():
+    """``(t0, t1, step)`` of every grid the benchmark's recipes draw: bench6
+    ``simulate`` on [0, 0.5] at 1e-4, ``demo --step 0.5 / k`` for the step
+    counts k of both workloads, and dense150 ``simulate`` on [0, t1] at
+    ``t1 / 2000`` for seeded t1 in [0.28, 0.32]."""
+    yield 0.0, 0.5, 1e-4
+    for k in [*range(990, 1011), *range(4950, 5051)]:
+        yield 0.0, 0.5, 0.5 / k
+    for t1 in np.random.default_rng(34).uniform(0.28, 0.32, 300).tolist():
+        yield 0.0, t1, t1 / 2000
+
+
+class TestTimeGrid:
+    def test_step_count_is_whole_to_one_part_in_a_billion(self):
+        assert time_grid(0.0, 1.0, 1e-3 * (1 + 5e-10), 6).size == 1001
+        with pytest.raises(ValidationError) as info:
+            time_grid(0.0, 1.0, 1e-3 * (1 + 2e-9), 6)
+        assert "does not divide the span [0.0, 1.0]: it gives 999.999998 steps" in str(
+            info.value
+        )
+
+    def test_every_benchmark_grid_is_whole_and_uniform(self):
+        scalar = LqoSystem([[-1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))])
+        u = parse_signal("1")
+        for t0, t1, step in _benchmark_grids():
+            grid = time_grid(t0, t1, step, 1)
+            assert grid[-1] == pytest.approx(t1, rel=1e-12)
+            simulate(scalar, u, grid)  # raises unless the grid is uniform
 
 
 class TestErrorSystem:
