@@ -10,9 +10,8 @@ weighted alike, as the Sylvester operator commutes with ``E_l (.) E_r^T``.
 
 The controllability Gramian P of one system, or the block of a
 system/reduced-model pair, comes from :func:`controllability_block`: one
-[0, inf) solve for every horizon, its kernel ``B_l B_r^T`` handed to the
-solver as factors.  Every observability-type block comes from
-:func:`observability_block`, whose
+[0, inf) solve of the kernel ``B_l B_r^T`` for every horizon.  Every
+observability-type block comes from :func:`observability_block`, whose
 equation is linear in its kernel: ``C_l^T C_r`` gives the linear part Y and
 :func:`quadratic_kernel` the quadratic part Z.  So each combination a
 caller reads is one solve: Q = Y + Z from :func:`gramian_pair` and
@@ -102,11 +101,11 @@ def _weighted(x, left, right, interval, side):
 
 
 def _solve(left, right, side, q):
-    """Gramian-type block of the pair on one side with right-hand side ``q``,
-    an array or a factor pair: one Sylvester solve, which ``matfun`` runs as
-    the Lyapunov equation when ``left is right`` and then symmetrized.  Only
-    unique solvability is checked, never the Hurwitz test; a right-hand side
-    (or factor) that overflowed is a numerical failure, not bad input."""
+    """Gramian-type block of the pair on one side with right-hand side ``q``:
+    one Sylvester solve, which ``matfun`` runs as the Lyapunov equation when
+    ``left is right`` and then symmetrized.  Only unique solvability is
+    checked, never the Hurwitz test; a right-hand side that overflowed is a
+    numerical failure, not bad input."""
     if side == "controllability":
         a, b = left.schur, right.schur_t
     else:
@@ -152,22 +151,17 @@ class CrossGramianSet:
 
 
 @dataclass(frozen=True)
-class HankelSpectrum:
-    """Nonincreasing, nonnegative singular values sigma_i = sqrt(eig_i(P Q)).
-
-    ``clamp_magnitude`` records the largest negative eigenvalue magnitude
-    of P or Q that was clipped to zero.
-    """
-
-    sigma: np.ndarray
-    clamp_magnitude: float = 0.0
-
-
-@dataclass(frozen=True)
 class Balancing:
-    """Hankel spectrum of a system's own P and Q with the full, unscaled
-    bases ``W = Lq U`` and ``V = Lp V`` of :func:`balancing_svd`, whose
-    first n columns times ``sigma[:n]^(-1/2)`` balance to order n."""
+    """Square-root balancing of P and Q from :func:`hankel_singular_values`.
+
+    ``sigma`` is the nonincreasing, nonnegative Hankel spectrum
+    ``sqrt(eig_i(P Q))`` and ``clamp_magnitude`` the largest negative
+    eigenvalue magnitude of P or Q that was clipped to zero.  ``W = Lq U``
+    and ``V = Lp V`` are the full, unscaled bases of the factors
+    ``P = Lp Lp^T``, ``Q = Lq Lq^T`` and the SVD
+    ``Lq^T Lp = U diag(sigma) V^T``; their first n columns times
+    ``sigma[:n]^(-1/2)`` balance to order n.  Every array is read-only.
+    """
 
     sigma: np.ndarray
     clamp_magnitude: float
@@ -190,12 +184,11 @@ def require_pair(system, rom, interval):
 def controllability_block(left, right, interval):
     """Controllability block P of the pair ``(left, right)`` on ``interval``.
 
-    One solve of ``A_l X + X A_r^T + B_l B_r^T = 0``, the kernel handed to
-    the solver as its factors ``(B_l, B_r)``, is the block of [0, inf),
-    which every other horizon reads :func:`_weighted`; this needs only the
-    Schur forms of ``A_l`` and ``A_r``.  The block of a system with itself
-    (``left is right``) is its controllability Gramian.  Each block is kept
-    read-only by ``right`` (see :func:`_kept`).
+    One solve of ``A_l X + X A_r^T + B_l B_r^T = 0`` is the block of
+    [0, inf), which every other horizon reads :func:`_weighted`; this needs
+    only the Schur forms of ``A_l`` and ``A_r``.  The block of a system
+    with itself (``left is right``) is its controllability Gramian.  Each
+    block is kept read-only by ``right`` (see :func:`_kept`).
 
     Returns
     -------
@@ -203,7 +196,7 @@ def controllability_block(left, right, interval):
     """
     def solve():
         if interval == _INFINITE:
-            return _solve(left, right, "controllability", (left.B, right.B))
+            return _solve(left, right, "controllability", left.B @ right.B.T)
         x = controllability_block(left, right, _INFINITE)
         return _weighted(x, left, right, interval, "controllability")
 
@@ -378,42 +371,20 @@ def _psd_factor(x, name):
     return v[:, order] * np.sqrt(w[order]), max(0.0, -lowest)
 
 
-def balancing_svd(p, q):
-    """``(Lp, Lq, U, sigma, V^T, clipped)``: factors ``P = Lp Lp^T`` and
-    ``Q = Lq Lq^T``, the SVD ``Lq^T Lp = U diag(sigma) V^T`` and the largest
-    negative eigenvalue magnitude clipped from P or Q."""
-    lp, clip_p = _psd_factor(p, "P")
-    lq, clip_q = _psd_factor(q, "Q")
-    u, s, vt = sla.svd(lq.T @ lp)
-    return lp, lq, u, s, vt, max(clip_p, clip_q)
-
-
 def balancing(system, interval):
-    """Read-only :class:`Balancing` of the :func:`gramian_pair` of ``system``
-    on ``interval``, kept in its memo beside P and Q and evicted with them."""
+    """:func:`hankel_singular_values` of the :func:`gramian_pair` of
+    ``system`` on ``interval``, kept in its memo beside P and Q and evicted
+    with them."""
     p, q = gramian_pair(system, interval)
-
-    def factor():
-        lp, lq, u, sigma, vt, clipped = balancing_svd(p, q)
-        w, v = lq @ u, lp @ vt.T
-        for a in (sigma, w, v):
-            a.flags.writeable = False
-        return Balancing(sigma, clipped, w, v)
-
-    return _kept(system, system, interval, "balancing", factor)
+    return _kept(system, system, interval, "balancing", lambda: hankel_singular_values(p, q))
 
 
 def hankel_singular_values(p, q):
-    """Time-limited Hankel spectrum ``sigma_i = sqrt(eig_i(P Q))``.
-
-    The singular values of :func:`balancing_svd`, which ``bt`` and ``tlbt``
-    balance with.  Negative eigenvalues of P or Q of magnitude at most
-    ``1e-10`` times the largest are clipped to zero (the largest clip is
-    recorded in the result); larger ones raise.
-
-    Returns
-    -------
-    HankelSpectrum
+    """Read-only :class:`Balancing` of P and Q: the time-limited Hankel
+    spectrum ``sigma_i = sqrt(eig_i(P Q))`` that ``bt`` and ``tlbt`` balance
+    with, and its bases.  Negative eigenvalues of P or Q of magnitude at
+    most ``1e-10`` times the largest are clipped to zero (the largest clip
+    is recorded in the result); larger ones raise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -421,5 +392,10 @@ def hankel_singular_values(p, q):
         raise DimensionError(
             f"P and Q must be equal square matrices, got {p.shape} and {q.shape}"
         )
-    _, _, _, sigma, _, clipped = balancing_svd(p, q)
-    return HankelSpectrum(sigma=sigma, clamp_magnitude=clipped)
+    lp, clip_p = _psd_factor(p, "P")
+    lq, clip_q = _psd_factor(q, "Q")
+    u, sigma, vt = sla.svd(lq.T @ lp)
+    w, v = lq @ u, lp @ vt.T
+    for a in (sigma, w, v):
+        a.flags.writeable = False
+    return Balancing(sigma, max(clip_p, clip_q), w, v)

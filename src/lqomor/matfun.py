@@ -3,16 +3,14 @@
 The Lyapunov and Sylvester solvers are Bartels-Stewart: a real Schur form
 ``A = U T U^T`` of each coefficient, a solve of the quasi-triangular
 equation in the factors, and a back-transform.  A right-hand side is an
-array or, when it has low rank, a factor pair ``(L, R)`` with ``C = L R^T``,
-which enters the factors' coordinates as two thin products and is never
-formed at full size.  A coefficient is either a plain array, factored on
-the spot, or a :class:`SchurForm` that keeps its factorization, so a
-matrix used in many equations is factored once.  The
-form of ``A^T`` is a view of A's form, ``A^T = U T^T U^T``, so one
-factorization serves both sides of every equation: the solve applies the
-transpose to T.  The Hurwitz and solvability tests read their eigenvalues
-from the same form.  The matrix exponential is ``scipy.linalg.expm`` of
-the matrix itself, read from no form and kept by no memo here.
+array.  A coefficient is either a plain array, factored on the spot, or a
+:class:`SchurForm` that keeps its factorization, so a matrix used in many
+equations is factored once.  The form of ``A^T`` is a view of A's form,
+``A^T = U T^T U^T``, so one factorization serves both sides of every
+equation: the solve applies the transpose to T.  The Hurwitz and
+solvability tests read their eigenvalues from the same form.  The matrix
+exponential is ``scipy.linalg.expm`` of the matrix itself, read from no
+form and kept by no memo here.
 
 The quasi-triangular solve is recursive and blocked (Jonsson and Kagstrom,
 ACM TOMS 2002).  It splits the factors at a 1x1/2x2 block boundary and
@@ -52,7 +50,13 @@ LEAF = 48
 
 
 def _as_matrix(a, name):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    try:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+    except ValueError:
+        # numpy's error for ragged rows or entries that are not numbers
+        raise DimensionError(
+            f"{name} must be a 2-d matrix of numbers with rows of equal length", name=name
+        ) from None
     if a.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got ndim={a.ndim}", name=name)
     if not np.isfinite(a).all():
@@ -363,35 +367,27 @@ def _trsyl(fa, fb, q):
     With ``A = U op(R) U^T`` and ``B = V op(S) V^T``, where ``op`` transposes
     the factor of a ``trans`` view, this solves the quasi-triangular
     equation ``op(R) Y + Y op(S) = F`` for ``F = U^T Q V`` and returns
-    ``X = U Y V^T``.  ``q`` is an array or a factor pair ``(L, R)`` with
-    ``Q = L R^T``; a pair gives ``F = (U^T L)(V^T R)^T``, two thin products
-    and one of rank ``k`` for k columns, and a non-finite F raises
-    :class:`NonFiniteError`, as a non-finite Q does.  An array in a
-    Lyapunov equation (``fb is fa.transposed``) is transformed in the
-    operation order of ``scipy.linalg.solve_continuous_lyapunov``.
+    ``X = U Y V^T``.  In a Lyapunov equation (``fb is fa.transposed``) Q is
+    transformed in the operation order of
+    ``scipy.linalg.solve_continuous_lyapunov``.
 
     An F with both sides at most :data:`LEAF` is one LAPACK ``trsyl`` call,
-    so an array Q in such a Lyapunov equation gives scipy's solution bit
-    for bit.  A larger F is solved by recursive blocking (Jonsson and
-    Kagstrom, ACM TOMS 28, 2002): the factors are split at a 1x1/2x2 block boundary, each half is
-    solved in turn, and the coupling is a matrix product, down to ``trsyl``
-    leaves of at most ``LEAF`` rows and columns.  A Lyapunov equation whose
-    transformed right-hand side F is symmetric (``||F - F^T|| <= 1e-12
-    ||F||``, tested on F itself, not on Q) takes the symmetric recursion:
-    three block solves per split, not four.  ``trsyl`` returns the solution of
-    ``scale * F``, scaled down to avoid overflow, and every leaf divides
-    by that scale, so a solution that overflows is non-finite and raises
+    so such a Lyapunov equation gives scipy's solution bit for bit.  A
+    larger F is solved by recursive blocking (Jonsson and Kagstrom, ACM
+    TOMS 28, 2002): the factors are split at a 1x1/2x2 block boundary,
+    each half is solved in turn, and the coupling is a matrix product, down
+    to ``trsyl`` leaves of at most ``LEAF`` rows and columns.  A Lyapunov
+    equation whose transformed right-hand side F is symmetric
+    (``||F - F^T|| <= 1e-12 ||F||``, tested on F itself, not on Q) takes the
+    symmetric recursion: three block solves per split, not four.  ``trsyl``
+    returns the solution of ``scale * F``, scaled down to avoid overflow,
+    and every leaf divides by that scale, so a solution that overflows is non-finite and raises
     :class:`SolverError`, never a finite wrong answer.
     """
     r, u = fa.factors
     s, v = fb.factors
     lyapunov = fb is fa.transposed
-    if isinstance(q, tuple):
-        f = np.dot(u.T.dot(q[0]), v.T.dot(q[1]).T)
-        if not np.isfinite(f).all():
-            raise NonFiniteError("C = L R^T overflowed", name="C")
-    else:
-        f = u.T.dot(q.dot(u)) if lyapunov else np.dot(np.dot(u.T, q), v)
+    f = u.T.dot(q.dot(u)) if lyapunov else np.dot(np.dot(u.T, q), v)
     if lyapunov and len(f) > LEAF and fro_norm(f - f.T) <= 1e-12 * fro_norm(f):
         y = _lyapunov_blocked(r, (f + f.T) / 2.0, fa.trans)
     else:
@@ -458,10 +454,7 @@ def solve_sylvester(a, b, c):
         A form of ``B^T`` passed as ``form.transposed`` shares the factors of
         that form, so an equation in ``A^T`` or ``B^T`` factors no more than
         one in A and B.
-    c : (N, n) array_like, or a pair ``(L, R)`` of (N, k) and (n, k) arrays
-        Right-hand side, or its factors ``C = L R^T``: a pair of low rank k
-        is never formed as an (N, n) matrix, so it costs O((N + n)^2 k)
-        on the way into the quasi-triangular solve, not ``N^2 n + N n^2``.
+    c : (N, n) array_like
 
     Returns
     -------
@@ -470,35 +463,20 @@ def solve_sylvester(a, b, c):
 
     Raises
     ------
+    DimensionError
+        If ``c`` is not an (N, n) matrix.
     NonFiniteError
-        If ``c``, a factor, or ``L R^T`` in the Schur coordinates is not
-        finite.
+        If ``c`` is not finite.
     SolverError
         If the spectra of ``a`` and ``-b`` overlap (no unique solution).
     """
     fa = _form(a, "A")
     fb = _form(b, "B")
     shape = (fa.a.shape[0], fb.a.shape[0])
-    if isinstance(c, tuple):
-        left, right = (np.asarray(x, dtype=float) for x in c)
-        if (left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]
-                or (left.shape[0], right.shape[0]) != shape):
-            raise DimensionError(
-                f"L and R must be 2-d with {shape[0]} and {shape[1]} rows and "
-                f"equal columns, got {left.shape} and {right.shape}",
-                l_shape=left.shape, r_shape=right.shape,
-            )
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
-            raise NonFiniteError("L or R contains non-finite entries", name="C")
-        q = (left, -right)
-    else:
-        c = _as_matrix(c, "C")
-        if c.shape != shape:
-            raise DimensionError(
-                f"C must have shape {shape}, got {c.shape}", c_shape=c.shape,
-            )
-        q = -c
+    c = _as_matrix(c, "C")
+    if c.shape != shape:
+        raise DimensionError(f"C must have shape {shape}, got {c.shape}", c_shape=c.shape)
     _require_unique_solution(
         fa, fb, "Sylvester equation is singular: spectra of A and -B overlap",
     )
-    return _trsyl(fa, fb, q)
+    return _trsyl(fa, fb, -c)

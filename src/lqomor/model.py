@@ -403,8 +403,9 @@ def simulate(system, u, grid, x0=None):
     Raises
     ------
     ValidationError
-        If the grid is empty, not increasing or not uniform; the message of
-        a grid that is not uniform names its shortest and longest step.
+        If the grid is empty, not finite, not increasing or not uniform;
+        the message of a grid that is not uniform names its shortest and
+        longest step.
     NumericalError
         If an output is not finite (the response overflowed); ``context.t``
         is the first grid time with such an output.
@@ -412,6 +413,8 @@ def simulate(system, u, grid, x0=None):
     t = np.asarray(grid, dtype=float).reshape(-1)
     if t.size == 0:
         raise ValidationError("empty time grid")
+    if not np.isfinite(t).all():
+        raise ValidationError("time grid must be finite and strictly increasing")
     steps = np.diff(t)
     n_steps = steps.size
     if not (steps > 0).all():

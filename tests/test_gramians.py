@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lqomor import gramians, matfun, norms, reductors
 from lqomor.errors import (
@@ -312,8 +313,8 @@ class TestHankelSingularValues:
             hankel_singular_values(np.eye(2), np.eye(3))
 
 
-#: The three horizon kinds of the factor pair: [0, inf) drops the second
-#: column block, t0 = 0 takes B itself, and [t0, t1] takes both exponentials.
+#: The three horizon kinds of a controllability block: [0, inf) is the plain
+#: solve, t0 = 0 weights it at t1 alone, and [t0, t1] at both ends.
 HORIZONS = [TimeInterval(0.0, INFINITE), TimeInterval(0.0, 0.4), TimeInterval(0.1, 0.4)]
 
 
@@ -401,16 +402,25 @@ class TestFactoredControllability:
         )
         assert output_energy(system, system, p) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 6, LEAF])
+    def test_small_self_block_is_scipys_lyapunov_solution(self, n):
+        # at most LEAF rows the solve is one trsyl call on the kernel B B^T
+        # transformed as scipy transforms it, so the two agree bit for bit
+        system = rand_system(np.random.default_rng(n), n, 2, 2)
+        x = sla.solve_continuous_lyapunov(system.A, -(system.B @ system.B.T))
+        p = controllability_block(system, system, TimeInterval(0.0, INFINITE))
+        assert np.array_equal(p, (x + x.T) / 2.0)
+
     def test_no_dense_controllability_kernel(self, monkeypatch):
-        """norm, error, bt and tlbt hand every controllability solve the
-        plain factors ``(B_l, B_r)``, one solve per pair on [0, inf) that
-        every horizon weights, so no horizon reaches a right-hand side."""
+        """norm, error, bt and tlbt make one controllability solve per pair,
+        of the plain kernel ``B_l B_r^T`` on [0, inf) that every horizon
+        weights, so no horizon forms a weighted kernel."""
         controllability = []
         solve = matfun.solve_sylvester
 
         def solving(a, b, c):
             if not a.trans:
-                controllability.append(c)
+                controllability.append((a, b, c))
             return solve(a, b, c)
 
         monkeypatch.setattr(matfun, "solve_sylvester", solving)
@@ -431,10 +441,13 @@ class TestFactoredControllability:
             rom = rand_system(rng, 4, 2, 2)
             controllability.clear()
             run(full, rom)
-            assert len(controllability) == count
-            for left, right in controllability:
-                assert any(left is s.B for s in (full, rom))
-                assert any(right is s.B for s in (full, rom))
+            pairs = set()
+            for a, b, c in controllability:
+                left = next(s for s in (full, rom) if s.schur is a)
+                right = next(s for s in (full, rom) if s.schur_t is b)
+                assert np.array_equal(c, left.B @ right.B.T)
+                pairs.add((id(left), id(right)))
+            assert len(controllability) == len(pairs) == count
             controllability.clear()
             run(full, rom)
             assert controllability == []

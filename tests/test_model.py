@@ -329,6 +329,14 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="strictly increasing"):
             simulate(rand_system(np.random.default_rng(9), 2), lambda t: 0.0, grid)
 
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+    def test_rejects_grid_with_an_infinite_time(self, grid):
+        sys1 = LqoSystem([[-1.0]], [[1.0]], [[1.0]], [np.zeros((1, 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                simulate(sys1, parse_signal("1"), grid)
+
     def test_uniform_grid_far_from_zero_takes_its_mean_step(self):
         # at t0 = 1e6 the steps of 1e-3 differ by 1.2e-10 in rounding, inside
         # 4 eps max|t| = 8.9e-10: one grid of S steps of (t_S - t_0) / S

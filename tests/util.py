@@ -70,8 +70,8 @@ def dense_controllability_block(left, right, interval):
     matrix, then one ``solve_sylvester``, symmetrized for a system with
     itself.
 
-    Oracle for the factor-pair right-hand side of
-    ``gramians.controllability_block``.
+    Oracle for the weighted solutions of ``gramians.controllability_block``,
+    which solves the kernel on [0, inf) and weights the solution instead.
     """
     kern = left.B @ right.B.T
     t0, t1 = interval.t_start, interval.t_end
