@@ -22,13 +22,14 @@ class LapackCalls:
     factorization (a ``dgees`` call that is not a workspace query) and of
     each eigenvalue call (``eigvals`` or ``eig`` of numpy or scipy), the
     right-hand-side shape of each ``dtrsyl`` call, and the matrix shape of
-    each ``np.linalg.eigh`` and ``scipy.linalg.svd`` call."""
+    each ``dpstrf``, ``np.linalg.eigvalsh`` and ``scipy.linalg.svd`` call."""
 
     def __init__(self):
         self.schur = []
         self.eigvals = []
         self.trsyl = []
-        self.eigh = []
+        self.dpstrf = []
+        self.eigvalsh = []
         self.svd = []
 
     def factored(self, a):
@@ -64,7 +65,11 @@ def lapack_calls(monkeypatch):
     monkeypatch.setattr(matfun.sla.lapack, "dtrsyl", recording(
         matfun.sla.lapack.dtrsyl, calls.trsyl, lambda args: np.shape(args[2])
     ))
-    for module, name, log in ((np.linalg, "eigh", calls.eigh), (scipy.linalg, "svd", calls.svd)):
+    for module, name, log in (
+        (matfun.sla.lapack, "dpstrf", calls.dpstrf),
+        (np.linalg, "eigvalsh", calls.eigvalsh),
+        (scipy.linalg, "svd", calls.svd),
+    ):
         monkeypatch.setattr(module, name, recording(
             getattr(module, name), log, lambda args: np.shape(args[0])
         ))

@@ -9,15 +9,18 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lqomor import cli
 from lqomor.cli import run_command
+from lqomor.errors import SolverError
+from lqomor.gramians import gramian_pair, hankel_singular_values
 from lqomor.model import LqoSystem, TimeInterval, error_system
 from lqomor.norms import h2tau_norm_quadrature
 from lqomor.optimality import tl_residuals
 from lqomor.sysio import load_system, system_document, write_json
 
-from util import reference_csv
+from util import rand_system, reference_csv
 
 from pathlib import Path
 
@@ -399,6 +402,51 @@ class TestHsvCommand:
         sigma = json.loads(out)["sigma"]
         assert len(sigma) == 6
         assert all(b <= a + 1e-15 for a, b in zip(sigma, sigma[1:]))
+
+
+class TestFactorRank:
+    """The balancing factors P and Q by pivoted Cholesky, so the Hankel
+    values beyond the lower rank of the two factors are exactly 0.0.  A
+    dense N = 150 system's P on [0, 0.3] has about 20 pivots above
+    rounding."""
+
+    HORIZON = ("--t0", "0", "--t1", "0.3")
+
+    @pytest.fixture()
+    def dense150(self, tmp_path):
+        path = tmp_path / "dense150.json"
+        write_json(system_document(rand_system(np.random.default_rng(0), 150, 2, 2)), path)
+        return str(path)
+
+    def test_hsv_prints_zeros_beyond_the_factor_rank(self, capsys, dense150):
+        code, out, _ = run(capsys, "hsv", "--system", dense150, *self.HORIZON)
+        assert code == 0
+        sigma = np.array(json.loads(out)["sigma"])
+        p, q = gramian_pair(load_system(dense150), TimeInterval(0.0, 0.3))
+        rank = min(sla.lapack.dpstrf(x, lower=1)[2] for x in (p, q))
+        assert len(sigma) == 150 and 0 < rank < 30
+        assert (np.diff(sigma) <= 0.0).all()
+        assert (sigma[:rank] > 0.0).all() and (sigma[rank:] == 0.0).all()
+
+    def test_tlbt_beyond_the_factor_rank_is_a_rank_error(self, capsys, dense150):
+        code, out, err = run(
+            capsys, "reduce", "--method", "tlbt", "--order", "30", "--system", dense150,
+            *self.HORIZON,
+        )
+        assert code == 4 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "rank" and doc["context"]["order"] == 30
+
+    def test_clamp_and_indefinite_gramians_are_unchanged(self, capsys):
+        # the eigenvalues of P and Q still give both: the clamp equals the
+        # eigendecomposition balancing's to rounding
+        code, out, _ = run(capsys, "hsv", "--system", BENCH, "--t0", "0", "--t1", "1e-5")
+        assert code == 0
+        clamp = json.loads(out)["clamp_magnitude"]
+        assert clamp == pytest.approx(2.951098742385853e-14, rel=1e-10)
+        with pytest.raises(SolverError, match="Q is indefinite beyond tolerance") as err:
+            hankel_singular_values(np.eye(2), np.diag([1.0, -1e-3]))
+        assert err.value.context == {"min_eigenvalue": -1e-3}
 
 
 class TestSimulateCommand:

@@ -27,7 +27,8 @@ from lqomor.optimality import objective_J, tl_residuals
 from lqomor.reductors import bt, tlbt, tlhnoia
 
 from util import (
-    dense_controllability_block, dense_observability_block, rand_lti, rand_system, shifted_to,
+    dense_controllability_block, dense_observability_block, eigh_balancing, rand_lti,
+    rand_system, shifted_to,
 )
 
 
@@ -313,6 +314,44 @@ class TestHankelSingularValues:
             hankel_singular_values(np.eye(2), np.eye(3))
 
 
+class TestPivotedCholeskyBalancing:
+    """The balancing of pivoted Cholesky factors against
+    :func:`util.eigh_balancing` of the same P and Q.  Two factorizations of
+    the same rounded Gramians agree on sigma_i to about
+    ``N eps (sigma_1 / sigma_i)^2`` relative, and the truncated models they
+    give have the same poles."""
+
+    HORIZONS = [TimeInterval(0.0, 0.5), TimeInterval(0.1, 1.0), TimeInterval(0.0, INFINITE)]
+
+    @staticmethod
+    def system(case):
+        if case == "bench6":
+            return demo_system()
+        return rand_system(np.random.default_rng(0), case, 2, 2)
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    @pytest.mark.parametrize("case", ["bench6", 30, 60, 150])
+    def test_sigma_within_the_factorization_bound(self, case, iv):
+        system = self.system(case)
+        p, q = gramian_pair(system, iv)
+        sigma = hankel_singular_values(p, q).sigma
+        oracle = eigh_balancing(p, q)[0]
+        kept = oracle >= 1e-6 * oracle[0]
+        bound = system.order * np.finfo(float).eps * (oracle[0] / oracle[kept]) ** 2
+        assert (abs(sigma[kept] - oracle[kept]) <= bound * oracle[kept]).all()
+
+    @pytest.mark.parametrize("iv", HORIZONS, ids=str)
+    @pytest.mark.parametrize("case, order", [("bench6", 3), (30, 10), (150, 10)])
+    def test_truncated_poles_match_the_eigh_route(self, case, order, iv):
+        system = self.system(case)
+        report = bt(system, order) if iv.is_infinite else tlbt(system, order, iv)
+        sigma, w, v = eigh_balancing(*gramian_pair(system, iv))
+        scale = sigma[:order] ** -0.5
+        oracle = reductors._project(system, v[:, :order] * scale, w[:, :order] * scale)
+        want, got = (np.sort_complex(m.poles()) for m in (oracle, report.rom))
+        assert (abs(got - want) <= 1e-8 * abs(want)).all()
+
+
 #: The three horizon kinds of a controllability block: [0, inf) is the plain
 #: solve, t0 = 0 weights it at t1 alone, and [t0, t1] at both ends.
 HORIZONS = [TimeInterval(0.0, INFINITE), TimeInterval(0.0, 0.4), TimeInterval(0.1, 0.4)]
@@ -528,13 +567,17 @@ class TestGramianMemo:
         return lapack_calls.trsyl.count((self.N, self.N))
 
     def balancings(self, lapack_calls):
-        """(N, N) ``(eigh, svd)`` calls since the logs were last cleared."""
+        """``(eigvalsh, dpstrf, svd)`` calls since the logs were last
+        cleared, the first two of (N, N) matrices: one balancing tests and
+        factors P and Q once each and takes one SVD of their factors."""
         full = (self.N, self.N)
-        return lapack_calls.eigh.count(full), lapack_calls.svd.count(full)
+        return (lapack_calls.eigvalsh.count(full), lapack_calls.dpstrf.count(full),
+                len(lapack_calls.svd))
 
     @staticmethod
     def clear(lapack_calls):
-        for log in (lapack_calls.trsyl, lapack_calls.eigh, lapack_calls.svd):
+        for log in (lapack_calls.trsyl, lapack_calls.eigvalsh, lapack_calls.dpstrf,
+                    lapack_calls.svd):
             log.clear()
 
     @pytest.mark.parametrize("quantity", ["norm", "error", "hsv"])
@@ -561,10 +604,10 @@ class TestGramianMemo:
             "tlbt": lambda: tlbt(system, 3, self.IV),
         }[quantity]
         run()
-        assert self.balancings(lapack_calls) == (2, 1)
+        assert self.balancings(lapack_calls) == (2, 2, 1)
         self.clear(lapack_calls)
         run()
-        assert not lapack_calls.eigh and not lapack_calls.svd
+        assert self.balancings(lapack_calls) == (0, 0, 0)
         assert self.full_solves(lapack_calls) == 0
 
     def test_tlbt_at_several_orders_solves_p_and_q_once(self, lapack_calls):
@@ -572,7 +615,7 @@ class TestGramianMemo:
         for n in range(2, 6):
             tlbt(system, n, self.IV)
         assert self.full_solves(lapack_calls) == 2
-        assert self.balancings(lapack_calls) == (2, 1)
+        assert self.balancings(lapack_calls) == (2, 2, 1)
 
     @pytest.mark.parametrize("first", ["bt", "tlbt"])
     def test_bt_and_tlbt_share_one_lyapunov_solve(self, lapack_calls, first):
@@ -670,7 +713,10 @@ class TestGramianMemo:
         report = bt(system, 3) if iv.is_infinite else tlbt(system, 3, iv)
         bal = balancing(system, iv)
         assert system.gramian_memo[iv]["balancing"] is bal and report.sigma is bal.sigma
-        assert bal.W.shape == bal.V.shape == (self.N, self.N)
+        # N x k bases, k the lower rank of the pivoted Cholesky factors
+        k = min(gramians._psd_factor(x, "")[0].shape[1] for x in gramian_pair(system, iv))
+        assert bal.W.shape == bal.V.shape == (self.N, k)
+        assert (bal.sigma[:k] > 0.0).all() and not bal.sigma[k:].any()
         for x in (bal.sigma, bal.W, bal.V):
             assert not x.flags.writeable
             with pytest.raises(ValueError):
@@ -709,7 +755,7 @@ class TestGramianMemo:
         # Q is solved again, P weighted from the kept [0, inf) P
         balancing(system, first)
         assert self.full_solves(lapack_calls) == 1
-        assert self.balancings(lapack_calls) == (2, 1)
+        assert self.balancings(lapack_calls) == (2, 2, 1)
         assert list(system.gramian_memo) == [self.INF, first]
 
     @pytest.fixture()

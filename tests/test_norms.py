@@ -220,7 +220,9 @@ class TestQuadratureOracle:
         strict=True,
         reason="P(tau) = P_inf - e^(A tau) P_inf e^(A^T tau) rounds by about "
         "eps ||P_inf||, which swamps an energy of order tau^3 when CB = 0: "
-        "the norm is 6.8e-4 off at 1e-4, 22% off at 1e-5 and 0.0 at 1e-8",
+        "against quadrature the norm is 1.2227e-6 for 1.2229e-6 at 1e-4 "
+        "(1.8e-4 low), 2.1073e-8 for 3.8673e-8 at 1e-5 (46% low) and "
+        "2.7878e-8 for 1.2229e-12 at 1e-8 (2.3e4 times too high)",
     )
     def test_short_horizon_norm_matches_quadrature(self, tau):
         # the benchmark's B drives velocities and its C reads positions;

@@ -64,6 +64,24 @@ def q_route_error_triple(system, rom, interval):
     )
 
 
+def eigh_balancing(p, q):
+    """Square-root balancing oracle of P and Q: ``(sigma, W, V)`` from
+    factors ``P = Lp Lp^T``, ``Q = Lq Lq^T`` of full eigendecompositions of
+    their symmetric parts, eigenvalues clipped at zero and columns by
+    nonincreasing eigenvalue, and the full SVD
+    ``Lq^T Lp = U diag(sigma) V^T``, with N x N bases ``W = Lq U`` and
+    ``V = Lp V``."""
+    def factor(x):
+        w, v = np.linalg.eigh((x + x.T) / 2.0)
+        w = np.clip(w, 0.0, None)
+        order = np.argsort(w)[::-1]
+        return v[:, order] * np.sqrt(w[order])
+
+    lp, lq = factor(p), factor(q)
+    u, sigma, vt = sla.svd(lq.T @ lp)
+    return sigma, lq @ u, lp @ vt.T
+
+
 def dense_controllability_block(left, right, interval):
     """Controllability block from the dense N x n kernel: ``B_l B_r^T``
     weighted by ``e^(A_l t) K e^(A_r^T t)`` at both horizon ends as a
