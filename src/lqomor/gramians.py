@@ -108,9 +108,9 @@ def _solve(left, right, side, q):
     checked, never the Hurwitz test; a right-hand side that overflowed is a
     numerical failure, not bad input."""
     if side == "controllability":
-        a, b = left.schur, right.schur_t
+        a, b = left.schur, right.schur.transposed
     else:
-        a, b = left.schur_t, right.schur
+        a, b = left.schur.transposed, right.schur
     try:
         x = matfun.solve_sylvester(a, b, q)
     except NonFiniteError:

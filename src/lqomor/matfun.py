@@ -31,7 +31,6 @@ eigenvalues agree with T's to rounding.
 """
 
 import functools
-import weakref
 
 import numpy as np
 import scipy.linalg as sla
@@ -89,20 +88,23 @@ def _unsorted(*_):
 class SchurForm:
     """Real Schur form ``a = U T U^T`` of one square matrix, factored on first use.
 
-    Holds the spectral facts the solvers need about ``a`` alone: the
-    factors and the eigenvalues of one ``dgees`` call, the spectral radius
-    that the solvability test reads, and the rightmost eigenvalue of the
-    Hurwitz test.
+    Holds the spectral facts the solvers need about ``a`` alone, all found
+    with one ``dgees`` call: the factors, the eigenvalues, the spectral
+    radius that the solvability test reads, and the rightmost eigenvalue of
+    the Hurwitz test.
     The eigenvalues are ``dgees``'s ``wr + i wi``, in the order of T's
     diagonal blocks: bit for bit the ``x +- i sqrt(|b|) sqrt(|c|)`` of T's
     standardized 1x1 and 2x2 blocks ``[[x, b], [c, x]]``,
     unless the largest entry of ``a`` lies outside about [6.7e-139,
     1.5e138], where ``dgees`` scales ``a`` and scales the imaginary parts
     back apart from T, so the two agree to rounding.
-    ``transposed`` is the form of ``a^T``: a view that shares all of these
-    (``a^T = U T^T U^T``, flagged by ``trans``), so one factorization serves
-    both sides of every Lyapunov and Sylvester equation in ``a``.  ``a``
-    must be a finite square float array.
+    ``transposed`` is the form of ``a^T``: a view that holds this form and
+    reads all of these from it (``a^T = U T^T U^T``, flagged by
+    ``trans``), so one factorization serves both sides of every Lyapunov
+    and Sylvester equation in ``a``.  A form keeps no reference to its
+    views, so each read of ``transposed`` makes a new one, and the factors
+    go with the form's last holder.  ``a`` must be a finite square float
+    array.
     """
 
     def __init__(self, a, transposed=None):
@@ -110,29 +112,25 @@ class SchurForm:
         #: Whether this is the view of another form's transpose, so that
         #: ``a = U T^T U^T`` with that form's factors.
         self.trans = transposed is not None
-        # The view holds its form and the form holds its view weakly, so a
-        # form is freed by reference counting, not by the cycle collector.
         self._form = transposed
-        self._view = None
+
+    @property
+    def base(self):
+        """The form that owns the factors: this form, or the form a view
+        was made from."""
+        return self._form if self.trans else self
 
     @property
     def transposed(self):
-        """Form of ``a^T``: the form a view was made from, or the view of a
-        form, the same object for as long as anything holds it."""
-        if self.trans:
-            return self._form
-        view = self._view and self._view()
-        if view is None:
-            view = SchurForm(self.a.T, self)
-            self._view = weakref.ref(view)
-        return view
+        """Form of ``a^T``: the form a view was made from, or a new view of
+        a form."""
+        return self._form if self.trans else SchurForm(self.a.T, self)
 
     @functools.cached_property
     def _schur(self):
-        """``((T, U), eigenvalues)`` of one ``dgees`` call on the form's
-        matrix, with the workspace ``scipy.linalg.schur`` would use."""
-        if self.trans:
-            return self._form._schur
+        """``((T, U), eigenvalues, radius, rightmost)`` of one ``dgees`` call
+        on the form's matrix, with the workspace ``scipy.linalg.schur``
+        would use; a view reads its form's."""
         if not self.a.size:
             raise DimensionError("a Schur form needs a matrix of order 1 or more")
         gees = sla.lapack.dgees
@@ -147,34 +145,32 @@ class SchurForm:
             )
         # a real eigenvalue is T's diagonal entry as it stands, a zero's sign
         # included, which adding ``1j * 0.0`` would drop
-        return (t, u), np.where(wi == 0.0, wr, wr + 1j * wi)
+        lam = np.where(wi == 0.0, wr, wr + 1j * wi)
+        top = lam[lam.real.argmax()]
+        hurwitz = bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
+        return (t, u), lam, np.abs(lam).max(), (top, hurwitz)
 
     @property
     def factors(self):
         """``(T, U)``: quasi-upper-triangular T and orthogonal U, shared with
         ``transposed``; ``a = U T U^T``, or ``a = U T^T U^T`` if ``trans``."""
-        return self._schur[0]
+        return self.base._schur[0]
 
     @property
     def eigvals(self):
         """Eigenvalues of ``a``, in the order of T's diagonal blocks."""
-        return self._schur[1]
+        return self.base._schur[1]
 
-    @functools.cached_property
+    @property
     def radius(self):
         """Spectral radius of ``a``, shared with ``transposed``."""
-        if self.trans:
-            return self._form.radius
-        return np.abs(self.eigvals).max()
+        return self.base._schur[2]
 
-    @functools.cached_property
+    @property
     def rightmost(self):
         """Eigenvalue with the largest real part, and whether it meets the
         Hurwitz test ``max Re(eig(a)) < -HURWITZ_RTOL * ||a||_F``."""
-        if self.trans:
-            return self._form.rightmost
-        top = self.eigvals[self.eigvals.real.argmax()]
-        return top, bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
+        return self.base._schur[3]
 
 
 def recall(memo, key, bound, make):
@@ -367,8 +363,8 @@ def _trsyl(fa, fb, q):
     With ``A = U op(R) U^T`` and ``B = V op(S) V^T``, where ``op`` transposes
     the factor of a ``trans`` view, this solves the quasi-triangular
     equation ``op(R) Y + Y op(S) = F`` for ``F = U^T Q V`` and returns
-    ``X = U Y V^T``.  In a Lyapunov equation (``fb is fa.transposed``) Q is
-    transformed in the operation order of
+    ``X = U Y V^T``.  In a Lyapunov equation (one form and a view of it,
+    in either order) Q is transformed in the operation order of
     ``scipy.linalg.solve_continuous_lyapunov``.
 
     An F with both sides at most :data:`LEAF` is one LAPACK ``trsyl`` call,
@@ -386,7 +382,7 @@ def _trsyl(fa, fb, q):
     """
     r, u = fa.factors
     s, v = fb.factors
-    lyapunov = fb is fa.transposed
+    lyapunov = fa.trans != fb.trans and fa.base is fb.base
     f = u.T.dot(q.dot(u)) if lyapunov else np.dot(np.dot(u.T, q), v)
     if lyapunov and len(f) > LEAF and fro_norm(f - f.T) <= 1e-12 * fro_norm(f):
         y = _lyapunov_blocked(r, (f + f.T) / 2.0, fa.trans)

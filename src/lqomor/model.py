@@ -82,9 +82,10 @@ class LqoSystem:
     about them holds for the system's life, and a system gives the same
     bits as a parse of its file, whatever the memory order of its inputs.
     The real Schur form of ``A`` (``schur``) is factored at most once, on
-    first use, and the form of ``A^T`` (``schur_t``) is a view of the same
-    factors.  Every fact of a pair with this system on the right is
-    computed at most once per horizon and kept in ``gramian_memo`` for the
+    first use; the form of ``A^T`` is its view ``schur.transposed``, made
+    per solve, which holds ``schur`` and shares its factors.  Every fact
+    of a pair with this system on the right is computed at most once per
+    horizon and kept in ``gramian_memo`` for the
     :data:`~lqomor.gramians.GRAMIAN_MEMO` most recently used horizons,
     read-only (see :mod:`lqomor.gramians`): its own Gramians P and Q, their
     balancing, ``||H||^2`` and ``e^(A t0)``, ``e^(A t1)``, and the blocks
@@ -135,10 +136,6 @@ class LqoSystem:
         #: Real Schur form of A, factored on first use and shared by every
         #: solve and Hurwitz test of this system.
         self.schur = matfun.SchurForm(a)
-        #: Real Schur form of A^T: the view of ``schur`` that shares its
-        #: factors, held for the system's life so that every solve reads the
-        #: same view (a form holds its view only weakly).
-        self.schur_t = self.schur.transposed
         #: ``{TimeInterval: {"P": P, "Q": Q, "balancing": Balancing,
         #: "energy": float, "expm_t0": e^(A t0), "expm_t1": e^(A t1),
         #: "G": G, "X": X, "pair": (weakref to partner, {"P": Pt, "G": Gt,

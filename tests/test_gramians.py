@@ -483,7 +483,7 @@ class TestFactoredControllability:
             pairs = set()
             for a, b, c in controllability:
                 left = next(s for s in (full, rom) if s.schur is a)
-                right = next(s for s in (full, rom) if s.schur_t is b)
+                right = next(s for s in (full, rom) if s.schur is b.base)
                 assert np.array_equal(c, left.B @ right.B.T)
                 pairs.add((id(left), id(right)))
             assert len(controllability) == len(pairs) == count

@@ -351,9 +351,10 @@ class TestSchurForm:
         gc.disable()
         try:
             system = rand_system(np.random.default_rng(42), 5)
-            view = system.schur_t
-            assert view.transposed is system.schur and system.schur.transposed is view
+            view = system.schur.transposed
+            assert view.transposed is system.schur and view.base is system.schur
             assert view.factors is system.schur.factors
+            assert system.schur.transposed is not view
             form = weakref.ref(system.schur)
             del system, view
             assert form() is None

@@ -194,14 +194,14 @@ class TestOwnedMatrices:
         assert h2tau_norm(fresh, iv).value == before
         assert h2tau_norm(LqoSystem(a, b, c, [m]), iv).value != before
 
-    @pytest.mark.parametrize("name", ["A", "B", "C", "M_0", "M_1", "schur_t.a"])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "M_0", "M_1", "schur.transposed.a"])
     def test_constructed_matrices_are_read_only(self, name):
         # M_0 is stored as its symmetric part, M_1 as given
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         system = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((2, 2)), [m, m.T @ m])
         mat = {
             "A": system.A, "B": system.B, "C": system.C, "M_0": system.M[0],
-            "M_1": system.M[1], "schur_t.a": system.schur_t.a,
+            "M_1": system.M[1], "schur.transposed.a": system.schur.transposed.a,
         }[name]
         with pytest.raises(ValueError):
             mat[0, 0] = 5.0

@@ -13,8 +13,10 @@ from lqomor.norms import (
     h2tau_norm_quadrature,
 )
 from lqomor.demo import demo_system
+from lqomor.reductors import tlbt
 
 from util import (
+    chain_system,
     einsum_quadrature_squared,
     q_route_error_triple,
     q_route_norm_squared,
@@ -174,6 +176,12 @@ class TestQuadratureOracle:
             with pytest.raises(ValidationError) as err:
                 h2tau_norm_quadrature(sys1, UNIT_INTERVAL, resolution=resolution)
             assert err.value.context["rows"] == 11586
+
+    def test_resolution_below_two_is_validation(self):
+        sys1 = scalar_system(-1.0, 1.0, 1.0, 0.5)
+        with pytest.raises(ValidationError) as err:
+            h2tau_norm_quadrature(sys1, UNIT_INTERVAL, resolution=1)
+        assert str(err.value) == "resolution must be >= 2, got 1"
 
     @pytest.mark.parametrize(
         "rightmost, t0, t1, resolution",
@@ -394,3 +402,45 @@ def test_norm_and_error_solve_only_controllability_blocks(lapack_calls):
     h2tau_error(system, rom, horizon)
     assert lapack_calls.trsyl == []
     assert lapack_calls.factored(system.A) == 1
+
+
+class TestChain:
+    """The k = 50 mass-spring chain of ``util.chain_system`` (N = 100),
+    bench6's structure at scale, against Simpson quadrature."""
+
+    @pytest.mark.parametrize("t1", [5.0, 50.0])
+    def test_norm_matches_quadrature(self, t1):
+        # force on mass 1, output 2 x1 - 2 x2 + 3 x3 as in bench6; the
+        # bound is the spread between quadrature at R and 2R, which is
+        # about 15 times the error of the 2R value
+        system = chain_system(50, 1, {1: 2.0, 2: -2.0, 3: 3.0})
+        iv = TimeInterval(0.0, t1)
+        coarse, fine = (
+            h2tau_norm_quadrature(system, iv, resolution=r).value for r in (1000, 2000)
+        )
+        assert abs(h2tau_norm(system, iv).value - fine) <= abs(coarse - fine)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: the output has not arrived by t = 5, and the "
+        "Gramian route, a difference of [0, inf) terms, gives 0.0 against "
+        "3.88e-31 from quadrature at R = 2000",
+    )
+    def test_output_far_from_the_force_matches_quadrature(self):
+        system = chain_system(50, 50, {1: 1.0, 25: 1.0})
+        iv = TimeInterval(0.0, 5.0)
+        oracle = h2tau_norm_quadrature(system, iv, resolution=2000).value
+        assert abs(h2tau_norm(system, iv).value - oracle) <= 1e-6 * oracle
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the error of the order-12 tlbt model on [0, 5] "
+        "is 0.0 against 1.94e-10 from quadrature, lost in the rounding of "
+        "the three terms",
+    )
+    def test_tlbt_error_matches_quadrature(self):
+        system = chain_system(50, 1, {1: 2.0, 2: -2.0, 3: 3.0})
+        iv = TimeInterval(0.0, 5.0)
+        rom = tlbt(system, 12, iv).rom
+        oracle = h2tau_norm_quadrature(error_system(system, rom), iv, resolution=1000).value
+        assert abs(h2tau_error(system, rom, iv).value - oracle) <= 1e-6 * oracle

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,19 @@ class TestBiorthogonalize:
     def test_rejects_wide_input(self):
         with pytest.raises(DimensionError):
             biorthogonalize(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_rejects_bases_of_different_shapes(self):
+        with pytest.raises(DimensionError) as err:
+            biorthogonalize(np.ones((3, 2)), np.ones((3, 1)))
+        assert str(err.value) == "V and W must share a shape, got (3, 2) and (3, 1)"
+
+    def test_zero_pivot_is_rank_error(self):
+        # e1 and e2 are each of full rank but orthogonal: w^T v = 0
+        e = np.eye(3)
+        with pytest.raises(RankError) as err:
+            biorthogonalize(e[:, :1], e[:, 1:2])
+        assert str(err.value) == "normalization pivot |w^T v| = 0.000e+00 at column 0"
+        assert err.value.context["column"] == 0
 
     @pytest.mark.parametrize("scale", [1e-20, 1e20])
     def test_collapse_test_is_relative_to_the_column(self, scale):
@@ -380,6 +395,14 @@ def test_full_order_start_is_fixed_point(method, interval):
     assert_projection_consistent(sys1, report)
 
 
+def test_start_above_the_full_order_is_validation():
+    system = demo_system()
+    rom0 = rand_system(np.random.default_rng(95), system.order + 1, 1, 1)
+    with pytest.raises(ValidationError) as err:
+        tlhnoia(system, rom0, TimeInterval(0.0, 0.5))
+    assert str(err.value) == "initial order must satisfy 0 < n <= 6, got 7"
+
+
 @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
 def test_breakdown_returns_the_initial_model(method):
     # B = 0 makes Pt = 0, so the first bi-orthogonalization breaks down
@@ -567,6 +590,32 @@ def test_mixed_sweep_that_breaks_down_restarts_from_the_plain_image(monkeypatch)
     assert report.converged and report.iterations == len(swept) - 1
     assert len(report.pole_history) == report.iterations + 1
     assert not any("broke down" in w for w in report.warnings)
+
+
+def test_mixed_bases_that_break_down_give_way_to_the_plain_image(monkeypatch):
+    """Every bi-orthogonalization of mixed bases raises: each mixing step
+    returns the plain image with an empty history, so the run is the plain
+    sweep and still returns its model."""
+    anderson = reductors._anderson.__code__
+    plain = reductors.biorthogonalize
+
+    def failing(v, w):
+        if sys._getframe(1).f_code is anderson:
+            raise RankError("mixed bases collapsed")
+        return plain(v, w)
+
+    monkeypatch.setattr(reductors, "biorthogonalize", failing)
+    steps = _recording_anderson(monkeypatch)
+    iv = TimeInterval(0.0, 2.0)
+    report = tlhnoia(demo_system(), demo_initial_guess(), iv)
+    tried = [(image, rom, n_out) for n_in, image, rom, n_out in steps if n_in]
+    assert tried and all(rom is image and n_out == 0 for image, rom, n_out in tried)
+    ref, ref_converged, sweeps = reference_fixed_point(
+        demo_system(), demo_initial_guess(), iv, 1e-6, 200
+    )
+    assert report.converged and ref_converged and report.iterations == sweeps
+    assert isinstance(report.rom, LqoSystem) and report.residuals is not None
+    assert pole_change(ref.poles(), report.rom.poles()) <= 1e-8
 
 
 def test_returned_iterate_that_a_sweep_read_keeps_its_blocks(monkeypatch):

@@ -119,6 +119,59 @@ class TestParseSystem:
         with pytest.raises(SchemaError, match="not found"):
             load_system(path)
 
+    @staticmethod
+    def schema_error(capsys, tmp_path, edit):
+        """``(exit code, stdout, error document)`` of ``norm`` on a 2-state
+        system document changed in place by ``edit(doc, tmp_path)``."""
+        doc = doc_of(rand_system(np.random.default_rng(103), 2, 1, 1))
+        edit(doc, tmp_path)
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["norm", "--system", str(path), "--t1", "1"])
+        captured = capsys.readouterr()
+        return code, captured.out, json.loads(captured.err)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("hello world\n1 2 3\n", "Line 1: Not a Matrix Market file. Missing banner."),
+            ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+             "Truncated file. Expected another 1 lines."),
+        ],
+        ids=["not-matrix-market", "truncated"],
+    )
+    def test_unreadable_matrix_market_file_is_schema(self, capsys, tmp_path, text, reason):
+        def edit(doc, where):
+            (where / "a.mtx").write_text(text)
+            doc["A"] = "a.mtx"
+
+        code, out, err = self.schema_error(capsys, tmp_path, edit)
+        assert code == 3 and out == ""
+        assert err["code"] == "schema" and err["context"]["field"] == "A"
+        assert err["message"] == (
+            f"A: not a readable Matrix Market file: {tmp_path / 'a.mtx'}: {reason}"
+        )
+
+    def test_matrix_market_file_of_the_wrong_shape_is_schema(self, capsys, tmp_path):
+        from scipy.io import mmwrite
+
+        def edit(doc, where):
+            mmwrite(where / "a.mtx", np.ones((2, 3)))
+            doc["A"] = "a.mtx"
+
+        code, out, err = self.schema_error(capsys, tmp_path, edit)
+        assert code == 3 and out == ""
+        assert err["code"] == "schema" and err["context"]["field"] == "A"
+        assert err["message"] == "A: expected shape (2, 2), file has (2, 3)"
+
+    def test_m_that_is_not_a_list_is_schema(self, capsys, tmp_path):
+        code, out, err = self.schema_error(
+            capsys, tmp_path, lambda doc, where: doc.update(M={})
+        )
+        assert code == 3 and out == ""
+        assert err["code"] == "schema" and err["context"]["field"] == "M"
+        assert err["message"] == "M: expected a list of matrices"
+
 
 class TestSerializeReport:
     def test_report_fields(self):
@@ -354,7 +407,7 @@ class TestLoadCache:
         path = tmp_path / "system.json"
         save_system(rand_system(np.random.default_rng(111), 3, 1, 2), path)
         system = load_system(path)
-        for mat in (system.A, system.schur_t.a, system.B, system.C, *system.M):
+        for mat in (system.A, system.schur.transposed.a, system.B, system.C, *system.M):
             with pytest.raises(ValueError):
                 mat[0, 0] = 1.0
 

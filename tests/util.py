@@ -46,6 +46,37 @@ def rand_lti(rng, n, m=1, p=1, margin=1.0):
     )
 
 
+def chain_system(k, force_mass, output_masses):
+    """Mass-spring chain of ``k`` unit masses, ``N = 2k`` states: bench6's
+    structure (``data/benchmark6.json``, a three-mass chain) at any order.
+
+    The chain has fixed ends and unit springs, so the stiffness ``K`` is
+    tridiagonal (2, -1), and Rayleigh damping ``D = 0.01 (I + K)``.  The
+    state is ``[x; v]``, displacements then velocities, so
+    ``A = [[0, I], [-K, -D]]``.  One force acts on mass ``force_mass``
+    (numbered from 1), so ``CB = 0``.  The single output reads the
+    displacements, ``C = sum_j w_j e_j^T`` for ``output_masses = {j: w_j}``,
+    and ``M_1 = diag(0.5, 0.3, 0, ...)`` weighs the first two
+    displacements, as in bench6.  The chain is lightly damped: at k = 50
+    its spectral radius is 2.0 and its slowest decay rate 2.5e-3 of that.
+    A force far from the output reaches it only after a transport delay.
+    """
+    n = 2 * k
+    stiffness = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    a = np.zeros((n, n))
+    a[:k, k:] = np.eye(k)
+    a[k:, :k] = -stiffness
+    a[k:, k:] = -0.01 * (np.eye(k) + stiffness)
+    b = np.zeros((n, 1))
+    b[k + force_mass - 1, 0] = 1.0
+    c = np.zeros((1, n))
+    for mass, weight in output_masses.items():
+        c[0, mass - 1] = weight
+    m = np.zeros((n, n))
+    m[0, 0], m[1, 1] = 0.5, 0.3
+    return LqoSystem(a, b, c, [m])
+
+
 def q_route_norm_squared(system, interval):
     """``||H||^2 = trace(B^T Q B)`` from the full Gramian set: the
     observability-Gramian route, an oracle for the P-only norms."""
@@ -98,7 +129,7 @@ def dense_controllability_block(left, right, interval):
     )
     if not interval.is_infinite:
         rhs = rhs - matfun.expm(left.A, t1) @ kern @ matfun.expm(right.A, t1).T
-    x = matfun.solve_sylvester(left.schur, right.schur_t, rhs)
+    x = matfun.solve_sylvester(left.schur, right.schur.transposed, rhs)
     return (x + x.T) / 2.0 if left is right else x
 
 
@@ -116,7 +147,7 @@ def dense_observability_block(left, right, interval, kern):
     )
     if not interval.is_infinite:
         rhs = rhs - matfun.expm(left.A, t1).T @ kern @ matfun.expm(right.A, t1)
-    x = matfun.solve_sylvester(left.schur_t, right.schur, rhs)
+    x = matfun.solve_sylvester(left.schur.transposed, right.schur, rhs)
     return (x + x.T) / 2.0 if left is right else x
 
 
