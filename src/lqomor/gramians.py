@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import matfun
-from .errors import DimensionError, NonFiniteError, SolverError
+from .errors import NonFiniteError, SolverError
 from .model import INFINITE, TimeInterval, require_same_io
 
 #: Horizons a system keeps the facts of its pairs for (:func:`_kept`): the
@@ -394,12 +394,8 @@ def hankel_singular_values(p, q):
     P or Q of magnitude at most ``1e-10`` times the largest are clipped to
     zero (the largest clip is recorded in the result); larger ones raise.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimensionError(
-            f"P and Q must be equal square matrices, got {p.shape} and {q.shape}"
-        )
+    p = matfun._as_matrix(p, "P", "square")
+    q = matfun._as_matrix(q, "Q", p.shape)
     lp, clip_p = _psd_factor(p, "P")
     lq, clip_q = _psd_factor(q, "Q")
     u, sigma, vt = sla.svd(lq.T @ lp, full_matrices=False)

@@ -48,16 +48,32 @@ HURWITZ_RTOL = 1e-12
 LEAF = 48
 
 
-def _as_matrix(a, name):
+def _as_matrix(a, name, shape=(None, None)):
+    """Nonempty, finite, C-ordered float copy of the matrix ``a``, a 1-d
+    ``a`` read as one row: the one check of every matrix that a library
+    function takes from its caller.
+
+    ``shape`` is the expected ``(rows, columns)``, None for any count, or
+    ``"square"`` for equal counts.  A ragged, non-numeric, 3-d, empty or
+    misshapen ``a`` raises :class:`DimensionError`, a NaN or inf
+    :class:`NonFiniteError`; both name ``a`` in ``context["name"]``.
+    """
     try:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-    except ValueError:
+        # converted once: the copy is what is checked and returned
+        a = np.array(a, dtype=float, order="C", ndmin=2)
+    except (TypeError, ValueError):
         # numpy's error for ragged rows or entries that are not numbers
         raise DimensionError(
             f"{name} must be a 2-d matrix of numbers with rows of equal length", name=name
         ) from None
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-d matrix, got ndim={a.ndim}", name=name)
+    square = shape == "square"
+    rows, cols = (len(a),) * 2 if square else shape
+    if a.ndim != 2 or not a.size or rows not in (None, len(a)) or cols not in (None, a.shape[1]):
+        want = "n x n" if square else " x ".join("*" if w is None else str(w) for w in shape)
+        raise DimensionError(
+            f"{name} must be a nonempty {want} matrix, got shape {a.shape}",
+            name=name, shape=a.shape,
+        )
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains non-finite entries", name=name)
     return a
@@ -70,15 +86,6 @@ def fro_norm(a):
     threshold tests only, never a value that reaches an output."""
     x = a.ravel(order="K")
     return sla.blas.dnrm2(x) if x.size else 0.0
-
-
-def _as_square(a, name):
-    a = _as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(
-            f"{name} must be square, got shape {a.shape}", name=name, shape=a.shape
-        )
-    return a
 
 
 def _unsorted(*_):
@@ -103,8 +110,8 @@ class SchurForm:
     ``trans``), so one factorization serves both sides of every Lyapunov
     and Sylvester equation in ``a``.  A form keeps no reference to its
     views, so each read of ``transposed`` makes a new one, and the factors
-    go with the form's last holder.  ``a`` must be a finite square float
-    array.
+    go with the form's last holder.  ``a`` is checked as a square matrix
+    (:func:`_as_matrix`) when it is factored.
     """
 
     def __init__(self, a, transposed=None):
@@ -131,11 +138,10 @@ class SchurForm:
         """``((T, U), eigenvalues, radius, rightmost)`` of one ``dgees`` call
         on the form's matrix, with the workspace ``scipy.linalg.schur``
         would use; a view reads its form's."""
-        if not self.a.size:
-            raise DimensionError("a Schur form needs a matrix of order 1 or more")
+        a = _as_matrix(self.a, "a", "square")
         gees = sla.lapack.dgees
-        lwork = int(gees(_unsorted, self.a, lwork=-1)[-2][0])
-        t, _, wr, wi, u, _, info = gees(_unsorted, self.a, lwork=lwork)
+        lwork = int(gees(_unsorted, a, lwork=-1)[-2][0])
+        t, _, wr, wi, u, _, info = gees(_unsorted, a, lwork=lwork)
         if info < 0:
             raise SolverError(f"gees rejected argument {-info}")
         if info > 0:
@@ -147,7 +153,7 @@ class SchurForm:
         # included, which adding ``1j * 0.0`` would drop
         lam = np.where(wi == 0.0, wr, wr + 1j * wi)
         top = lam[lam.real.argmax()]
-        hurwitz = bool(top.real < -HURWITZ_RTOL * fro_norm(self.a))
+        hurwitz = bool(top.real < -HURWITZ_RTOL * fro_norm(a))
         return (t, u), lam, np.abs(lam).max(), (top, hurwitz)
 
     @property
@@ -187,7 +193,7 @@ def recall(memo, key, bound, make):
 
 def _form(a, name):
     """``a`` itself if it is a :class:`SchurForm`, else a form of the checked array."""
-    return a if isinstance(a, SchurForm) else SchurForm(_as_square(a, name))
+    return a if isinstance(a, SchurForm) else SchurForm(_as_matrix(a, name, "square"))
 
 
 def is_hurwitz(a):
@@ -231,7 +237,7 @@ def expm(a, t=1.0):
     -------
     (n, n) ndarray
     """
-    a = _as_square(a, "A")
+    a = _as_matrix(a, "A", "square")
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -258,14 +264,8 @@ def expm_frechet(a, v, t=1.0):
     -------
     (n, n) ndarray
     """
-    a = _as_square(a, "A")
-    v = _as_square(v, "V")
-    if a.shape != v.shape:
-        raise DimensionError(
-            f"A and V must have equal shapes, got {a.shape} and {v.shape}",
-            a_shape=a.shape,
-            v_shape=v.shape,
-        )
+    a = _as_matrix(a, "A", "square")
+    v = _as_matrix(v, "V", a.shape)
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -421,13 +421,7 @@ def solve_lyapunov(a, q, side="controllability"):
         for well-conditioned inputs.
     """
     form = _form(a, "A")
-    q = _as_square(q, "Q")
-    if form.a.shape != q.shape:
-        raise DimensionError(
-            f"A and Q must have equal shapes, got {form.a.shape} and {q.shape}",
-            a_shape=form.a.shape,
-            q_shape=q.shape,
-        )
+    q = _as_matrix(q, "Q", form.a.shape)
     if side not in ("controllability", "observability"):
         raise ValueError(f"unknown side {side!r}")
     if side == "observability":
@@ -468,10 +462,7 @@ def solve_sylvester(a, b, c):
     """
     fa = _form(a, "A")
     fb = _form(b, "B")
-    shape = (fa.a.shape[0], fb.a.shape[0])
-    c = _as_matrix(c, "C")
-    if c.shape != shape:
-        raise DimensionError(f"C must have shape {shape}, got {c.shape}", c_shape=c.shape)
+    c = _as_matrix(c, "C", (fa.a.shape[0], fb.a.shape[0]))
     _require_unique_solution(
         fa, fb, "Sylvester equation is singular: spectra of A and -B overlap",
     )

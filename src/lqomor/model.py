@@ -64,7 +64,13 @@ class TimeInterval:
 class LqoSystem:
     """Realization ``(A, B, C, M_1..M_p)`` of a quadratic-output system.
 
-    Dimensions and finiteness are always validated on construction.  The
+    Every matrix is checked on construction by the one matrix check of the
+    library (:func:`lqomor.matfun._as_matrix`): ``A`` N x N with N >= 1,
+    ``B`` N x m, ``C`` p x N for the p matrices ``M_i``, each N x N, all
+    finite.  A ragged, non-numeric, empty or misshapen matrix raises
+    :class:`~lqomor.errors.DimensionError`, a NaN or inf
+    :class:`~lqomor.errors.NonFiniteError`, each naming the matrix in
+    ``context["name"]`` (``"A"``, ``"B"``, ``"C"`` or ``"M[i]"``).  The
     stability requirement (``A`` Hurwitz) is enforced by default; file
     loads and the reduction algorithms, which legitimately read unstable
     systems or pass through unstable iterates, construct instances with
@@ -93,39 +99,17 @@ class LqoSystem:
     """
 
     def __init__(self, a, b, c, m, check_hurwitz=True):
-        # C-ordered copies, the order a parse gives: the rounding of BLAS
-        # products depends on it
-        a = np.array(a, dtype=float, order="C", ndmin=2)
-        b = np.array(b, dtype=float, order="C", ndmin=2)
-        c = np.array(c, dtype=float, order="C", ndmin=2)
         if isinstance(m, np.ndarray) and m.ndim == 2:
             m = [m]
-        m = tuple(np.array(mi, dtype=float, order="C", ndmin=2) for mi in m)
-
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionError(f"A must be square, got shape {a.shape}")
-        if b.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got shape {b.shape}")
-        if c.shape[1] != n:
-            raise DimensionError(f"C must have {n} columns, got shape {c.shape}")
-        p = c.shape[0]
-        if len(m) != p:
-            raise DimensionError(
-                f"M length {len(m)} != p {p}", m_length=len(m), n_outputs=p
-            )
-        for i, mi in enumerate(m):
-            if mi.shape != (n, n):
-                raise DimensionError(
-                    f"M[{i}] must have shape {(n, n)}, got {mi.shape}", index=i
-                )
-        for name, mat in (("A", a), ("B", b), ("C", c)) + tuple(
-            (f"M[{i}]", mi) for i, mi in enumerate(m)
-        ):
-            if not np.isfinite(mat).all():
-                raise NonFiniteError(f"{name} contains non-finite entries", name=name)
-
-        m = tuple(_symmetrized(mi) for mi in m)
+        # C-ordered copies, the order a parse gives: the rounding of BLAS
+        # products depends on it
+        a = matfun._as_matrix(a, "A", "square")
+        n = len(a)
+        b = matfun._as_matrix(b, "B", (n, None))
+        m = tuple(
+            _symmetrized(matfun._as_matrix(mi, f"M[{i}]", (n, n))) for i, mi in enumerate(m)
+        )
+        c = matfun._as_matrix(c, "C", (len(m), n))
         for mat in (a, b, c, *m):
             mat.flags.writeable = False
 
@@ -391,7 +375,8 @@ def simulate(system, u, grid, x0=None):
         steps within ``4 eps max(|t_0|, |t_S|)`` of each other, one RK4 step
         each, so a finer grid is how to take smaller steps.
     x0 : array_like, optional
-        Initial state, zero by default.
+        Initial state, zero by default: N numbers in one row, a 1-d array
+        or a 1 x N matrix.
 
     Returns
     -------
@@ -399,6 +384,9 @@ def simulate(system, u, grid, x0=None):
 
     Raises
     ------
+    DimensionError, NonFiniteError
+        If ``x0`` is not N finite numbers in one row; ``context.name`` is
+        ``"x0"``.
     ValidationError
         If the grid is empty, not finite, not increasing or not uniform;
         the message of a grid that is not uniform names its shortest and
@@ -423,9 +411,7 @@ def simulate(system, u, grid, x0=None):
         )
     n = system.order
     m = system.n_inputs
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != n:
-        raise DimensionError(f"x0 length {x.size} != system order {n}")
+    x = np.zeros(n) if x0 is None else matfun._as_matrix(x0, "x0", (1, n))[0]
 
     # step j runs from t[j] to t[j + 1]; its stages sample u at times[2j],
     # times[2j + 1] (midpoint) and times[2j + 2]

@@ -121,7 +121,7 @@ class TestNormCommand:
         for t1 in ("1", "inf"):
             code, out, err = run(capsys, "norm", "--system", str(path), "--t1", t1, fresh=fresh)
             assert (code, err) == (0, "")
-            assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12)
+            assert json.loads(out)["value"] == pytest.approx(math.sqrt(2e-200), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
     def test_unstable_scalar_on_a_finite_horizon(self, capsys, tmp_path, fresh):
@@ -322,7 +322,7 @@ class TestErrorAndResiduals:
             doc["decomposition"]["inner_product"],
             doc["decomposition"]["norm_rom_squared"],
         )
-        assert doc["value"] ** 2 == pytest.approx(first - 2 * second + third, rel=1e-9)
+        assert doc["value"] ** 2 == pytest.approx(first - 2 * second + third, rel=1e-9, abs=0)
 
     def test_same_file_as_system_and_rom(self, capsys):
         """Both names load one object, so the inner product takes the
@@ -443,7 +443,7 @@ class TestFactorRank:
         code, out, _ = run(capsys, "hsv", "--system", BENCH, "--t0", "0", "--t1", "1e-5")
         assert code == 0
         clamp = json.loads(out)["clamp_magnitude"]
-        assert clamp == pytest.approx(2.951098742385853e-14, rel=1e-10)
+        assert clamp == pytest.approx(2.951098742385853e-14, rel=1e-10, abs=0)
         with pytest.raises(SolverError, match="Q is indefinite beyond tolerance") as err:
             hankel_singular_values(np.eye(2), np.diag([1.0, -1e-3]))
         assert err.value.context == {"min_eigenvalue": -1e-3}

@@ -1,5 +1,8 @@
 """Metamorphic relations of the horizon norm: answers that must not depend
-on the coordinates, the time origin or the units a system is written in.
+on the coordinates, the time origin or the units a system is written in,
+and two that follow from its output energy: every output taken twice
+doubles ``||H||^2``, and a block-diagonal composition of two systems has
+the sum of their ``||H||^2``.
 
 A system in coordinates ``x = T z`` is ``(T^-1 A T, T^-1 B, C T, T^T M_i T)``
 and has the same norm on every horizon.  The cases are bench6 and
@@ -12,6 +15,7 @@ transformed matrices by about ``eps cond(T)`` and the Gramians by its square.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +123,35 @@ def test_skew_part_of_the_output_matrices_changes_nothing(name, interval, seed, 
     skew = scale * (g - g.T)
     value = h2tau_norm(with_parts(system, m=[mi + skew for mi in system.M]), interval).value
     assert close(value, h2tau_norm(system, interval).value, TOL)
+
+
+@pytest.mark.parametrize("interval", HORIZONS, ids=str)
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_outputs_stacked_twice_double_the_squared_norm(name, interval):
+    # ([C; C], M_1..M_p, M_1..M_p) has every output twice, so twice the energy
+    system = SYSTEMS[name]()
+    twice = with_parts(system, c=np.vstack([system.C, system.C]), m=system.M + system.M)
+    value = h2tau_norm(twice, interval).value
+    assert close(value**2, 2.0 * h2tau_norm(system, interval).value ** 2, TOL)
+
+
+def parallel(first, second):
+    """Block-diagonal composition: each system keeps its own inputs, states
+    and outputs, so no output of one sees the other."""
+    z1, z2 = np.zeros(first.A.shape), np.zeros(second.A.shape)
+    return LqoSystem(
+        sla.block_diag(first.A, second.A), sla.block_diag(first.B, second.B),
+        sla.block_diag(first.C, second.C),
+        [sla.block_diag(mi, z2) for mi in first.M] + [sla.block_diag(z1, mi) for mi in second.M],
+    )
+
+
+@pytest.mark.parametrize("interval", HORIZONS, ids=str)
+def test_parallel_composition_adds_the_squared_norms(interval):
+    first, second = (SYSTEMS[name]() for name in sorted(SYSTEMS))
+    value = h2tau_norm(parallel(first, second), interval).value
+    ref = h2tau_norm(first, interval).value ** 2 + h2tau_norm(second, interval).value ** 2
+    assert close(value**2, ref, TOL)
 
 
 @pytest.mark.xfail(
