@@ -54,17 +54,21 @@ def _as_matrix(a, name, shape=(None, None)):
     function takes from its caller.
 
     ``shape`` is the expected ``(rows, columns)``, None for any count, or
-    ``"square"`` for equal counts.  A ragged, non-numeric, 3-d, empty or
-    misshapen ``a`` raises :class:`DimensionError`, a NaN or inf
+    ``"square"`` for equal counts.  A ragged, non-numeric, complex, 3-d,
+    empty or misshapen ``a`` raises :class:`DimensionError`, a NaN or inf
     :class:`NonFiniteError`; both name ``a`` in ``context["name"]``.
     """
     try:
+        # a complex array would convert with its imaginary part dropped
+        if np.iscomplexobj(a):
+            raise TypeError(f"{name} is complex")
         # converted once: the copy is what is checked and returned
         a = np.array(a, dtype=float, order="C", ndmin=2)
     except (TypeError, ValueError):
-        # numpy's error for ragged rows or entries that are not numbers
+        # numpy's error for ragged rows or entries that are not real numbers
         raise DimensionError(
-            f"{name} must be a 2-d matrix of numbers with rows of equal length", name=name
+            f"{name} must be a 2-d matrix of real numbers with rows of equal length",
+            name=name,
         ) from None
     square = shape == "square"
     rows, cols = (len(a),) * 2 if square else shape

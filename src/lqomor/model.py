@@ -67,10 +67,12 @@ class LqoSystem:
     Every matrix is checked on construction by the one matrix check of the
     library (:func:`lqomor.matfun._as_matrix`): ``A`` N x N with N >= 1,
     ``B`` N x m, ``C`` p x N for the p matrices ``M_i``, each N x N, all
-    finite.  A ragged, non-numeric, empty or misshapen matrix raises
-    :class:`~lqomor.errors.DimensionError`, a NaN or inf
+    finite.  A ragged, non-numeric, complex, empty or misshapen matrix
+    raises :class:`~lqomor.errors.DimensionError`, a NaN or inf
     :class:`~lqomor.errors.NonFiniteError`, each naming the matrix in
-    ``context["name"]`` (``"A"``, ``"B"``, ``"C"`` or ``"M[i]"``).  The
+    ``context["name"]`` (``"A"``, ``"B"``, ``"C"`` or ``"M[i]"``); an ``M``
+    that is neither one N x N array nor a sequence of them is a
+    ``DimensionError`` naming ``"M"``.  The
     stability requirement (``A`` Hurwitz) is enforced by default; file
     loads and the reduction algorithms, which legitimately read unstable
     systems or pass through unstable iterates, construct instances with
@@ -101,6 +103,13 @@ class LqoSystem:
     def __init__(self, a, b, c, m, check_hurwitz=True):
         if isinstance(m, np.ndarray) and m.ndim == 2:
             m = [m]
+        try:
+            m = list(m)
+        except TypeError:
+            raise DimensionError(
+                f"M must be a sequence of N x N matrices, one per output, got "
+                f"{type(m).__name__}", name="M",
+            ) from None
         # C-ordered copies, the order a parse gives: the rounding of BLAS
         # products depends on it
         a = matfun._as_matrix(a, "A", "square")
@@ -244,45 +253,80 @@ def _block_jump(psi, n_steps):
     return block, jump
 
 
-def _run_steps(psi, rows):
-    """Run ``x+ = x + psi x + f`` over ``rows`` in place.
+def _krylov_blocks(psi, gamma, block):
+    """``[K_(L-1)^T, ..., K_1^T, K_0^T]`` for ``K_i = Phi^i gamma`` and ``Phi
+    = I + psi``: an L x q x N array, q the columns of ``gamma``.
 
-    On entry ``rows[0]`` holds the start and ``rows[j + 1]`` the forcing
-    ``f`` of step j; on return ``rows[j + 1]`` holds the state after step j.
-    The S steps are cut into ``S // L`` blocks of L steps, ``sqrt(S) / 2 <
-    L <= sqrt(S)`` (see :func:`_block_jump`), and a tail of fewer than L.
-    Pass 1 runs every block from a zero start, all blocks as rows of one
-    array; pass 2 walks the block starts with the jump ``Phi^L - I``; pass 3
-    reruns every block from its true start, and the tail follows step by
-    step: ``2 L + S / L`` batched steps and block jumps plus a tail of
-    fewer than L steps, O(sqrt(S)) array operations, not S.  L is halved
-    while the jump overflows, so that ``inf * 0`` never enters a state that
-    the step-by-step recurrence keeps finite.
+    L is ``block`` or, if a ``K_i`` with ``i < block`` is not finite, the
+    largest power of two ``<= i`` (1 if ``gamma`` is not finite).  Each
+    block is taken in increment form, ``K_(i+1) = K_i + psi K_i``, so the
+    identity never enters a sum and the small increments of short steps
+    keep their digits.
+    """
+    kry = np.empty((block, gamma.shape[1], gamma.shape[0]))
+    kry[-1] = gamma.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(block - 2, -1, -1):
+            np.matmul(kry[i + 1], psi.T, out=kry[i])
+            kry[i] += kry[i + 1]
+    finite = np.isfinite(kry).all(axis=(1, 2))[::-1]
+    if finite.all():
+        return kry
+    kept = max(int(np.argmin(finite)), 1)
+    return kry[block - (1 << (kept.bit_length() - 1)):]
+
+
+def _run_steps(psi, gamma, stages, rows):
+    """Run ``x+ = x + psi x + gamma s`` over the stage samples ``stages``.
+
+    On entry ``rows[0]`` holds the start; on return ``rows[j + 1]`` holds
+    the state after step j, whose forcing ``gamma stages[j]`` has rank at
+    most q, the columns of ``gamma``.  The S steps are cut into ``S // L``
+    blocks of L steps, ``sqrt(S) / 2 < L <= sqrt(S)``, and a tail of fewer
+    than L: a two-level scan of the linear recurrence (Blelloch, "Prefix
+    sums and their applications", 1990).  Pass 1 finds the end of every
+    block run from a zero start, ``sum_k Phi^(L-1-k) gamma s_k``, at the
+    input's rank: one product of the stage samples, L q of them per block,
+    with the stacked blocks ``Phi^i gamma`` (:func:`_krylov_blocks`),
+    O(L N^2 q + S q N) flops instead of the O(S N^2) of stepping every
+    block.  Pass 2 walks the block starts with the jump ``Phi^L - I``
+    (:func:`_block_jump`); pass 3 reruns all blocks from their true starts
+    as the rows of one contiguous array, copying each step out, and the
+    tail follows step by step: O(sqrt(S)) array operations, not S.  L is
+    halved while the jump or a block ``Phi^i gamma`` overflows, so that
+    ``inf * 0`` never enters a state that the step-by-step recurrence
+    keeps finite.
     """
     n_steps = rows.shape[0] - 1
-    block, jump = _block_jump(psi, n_steps)
+    np.matmul(stages, gamma.T, out=rows[1:])
+    # the largest power of two whose square is at most S
+    kry = _krylov_blocks(psi, gamma, 1 << (math.isqrt(n_steps).bit_length() - 1))
+    block, jump = _block_jump(psi, len(kry) ** 2)
     n_blocks = n_steps // block
-    blocks = rows[1:1 + n_blocks * block].reshape(n_blocks, block, -1)
-    # pass 1 leaves the local end of block b in starts[b + 1]; the last
-    # block's end is not needed
-    starts = np.zeros((n_blocks, rows.shape[1]))
-    ends = starts[1:]
-    for k in range(block):
-        ends += ends @ psi.T
-        ends += blocks[:-1, k]
+    n = rows.shape[1]
+    # pass 1 leaves the local end of block b in starts[b + 1], the L q
+    # stage samples of the block times the last L blocks Phi^i gamma; the
+    # last block's end is not needed
+    starts = np.empty((n_blocks, n))
+    kry = kry[len(kry) - block:].reshape(-1, n)
+    samples = stages[:(n_blocks - 1) * block].reshape(n_blocks - 1, len(kry))
+    np.matmul(samples, kry, out=starts[1:])
     # pass 2 turns them into the true starts in place
     starts[0] = rows[0]
     for b in range(1, n_blocks):
         starts[b] += jump @ starts[b - 1]
         starts[b] += starts[b - 1]
     del jump  # free its N x N floats before pass 3 allocates
-    # pass 3, then the tail from the end of the last block
-    x = starts
+    # pass 3, (f + x psi^T) + x as the step-by-step recurrence adds, then
+    # the tail from the end of the last block
+    blocks = rows[1:1 + n_blocks * block].reshape(n_blocks, block, n)
+    x, nxt = starts, np.empty_like(starts)
     for k in range(block):
-        nxt = blocks[:, k]
-        nxt += x @ psi.T
+        np.matmul(x, psi.T, out=nxt)
+        nxt += blocks[:, k]
         nxt += x
-        x = nxt
+        blocks[:, k] = nxt
+        x, nxt = nxt, x
     x = rows[n_blocks * block]
     for nxt in rows[n_blocks * block + 1:]:
         nxt += psi @ x
@@ -359,8 +403,10 @@ def simulate(system, u, grid, x0=None):
     The input is sampled once on all stage times and the forcing terms of
     all steps are one matrix product.  The S steps advance in blocks of
     about ``sqrt(S)`` steps (see :func:`_run_steps`): O(sqrt(S)) array
-    operations, two N x N matrices and ``O(sqrt(S) N)`` floats beside the
+    operations, two N x N matrices and ``O(sqrt(S) q N)`` floats beside the
     states, within a few units of rounding of the step-by-step recurrence.
+    The block ends are found at the input's rank q = 3m, from the L blocks
+    ``Phi^i Gamma`` and the stage samples, in O(L N^2 q + S q N) flops.
 
     Parameters
     ----------
@@ -425,8 +471,7 @@ def simulate(system, u, grid, x0=None):
     states[0] = x
     if n_steps:
         psi, gamma = _rk4_step_matrices(system.A, system.B, (t[-1] - t[0]) / n_steps)
-        np.matmul(stages, gamma.T, out=states[1:])
-        _run_steps(psi, states)
+        _run_steps(psi, gamma, stages, states)
     outputs = _output_trajectory(system, states)
     finite = np.isfinite(outputs).all(axis=1)
     if not finite.all():

@@ -1,8 +1,8 @@
 """The one matrix check of the library's entry points.
 
 Every matrix that a library function takes from its caller goes through
-``matfun._as_matrix``: a ragged, non-numeric, 3-d, empty or misshapen
-matrix is a ``DimensionError`` and a NaN or inf a ``NonFiniteError``, each
+``matfun._as_matrix``: a ragged, non-numeric, complex, 3-d, empty or
+misshapen matrix is a ``DimensionError`` and a NaN or inf a ``NonFiniteError``, each
 naming the matrix in ``context["name"]``.
 """
 
@@ -53,6 +53,8 @@ def with_entry(valid, value):
 BAD_INPUTS = [
     ("ragged", DimensionError, lambda v: v.tolist() + [[0.0]]),
     ("non-numeric", DimensionError, lambda v: [["x"] * v.shape[1]] * v.shape[0]),
+    # converted, it would lose its imaginary part with only a ComplexWarning
+    ("complex", DimensionError, lambda v: with_entry(v + 0j, 5j)),
     ("3-d", DimensionError, lambda v: np.stack([v, v])),
     ("empty", DimensionError, lambda v: np.zeros((0, 0))),
     ("wrong-shape", DimensionError, lambda v: np.zeros((v.shape[0] + 1, v.shape[1]))),
@@ -80,6 +82,13 @@ def test_order_zero_system_is_refused_without_the_hurwitz_test():
     with pytest.raises(DimensionError) as exc:
         system(a=empty, b=np.zeros((0, 1)), c=np.zeros((1, 0)), m=[empty])
     assert exc.value.context["name"] == "A"
+
+
+@pytest.mark.parametrize("m", [5.0, None], ids=["number", "none"])
+def test_output_matrices_that_are_no_sequence_are_refused_by_name(m):
+    with pytest.raises(DimensionError) as exc:
+        LqoSystem([[-1.0]], [[1.0]], [[1.0]], m)
+    assert exc.value.context["name"] == "M"
 
 
 @pytest.mark.parametrize("x0", [np.ones((2, 3)), np.ones((6, 1))], ids=["2x3", "column"])

@@ -415,9 +415,39 @@ class TestSimulate:
         traj = simulate(rom, parse_signal("0*t"), np.arange(10001.0))
         assert (traj.states == 0.0).all()
 
+    def test_recurrence_matches_stages_at_an_input_rank_below_the_order(self):
+        # q = 3 stage samples per step against N = 40 states: the block ends
+        # of pass 1 come from the 32 blocks Phi^i Gamma of 40 x 3
+        sys1 = rand_system(np.random.default_rng(13), 40, 1, 2)
+        grid = np.linspace(0.0, 2.0, 2501)
+        x0 = np.random.default_rng(14).normal(size=40)
+        _assert_matches_reference(sys1, parse_signal("sin(7*t) + 0.5"), grid, x0=x0)
+
+    def test_zero_response_of_an_overflowing_krylov_block_stays_zero(self):
+        # Gamma near 2.8e303 is finite, Phi Gamma overflows: the blocks shrink
+        # to one step, so 0 * inf never reaches a state
+        rom = LqoSystem([[40.0]], [[1e300]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(rom, parse_signal("0*t"), np.arange(101.0))
+        assert (traj.states == 0.0).all()
+
+    def test_tiny_input_through_an_overflowing_krylov_block_stays_finite(self):
+        # Gamma u is near 2.8e3 though Phi Gamma overflows; the states grow
+        # to about 1e206 over 40 steps and stay finite
+        rom = LqoSystem([[40.0]], [[1e300]], [[1.0]], [np.zeros((1, 1))], check_hurwitz=False)
+        u = lambda t: 1e-300
+        grid = np.arange(41.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(rom, u, grid)
+        assert np.isfinite(traj.states).all()
+        ref = rk4_reference(rom, u, grid)
+        assert np.abs(traj.states - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_peak_memory_of_a_long_run(self):
         # 200 000 steps: the states, the stage inputs and their forcing; the
-        # blocked recurrence adds O(sqrt(S) N) floats, well inside 1% of the
+        # blocked recurrence adds O(sqrt(S) q N) floats, well inside 1% of the
         # 3.355 state arrays that the step-by-step loop peaked at
         grid = time_grid(0.0, 20.0, 1e-4, 6)
         system, u = demo_system(), parse_signal(DEMO_INPUT)
