@@ -45,7 +45,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matfun
 from .errors import NonFiniteError, SolverError
@@ -370,7 +369,7 @@ def _psd_factor(x, name):
             f"{name} is indefinite beyond tolerance: min eigenvalue {lowest:.3e}",
             min_eigenvalue=lowest,
         )
-    c, piv, rank, _ = sla.lapack.dpstrf(sym, lower=1)  # info > 0: rank deficient
+    c, piv, rank, _ = matfun.sla.lapack.dpstrf(sym, lower=1)  # info > 0: rank deficient
     factor = np.empty((len(sym), rank))
     factor[piv - 1] = np.tril(c[:, :rank])
     return factor, max(0.0, -lowest)
@@ -398,7 +397,7 @@ def hankel_singular_values(p, q):
     q = matfun._as_matrix(q, "Q", p.shape)
     lp, clip_p = _psd_factor(p, "P")
     lq, clip_q = _psd_factor(q, "Q")
-    u, sigma, vt = sla.svd(lq.T @ lp, full_matrices=False)
+    u, sigma, vt = matfun.sla.svd(lq.T @ lp, full_matrices=False)
     sigma = np.concatenate((sigma, np.zeros(len(p) - len(sigma))))
     w, v = lq @ u, lp @ vt.T
     for a in (sigma, w, v):

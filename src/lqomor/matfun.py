@@ -28,14 +28,32 @@ function's.  The same call returns the eigenvalues: bit for bit those read
 from T's diagonal blocks, except for a matrix that ``dgees`` scales (one
 whose largest entry lies outside about [6.7e-139, 1.5e138]), whose
 eigenvalues agree with T's to rounding.
+
+:data:`sla` is the library's one binding of ``scipy.linalg``, imported at its
+first attribute read, so a command that solves nothing runs on numpy alone.
 """
 
 import functools
+import types
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionError, HurwitzError, NonFiniteError, SolverError
+
+
+class _SciPyLinalg(types.ModuleType):
+    """``scipy.linalg`` before its first attribute read, which imports it and
+    binds it as :data:`sla`, unless :data:`sla` was rebound meanwhile."""
+
+    def __getattr__(self, name):
+        global sla
+        import scipy.linalg
+        if sla is self:
+            sla = scipy.linalg
+        return getattr(scipy.linalg, name)
+
+
+sla = _SciPyLinalg("scipy.linalg")
 
 #: Relative tolerance of the Hurwitz test: max Re(eig(A)) must be below
 #: ``-HURWITZ_RTOL * ||A||_F``.

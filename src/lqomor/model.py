@@ -169,7 +169,10 @@ class LqoSystem:
 
 def _symmetrized(mi):
     """``(M_i + M_i^T) / 2`` if ``||M_i - M_i^T|| > 1e-12 ||M_i||``, else
-    ``M_i``; formed from the exact halves, so that no sum overflows."""
+    ``M_i``, returned before any norm is taken if it is exactly symmetric;
+    formed from the exact halves, so that no sum overflows."""
+    if (mi == mi.T).all():
+        return mi
     # the bar spares the rounding-level asymmetry of projected models:
     # symmetrizing it too changes the path of the fixed-point reductors
     half = 0.5 * mi

@@ -1250,22 +1250,80 @@ def test_workflow_runs_no_inline_scripts():
     assert inline == []
 
 
-def test_cli_import_loads_scipy_linalg_only():
-    """A new interpreter with every warning an error that imports the CLI
-    loads ``scipy.linalg`` and no module of the scipy subpackages every
-    command would pay for: a top-level ``scipy.optimize`` alone adds about
-    270 ms.  ``scipy.io`` stays inside the Matrix Market reader."""
+#: Run as ``python -W error -c STARTUP OUT MODULE [ARG ...]``: imports
+#: MODULE, runs ``lqomor.cli.main()`` on the ARGs if there are any, and at
+#: exit writes the names of the loaded modules to the file OUT.
+STARTUP = """\
+import atexit, importlib, sys
+out, module, *argv = sys.argv[1:]
+
+@atexit.register
+def report():
+    with open(out, "w") as fh:
+        fh.write(" ".join(sys.modules))
+
+importlib.import_module(module)
+if argv:
+    sys.argv[1:] = argv
+    sys.modules["lqomor.cli"].main()
+"""
+
+#: scipy subpackages no command needs: a top-level ``scipy.optimize`` alone
+#: adds about 270 ms.  ``scipy.io`` stays inside the Matrix Market reader.
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.integrate", "scipy.io", "scipy.special")
+
+
+def startup(tmp_path, module, *argv):
+    """``(exit code, stderr, names of the loaded modules)`` of
+    :data:`STARTUP` in a new interpreter with every warning an error."""
+    out = tmp_path / "modules.txt"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c",
-         "import sys, lqomor.cli; print(*sorted(sys.modules))"],
+        [sys.executable, "-W", "error", "-c", STARTUP, str(out), module, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    loaded = set(proc.stdout.split())
+    return proc.returncode, proc.stderr, set(out.read_text().split())
+
+
+def heavy(loaded):
+    return [m for m in loaded if m in HEAVY or m.startswith(tuple(h + "." for h in HEAVY))]
+
+
+@pytest.mark.parametrize("module", ["lqomor", "lqomor.cli"])
+def test_cli_import_loads_no_scipy_linalg(tmp_path, module):
+    """Importing the library or the CLI loads numpy alone: ``matfun.sla``
+    imports ``scipy.linalg`` at the first solve, and no other module
+    imports scipy at all."""
+    code, err, loaded = startup(tmp_path, module)
+    assert (code, err) == (0, "")
+    assert "numpy" in loaded and "scipy.linalg" not in loaded
+    assert heavy(loaded) == []
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("argv, exit_code, error", [
+    (["simulate", "--system", BENCH, "--rom", INIT, "--input", "0.01*cos(2*t)",
+      "--t1", "0.5", "--step", "1e-3", "--out", "{tmp}/y.csv"], 0, None),
+    (["norm", "--system", "{tmp}/schema.json", "--t1", "1"], 3, "schema"),
+    (["norm", "--no-such-flag"], 2, "usage"),
+], ids=["simulate", "schema", "usage"])
+def test_commands_that_solve_nothing_load_no_scipy_linalg(tmp_path, argv, exit_code, error):
+    """``simulate`` and the refusals that solve no matrix equation run on
+    numpy alone."""
+    (tmp_path / "schema.json").write_text(json.dumps({"version": 1}))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, err, loaded = startup(tmp_path, "lqomor.cli", *argv)
+    assert (code, json.loads(err)["code"] if err else None) == (exit_code, error)
+    assert "scipy.linalg" not in loaded
+
+
+def test_norm_loads_scipy_linalg_at_its_first_solve(tmp_path):
+    """A command that solves loads ``scipy.linalg``, and only that
+    subpackage, on its first LAPACK call."""
+    code, err, loaded = startup(tmp_path, "lqomor.cli", "norm", "--system", BENCH, "--t1", "1")
+    assert (code, err) == (0, "")
     assert "scipy.linalg" in loaded
-    heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate", "scipy.io", "scipy.special")
-    assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+    assert heavy(loaded) == []
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):

@@ -420,6 +420,24 @@ class TestSchurForm:
                             SchurForm(np.diag([1.0 + 1e-8, 1e6])), np.ones((1, 2)))
 
 
+def test_stand_in_puts_scipy_linalg_in_its_place(monkeypatch):
+    # the first read imports scipy.linalg and binds it as matfun.sla, so
+    # later reads cost what a read of the module costs
+    stand_in = matfun._SciPyLinalg("scipy.linalg")
+    monkeypatch.setattr(matfun, "sla", stand_in)
+    assert stand_in.expm is sla.expm
+    assert matfun.sla is sla
+
+
+def test_stand_in_leaves_a_later_binding_in_place(monkeypatch):
+    # a module put in its place before the first read, as a tracer does,
+    # stays there; the stand-in still forwards every read
+    stand_in = matfun._SciPyLinalg("scipy.linalg")
+    monkeypatch.setattr(matfun, "sla", sla.lapack)
+    assert stand_in.lapack is sla.lapack
+    assert matfun.sla is sla.lapack
+
+
 def failing(monkeypatch, info):
     """Make every Schur factorization, not the workspace query, end with
     LAPACK's ``info``."""

@@ -132,6 +132,17 @@ class TestValidate:
         sys2 = LqoSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [m])
         assert np.array_equal(sys2.M[0], m)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_symmetric_m_is_kept_without_a_norm(self, monkeypatch, scale):
+        # an exactly symmetric M_i has no skew part to weigh: it comes back
+        # as it is, before any norm, so loading a file calls no BLAS
+        def fail(a):
+            raise AssertionError("fro_norm called")
+
+        monkeypatch.setattr(model.matfun, "fro_norm", fail)
+        m = scale * np.array([[1.0, 0.5], [0.5, 2.0]])
+        assert model._symmetrized(m) is m
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("skew", [1e200, 1e185], ids=["asymmetric", "rounding-level"])
     def test_norms_whose_squares_overflow_decide_as_finite_ones(self, skew):

@@ -444,3 +444,16 @@ class TestChain:
         rom = tlbt(system, 12, iv).rom
         oracle = h2tau_norm_quadrature(error_system(system, rom), iv, resolution=1000).value
         assert abs(h2tau_error(system, rom, iv).value - oracle) <= 1e-6 * oracle
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: the order-6 tlbt model on [0, 50] is not "
+        "Hurwitz and its horizon error is 7.804015e6 against ||H|| = 2.3724 "
+        "(Simpson at R = 4000 and 8000 agree to 9 digits), yet its only "
+        "warning is the stock one, which gives no relative error",
+    )
+    def test_unstable_tlbt_model_warns_with_its_relative_error(self):
+        system = chain_system(50, 1, {1: 2.0, 2: -2.0, 3: 3.0})
+        report = tlbt(system, 6, TimeInterval(0.0, 50.0))
+        assert not report.rom.is_hurwitz
+        assert any("relative error" in note for note in report.warnings)
