@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import NonFiniteError, SolverError
+from .errors import SolverError
 from .model import INFINITE, TimeInterval, require_same_io
 
 #: Horizons a system keeps the facts of its pairs for (:func:`_kept`): the
@@ -95,7 +95,7 @@ def _weighted(x, left, right, interval, side):
         w = w - term(l1, r1)
     if w is x:
         return x
-    if not np.isfinite(w).all():
+    if not matfun.finite(w):
         raise SolverError(f"{side} Gramian right-hand side overflowed", side=side)
     return (w + w.T) / 2.0 if left is right else w
 
@@ -103,19 +103,23 @@ def _weighted(x, left, right, interval, side):
 def _solve(left, right, side, q):
     """Gramian-type block of the pair on one side with right-hand side ``q``:
     one Sylvester solve, which ``matfun`` runs as the Lyapunov equation when
-    ``left is right`` and then symmetrized.  Only unique solvability is
-    checked, never the Hurwitz test; a right-hand side that overflowed is a
-    numerical failure, not bad input."""
+    ``left is right`` and then symmetrized.  The one entry of every Gramian
+    solve.
+
+    ``q`` is a C-ordered float kernel of the pair's shape that the library
+    built from the two checked systems, so the matrix check of the public
+    :func:`~lqomor.matfun.solve_sylvester` is not repeated: this tests that
+    ``q`` is finite (one that overflowed is a numerical failure, a
+    ``SolverError``, not bad input), then the pair's unique solvability, and
+    calls the kernel solve ``matfun._trsyl``.  Never the Hurwitz test."""
     if side == "controllability":
         a, b = left.schur, right.schur.transposed
     else:
         a, b = left.schur.transposed, right.schur
-    try:
-        x = matfun.solve_sylvester(a, b, q)
-    except NonFiniteError:
-        raise SolverError(
-            f"{side} Gramian right-hand side overflowed", side=side
-        ) from None
+    if not matfun.finite(q):
+        raise SolverError(f"{side} Gramian right-hand side overflowed", side=side)
+    matfun._require_unique_solution(a, b)
+    x = matfun._trsyl(a, b, -q)
     return (x + x.T) / 2.0 if left is right else x
 
 
@@ -220,10 +224,12 @@ def _kept(left, right, interval, name, solve):
         kept = facts.get("pair")
         facts = kept[1] if kept is not None and kept[0] == partner else {}
     x = facts.get(name)
-    if x is None:
-        x = solve()
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
+    if x is not None:
+        matfun.recall(right.gramian_memo, interval, GRAMIAN_MEMO, dict)
+        return x
+    x = solve()
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
     facts = matfun.recall(right.gramian_memo, interval, GRAMIAN_MEMO, dict)
     if partner is not None:
         kept = facts.get("pair")

@@ -23,7 +23,8 @@ per split instead of four.  Every leaf divides its solution by the scale
 :class:`SolverError`, not a finite wrong answer.
 
 A form is one LAPACK ``dgees`` call, made with the workspace that
-``scipy.linalg.schur`` queries, so its factors are bit-identical to that
+``scipy.linalg.schur`` queries (asked once per matrix order, as LAPACK sizes
+it from the order alone), so its factors are bit-identical to that
 function's.  The same call returns the eigenvalues: bit for bit those read
 from T's diagonal blocks, except for a matrix that ``dgees`` scales (one
 whose largest entry lies outside about [6.7e-139, 1.5e138]), whose
@@ -77,8 +78,9 @@ def _as_matrix(a, name, shape=(None, None)):
     :class:`NonFiniteError`; both name ``a`` in ``context["name"]``.
     """
     try:
-        # a complex array would convert with its imaginary part dropped
-        if np.iscomplexobj(a):
+        # a complex array would convert with its imaginary part dropped; an
+        # ndarray tells by its dtype
+        if (a.dtype.kind == "c") if isinstance(a, np.ndarray) else np.iscomplexobj(a):
             raise TypeError(f"{name} is complex")
         # converted once: the copy is what is checked and returned
         a = np.array(a, dtype=float, order="C", ndmin=2)
@@ -96,9 +98,16 @@ def _as_matrix(a, name, shape=(None, None)):
             f"{name} must be a nonempty {want} matrix, got shape {a.shape}",
             name=name, shape=a.shape,
         )
-    if not np.isfinite(a).all():
+    if not finite(a):
         raise NonFiniteError(f"{name} contains non-finite entries", name=name)
     return a
+
+
+def finite(a):
+    """Whether every entry of the float array ``a`` is finite: one
+    ``isfinite`` and one count, the finiteness test of the matrix check and
+    of the Gramian solves."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def fro_norm(a):
@@ -108,6 +117,12 @@ def fro_norm(a):
     threshold tests only, never a value that reaches an output."""
     x = a.ravel(order="K")
     return sla.blas.dnrm2(x) if x.size else 0.0
+
+
+#: ``dgees`` workspace by matrix order, queried at the first factorization
+#: of each order: LAPACK sizes it from the order alone, so every form gets
+#: the workspace that ``scipy.linalg.schur`` would query for its matrix.
+_GEES_LWORK = {}
 
 
 def _unsorted(*_):
@@ -162,7 +177,9 @@ class SchurForm:
         would use; a view reads its form's."""
         a = _as_matrix(self.a, "a", "square")
         gees = sla.lapack.dgees
-        lwork = int(gees(_unsorted, a, lwork=-1)[-2][0])
+        lwork = _GEES_LWORK.get(len(a))
+        if lwork is None:
+            lwork = _GEES_LWORK[len(a)] = int(gees(_unsorted, a, lwork=-1)[-2][0])
         t, _, wr, wi, u, _, info = gees(_unsorted, a, lwork=lwork)
         if info < 0:
             raise SolverError(f"gees rejected argument {-info}")
@@ -300,11 +317,16 @@ def expm_frechet(a, v, t=1.0):
     return sla.expm(big)[:n, n:]
 
 
-def _require_unique_solution(fa, fb, message, **context):
-    # A X + X B + C = 0 has a unique solution iff no eig(A) + eig(B) is zero
+def _require_unique_solution(fa, fb):
+    """The solvability test of ``A X + X B + C = 0`` for the forms ``fa`` of
+    A and ``fb`` of B: a unique solution needs no ``eig(A) + eig(B)`` near
+    zero, else :class:`SolverError` with the smallest such sum."""
     s = np.abs(fa.eigvals[:, None] + fb.eigvals[None, :]).min()
     if s <= 1e-13 * max(fa.radius, fb.radius):
-        raise SolverError(message, min_eig_sum=float(s), **context)
+        raise SolverError(
+            "Sylvester equation is singular: spectra of A and -B overlap",
+            min_eig_sum=float(s),
+        )
 
 
 def _leaf(r, s, f, trana, tranb):
@@ -411,7 +433,7 @@ def _trsyl(fa, fb, q):
     else:
         y = _sylvester_blocked(r, s, f, "T" if fa.trans else "N", "T" if fb.trans else "N")
     x = np.dot(np.dot(u, y), v.T)
-    if not np.isfinite(x).all():
+    if not finite(x):
         kind = "Lyapunov" if lyapunov else "Sylvester"
         raise SolverError(f"{kind} solve produced non-finite entries")
     return x
@@ -422,8 +444,9 @@ def solve_lyapunov(a, q, side="controllability"):
 
     ``side="controllability"`` returns ``X`` with ``A X + X A^T + Q = 0``;
     ``side="observability"`` returns ``X`` with ``A^T X + X A + Q = 0``.
-    This is :func:`solve_sylvester` of the form of A (or of ``A^T``) and
-    its transposed view, behind the Hurwitz test.
+    This is the Sylvester solve of the form of A (or of ``A^T``) and its
+    transposed view, behind the Hurwitz test; ``q`` is checked here once
+    and not again by :func:`solve_sylvester`.
 
     Parameters
     ----------
@@ -449,7 +472,8 @@ def solve_lyapunov(a, q, side="controllability"):
     if side == "observability":
         form = form.transposed
     require_hurwitz(form, "A")
-    x = solve_sylvester(form, form.transposed, q)
+    _require_unique_solution(form, form.transposed)
+    x = _trsyl(form, form.transposed, -q)
     qnorm = fro_norm(q)
     if qnorm == 0.0 or fro_norm(q - q.T) <= 1e-12 * qnorm:
         x = (x + x.T) / 2.0
@@ -481,11 +505,16 @@ def solve_sylvester(a, b, c):
         If ``c`` is not finite.
     SolverError
         If the spectra of ``a`` and ``-b`` overlap (no unique solution).
+
+    This public entry point makes the matrix check of ``c``
+    (:func:`_as_matrix`) and of an array ``a`` or ``b`` (when factored),
+    then the solvability test and the kernel solve :func:`_trsyl`.  The
+    library's own Gramian solves (:func:`lqomor.gramians._solve`) skip it:
+    they call the solvability test and ``_trsyl`` on kernels they built
+    themselves and test only that a kernel is finite.
     """
     fa = _form(a, "A")
     fb = _form(b, "B")
     c = _as_matrix(c, "C", (fa.a.shape[0], fb.a.shape[0]))
-    _require_unique_solution(
-        fa, fb, "Sylvester equation is singular: spectra of A and -B overlap",
-    )
+    _require_unique_solution(fa, fb)
     return _trsyl(fa, fb, -c)

@@ -62,8 +62,8 @@ def pole_change(prev, new):
     compared pairwise; the metric is
     ``max_k |prev_k - new_k| / max(1, |prev_k|)``.
     """
-    prev = np.sort_complex(np.asarray(prev, dtype=complex).reshape(-1))
-    new = np.sort_complex(np.asarray(new, dtype=complex).reshape(-1))
+    prev = np.sort(np.asarray(prev, dtype=complex), axis=None)
+    new = np.sort(np.asarray(new, dtype=complex), axis=None)
     if prev.size != new.size:
         raise DimensionError(
             f"eigenvalue lists differ in length: {prev.size} vs {new.size}"
@@ -204,6 +204,13 @@ def tlbt(system, n, interval):
     return _balanced_truncation("tlbt", system, n, interval)
 
 
+def _norm(a):
+    """Frobenius norm of ``a`` as ``np.linalg.norm(a)`` forms it, ``sqrt(x . x)``
+    over ``a.ravel("K")``, bit for bit."""
+    x = a.ravel("K")
+    return math.sqrt(x.dot(x))
+
+
 def _anderson(system, interval, pair, last, history):
     """One step of depth-2 Anderson type-II mixing (Walker & Ni, SIAM J.
     Numer. Anal. 2011) of the stacked bases ``X = [V; W]`` of the model just
@@ -220,22 +227,27 @@ def _anderson(system, interval, pair, last, history):
     ``last`` if there is one pair only, or with an empty history if the
     mixed model breaks down or, on an infinite horizon, is not Hurwitz.
     """
-    scale = np.linalg.norm(pair.V, axis=0) ** -0.5  # the columns of W are unit
+    n = len(pair.V)
+    # column norms as np.linalg.norm(V, axis=0) forms them; the columns of W
+    # are unit
+    scale = np.sqrt(np.add.reduce(pair.V * pair.V, axis=0)) ** -0.5
     x = np.vstack((pair.V * scale, pair.W / scale))
-    f = np.vstack([
-        k @ np.linalg.solve(k.T @ k, k.T @ b)
-        for k, b in zip((last[1].V, last[1].W), np.split(x, 2))
-    ]) - x
-    if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
+    # both halves in one stack: numpy runs the same BLAS and LAPACK call on
+    # each matrix of a stack as on that matrix alone
+    k = np.array((last[1].V, last[1].W))
+    kt = k.transpose(0, 2, 1)
+    f = (k @ np.linalg.solve(kt @ k, kt @ x.reshape(k.shape))).reshape(x.shape) - x
+    if history and _norm(f) > _norm(history[-1][1]):
         history = history[-1:]
     history = (history + [(x, f)])[-3:]
     if len(history) > 1:
-        dx, df = (np.diff(np.array(h), axis=0).reshape(len(history) - 1, -1).T
-                  for h in zip(*history))
+        # the differences of consecutive X and f, one column each
+        dx, df = ((h[1:] - h[:-1]).reshape(len(history) - 1, -1).T
+                  for h in map(np.array, zip(*history)))
         gamma = np.linalg.lstsq(df, f.ravel(), rcond=None)[0]
         mixed = x + f - ((dx + df) @ gamma).reshape(x.shape)
         try:
-            pair = biorthogonalize(*np.split(mixed, 2))
+            pair = biorthogonalize(mixed[:n], mixed[n:])
             rom = _project(system, pair.V, pair.W)
             if not interval.is_infinite or rom.is_hurwitz:
                 return rom, pair, history

@@ -19,13 +19,16 @@ def empty_load_cache():
 
 class LapackCalls:
     """The dense kernels the library ran: the matrix of each Schur
-    factorization (a ``dgees`` call that is not a workspace query) and of
-    each eigenvalue call (``eigvals`` or ``eig`` of numpy or scipy), the
-    right-hand-side shape of each ``dtrsyl`` call, and the matrix shape of
-    each ``dpstrf``, ``np.linalg.eigvalsh`` and ``scipy.linalg.svd`` call."""
+    factorization (a ``dgees`` call that is not a workspace query), the
+    matrix order of each ``dgees`` workspace query (``lwork=-1``), the
+    matrix of each eigenvalue call (``eigvals`` or ``eig`` of numpy or
+    scipy), the right-hand-side shape of each ``dtrsyl`` call, and the
+    matrix shape of each ``dpstrf``, ``np.linalg.eigvalsh`` and
+    ``scipy.linalg.svd`` call."""
 
     def __init__(self):
         self.schur = []
+        self.gees_queries = []
         self.eigvals = []
         self.trsyl = []
         self.dpstrf = []
@@ -52,7 +55,9 @@ def lapack_calls(monkeypatch):
     gees = matfun.sla.lapack.dgees
 
     def factoring(select, a, *args, **kwargs):
-        if kwargs.get("lwork") != -1:
+        if kwargs.get("lwork") == -1:
+            calls.gees_queries.append(len(a))
+        else:
             calls.schur.append(np.array(a))
         return gees(select, a, *args, **kwargs)
 

@@ -202,6 +202,29 @@ class TestReduceCommand:
         assert summary["iterations"] < 200
         assert summary["warnings"] == []
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 22: tlhnoia from bench6's order-3 tlbt model on "
+        "[0, 10] breaks down in sweep 3 (column 1 collapsed during deflation), "
+        "exits 0 and writes sweep 2's iterate, whose error is 3.358e46 against "
+        "0.5909 for its start",
+    )
+    def test_tlhnoia_returns_no_model_worse_than_its_start(self, capsys, tmp_path):
+        start, returned = str(tmp_path / "tlbt.json"), str(tmp_path / "tlhnoia.json")
+        code, _, _ = run(capsys, "reduce", "--method", "tlbt", "--order", "3", "--t1", "10",
+                         "--system", BENCH, "--out", start)
+        assert code == 0
+        code, _, _ = run(capsys, "reduce", "--method", "tlhnoia", "--t1", "10",
+                         "--system", BENCH, "--init", start, "--out", returned)
+        assert code == 0
+        errors = []
+        for rom in (start, returned):
+            code, out, _ = run(capsys, "error", "--system", BENCH, "--rom", rom, "--t1", "10")
+            assert code == 0
+            errors.append(json.loads(out)["value"])
+        assert errors[1] <= errors[0]
+
     def test_homora_in_a_fresh_process(self, capsys):
         # the whole CLI path through main(), with every warning an error
         code, out, err = run(

@@ -383,6 +383,20 @@ class TestSchurForm:
             assert np.array_equal(form.factors[0], t) and np.array_equal(form.factors[1], u)
             assert form.eigvals.tobytes() == block_eigvals(a).tobytes()
 
+    def test_workspace_is_queried_once_per_order(self, monkeypatch, lapack_calls):
+        # LAPACK sizes the workspace from the order alone, so forms of one
+        # order share one query and still equal scipy's factors bit for bit
+        rng = np.random.default_rng(45)
+        matrices = [rng.normal(size=(n, n)) for n in (3, 150, 3, 150, 7)]
+        refs = [sla.schur(a, output="real") for a in matrices]
+        monkeypatch.setattr(matfun, "_GEES_LWORK", {})
+        lapack_calls.gees_queries.clear()
+        for a, (t, u) in zip(matrices, refs):
+            form = SchurForm(a)
+            assert np.array_equal(form.factors[0], t) and np.array_equal(form.factors[1], u)
+        assert lapack_calls.gees_queries == [3, 150, 7]
+        assert len(lapack_calls.schur) == len(matrices)
+
     @pytest.mark.parametrize("scale", [1e-141, 1e-160, 1e140, 1e160, 1e-300])
     def test_eigvals_of_rescaled_matrices_agree_to_rounding(self, scale):
         a = np.random.default_rng(44).normal(size=(6, 6)) * scale

@@ -10,7 +10,7 @@ from lqomor.gramians import timelimited_gramians
 from lqomor.norms import h2tau_norm
 from lqomor.model import INFINITE, LqoSystem, TimeInterval
 from lqomor.reductors import biorthogonalize, bt, homora, pole_change, tlbt, tlhnoia
-from lqomor import matfun, optimality, reductors
+from lqomor import gramians, matfun, optimality, reductors
 from lqomor.demo import demo_initial_guess, demo_system
 from lqomor.sysio import save_system, system_document, write_json
 
@@ -623,11 +623,11 @@ def test_returned_iterate_that_a_sweep_read_keeps_its_blocks(monkeypatch):
     Hurwitz, so the run returns the first, which sweep 2 read.  Its
     residual report solves Ph and Gh only, not Pt and Gt again."""
     solves = []
-    solve = matfun.solve_sylvester
+    solve = gramians._solve
 
-    def counting(a, b, c):
-        solves.append((a.a.shape[0], b.a.shape[0]))
-        return solve(a, b, c)
+    def counting(left, right, side, q):
+        solves.append((left.order, right.order))
+        return solve(left, right, side, q)
 
     residual_solves = []
     residuals = optimality.tl_residuals
@@ -638,13 +638,33 @@ def test_returned_iterate_that_a_sweep_read_keeps_its_blocks(monkeypatch):
         residual_solves.extend(solves[start:])
         return report
 
-    monkeypatch.setattr(matfun, "solve_sylvester", counting)
+    monkeypatch.setattr(gramians, "_solve", counting)
     monkeypatch.setattr(optimality, "tl_residuals", recording)
     report = homora(demo_system(), demo_initial_guess(), max_iter=2)
     r = report.rom.order
     assert report.iterations == 2 and report.residuals is not None
     assert np.array_equal(report.rom.poles(), report.pole_history[1])
     assert residual_solves == [(r, r), (r, r)]
+
+
+def test_homora_sweeps_never_enter_the_public_solver(monkeypatch, lapack_calls):
+    """Every Gramian solve of the bundled benchmark's homora run goes
+    through ``gramians._solve``, never the public ``matfun.solve_sylvester``
+    with its matrix check, and ``dgees`` is asked for its workspace once per
+    matrix order: for A and for the first model, not for each iterate."""
+    entered = []
+    solve = matfun.solve_sylvester
+
+    def entering(a, b, c):
+        entered.append(c)
+        return solve(a, b, c)
+
+    monkeypatch.setattr(matfun, "solve_sylvester", entering)
+    monkeypatch.setattr(matfun, "_GEES_LWORK", {})
+    report = homora(demo_system(), demo_initial_guess())
+    assert report.converged and report.iterations == 19
+    assert entered == []
+    assert sorted(lapack_calls.gees_queries) == [3, 6]
 
 
 @pytest.mark.parametrize("method", ["homora", "tlhnoia"])
